@@ -112,7 +112,9 @@ def two_hop_outage(gamma_th: float, gamma0: float, d_a: float, d_b: float,
     db = d_b ** theta
     t = 2.0 * math.sqrt(da * db * gamma_th * (gamma_th + 1.0)
                         / (gamma0 * gamma0 * lambda_a * lambda_b))
-    surv = math.exp(-(gamma_th / gamma0) * (db / lambda_b + da / lambda_a)) * t * bessel_k1(t)
+    # t*K1(t) -> 1 as t -> 0; t underflows to 0 once gamma0**2 overflows.
+    t_k1 = t * bessel_k1(t) if t > 0 else 1.0
+    surv = math.exp(-(gamma_th / gamma0) * (db / lambda_b + da / lambda_a)) * t_k1
     # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
     return min(max(1.0 - surv, 0.0), 1.0)
 

@@ -6,6 +6,11 @@ fixed header and 10-significant-digit formatting so output files diff
 cleanly.  Plots are emitted as standalone matplotlib scripts rather than
 images, keeping this package free of plotting dependencies and the
 artifacts byte-reproducible.
+
+A sweep first builds and validates every point and computes its
+analytic rows, serially; then one ``estimate`` call draws the fading
+gains once and evaluates every Monte-Carlo row on them.  A bad point is
+reported before any trial is drawn.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import configparser
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -54,8 +58,11 @@ _DEFAULTS = {
 
 
 def db_to_linear(db: float) -> float:
-    """Power ratio from decibels."""
-    return 10.0 ** (db / 10.0)
+    """Power ratio from decibels; ValueError when it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db} dB overflows a float power ratio") from None
 
 
 @dataclass(frozen=True)
@@ -291,50 +298,46 @@ def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value):
     return db, cfg, derive_geometry(d_sdn, d_sdm, d_dnr, geo.alpha1, geo.alpha2)
 
 
-def _rows_for_point(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec,
-                    value, mc_workers: int) -> list[dict]:
-    db, cfg_i, geo_i = _point_scenario(cfg, geo, sweep, value)
-    variants = [(engine, relay)
-                for engine in sweep.engines
-                for relay in ((True, False) if sweep.baseline else (True,))]
-    rows = []
-    for engine, relay in variants:
-        name = engine if relay else engine + "-norelay"
-        base = {"gamma0_db": _fmt(db), "m": str(cfg_i.m), "n": str(cfg_i.n), "engine": name}
-        if engine == "analytic":
-            point = evaluate(cfg_i, geo_i, relay=relay)
-            rows.append(base | {"mode": "", "p_out_n": _fmt(point.p_out_n),
-                                "p_out_m": _fmt(point.p_out_m), "stderr_n": "", "stderr_m": "",
-                                "throughput": _fmt(point.throughput)})
-        else:
-            est_n, est_m, tau = estimate(cfg_i, geo_i, mc, workers=mc_workers, relay=relay)
-            rows.append(base | {"mode": mc.mode, "p_out_n": _fmt(est_n.p_hat),
-                                "p_out_m": _fmt(est_m.p_hat), "stderr_n": _fmt(est_n.stderr),
-                                "stderr_m": _fmt(est_m.stderr), "throughput": _fmt(tau)})
-    return rows
-
-
 def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, *,
-              mc_workers: int = 1, point_workers: int = 4) -> list[dict]:
+              workers: int | None = None) -> list[dict]:
     """Evaluate every sweep point with every requested engine.
 
     Returns CSV-ready rows (string values, CSV_COLUMNS keys), ordered by
-    sweep index then engine, independent of dispatch concurrency.
-    Engine errors propagate annotated with the offending sweep point.
+    sweep index then engine, independent of ``workers``, the Monte-Carlo
+    chunk threads (default: the CPUs this process may use).  Errors in
+    building a point or in its analytic rows propagate annotated with
+    the offending sweep point, before any Monte-Carlo trial is drawn.
     """
-
-    def one_point(value):
+    relays = (True, False) if sweep.baseline else (True,)
+    rows = []
+    mc_rows = []  # (row index, cfg_i, geo_i, relay), filled in by one estimate call
+    for value in sweep.values:
         try:
-            return _rows_for_point(cfg, geo, mc, sweep, value, mc_workers)
+            db, cfg_i, geo_i = _point_scenario(cfg, geo, sweep, value)
+            for engine in sweep.engines:
+                for relay in relays:
+                    name = engine if relay else engine + "-norelay"
+                    row = {"gamma0_db": _fmt(db), "m": str(cfg_i.m), "n": str(cfg_i.n),
+                           "engine": name}
+                    if engine == "analytic":
+                        point = evaluate(cfg_i, geo_i, relay=relay)
+                        row |= {"mode": "", "p_out_n": _fmt(point.p_out_n),
+                                "p_out_m": _fmt(point.p_out_m), "stderr_n": "",
+                                "stderr_m": "", "throughput": _fmt(point.throughput)}
+                    else:
+                        mc_rows.append((len(rows), cfg_i, geo_i, relay))
+                    rows.append(row)
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}") from exc
-
-    if point_workers > 1 and len(sweep.values) > 1:
-        with ThreadPoolExecutor(max_workers=point_workers) as pool:
-            per_point = list(pool.map(one_point, sweep.values))
-    else:
-        per_point = [one_point(v) for v in sweep.values]
-    return [row for rows in per_point for row in rows]
+    if mc_rows:
+        (_, cfg_0, geo_0, relay_0), *rest = mc_rows
+        results = estimate(cfg_0, geo_0, mc, workers=workers, relay=relay_0,
+                           also=[(c, g, r) for _, c, g, r in rest])
+        for (k, *_), (est_n, est_m, tau) in zip(mc_rows, results):
+            rows[k] |= {"mode": mc.mode, "p_out_n": _fmt(est_n.p_hat),
+                        "p_out_m": _fmt(est_m.p_hat), "stderr_n": _fmt(est_n.stderr),
+                        "stderr_m": _fmt(est_m.stderr), "throughput": _fmt(tau)}
+    return rows
 
 
 def write_csv(rows: list[dict], path: str | Path) -> None:
@@ -510,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
             sweep = replace(sweep, baseline=True)
         cfg = replace(cfg, gamma0=db_to_linear(_first_gamma0_db(sweep)))
 
-        rows = run_sweep(cfg, geo, mc, sweep, mc_workers=4, point_workers=4)
+        rows = run_sweep(cfg, geo, mc, sweep)
         write_csv(rows, args.out)
         print(f"wrote {args.out} ({len(rows)} rows)")
         if args.plot:

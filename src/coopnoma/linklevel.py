@@ -69,8 +69,8 @@ class SystemConfig:
                 f"power shares must satisfy a_m > a_n > 0, got a_m={self.a_m}, a_n={self.a_n}")
         if abs(self.a_m + self.a_n - 1.0) > 1e-9:
             raise ValueError(f"power shares must sum to 1, got {self.a_m + self.a_n}")
-        if not (self.gamma0 > 0):
-            raise ValueError(f"gamma0 must be > 0, got {self.gamma0}")
+        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
+            raise ValueError(f"gamma0 must be finite and > 0, got {self.gamma0}")
         if not (self.theta >= 0):
             raise ValueError(f"path-loss exponent theta must be >= 0, got {self.theta}")
         for name in ("lambda_sd", "lambda_dnr", "lambda_rdm"):
@@ -137,8 +137,8 @@ def derive_geometry(d_sdn: float, d_sdm: float, d_dnr: float,
                     alpha1: float, alpha2: float) -> Geometry:
     """Build a consistent Geometry from the free parameters (angles in radians)."""
     for name, v in (("d_sdn", d_sdn), ("d_sdm", d_sdm), ("d_dnr", d_dnr)):
-        if not (v > 0):
-            raise ValueError(f"distance {name} must be > 0, got {v}")
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"distance {name} must be finite and > 0, got {v}")
     for name, v in (("alpha1", alpha1), ("alpha2", alpha2)):
         if not (0 < v < math.pi):
             raise ValueError(f"angle {name} must lie in (0, pi), got {v}")
@@ -154,8 +154,8 @@ class ChannelRealization:
 
     ``g_sd`` is the full ascending vector of source-user gains.  In the
     default joint mode both scheduled users read their gain from this one
-    vector.  When ``g_sd_strong`` is present (independent-marginals mode)
-    the strong user reads rank n from that second, independently drawn
+    vector.  When ``g_sd_strong`` is present (independent mode) the
+    strong user reads rank n from that second, independently drawn
     ordered vector instead, so the two ranks carry no cross-correlation.
     """
 

@@ -4,18 +4,27 @@ Each trial replays the three-phase protocol at SINR level — draw fading
 gains, evaluate every decoding stage against its threshold, record the
 two outage events — and the estimator averages over trials.
 
+Draw once, evaluate many: the fading gains of a trial depend only on
+(seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
+the distances or the relay flag.  ``estimate`` therefore draws and sorts
+each chunk of trials once and evaluates every requested (scenario,
+relay) variant on it, so a whole sweep costs one draw.  Chunks run on
+one thread pool sized to the CPUs this process may use.
+
 Determinism contract: (seed, trials, chunk_size) fully determine every
-estimate regardless of worker count.  Trials are numbered globally and
-each trial owns a fixed-width slice of a counter-based random stream
-(Philox keyed by the seed), so any partition of the trial range into
-chunks replays bit-identical gains.  Chunk results are integer counts
-reduced in chunk order, which is exact arithmetic, hence worker-count
-independent.
+estimate regardless of worker count or of which variants share the
+draw.  Trials are numbered globally and each trial owns a fixed-width
+slice of a counter-based random stream (Philox keyed by the seed), so
+any partition of the trial range into chunks replays bit-identical
+gains.  Chunk results are integer counts reduced in chunk order, which
+is exact arithmetic, hence worker-count independent.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,8 +51,7 @@ class McConfig:
     "joint" reads both ranks from one ordered vector (the physical
     channel), "independent" draws a second vector for the strong user so
     the two ranks are statistically independent — the assumption baked
-    into the weak-user closed form.  "independent-marginals" is accepted
-    as an alias.
+    into the weak-user closed form.
     """
 
     trials: int
@@ -58,10 +66,8 @@ class McConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (isinstance(self.chunk_size, (int, np.integer)) and self.chunk_size >= 1):
             raise ValueError(f"chunk_size must be a positive integer, got {self.chunk_size!r}")
-        mode = "independent" if self.mode == "independent-marginals" else self.mode
-        if mode not in MODES:
+        if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
 
 
 @dataclass(frozen=True)
@@ -116,12 +122,22 @@ def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray):
     None, g_dnr, g_rdm).
     """
     M = cfg.M
-    vec1 = np.sort(-cfg.lambda_sd * np.log1p(-u[:, :M]), axis=1)
+
+    def ordered(block):
+        # -lam*log1p(-u), sorted: computed in place in one array, which gives
+        # the same values bit for bit as four temporaries would
+        g = np.negative(block)
+        np.log1p(g, out=g)
+        g *= -cfg.lambda_sd
+        g.sort(axis=1)
+        return g
+
+    vec1 = ordered(u[:, :M])
     if mode == "joint":
         vec2 = None
         off = M
     else:
-        vec2 = np.sort(-cfg.lambda_sd * np.log1p(-u[:, M:2 * M]), axis=1)
+        vec2 = ordered(u[:, M:2 * M])
         off = 2 * M
     g_dnr = -cfg.lambda_dnr * np.log1p(-u[:, off])
     g_rdm = -cfg.lambda_rdm * np.log1p(-u[:, off + 1])
@@ -165,39 +181,71 @@ def outage_events(cfg: SystemConfig, geo: Geometry, real: ChannelRealization) ->
     return bool(out_n[0]), bool(out_m[0])
 
 
-def _run_chunk(cfg: SystemConfig, geo: Geometry, mc: McConfig, start: int, count: int,
-               relay: bool) -> tuple[int, int]:
-    rng = trial_stream(mc, cfg.M, start)
-    u = rng.random((count, draws_per_trial(cfg.M, mc.mode)))
-    vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mc.mode, u)
-    g_m = vec1[:, cfg.m - 1]
-    g_n = (vec1 if vec2 is None else vec2)[:, cfg.n - 1]
-    out_n, out_m = _event_arrays(cfg, geo, g_m, g_n, g_dnr, g_rdm, relay)
-    return int(out_n.sum()), int(out_m.sum())
+# One scenario evaluated on a shared draw: (cfg, geo, relay).
+_Variant = tuple[SystemConfig, Geometry, bool]
+
+# SystemConfig fields that fix the fading draw; variants must agree on them.
+_DRAW_FIELDS = ("M", "lambda_sd", "lambda_dnr", "lambda_rdm")
 
 
-def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int = 1,
-             relay: bool = True) -> tuple[McEstimate, McEstimate, float]:
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], mc: McConfig,
+               start: int, count: int) -> list[tuple[int, int]]:
+    """Draw one chunk of trials and count both outages for every variant."""
+    rng = trial_stream(mc, draw.M, start)
+    u = rng.random((count, draws_per_trial(draw.M, mc.mode)))
+    vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(draw, mc.mode, u)
+    strong = vec1 if vec2 is None else vec2
+    counts = []
+    for cfg, geo, relay in variants:
+        out_n, out_m = _event_arrays(cfg, geo, vec1[:, cfg.m - 1], strong[:, cfg.n - 1],
+                                     g_dnr, g_rdm, relay)
+        counts.append((int(out_n.sum()), int(out_m.sum())))
+    return counts
+
+
+def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | None = None,
+             relay: bool = True, also: Sequence[_Variant] | None = None):
     """Estimate both outage probabilities and the throughput they imply.
 
-    Returns (strong-user estimate, weak-user estimate, throughput).
-    Results are bit-identical for fixed (seed, trials, chunk_size)
-    whatever ``workers`` is; see the module docstring for why.
+    Returns (strong-user estimate, weak-user estimate, throughput) for
+    (cfg, geo, relay).  ``also`` lists more (cfg, geo, relay) variants to
+    evaluate on the same fading draws; when it is given, the result is a
+    list of such triples, the first for (cfg, geo, relay) and then one
+    per entry of ``also``.  Every variant must share cfg's M and
+    lambda_*, which fix the draw.  ``workers`` threads share the chunks
+    (default: the CPUs this process may use), never more than there are
+    chunks.  Results are bit-identical for fixed (seed, trials,
+    chunk_size) whatever ``workers`` and ``also`` are; see the module
+    docstring for why.
     """
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+    if workers is not None and not (isinstance(workers, (int, np.integer)) and workers >= 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    variants = [(cfg, geo, relay), *(also or ())]
+    for other, _, _ in variants[1:]:
+        for name in _DRAW_FIELDS:
+            if getattr(other, name) != getattr(cfg, name):
+                raise ValueError(f"variant {name}={getattr(other, name)!r} differs from the "
+                                 f"draw's {name}={getattr(cfg, name)!r}")
     chunks = [(start, min(mc.chunk_size, mc.trials - start))
               for start in range(0, mc.trials, mc.chunk_size)]
-    if workers == 1 or len(chunks) == 1:
-        counts = [_run_chunk(cfg, geo, mc, s, c, relay) for s, c in chunks]
+    workers = min(_usable_cpus() if workers is None else workers, len(chunks))
+    if workers == 1:
+        counts = [_run_chunk(cfg, variants, mc, s, c) for s, c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda sc: _run_chunk(cfg, geo, mc, sc[0], sc[1], relay),
-                                   chunks))
-    n_fail = sum(c[0] for c in counts)
-    m_fail = sum(c[1] for c in counts)
-    p_n = n_fail / mc.trials
-    p_m = m_fail / mc.trials
-    est_n = McEstimate(p_n, math.sqrt(p_n * (1.0 - p_n) / mc.trials), mc.trials)
-    est_m = McEstimate(p_m, math.sqrt(p_m * (1.0 - p_m) / mc.trials), mc.trials)
-    return est_n, est_m, throughput(cfg, p_n, p_m)
+            counts = list(pool.map(lambda sc: _run_chunk(cfg, variants, mc, *sc), chunks))
+    results = []
+    for k, (v_cfg, _, _) in enumerate(variants):
+        p_n = sum(c[k][0] for c in counts) / mc.trials
+        p_m = sum(c[k][1] for c in counts) / mc.trials
+        est_n = McEstimate(p_n, math.sqrt(p_n * (1.0 - p_n) / mc.trials), mc.trials)
+        est_m = McEstimate(p_m, math.sqrt(p_m * (1.0 - p_m) / mc.trials), mc.trials)
+        results.append((est_n, est_m, throughput(v_cfg, p_n, p_m)))
+    return results[0] if also is None else results

@@ -114,8 +114,8 @@ def test_c2_weak_user_mc_agreement(mc_cache, capsys):
         lines.append(f"{db:4.0f} {p_ref:12.6g} {est_m_ind.p_hat:12.6g} "
                      f"{est_m_ind.p_hat - p_ref:10.2e} {est_m_jnt.p_hat:12.6g} "
                      f"{est_m_jnt.p_hat - p_ref:10.2e} {3 * est_m_jnt.stderr:10.2e}")
-    lines += ["", "independent-marginals mode is the asserted oracle; joint-mode",
-              "deviations above are informational (rank coupling in one draw)."]
+    lines += ["", "independent mode is the asserted oracle; joint-mode deviations",
+              "above are informational (rank coupling in one draw)."]
     REPORT_PATH.write_text("\n".join(lines) + "\n")
     ok = worst <= 1.0
     report(capsys, "criterion 2",

@@ -114,6 +114,13 @@ class TestTwoHopOutage:
         assert two_hop_outage(1.0, 1e12, 4.0, 3.4, 2.0, 1.0, 1.0) < 1e-10
         assert two_hop_outage(1e9, 1.0, 4.0, 3.4, 2.0, 1.0, 1.0) == pytest.approx(1.0)
 
+    def test_snr_past_float_square_uses_small_t_limit(self):
+        # gamma0**2 overflows, so t underflows to 0; t*K1(t) -> 1 gives outage 0
+        assert two_hop_outage(1.0, 1e155, 4.0, 3.4, 2.0, 1.0, 1.0) == 0.0
+        assert two_hop_outage(1.0, math.inf, 4.0, 3.4, 2.0, 1.0, 1.0) == 0.0
+        # just below the overflow t is tiny but positive and K1 still evaluates
+        assert 0.0 <= two_hop_outage(1.0, 1e150, 4.0, 3.4, 2.0, 1.0, 1.0) < 1e-12
+
     def test_monotone_in_snr(self):
         vals = [two_hop_outage(1.0, 10 ** (db / 10), 4.0, 3.4, 2.0, 1.0, 1.0)
                 for db in range(0, 41, 2)]

@@ -10,7 +10,7 @@ import pytest
 from coopnoma.cli import (CSV_COLUMNS, SweepSpec, db_to_linear, emit_plot_script,
                           load_config, main, run_sweep, write_config, write_csv)
 from coopnoma.linklevel import derive_geometry
-from coopnoma.mcsim import McConfig
+from coopnoma.mcsim import McConfig, estimate
 
 
 def small_bundle(**mc_overrides):
@@ -271,10 +271,10 @@ class TestRunSweep:
         assert mc_row["mode"] == "independent"
         assert float(mc_row["stderr_n"]) >= 0.0
 
-    def test_point_workers_do_not_reorder_rows(self):
+    def test_workers_do_not_reorder_rows(self):
         cfg, geo, mc, sweep = small_bundle()
-        serial = run_sweep(cfg, geo, mc, sweep, point_workers=1)
-        threaded = run_sweep(cfg, geo, mc, sweep, point_workers=8)
+        serial = run_sweep(cfg, geo, mc, sweep, workers=1)
+        threaded = run_sweep(cfg, geo, mc, sweep, workers=8)
         assert serial == threaded
 
     def test_pair_sweep_orderings(self):
@@ -308,6 +308,71 @@ class TestRunSweep:
         sweep = replace(sweep, variable="pair", values=((5, 3),), engines=("analytic",))
         with pytest.raises(ValueError, match=r"pair=\(5, 3\)"):
             run_sweep(cfg, geo, mc, sweep)
+
+    def test_bad_point_draws_no_trials(self, monkeypatch):
+        # every point is built before the first chunk is drawn
+        from dataclasses import replace
+        import coopnoma.mcsim as mcsim
+        streams = []
+        real_stream = mcsim.trial_stream
+
+        def counting_stream(*args, **kwargs):
+            streams.append(args)
+            return real_stream(*args, **kwargs)
+
+        monkeypatch.setattr(mcsim, "trial_stream", counting_stream)
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, variable="pair", values=((1, 2), (3, 6), (5, 3)),
+                        engines=("mc",))
+        with pytest.raises(ValueError, match=r"pair=\(5, 3\)"):
+            run_sweep(cfg, geo, mc, sweep)
+        assert len(streams) == 0
+        # the counter does see the chunks of a good sweep
+        run_sweep(cfg, geo, mc, replace(sweep, values=((1, 2),)))
+        assert len(streams) == 4  # 2,000 trials in chunks of 512
+
+
+class TestFusedSweep:
+    """Every MC row of a sweep equals a lone estimate of its own scenario."""
+
+    SWEEPS = {
+        "gamma0_db": (0.0, 15.0, 30.0),
+        "pair": ((1, 2), (2, 5), (3, 6)),
+        "distance-set": ((4.0, 6.0, 4.0), (2.0, 9.0, 7.0), (6.0, 3.0, 5.0)),
+    }
+
+    @staticmethod
+    def scenario(cfg, geo, sweep, value):
+        from dataclasses import replace
+        if sweep.variable == "gamma0_db":
+            return replace(cfg, gamma0=db_to_linear(value)), geo
+        cfg = replace(cfg, gamma0=db_to_linear(sweep.gamma0_db))
+        if sweep.variable == "pair":
+            return replace(cfg, m=value[0], n=value[1]), geo
+        return cfg, derive_geometry(*value, geo.alpha1, geo.alpha2)
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    @pytest.mark.parametrize("variable", sorted(SWEEPS))
+    def test_rows_equal_lone_estimates(self, variable, mode):
+        from dataclasses import replace
+        cfg, geo, mc, sweep = small_bundle(mode=mode, trials=3_000, chunk_size=1_024)
+        sweep = replace(sweep, variable=variable, values=self.SWEEPS[variable],
+                        engines=("analytic", "mc"), baseline=True, gamma0_db=12.0)
+        rows = iter(run_sweep(cfg, geo, mc, sweep))
+        for value in sweep.values:
+            cfg_i, geo_i = self.scenario(cfg, geo, sweep, value)
+            point = [next(rows) for _ in range(4)]
+            assert [r["engine"] for r in point] == [
+                "analytic", "analytic-norelay", "mc", "mc-norelay"]
+            for row, relay in zip(point[2:], (True, False)):
+                est_n, est_m, tau = estimate(cfg_i, geo_i, mc, relay=relay)
+                assert (row["m"], row["n"]) == (str(cfg_i.m), str(cfg_i.n))
+                assert row["mode"] == mode
+                assert [row[k] for k in ("p_out_n", "p_out_m", "stderr_n", "stderr_m",
+                                         "throughput")] == [
+                    f"{v:.10g}" for v in (est_n.p_hat, est_m.p_hat, est_n.stderr,
+                                          est_m.stderr, tau)]
+        assert next(rows, None) is None
 
 
 class TestCsvAndPlots:
@@ -460,6 +525,26 @@ class TestMain:
         rc = main(["--sweep-gamma0-db", "40:0:5", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "sweep-gamma0-db" in capsys.readouterr().err
+
+    def test_snr_past_float_square_runs_both_engines(self, tmp_path):
+        # gamma0**2 overflows above about 1541 dB; both engines must still agree
+        out = tmp_path / "cli.csv"
+        rc = main(["--sweep-gamma0-db", "1500:1600:50", "--engine", "both",
+                   "--trials", "1000", "--out", str(out)])
+        assert rc == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["gamma0_db"], r["engine"]) for r in rows] == [
+            (db, e) for db in ("1500", "1550", "1600") for e in ("analytic", "mc")]
+        for analytic, mc_row in zip(rows[::2], rows[1::2]):
+            for col in ("p_out_n", "p_out_m", "throughput"):
+                assert abs(float(analytic[col]) - float(mc_row[col])) <= 1e-4
+
+    def test_snr_overflowing_a_float_is_reported(self, tmp_path, capsys):
+        rc = main(["--sweep-gamma0-db", "4000:4000:1", "--engine", "analytic",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "4000.0 dB overflows a float" in capsys.readouterr().err
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "ghost.ini"),

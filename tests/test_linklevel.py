@@ -56,6 +56,11 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             default_config(**bad)
 
+    @pytest.mark.parametrize("gamma0", [math.inf, math.nan])
+    def test_rejects_nonfinite_snr_naming_key(self, gamma0):
+        with pytest.raises(ValueError, match="gamma0 must be finite"):
+            default_config(gamma0=gamma0)
+
 
 class TestThresholdFromRate:
     def test_values(self):
@@ -89,6 +94,14 @@ class TestGeometry:
             derive_geometry(4.0, 6.0, 4.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             derive_geometry(4.0, 6.0, 4.0, 1.0, math.pi)
+
+    @pytest.mark.parametrize("key", ["d_sdn", "d_sdm", "d_dnr", "alpha1", "alpha2"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite_free_parameter_naming_key(self, key, bad):
+        free = dict(d_sdn=4.0, d_sdm=6.0, d_dnr=4.0, alpha1=1.0, alpha2=1.0)
+        free[key] = bad
+        with pytest.raises(ValueError, match=f"{key} must"):
+            derive_geometry(**free)
 
     def test_rejects_inconsistent_derived_distances(self):
         geo = default_geometry()

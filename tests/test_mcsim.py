@@ -5,8 +5,8 @@ import pytest
 
 from coopnoma.analytic import throughput
 from coopnoma.linklevel import ChannelRealization, SystemConfig, derive_geometry
-from coopnoma.mcsim import (McConfig, McEstimate, draw_realization, draws_per_trial,
-                            estimate, outage_events, trial_stream)
+from coopnoma.mcsim import (McConfig, McEstimate, _gains_from_uniforms, draw_realization,
+                            draws_per_trial, estimate, outage_events, trial_stream)
 
 
 def default_config(**overrides):
@@ -20,10 +20,6 @@ def default_geometry():
 
 
 class TestConfigs:
-    def test_mode_alias_normalizes(self):
-        mc = McConfig(trials=10, seed=0, mode="independent-marginals")
-        assert mc.mode == "independent"
-
     @pytest.mark.parametrize("bad", [
         dict(trials=0),
         dict(trials=-5),
@@ -83,6 +79,23 @@ class TestDrawRealization:
         assert real.g_sd_strong is not None
         assert real.g_sd.shape == real.g_sd_strong.shape == (6,)
         assert not np.array_equal(real.g_sd, real.g_sd_strong)
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_gains_are_sorted_inverse_cdf_of_the_uniforms(self, mode):
+        # the exact expression the draw layout is defined by, bit for bit
+        cfg = default_config(lambda_sd=1.7, lambda_dnr=0.6, lambda_rdm=2.3)
+        u = trial_stream(McConfig(trials=10, seed=4, mode=mode), cfg.M, 0).random(
+            (1_000, draws_per_trial(cfg.M, mode)))
+        vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mode, u)
+        np.testing.assert_array_equal(vec1, np.sort(-1.7 * np.log1p(-u[:, :6]), axis=1))
+        if mode == "joint":
+            assert vec2 is None
+            off = 6
+        else:
+            np.testing.assert_array_equal(vec2, np.sort(-1.7 * np.log1p(-u[:, 6:12]), axis=1))
+            off = 12
+        np.testing.assert_array_equal(g_dnr, -0.6 * np.log1p(-u[:, off]))
+        np.testing.assert_array_equal(g_rdm, -2.3 * np.log1p(-u[:, off + 1]))
 
     def test_relay_gain_moments(self):
         # empirical mean of each relay-hop gain ~ its lambda (3 sigma of the
@@ -199,3 +212,43 @@ class TestEstimate:
             cfg = default_config(gamma0=10 ** (db / 10))
             est_n, est_m, _ = estimate(cfg, geo, McConfig(trials=50_000, seed=4))
             assert est_m.p_hat >= est_n.p_hat
+
+
+class TestSharedDraw:
+    def variants(self):
+        geo = default_geometry()
+        far = derive_geometry(6.0, 9.0, 6.0, math.radians(40.0), math.radians(60.0))
+        return [(default_config(gamma0=10.0), geo, True),
+                (default_config(m=1, n=2), geo, False),
+                (default_config(m=2, n=5, gamma0=1000.0), far, True)]
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_each_variant_equals_its_lone_estimate(self, mode):
+        mc = McConfig(trials=5_000, seed=13, chunk_size=1_500, mode=mode)
+        (cfg, geo, relay), *rest = self.variants()
+        fused = estimate(cfg, geo, mc, relay=relay, also=rest)
+        alone = [estimate(c, g, mc, relay=r) for c, g, r in self.variants()]
+        assert fused == alone
+
+    def test_empty_also_returns_one_element_list(self):
+        cfg, geo = default_config(), default_geometry()
+        mc = McConfig(trials=1_000, seed=2)
+        assert estimate(cfg, geo, mc, also=()) == [estimate(cfg, geo, mc)]
+
+    @pytest.mark.parametrize("field, other", [
+        ("M", dict(M=7, n=7)),
+        ("lambda_sd", dict(lambda_sd=2.0)),
+        ("lambda_dnr", dict(lambda_dnr=0.5)),
+        ("lambda_rdm", dict(lambda_rdm=3.0)),
+    ])
+    def test_variant_with_other_draw_rejected(self, field, other):
+        geo = default_geometry()
+        mc = McConfig(trials=1_000, seed=2)
+        with pytest.raises(ValueError, match=f"variant {field}="):
+            estimate(default_config(), geo, mc, also=[(default_config(**other), geo, True)])
+
+    def test_bad_worker_count_rejected(self):
+        for workers in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="workers"):
+                estimate(default_config(), default_geometry(), McConfig(trials=10, seed=1),
+                         workers=workers)
