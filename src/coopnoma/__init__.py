@@ -16,14 +16,14 @@ from .linklevel import (ChannelRealization, Geometry, SystemConfig, derive_geome
                         snr_strong_own, threshold_from_rate)
 from .mcsim import (McConfig, McEstimate, draw_realization, draws_per_trial, estimate,
                     outage_events, trial_stream)
-from .orderstat import (MAX_USERS, OrderStatSpec, ordered_cdf, ordered_pdf,
-                        phi_coefficient, sample_ordered_gains)
+from .orderstat import (MAX_RANKED_USERS, MAX_USERS, OrderStatSpec, ordered_cdf, ordered_pdf,
+                        ordered_sf, phi_coefficient, sample_ordered_gains)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_USERS", "OrderStatSpec", "phi_coefficient", "ordered_pdf", "ordered_cdf",
-    "sample_ordered_gains",
+    "MAX_USERS", "MAX_RANKED_USERS", "OrderStatSpec", "phi_coefficient", "ordered_pdf",
+    "ordered_cdf", "ordered_sf", "sample_ordered_gains",
     "SystemConfig", "Geometry", "ChannelRealization", "derive_geometry",
     "threshold_from_rate", "sinr_direct_weak", "sinr_strong_decodes_weak",
     "snr_strong_own", "sinr_relayed",

@@ -20,10 +20,13 @@ import configparser
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
-from .analytic import evaluate
+import numpy as np
+
+from .analytic import OutagePoint, evaluate
 from .linklevel import Geometry, SystemConfig, derive_geometry
 from .mcsim import McConfig, estimate
 
@@ -58,11 +61,14 @@ _DEFAULTS = {
 
 
 def db_to_linear(db: float) -> float:
-    """Power ratio from decibels; ValueError when it overflows a float."""
+    """Power ratio from decibels; ValueError when it overflows a float or underflows to 0."""
     try:
-        return 10.0 ** (db / 10.0)
+        ratio = 10.0 ** (db / 10.0)
     except OverflowError:
         raise ValueError(f"{db} dB overflows a float power ratio") from None
+    if ratio == 0.0:
+        raise ValueError(f"{db} dB underflows a float power ratio to 0")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -285,17 +291,48 @@ def _fmt(value) -> str:
     return f"{value:.10g}"
 
 
-def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value):
-    """Specialize (cfg, geo) for one sweep value; returns (db, cfg, geo)."""
+@contextmanager
+def _at_point(sweep: SweepSpec, value):
+    """Annotate an error raised inside the block with the sweep point it concerns."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}") from exc
+
+
+def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value,
+                    build_cfg: bool = True):
+    """Specialize (cfg, geo) for one sweep value; returns (db, gamma0, cfg, geo).
+
+    With ``build_cfg=False`` an SNR-grid point gets no SystemConfig of its
+    own (None); db_to_linear has already checked its gamma0.
+    """
     if sweep.variable == "gamma0_db":
         db = float(value)
-        return db, replace(cfg, gamma0=db_to_linear(db)), geo
+        gamma0 = db_to_linear(db)
+        return db, gamma0, replace(cfg, gamma0=gamma0) if build_cfg else None, geo
     db = sweep.gamma0_db
     cfg = replace(cfg, gamma0=db_to_linear(db))
     if sweep.variable == "pair":
-        return db, replace(cfg, m=value[0], n=value[1]), geo
+        return db, cfg.gamma0, replace(cfg, m=value[0], n=value[1]), geo
     d_sdn, d_sdm, d_dnr = value
-    return db, cfg, derive_geometry(d_sdn, d_sdm, d_dnr, geo.alpha1, geo.alpha2)
+    return db, cfg.gamma0, cfg, derive_geometry(d_sdn, d_sdm, d_dnr, geo.alpha1, geo.alpha2)
+
+
+def _analytic_points(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, points: list,
+                     relay: bool) -> OutagePoint:
+    """Closed-form results at every sweep point, as one OutagePoint of arrays.
+
+    An SNR grid takes one ``evaluate`` call over all its SNRs; pair and
+    distance-set points differ in more than gamma0 and take one call each.
+    """
+    if sweep.variable == "gamma0_db":
+        return evaluate(cfg, geo, relay=relay, gamma0=np.array([g for _, g, _, _ in points]))
+    lone = []
+    for value, (_, _, cfg_i, geo_i) in zip(sweep.values, points):
+        with _at_point(sweep, value):
+            lone.append(astuple(evaluate(cfg_i, geo_i, relay=relay)))
+    return OutagePoint(*(np.array(column) for column in zip(*lone)))
 
 
 def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, *,
@@ -309,26 +346,31 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, 
     the offending sweep point, before any Monte-Carlo trial is drawn.
     """
     relays = (True, False) if sweep.baseline else (True,)
+    on_grid = sweep.variable == "gamma0_db"
+    points = []  # (gamma0_db, gamma0, cfg_i, geo_i); cfg_i is None if no row needs it
+    for value in sweep.values:
+        with _at_point(sweep, value):
+            points.append(_point_scenario(cfg, geo, sweep, value,
+                                          build_cfg=not on_grid or "mc" in sweep.engines))
+    analytic = {relay: _analytic_points(cfg, geo, sweep, points, relay)
+                for relay in relays if "analytic" in sweep.engines}
     rows = []
     mc_rows = []  # (row index, cfg_i, geo_i, relay), filled in by one estimate call
-    for value in sweep.values:
-        try:
-            db, cfg_i, geo_i = _point_scenario(cfg, geo, sweep, value)
-            for engine in sweep.engines:
-                for relay in relays:
-                    name = engine if relay else engine + "-norelay"
-                    row = {"gamma0_db": _fmt(db), "m": str(cfg_i.m), "n": str(cfg_i.n),
-                           "engine": name}
-                    if engine == "analytic":
-                        point = evaluate(cfg_i, geo_i, relay=relay)
-                        row |= {"mode": "", "p_out_n": _fmt(point.p_out_n),
-                                "p_out_m": _fmt(point.p_out_m), "stderr_n": "",
-                                "stderr_m": "", "throughput": _fmt(point.throughput)}
-                    else:
-                        mc_rows.append((len(rows), cfg_i, geo_i, relay))
-                    rows.append(row)
-        except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}") from exc
+    for k, (db, _, cfg_i, geo_i) in enumerate(points):
+        ranks = cfg_i or cfg  # a grid point without a config of its own has the sweep's
+        for engine in sweep.engines:
+            for relay in relays:
+                name = engine if relay else engine + "-norelay"
+                row = {"gamma0_db": _fmt(db), "m": str(ranks.m), "n": str(ranks.n),
+                       "engine": name}
+                if engine == "analytic":
+                    pt = analytic[relay]
+                    row |= {"mode": "", "p_out_n": _fmt(pt.p_out_n[k]),
+                            "p_out_m": _fmt(pt.p_out_m[k]), "stderr_n": "", "stderr_m": "",
+                            "throughput": _fmt(pt.throughput[k])}
+                else:
+                    mc_rows.append((len(rows), cfg_i, geo_i, relay))
+                rows.append(row)
     if mc_rows:
         (_, cfg_0, geo_0, relay_0), *rest = mc_rows
         results = estimate(cfg_0, geo_0, mc, workers=workers, relay=relay_0,

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .orderstat import MAX_RANKED_USERS
+
 
 def threshold_from_rate(rate: float) -> float:
     """SINR threshold for reliable decoding at ``rate`` bit/s/Hz: 2**rate - 1."""
@@ -57,6 +59,9 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.M, (int, np.integer)) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
+        if self.M > MAX_RANKED_USERS:
+            raise ValueError(f"M must be <= {MAX_RANKED_USERS}, the largest population whose "
+                             f"rank distributions are checked, got {self.M}")
         for name in ("m", "n"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)):
@@ -220,11 +225,18 @@ def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
 
     With per-hop SNRs g1 = gamma0 * g_dnr / d_dnr**theta and
     g2 = gamma0 * g_rdm / d_rdm**theta, the variable-gain AF relay yields
-    g1 g2 / (g1 + g2 + 1), which never exceeds min(g1, g2).
+    g1 g2 / (g1 + g2 + 1), which never exceeds min(g1, g2).  Where a hop
+    SNR or their product overflows, the quotient is its finite limit
+    1 / (1/g1 + 1/g2): the other hop's SNR when one hop is inf.
     """
     g_dnr = np.asarray(g_dnr, dtype=float)
     g_rdm = np.asarray(g_rdm, dtype=float)
-    g1 = cfg.gamma0 * g_dnr / geo.d_dnr ** cfg.theta
-    g2 = cfg.gamma0 * g_rdm / geo.d_rdm ** cfg.theta
-    out = g1 * g2 / (g1 + g2 + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are replaced below
+        g1 = cfg.gamma0 * g_dnr / geo.d_dnr ** cfg.theta
+        g2 = cfg.gamma0 * g_rdm / geo.d_rdm ** cfg.theta
+        out = g1 * g2 / (g1 + g2 + 1.0)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore"):  # a zero-gain hop: 1/0 = inf gives the limit 0
+            out = np.where(bad, 1.0 / (1.0 / g1 + 1.0 / g2), out)
     return out if out.ndim else float(out)

@@ -1,10 +1,14 @@
 import json
 import math
 import pathlib
+import warnings
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import betainc, k1
 
 from coopnoma.analytic import (OutagePoint, bessel_k1, evaluate, outage_strong,
                                outage_weak, relay_link_outage, sic_feasible,
@@ -57,6 +61,24 @@ class TestBesselK1:
             bessel_k1(0.0)
         with pytest.raises(ValueError):
             bessel_k1(-1.0)
+        with pytest.raises(ValueError):
+            bessel_k1(np.array([1.0, 0.0, 3.0]))
+
+    def test_array_argument_meets_reference_table(self):
+        # criterion 4 on one array call spanning both regimes; each entry is
+        # the scalar call's value bit for bit
+        points = json.loads((FIXTURES / "k1_reference.json").read_text())["points"]
+        xs = np.array([x for x, _ in points])
+        refs = np.array([ref for _, ref in points])
+        got = bessel_k1(xs)
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - refs) / refs) <= 1e-10
+        assert got.tolist() == [bessel_k1(float(x)) for x in xs]
+        assert bessel_k1(xs[::-1].reshape(8, -1)).ravel().tolist() == got[::-1].tolist()
+
+    def test_scalar_argument_returns_float(self):
+        for x in (0.5, 2.0, 5.0, np.float64(0.5), np.array(5.0)):
+            assert type(bessel_k1(x)) is float
 
 
 class TestOutageStrong:
@@ -213,10 +235,132 @@ class TestEvaluate:
         assert pt.gamma0 == 100.0
         assert pt.p_out_n == outage_strong(cfg, geo)
         assert pt.p_out_m == outage_weak(cfg, geo)
-        assert pt.throughput == throughput(cfg, pt.p_out_n, pt.p_out_m)
+        # summed from directly computed survivals, not from 1 - p: equal up to rounding
+        assert pt.throughput == pytest.approx(throughput(cfg, pt.p_out_n, pt.p_out_m),
+                                              rel=1e-14)
 
     def test_outage_point_validates(self):
         with pytest.raises(ValueError):
             OutagePoint(gamma0=1.0, p_out_n=1.5, p_out_m=0.0, throughput=0.0)
         with pytest.raises(ValueError):
             OutagePoint(gamma0=-1.0, p_out_n=0.5, p_out_m=0.5, throughput=1.0)
+
+
+class TestSnrGrid:
+    """The closed forms over an array of SNRs, one entry per SNR."""
+
+    GRID_DB = (-3200.0, -1700.0, -20.0, 0.0, 0.005, 3.98, 10.0, 17.5, 25.0, 40.0, 90.0,
+               1540.0, 1600.0, 3000.0)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(M=20, m=10, n=20), dict(m=1, n=2, R_m=0.5, R_n=2.0), dict(R_m=2.0)])
+    def test_entries_equal_lone_evaluations(self, overrides):
+        cfg = default_config(**overrides)
+        geo = default_geometry()
+        rng = np.random.default_rng(7)
+        dbs = np.concatenate([self.GRID_DB, rng.uniform(-10.0, 60.0, 40)])
+        grid = 10.0 ** (dbs / 10.0)
+        for relay in (True, False):
+            pt = evaluate(cfg, geo, relay=relay, gamma0=grid)
+            strong = outage_strong(cfg, geo, gamma0=grid)
+            weak = outage_weak(cfg, geo, relay=relay, gamma0=grid)
+            for k, g in enumerate(grid.tolist()):
+                lone_cfg = replace(cfg, gamma0=g)
+                lone = evaluate(lone_cfg, geo, relay=relay)
+                assert (lone.gamma0, lone.p_out_n, lone.p_out_m, lone.throughput) == (
+                    pt.gamma0[k], pt.p_out_n[k], pt.p_out_m[k], pt.throughput[k])
+                assert (strong[k], weak[k]) == (lone.p_out_n, lone.p_out_m)
+                assert outage_strong(lone_cfg, geo) == lone.p_out_n
+        relay_c = relay_link_outage(cfg, geo, gamma0=grid)
+        assert relay_c.tolist() == [relay_link_outage(replace(cfg, gamma0=g), geo)
+                                    for g in grid.tolist()]
+
+    def test_scalar_snr_gives_floats(self):
+        pt = evaluate(default_config(), default_geometry())
+        assert all(type(v) is float for v in (pt.gamma0, pt.p_out_n, pt.p_out_m, pt.throughput))
+        assert type(evaluate(default_config(), default_geometry(), gamma0=50.0).p_out_m) is float
+
+    def test_extreme_snrs_evaluate_without_warnings(self):
+        # gamma0**2 underflows below about -1541 dB and overflows above +1541 dB;
+        # the limits are certain outage and certain success, with no warning
+        cfg = default_config()
+        geo = default_geometry()
+        grid = 10.0 ** (np.array([-3200.0, -1700.0, 1600.0, 3000.0]) / 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = evaluate(cfg, geo, gamma0=grid)
+        assert pt.p_out_n.tolist() == pt.p_out_m.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert pt.throughput.tolist() == [0.0, 0.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_snr_in_grid(self, bad):
+        with pytest.raises(ValueError, match="gamma0 must be finite and > 0"):
+            evaluate(default_config(), default_geometry(), gamma0=np.array([10.0, bad]))
+
+
+def _mp_throughput(cfg, geo, relay):
+    """Sum throughput of the closed forms at 50 digits, from the float inputs."""
+    with mpmath.workdps(50):
+        f = mpmath.mpf
+        g0, gm, gn = f(cfg.gamma0), f(cfg.gamma_thm), f(cfg.gamma_thn)
+
+        def survival(i, x):  # P(rank-i gain > x): the binomial lower tail
+            F = -mpmath.expm1(-x / f(cfg.lambda_sd))
+            return mpmath.fsum(mpmath.binomial(cfg.M, j) * F ** j * (1 - F) ** (cfg.M - j)
+                           for j in range(i))
+
+        alpha = gm / ((f(cfg.a_m) - f(cfg.a_n) * gm) * g0)
+        dn, dm = f(geo.d_sdn) ** cfg.theta, f(geo.d_sdm) ** cfg.theta
+        s_n = survival(cfg.n, max(alpha * dn, gn * dn / (f(cfg.a_n) * g0)))
+        s_a, s_b = survival(cfg.n, alpha * dn), survival(cfg.m, alpha * dm)
+        s_c = 0
+        if relay:
+            da, db = f(geo.d_dnr) ** cfg.theta, f(geo.d_rdm) ** cfg.theta
+            t = 2 * mpmath.sqrt(da * db * gm * (gm + 1) / (g0 * g0 * f(cfg.lambda_dnr)
+                                                            * f(cfg.lambda_rdm)))
+            s_c = (mpmath.exp(-(gm / g0) * (db / f(cfg.lambda_rdm) + da / f(cfg.lambda_dnr)))
+                   * t * mpmath.besselk(1, t))
+        s_m = s_a * (s_b + (1 - s_b) * s_c)
+        return float(s_n * f(cfg.R_n) + s_m * f(cfg.R_m))
+
+
+class TestThroughputNearCertainOutage:
+    """Where both outages are close to 1, 1 - p would cancel to 0."""
+
+    @pytest.mark.parametrize("gamma0_db, want", [
+        (0.0, 1.376e-22), (1.0, 7.989e-18), (3.98, 1.08983505805e-08)])
+    @pytest.mark.parametrize("relay", [True, False])
+    def test_matches_mpmath(self, gamma0_db, want, relay):
+        cfg = default_config(M=20, m=10, n=20, gamma0=10.0 ** (gamma0_db / 10.0))
+        geo = default_geometry()
+        ref = _mp_throughput(cfg, geo, relay)
+        if relay:
+            assert ref == pytest.approx(want, rel=1e-3)
+        pt = evaluate(cfg, geo, relay=relay)
+        assert pt.throughput == pytest.approx(ref, rel=1e-12)
+        grid = evaluate(cfg, geo, relay=relay, gamma0=np.array([cfg.gamma0, 1e3]))
+        assert grid.throughput[0] == pt.throughput
+
+
+class TestPopulationsPastExactCoefficients:
+    """M above MAX_USERS = 20 is evaluated, not rejected partway through."""
+
+    @pytest.mark.parametrize("M", [25, 100])
+    @pytest.mark.parametrize("gamma0_db", [0.0, 20.0, 35.0])
+    def test_matches_scipy_reference(self, M, gamma0_db):
+        cfg = default_config(M=M, m=M // 2, n=M, gamma0=10.0 ** (gamma0_db / 10.0))
+        geo = default_geometry()
+
+        def rank_cdf(i, x):
+            return float(betainc(i, M - i + 1, -math.expm1(-x)))
+
+        alpha = cfg.gamma_thm / ((cfg.a_m - cfg.a_n * cfg.gamma_thm) * cfg.gamma0)
+        beta = max(alpha * 16.0, cfg.gamma_thn * 16.0 / (cfg.a_n * cfg.gamma0))
+        a, b = rank_cdf(M, alpha * 16.0), rank_cdf(M // 2, alpha * 36.0)
+        da, db = geo.d_dnr ** 2, geo.d_rdm ** 2
+        t = 2.0 * math.sqrt(da * db * 2.0 / cfg.gamma0 ** 2)
+        c = 1.0 - math.exp(-(db + da) / cfg.gamma0) * t * float(k1(t))
+        pt = evaluate(cfg, geo)
+        assert pt.p_out_n == pytest.approx(rank_cdf(M, beta), rel=1e-10, abs=1e-300)
+        assert pt.p_out_m == pytest.approx(a + (1 - a) * b * c, rel=1e-10, abs=1e-300)
+        assert 0.0 <= pt.throughput <= 2.0

@@ -332,6 +332,38 @@ class TestRunSweep:
         assert len(streams) == 4  # 2,000 trials in chunks of 512
 
 
+    @pytest.mark.parametrize("bad_db", [-4000.0, 4000.0])
+    def test_bad_grid_point_draws_no_trials(self, monkeypatch, bad_db):
+        # -4000 dB underflows gamma0 to 0 and 4000 dB overflows it
+        from dataclasses import replace
+        import coopnoma.mcsim as mcsim
+        streams = []
+        real_stream = mcsim.trial_stream
+        monkeypatch.setattr(mcsim, "trial_stream",
+                            lambda *a, **k: streams.append(a) or real_stream(*a, **k))
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, values=(10.0, bad_db, 20.0), engines=("analytic", "mc"))
+        with pytest.raises(ValueError, match=rf"sweep point gamma0_db={bad_db!r}: "):
+            run_sweep(cfg, geo, mc, sweep)
+        with pytest.raises(ValueError, match=rf"sweep point gamma0_db={bad_db!r}: "):
+            run_sweep(cfg, geo, mc, replace(sweep, engines=("analytic",)))
+        assert len(streams) == 0
+
+    def test_grid_makes_one_evaluate_call_per_relay_flag(self, monkeypatch):
+        from dataclasses import replace
+        import coopnoma.cli as cli
+        calls = []
+        real_evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate",
+                            lambda *a, **k: calls.append(k) or real_evaluate(*a, **k))
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, values=tuple(0.5 * k for k in range(81)),
+                        engines=("analytic",), baseline=True)
+        rows = run_sweep(cfg, geo, mc, sweep)
+        assert len(rows) == 162
+        assert [(k["relay"], len(k["gamma0"])) for k in calls] == [(True, 81), (False, 81)]
+
+
 class TestFusedSweep:
     """Every MC row of a sweep equals a lone estimate of its own scenario."""
 
@@ -372,6 +404,26 @@ class TestFusedSweep:
                                          "throughput")] == [
                     f"{v:.10g}" for v in (est_n.p_hat, est_m.p_hat, est_n.stderr,
                                           est_m.stderr, tau)]
+        assert next(rows, None) is None
+
+
+    @pytest.mark.parametrize("variable", sorted(SWEEPS))
+    def test_analytic_rows_equal_lone_evaluations(self, variable):
+        from dataclasses import replace
+        from coopnoma.analytic import evaluate
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, variable=variable, values=self.SWEEPS[variable],
+                        engines=("analytic",), baseline=True, gamma0_db=12.0)
+        rows = iter(run_sweep(cfg, geo, mc, sweep))
+        for value in sweep.values:
+            cfg_i, geo_i = self.scenario(cfg, geo, sweep, value)
+            for relay in (True, False):
+                row = next(rows)
+                point = evaluate(cfg_i, geo_i, relay=relay)
+                assert [row[k] for k in ("m", "n", "mode", "stderr_n", "stderr_m")] == [
+                    str(cfg_i.m), str(cfg_i.n), "", "", ""]
+                assert [row[k] for k in ("p_out_n", "p_out_m", "throughput")] == [
+                    f"{v:.10g}" for v in (point.p_out_n, point.p_out_m, point.throughput)]
         assert next(rows, None) is None
 
 
@@ -545,6 +597,24 @@ class TestMain:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "4000.0 dB overflows a float" in capsys.readouterr().err
+
+    def test_snr_below_float_square_runs_both_engines(self, tmp_path):
+        # gamma0**2 underflows below about -1541 dB; outage is certain for both
+        out = tmp_path / "cli.csv"
+        rc = main(["--sweep-gamma0-db=-3200:-1600:800", "--engine", "both",
+                   "--trials", "1000", "--out", str(out)])
+        assert rc == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["gamma0_db"] for r in rows] == ["-3200", "-3200", "-2400", "-2400",
+                                                  "-1600", "-1600"]
+        assert {(r["p_out_n"], r["p_out_m"], r["throughput"]) for r in rows} == {("1", "1", "0")}
+
+    def test_snr_underflowing_a_float_is_reported(self, tmp_path, capsys):
+        rc = main(["--sweep-gamma0-db=-4000:-4000:1", "--engine", "analytic",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "-4000.0 dB underflows a float" in capsys.readouterr().err
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "ghost.ini"),

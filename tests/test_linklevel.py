@@ -7,6 +7,7 @@ from coopnoma.linklevel import (ChannelRealization, Geometry, SystemConfig,
                                 derive_geometry, sinr_direct_weak, sinr_relayed,
                                 sinr_strong_decodes_weak, snr_strong_own,
                                 threshold_from_rate)
+from coopnoma.orderstat import MAX_RANKED_USERS
 
 
 def default_config(**overrides):
@@ -55,6 +56,11 @@ class TestSystemConfig:
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
             default_config(**bad)
+
+    def test_population_bound_names_key(self):
+        assert default_config(M=MAX_RANKED_USERS, n=MAX_RANKED_USERS).M == MAX_RANKED_USERS
+        with pytest.raises(ValueError, match=f"^M must be <= {MAX_RANKED_USERS}"):
+            default_config(M=MAX_RANKED_USERS + 1)
 
     @pytest.mark.parametrize("gamma0", [math.inf, math.nan])
     def test_rejects_nonfinite_snr_naming_key(self, gamma0):
@@ -213,3 +219,36 @@ class TestRelayedSinr:
         hop2 = cfg.gamma0 * g2 / geo.d_rdm ** cfg.theta
         assert np.all(af <= np.minimum(hop1, hop2) + 1e-12)
         assert np.all(af >= 0)
+
+    def test_finite_values_keep_the_plain_quotient(self):
+        cfg = default_config()
+        geo = default_geometry()
+        rng = np.random.default_rng(6)
+        g_dnr = rng.exponential(1.0, 500)
+        g_rdm = rng.exponential(1.0, 500)
+        hop1 = cfg.gamma0 * g_dnr / geo.d_dnr ** cfg.theta
+        hop2 = cfg.gamma0 * g_rdm / geo.d_rdm ** cfg.theta
+        assert np.array_equal(sinr_relayed(cfg, geo, g_dnr, g_rdm),
+                              hop1 * hop2 / (hop1 + hop2 + 1.0))
+
+    def test_overflowing_hop_leaves_the_other_hops_snr(self):
+        # gamma0 * g_dnr overflows to inf; the second hop misses the threshold,
+        # so the relayed copy must fail (inf/inf = nan never compared below it)
+        cfg = default_config(gamma0=1e308)
+        geo = default_geometry()
+        hop2 = cfg.gamma0 * 1e-310 / geo.d_rdm ** cfg.theta
+        for g_dnr, g_rdm in ((100.0, 1e-310), (np.array([100.0, 1.0]), np.array([1e-310, 0.0]))):
+            got = np.atleast_1d(sinr_relayed(cfg, geo, g_dnr, g_rdm))
+            assert got[0] == pytest.approx(hop2, rel=1e-15)
+            assert got[0] < cfg.gamma_thm
+        assert sinr_relayed(cfg, geo, 100.0, 0.0) == 0.0
+        assert sinr_relayed(cfg, geo, 100.0, 100.0) == math.inf
+
+    def test_overflowing_product_gives_finite_limit(self):
+        cfg = default_config(gamma0=1e160)
+        geo = default_geometry()
+        hop1 = cfg.gamma0 / geo.d_dnr ** cfg.theta
+        hop2 = cfg.gamma0 / geo.d_rdm ** cfg.theta
+        got = sinr_relayed(cfg, geo, 1.0, 1.0)
+        assert got == pytest.approx(1.0 / (1.0 / hop1 + 1.0 / hop2), rel=1e-15)
+        assert got <= min(hop1, hop2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coopnoma.analytic import throughput
+from coopnoma.analytic import evaluate, throughput
 from coopnoma.linklevel import ChannelRealization, SystemConfig, derive_geometry
 from coopnoma.mcsim import (McConfig, McEstimate, _gains_from_uniforms, draw_realization,
                             draws_per_trial, estimate, outage_events, trial_stream)
@@ -152,6 +152,15 @@ class TestOutageEvents:
         assert outage_events(cfg, geo, real) == (False, True)
 
 
+    def test_overflowing_relay_hop_cannot_rescue_with_a_failing_one(self):
+        # at gamma0 = 1e308 the first relay hop's SNR overflows; the second hop
+        # still misses the threshold, so the weak user has no copy left
+        cfg = default_config(gamma0=1e308)
+        real = ChannelRealization(g_sd=np.zeros(6), g_dnr=100.0, g_rdm=1e-310,
+                                  g_sd_strong=np.ones(6))
+        assert outage_events(cfg, default_geometry(), real) == (False, True)
+
+
 class TestEstimate:
     def test_chunking_does_not_change_results(self):
         cfg = default_config()
@@ -205,6 +214,15 @@ class TestEstimate:
         est_n, _, _ = estimate(cfg, default_geometry(), McConfig(trials=20_000, seed=6))
         want = math.sqrt(est_n.p_hat * (1 - est_n.p_hat) / 20_000)
         assert est_n.stderr == want
+
+    def test_population_past_exact_coefficients_matches_closed_form(self):
+        # M = 25 > MAX_USERS: both engines evaluate it and agree
+        cfg = default_config(M=25, m=12, n=25, gamma0=10.0 ** 1.5)
+        geo = default_geometry()
+        est_n, est_m, _ = estimate(cfg, geo, McConfig(trials=100_000, seed=3))
+        point = evaluate(cfg, geo)
+        for est, exact in ((est_n, point.p_out_n), (est_m, point.p_out_m)):
+            assert abs(est.p_hat - exact) <= max(5.0 * est.stderr, 1e-4)
 
     def test_weak_user_fares_worse(self):
         geo = default_geometry()

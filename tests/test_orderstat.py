@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from coopnoma.orderstat import (MAX_USERS, OrderStatSpec, ordered_cdf, ordered_pdf,
-                                phi_coefficient, sample_ordered_gains)
+from coopnoma.orderstat import (MAX_RANKED_USERS, MAX_USERS, OrderStatSpec, ordered_cdf,
+                                ordered_pdf, ordered_sf, phi_coefficient,
+                                sample_ordered_gains)
 
 
 def test_spec_validation():
@@ -19,7 +21,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         OrderStatSpec(M=0, i=1, lam=1.0)
     with pytest.raises(ValueError):
-        OrderStatSpec(M=MAX_USERS + 1, i=1, lam=1.0)
+        OrderStatSpec(M=MAX_RANKED_USERS + 1, i=1, lam=1.0)
 
 
 class TestPhiCoefficient:
@@ -105,6 +107,62 @@ class TestOrderedCdf:
         spec = OrderStatSpec(M=6, i=3, lam=1.0)
         with pytest.raises(ValueError):
             ordered_cdf(spec, -0.1)
+
+
+class TestOrderedSf:
+    def test_complements_the_cdf(self):
+        x = np.concatenate([[0.0], np.logspace(-4, 1.5, 60)])
+        for M, i in [(1, 1), (6, 1), (6, 3), (6, 6), (20, 10), (20, 20)]:
+            spec = OrderStatSpec(M=M, i=i, lam=0.8)
+            assert np.max(np.abs(ordered_cdf(spec, x) + ordered_sf(spec, x) - 1.0)) < 1e-14
+        assert ordered_sf(OrderStatSpec(M=6, i=3, lam=1.0), 0.0) == 1.0
+
+    def test_keeps_relative_accuracy_where_the_cdf_is_one(self):
+        # the maximum of 6: 1 - (1 - e^-x)^6 is about 6 e^-x for large x, far
+        # below the spacing of floats near 1
+        spec = OrderStatSpec(M=6, i=6, lam=1.0)
+        for x in (40.0, 100.0, 600.0):
+            want = -math.expm1(6.0 * math.log1p(-math.exp(-x)))
+            assert ordered_sf(spec, x) == pytest.approx(want, rel=1e-13)
+
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError):
+            ordered_sf(OrderStatSpec(M=6, i=3, lam=1.0), [0.5, -0.1])
+
+
+class TestPopulationsPastExactCoefficients:
+    """Both binomial tails past MAX_USERS, up to MAX_RANKED_USERS, against mpmath."""
+
+    @pytest.mark.parametrize("M", [25, MAX_RANKED_USERS])
+    def test_tails_match_mpmath(self, M):
+        lam = 1.0
+        xs = np.logspace(-2, 1, 13)
+        worst = 0.0
+        for i in sorted({1, 2, M // 2, M - 1, M}):
+            spec = OrderStatSpec(M=M, i=i, lam=lam)
+            got = (ordered_cdf(spec, xs), ordered_sf(spec, xs))
+            for k, x in enumerate(xs.tolist()):
+                with mpmath.workdps(40):
+                    F = -mpmath.expm1(-mpmath.mpf(x) / lam)
+                    terms = [mpmath.binomial(M, j) * F ** j * (1 - F) ** (M - j)
+                             for j in range(M + 1)]
+                    refs = (mpmath.fsum(terms[i:]), mpmath.fsum(terms[:i]))
+                for tail, ref in zip(got, refs):
+                    if ref > 1e-290:
+                        worst = max(worst, float(abs(tail[k] - ref) / ref))
+                    else:  # below the normal floats: only absolute accuracy is possible
+                        assert abs(tail[k]) <= 1e-290
+        assert worst <= 1e-12
+
+    def test_bound_applies_to_every_rank_entry_point(self):
+        rng = np.random.default_rng(0)
+        assert sample_ordered_gains(MAX_RANKED_USERS, 1.0, rng, size=3).shape == (
+            3, MAX_RANKED_USERS)
+        with pytest.raises(ValueError, match=f"M must be <= {MAX_RANKED_USERS}"):
+            sample_ordered_gains(MAX_RANKED_USERS + 1, 1.0, rng)
+        # the signed coefficients stay exact only up to MAX_USERS
+        with pytest.raises(ValueError, match=f"M must be <= {MAX_USERS}"):
+            phi_coefficient(0, 1, MAX_USERS + 1)
 
 
 class TestOrderedPdf:
