@@ -6,6 +6,10 @@ the two-hop relay link adds a Bessel-K1 factor.  A purpose-built K1
 evaluator keeps the package dependency-light while holding ~1e-13
 relative accuracy across the full argument range the link budget can
 produce.
+
+Every closed form takes an array of transmit SNRs as well as a single
+one, so a whole SNR grid is evaluated in one array pass; a single SNR
+is the length-1 case of the same code and gives floats.
 """
 
 from __future__ import annotations
@@ -123,10 +127,9 @@ def _as_given(values: np.ndarray, scalar: bool):
 
 def _alpha(cfg: SystemConfig, gamma0: np.ndarray) -> np.ndarray:
     # Gain level at which the interference-limited weak-signal SINR hits
-    # its threshold, normalized by distance**theta later.  It is inf
-    # where gamma0 is so small that the threshold cannot be reached.
-    with np.errstate(over="ignore", divide="ignore"):
-        return cfg.gamma_thm / ((cfg.a_m - cfg.a_n * cfg.gamma_thm) * gamma0)
+    # its threshold, normalized by distance**theta later.  Callers let it
+    # overflow to inf where gamma0 is too small for any gain to reach it.
+    return cfg.gamma_thm / ((cfg.a_m - cfg.a_n * cfg.gamma_thm) * gamma0)
 
 
 def _strong(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray):
@@ -134,7 +137,7 @@ def _strong(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray):
     if not sic_feasible(cfg):
         return np.ones_like(gamma0), np.zeros_like(gamma0)
     dn_th = geo.d_sdn ** cfg.theta
-    with np.errstate(over="ignore", divide="ignore"):  # inf, like _alpha, as gamma0 -> 0
+    with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
         beta = np.maximum(_alpha(cfg, gamma0) * dn_th,
                           cfg.gamma_thn * dn_th / (cfg.a_n * gamma0))
     spec = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
@@ -174,6 +177,7 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
                     ("d_b", d_b), ("lambda_a", lambda_a), ("lambda_b", lambda_b)):
         if not np.all(np.asarray(v) > 0):
             raise ValueError(f"{name} must be > 0, got {v}")
+    scalar = np.ndim(gamma0) == 0
     g = np.atleast_1d(np.asarray(gamma0, dtype=float))
     da = d_a ** theta
     db = d_b ** theta
@@ -189,7 +193,6 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
     # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
     surv = np.minimum(decay * t_k1, 1.0)
     outage = np.minimum(np.maximum(1.0 - surv, 0.0), 1.0)
-    scalar = np.ndim(gamma0) == 0
     if survival:
         return _as_given(outage, scalar), _as_given(surv, scalar)
     return _as_given(outage, scalar)
@@ -206,12 +209,12 @@ def _weak(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray, relay: bool):
     """(outage, survival) of the weak user at each SNR of ``gamma0``."""
     if not sic_feasible(cfg):
         return np.ones_like(gamma0), np.zeros_like(gamma0)
-    alpha = _alpha(cfg, gamma0)
-    spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
-    spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
-    with np.errstate(over="ignore"):  # inf, like alpha, as gamma0 -> 0
+    with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
+        alpha = _alpha(cfg, gamma0)
         x_n = alpha * geo.d_sdn ** cfg.theta
         x_m = alpha * geo.d_sdm ** cfg.theta
+    spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
+    spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
     a = ordered_cdf(spec_n, x_n)
     b = ordered_cdf(spec_m, x_m)
     if relay:

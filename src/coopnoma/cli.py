@@ -8,9 +8,11 @@ images, keeping this package free of plotting dependencies and the
 artifacts byte-reproducible.
 
 A sweep first builds and validates every point and computes its
-analytic rows, serially; then one ``estimate`` call draws the fading
-gains once and evaluates every Monte-Carlo row on them.  A bad point is
-reported before any trial is drawn.
+analytic rows: an SNR grid in one ``evaluate`` call per relay flag over
+the array of its SNRs, pair and distance-set sweeps in one call per
+point.  Then one ``estimate`` call draws the fading gains once and
+evaluates every Monte-Carlo row on them.  A bad point is reported
+before any trial is drawn.
 """
 
 from __future__ import annotations

@@ -335,9 +335,9 @@ class TestThroughputNearCertainOutage:
         geo = default_geometry()
         ref = _mp_throughput(cfg, geo, relay)
         if relay:
-            assert ref == pytest.approx(want, rel=1e-3)
+            assert ref == pytest.approx(want, rel=1e-3, abs=0)
         pt = evaluate(cfg, geo, relay=relay)
-        assert pt.throughput == pytest.approx(ref, rel=1e-12)
+        assert pt.throughput == pytest.approx(ref, rel=1e-12, abs=0)
         grid = evaluate(cfg, geo, relay=relay, gamma0=np.array([cfg.gamma0, 1e3]))
         assert grid.throughput[0] == pt.throughput
 

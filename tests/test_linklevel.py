@@ -239,7 +239,7 @@ class TestRelayedSinr:
         hop2 = cfg.gamma0 * 1e-310 / geo.d_rdm ** cfg.theta
         for g_dnr, g_rdm in ((100.0, 1e-310), (np.array([100.0, 1.0]), np.array([1e-310, 0.0]))):
             got = np.atleast_1d(sinr_relayed(cfg, geo, g_dnr, g_rdm))
-            assert got[0] == pytest.approx(hop2, rel=1e-15)
+            assert got[0] == pytest.approx(hop2, rel=1e-15, abs=0)
             assert got[0] < cfg.gamma_thm
         assert sinr_relayed(cfg, geo, 100.0, 0.0) == 0.0
         assert sinr_relayed(cfg, geo, 100.0, 100.0) == math.inf
