@@ -37,7 +37,7 @@ def _k1_series_tables(last: int):
 # Below x = 2 the series has converged to 1e-18 long before its 65th term.
 _K1_LAST_TERM = 65
 _K1_DIVISORS, _K1_PSI = _k1_series_tables(_K1_LAST_TERM)
-_K1_BLOCK = 512
+_K1_BLOCK = 128
 
 
 def bessel_k1(x):

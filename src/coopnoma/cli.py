@@ -23,12 +23,12 @@ import csv
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analytic import OutagePoint, evaluate
+from .analytic import evaluate
 from .linklevel import Geometry, SystemConfig, derive_geometry
 from .mcsim import McConfig, estimate
 
@@ -321,20 +321,9 @@ def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value,
     return db, cfg.gamma0, cfg, derive_geometry(d_sdn, d_sdm, d_dnr, geo.alpha1, geo.alpha2)
 
 
-def _analytic_points(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, points: list,
-                     relay: bool) -> OutagePoint:
-    """Closed-form results at every sweep point, as one OutagePoint of arrays.
-
-    An SNR grid takes one ``evaluate`` call over all its SNRs; pair and
-    distance-set points differ in more than gamma0 and take one call each.
-    """
-    if sweep.variable == "gamma0_db":
-        return evaluate(cfg, geo, relay=relay, gamma0=np.array([g for _, g, _, _ in points]))
-    lone = []
-    for value, (_, _, cfg_i, geo_i) in zip(sweep.values, points):
-        with _at_point(sweep, value):
-            lone.append(astuple(evaluate(cfg_i, geo_i, relay=relay)))
-    return OutagePoint(*(np.array(column) for column in zip(*lone)))
+def _analytic_fields(p_out_n, p_out_m, throughput) -> dict:
+    return {"mode": "", "p_out_n": _fmt(p_out_n), "p_out_m": _fmt(p_out_m), "stderr_n": "",
+            "stderr_m": "", "throughput": _fmt(throughput)}
 
 
 def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, *,
@@ -349,30 +338,34 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, 
     """
     relays = (True, False) if sweep.baseline else (True,)
     on_grid = sweep.variable == "gamma0_db"
-    points = []  # (gamma0_db, gamma0, cfg_i, geo_i); cfg_i is None if no row needs it
+    rows = []
+    grid = []  # gamma0 of every point; an SNR grid's analytic rows are filled in below
+    mc_rows = []  # (row index, cfg_i, geo_i, relay), filled in by one estimate call
     for value in sweep.values:
         with _at_point(sweep, value):
-            points.append(_point_scenario(cfg, geo, sweep, value,
-                                          build_cfg=not on_grid or "mc" in sweep.engines))
-    analytic = {relay: _analytic_points(cfg, geo, sweep, points, relay)
-                for relay in relays if "analytic" in sweep.engines}
-    rows = []
-    mc_rows = []  # (row index, cfg_i, geo_i, relay), filled in by one estimate call
-    for k, (db, _, cfg_i, geo_i) in enumerate(points):
-        ranks = cfg_i or cfg  # a grid point without a config of its own has the sweep's
-        for engine in sweep.engines:
-            for relay in relays:
-                name = engine if relay else engine + "-norelay"
-                row = {"gamma0_db": _fmt(db), "m": str(ranks.m), "n": str(ranks.n),
-                       "engine": name}
-                if engine == "analytic":
-                    pt = analytic[relay]
-                    row |= {"mode": "", "p_out_n": _fmt(pt.p_out_n[k]),
-                            "p_out_m": _fmt(pt.p_out_m[k]), "stderr_n": "", "stderr_m": "",
-                            "throughput": _fmt(pt.throughput[k])}
-                else:
-                    mc_rows.append((len(rows), cfg_i, geo_i, relay))
-                rows.append(row)
+            db, gamma0, cfg_i, geo_i = _point_scenario(
+                cfg, geo, sweep, value, build_cfg=not on_grid or "mc" in sweep.engines)
+            grid.append(gamma0)
+            ranks = cfg_i or cfg  # a grid point without a config of its own has the sweep's
+            for engine in sweep.engines:
+                for relay in relays:
+                    name = engine if relay else engine + "-norelay"
+                    row = {"gamma0_db": _fmt(db), "m": str(ranks.m), "n": str(ranks.n),
+                           "engine": name}
+                    if engine == "mc":
+                        mc_rows.append((len(rows), cfg_i, geo_i, relay))
+                    elif not on_grid:
+                        point = evaluate(cfg_i, geo_i, relay=relay)
+                        row |= _analytic_fields(point.p_out_n, point.p_out_m, point.throughput)
+                    rows.append(row)
+    if on_grid and "analytic" in sweep.engines:
+        # analytic comes first in sweep.engines: relay flag j's rows are rows[j::stride]
+        stride = len(sweep.engines) * len(relays)
+        for j, relay in enumerate(relays):
+            curve = evaluate(cfg, geo, relay=relay, gamma0=np.array(grid))
+            for row, p_n, p_m, tau in zip(rows[j::stride], curve.p_out_n, curve.p_out_m,
+                                          curve.throughput):
+                row |= _analytic_fields(p_n, p_m, tau)
     if mc_rows:
         (_, cfg_0, geo_0, relay_0), *rest = mc_rows
         results = estimate(cfg_0, geo_0, mc, workers=workers, relay=relay_0,
