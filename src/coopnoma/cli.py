@@ -22,7 +22,6 @@ import configparser
 import csv
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -293,15 +292,6 @@ def _fmt(value) -> str:
     return f"{value:.10g}"
 
 
-@contextmanager
-def _at_point(sweep: SweepSpec, value):
-    """Annotate an error raised inside the block with the sweep point it concerns."""
-    try:
-        yield
-    except (ValueError, ArithmeticError) as exc:
-        raise type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}") from exc
-
-
 def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value,
                     build_cfg: bool = True):
     """Specialize (cfg, geo) for one sweep value; returns (db, gamma0, cfg, geo).
@@ -342,7 +332,7 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, 
     grid = []  # gamma0 of every point; an SNR grid's analytic rows are filled in below
     mc_rows = []  # (row index, cfg_i, geo_i, relay), filled in by one estimate call
     for value in sweep.values:
-        with _at_point(sweep, value):
+        try:
             db, gamma0, cfg_i, geo_i = _point_scenario(
                 cfg, geo, sweep, value, build_cfg=not on_grid or "mc" in sweep.engines)
             grid.append(gamma0)
@@ -358,6 +348,8 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, 
                         point = evaluate(cfg_i, geo_i, relay=relay)
                         row |= _analytic_fields(point.p_out_n, point.p_out_m, point.throughput)
                     rows.append(row)
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}") from exc
     if on_grid and "analytic" in sweep.engines:
         # analytic comes first in sweep.engines: relay flag j's rows are rows[j::stride]
         stride = len(sweep.engines) * len(relays)

@@ -105,9 +105,9 @@ def ordered_cdf(spec: OrderStatSpec, x):
 
     Uses the binomial-tail form sum_{j>=i} C(M,j) F^j (1-F)^(M-j): all
     terms are nonnegative, so no alternating-sum cancellation occurs and
-    the result is accurate to ~1e-14 relative for every rank up to
-    M = MAX_RANKED_USERS.  Output is clipped to [0, 1] to absorb
-    last-ulp rounding.
+    the result is accurate to ~1e-14 relative, wherever it exceeds about
+    1e-290, for every rank up to M = MAX_RANKED_USERS.  Output is
+    clipped to [0, 1] to absorb last-ulp rounding.
     """
     return _binomial_sum(spec, x, range(spec.i, spec.M + 1))
 
