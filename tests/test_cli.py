@@ -331,7 +331,6 @@ class TestRunSweep:
         run_sweep(cfg, geo, mc, replace(sweep, values=((1, 2),)))
         assert len(streams) == 4  # 2,000 trials in chunks of 512
 
-
     @pytest.mark.parametrize("bad_db", [-4000.0, 4000.0])
     def test_bad_grid_point_draws_no_trials(self, monkeypatch, bad_db):
         # -4000 dB underflows gamma0 to 0 and 4000 dB overflows it
@@ -405,7 +404,6 @@ class TestFusedSweep:
                     f"{v:.10g}" for v in (est_n.p_hat, est_m.p_hat, est_n.stderr,
                                           est_m.stderr, tau)]
         assert next(rows, None) is None
-
 
     @pytest.mark.parametrize("variable", sorted(SWEEPS))
     def test_analytic_rows_equal_lone_evaluations(self, variable):

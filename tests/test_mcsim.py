@@ -151,7 +151,6 @@ class TestOutageEvents:
                                   g_sd_strong=np.full(6, 1e30))
         assert outage_events(cfg, geo, real) == (False, True)
 
-
     def test_overflowing_relay_hop_cannot_rescue_with_a_failing_one(self):
         # at gamma0 = 1e308 the first relay hop's SNR overflows; the second hop
         # still misses the threshold, so the weak user has no copy left
