@@ -57,13 +57,13 @@ def bessel_k1(x):
     if not np.all(x > 0):
         raise ValueError(f"bessel_k1 requires x > 0, got {x[~(x > 0)].flat[0]}")
     flat = x.ravel()
-    out = np.empty_like(flat)
+    out = np.zeros_like(flat)  # x = inf keeps the limit K1 = 0
     # Both regimes work on (entries x terms) arrays; blocks of entries
     # bound their size.
     for lo in range(0, flat.size, _K1_BLOCK):
         block = flat[lo:lo + _K1_BLOCK]
         small = block <= 2.0
-        for where, branch in ((small, _k1_series), (~small, _k1_integral)):
+        for where, branch in ((small, _k1_series), (~small & (block < np.inf), _k1_integral)):
             if where.any():
                 out[lo:lo + _K1_BLOCK][where] = branch(block[where])
     out = out.reshape(x.shape)

@@ -160,8 +160,15 @@ def _parse_values(variable: str, raw: str) -> tuple:
                          f"for variable {variable!r} ({exc})") from None
 
 
-def _first_gamma0_db(sweep: SweepSpec) -> float:
-    return float(sweep.values[0]) if sweep.variable == "gamma0_db" else sweep.gamma0_db
+def _base_gamma0(sweep: SweepSpec) -> float:
+    """Linear SNR of the base config: the first grid point, or the sweep's fixed SNR."""
+    if sweep.variable != "gamma0_db":
+        return db_to_linear(sweep.gamma0_db)
+    db = float(sweep.values[0])
+    try:
+        return db_to_linear(db)
+    except ValueError as exc:
+        raise ValueError(f"sweep point gamma0_db={db!r}: {exc}") from None
 
 
 def load_config(path: str | Path | None) -> ConfigBundle:
@@ -207,7 +214,7 @@ def load_config(path: str | Path | None) -> ConfigBundle:
         n=_parse_scalar("system", "n", sy["n"], int),
         a_m=_parse_scalar("system", "a_m", sy["a_m"], float),
         a_n=_parse_scalar("system", "a_n", sy["a_n"], float),
-        gamma0=db_to_linear(_first_gamma0_db(sweep)),
+        gamma0=_base_gamma0(sweep),
         theta=_parse_scalar("system", "theta", sy["theta"], float),
         lambda_sd=_parse_scalar("system", "lambda_sd", sy["lambda_sd"], float),
         lambda_dnr=_parse_scalar("system", "lambda_dnr", sy["lambda_dnr"], float),
@@ -540,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
             sweep = replace(sweep, engines=ENGINES if args.engine == "both" else (args.engine,))
         if args.baseline:
             sweep = replace(sweep, baseline=True)
-        cfg = replace(cfg, gamma0=db_to_linear(_first_gamma0_db(sweep)))
+        cfg = replace(cfg, gamma0=_base_gamma0(sweep))
 
         rows = run_sweep(cfg, geo, mc, sweep)
         write_csv(rows, args.out)

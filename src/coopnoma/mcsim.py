@@ -6,18 +6,21 @@ two outage events — and the estimator averages over trials.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
-the distances or the relay flag.  ``estimate`` therefore draws and sorts
-each chunk of trials once and evaluates every requested (scenario,
+the distances or the relay flag.  ``estimate`` therefore draws each
+chunk of trials once and evaluates every requested (scenario,
 relay) variant on it, so a whole sweep costs one draw.  Chunks run on
 one thread pool sized to the CPUs this process may use.
 
-Determinism contract: (seed, trials, chunk_size) fully determine every
-estimate regardless of worker count or of which variants share the
-draw.  Trials are numbered globally and each trial owns a fixed-width
-slice of a counter-based random stream (Philox keyed by the seed), so
+Determinism contract: (seed, trials) fix every estimate; chunk_size,
+worker count and which variants share the draw do not.  Trials are
+numbered globally and trial t owns the uniforms [t*w, (t+1)*w) of one
+PCG64DXSM stream seeded with the seed, w = draws_per_trial(M, mode).
+Its gains are ranks of M exponentials built from those uniforms by
+``orderstat.gains_at_ranks``, where each rank depends only on the
+trial's own uniforms, never on which other ranks the variants read.  So
 any partition of the trial range into chunks replays bit-identical
-gains.  Chunk results are integer counts reduced in chunk order, which
-is exact arithmetic, hence worker-count independent.
+gains, and chunk results are integer counts reduced in chunk order,
+which is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -34,13 +37,9 @@ from .analytic import throughput
 from .linklevel import (ChannelRealization, Geometry, SystemConfig,
                         sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
                         snr_strong_own)
+from .orderstat import gains_at_ranks
 
 MODES = ("joint", "independent")
-
-# Philox advances in blocks of four 64-bit words and one uniform double
-# consumes one word, so per-trial draw budgets are padded to a multiple
-# of 4 to keep every trial block-aligned.
-_PHILOX_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -90,54 +89,47 @@ class McEstimate:
 
 
 def draws_per_trial(M: int, mode: str) -> int:
-    """Uniform doubles consumed by one trial (block-aligned; see module notes).
+    """Uniform doubles owned by one trial (see the module notes).
 
-    Joint mode needs M direct gains plus the two relay hops; independent
-    mode needs a second M-vector.  The count is rounded up to a multiple
-    of 4 so consecutive trials start on Philox block boundaries.
+    Joint mode needs M direct-gain slots plus the two relay hops;
+    independent mode needs a second M-slot vector.  A trial's uniforms
+    lie in this order: slots 1..M, in independent mode slots 1..M of the
+    strong-read vector, then the hops S->D_n->R and R->D_m.
     """
-    need = (M + 2) if mode == "joint" else (2 * M + 2)
-    return -(-need // _PHILOX_BLOCK) * _PHILOX_BLOCK
+    return (M + 2) if mode == "joint" else (2 * M + 2)
 
 
 def trial_stream(mc: McConfig, M: int, trial: int) -> np.random.Generator:
-    """Random stream positioned at the first draw of the given trial index.
+    """Random stream positioned at the first uniform of the given trial index.
 
-    Consuming draws_per_trial(M, mc.mode) uniforms from the returned
-    generator reproduces exactly what any chunked run feeds that trial.
+    One uniform double is one step of the PCG64DXSM stream seeded with
+    mc.seed, so advancing by trial * draws_per_trial(M, mc.mode) steps
+    gives the same uniforms as drawing every earlier trial first.
     """
     if not 0 <= trial:
         raise ValueError(f"trial index must be >= 0, got {trial}")
-    bg = np.random.Philox(key=mc.seed)
-    bg.advance(trial * draws_per_trial(M, mc.mode) // _PHILOX_BLOCK)
+    bg = np.random.PCG64DXSM(mc.seed)
+    bg.advance(trial * draws_per_trial(M, mc.mode))
     return np.random.Generator(bg)
 
 
-def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray):
-    """Map a (count, draws_per_trial) uniform block to per-trial gains.
+def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray, weak, strong):
+    """Map a (count, draws_per_trial) uniform block to the requested gains.
 
-    Exponential variates use the inverse CDF -lam*log1p(-u): exactly one
-    uniform per variate, which keeps the per-trial draw layout fixed.
-    Returns (ordered weak-read vector, ordered strong-read vector or
-    None, g_dnr, g_rdm).
+    ``weak`` and ``strong`` are the ranks read by the weak and the
+    strong user.  Returns (weak-read gains, strong-read gains, g_dnr,
+    g_rdm); the first two map each requested rank to its (count,) gain
+    array, and in joint mode they are one map over the one vector.
+    Relay hops use the inverse CDF -lam*log1p(-u).
     """
-    M = cfg.M
-
-    def ordered(block):
-        # -lam*log1p(-u), sorted: computed in place in one array, which gives
-        # the same values bit for bit as four temporaries would
-        g = np.negative(block)
-        np.log1p(g, out=g)
-        g *= -cfg.lambda_sd
-        g.sort(axis=1)
-        return g
-
-    vec1 = ordered(u[:, :M])
+    M, lam = cfg.M, cfg.lambda_sd
     if mode == "joint":
-        vec2 = None
+        ranks = sorted({*weak, *strong})
+        vec1 = vec2 = dict(zip(ranks, gains_at_ranks(u[:, :M], ranks, lam)))
         off = M
     else:
-        vec2 = ordered(u[:, M:2 * M])
+        vec1 = dict(zip(weak, gains_at_ranks(u[:, :M], weak, lam)))
+        vec2 = dict(zip(strong, gains_at_ranks(u[:, M:2 * M], strong, lam)))
         off = 2 * M
     g_dnr = -cfg.lambda_dnr * np.log1p(-u[:, off])
     g_rdm = -cfg.lambda_rdm * np.log1p(-u[:, off + 1])
@@ -147,9 +139,12 @@ def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray):
 def draw_realization(cfg: SystemConfig, mc: McConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization, consuming one trial's worth of stream."""
     u = rng.random((1, draws_per_trial(cfg.M, mc.mode)))
-    vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mc.mode, u)
-    return ChannelRealization(g_sd=vec1[0], g_dnr=float(g_dnr[0]), g_rdm=float(g_rdm[0]),
-                              g_sd_strong=None if vec2 is None else vec2[0])
+    ranks = range(1, cfg.M + 1)
+    vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mc.mode, u, ranks, ranks)
+    return ChannelRealization(
+        g_sd=np.concatenate([vec1[i] for i in ranks]), g_dnr=float(g_dnr[0]),
+        g_rdm=float(g_rdm[0]),
+        g_sd_strong=None if mc.mode == "joint" else np.concatenate([vec2[i] for i in ranks]))
 
 
 def _event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,
@@ -200,11 +195,12 @@ def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], mc: McConfig,
     """Draw one chunk of trials and count both outages for every variant."""
     rng = trial_stream(mc, draw.M, start)
     u = rng.random((count, draws_per_trial(draw.M, mc.mode)))
-    vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(draw, mc.mode, u)
-    strong = vec1 if vec2 is None else vec2
+    weak, strong, g_dnr, g_rdm = _gains_from_uniforms(
+        draw, mc.mode, u, sorted({c.m for c, _, _ in variants}),
+        sorted({c.n for c, _, _ in variants}))
     counts = []
     for cfg, geo, relay in variants:
-        out_n, out_m = _event_arrays(cfg, geo, vec1[:, cfg.m - 1], strong[:, cfg.n - 1],
+        out_n, out_m = _event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n],
                                      g_dnr, g_rdm, relay)
         counts.append((int(out_n.sum()), int(out_m.sum())))
     return counts
@@ -221,8 +217,8 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | N
     per entry of ``also``.  Every variant must share cfg's M and
     lambda_*, which fix the draw.  ``workers`` threads share the chunks
     (default: the CPUs this process may use), never more than there are
-    chunks.  Results are bit-identical for fixed (seed, trials,
-    chunk_size) whatever ``workers`` and ``also`` are; see the module
+    chunks.  Results are bit-identical for fixed (seed, trials) whatever
+    ``chunk_size``, ``workers`` and ``also`` are; see the module
     docstring for why.
     """
     if workers is not None and not (isinstance(workers, (int, np.integer)) and workers >= 1):

@@ -4,7 +4,8 @@ When M Rayleigh-faded links are ranked by instantaneous power gain, the
 i-th weakest gain follows a classical order-statistic law built from the
 exponential parent.  This module provides the expansion coefficients used
 by the closed-form outage expressions, numerically stable PDF/CDF
-evaluators, and a sampler that draws whole ordered gain vectors.
+evaluators, and the one sampler of ranked gains: it maps a block of
+uniforms to the requested ranks without sorting.
 
 The signed expansion coefficients are exact in float64 only up to
 M = 20 (``MAX_USERS``); the CDF and survival sums have only nonnegative
@@ -21,6 +22,13 @@ import numpy as np
 
 MAX_USERS = 20
 MAX_RANKED_USERS = 100
+
+_LN2 = math.log(2.0)
+# Cap on the chain's log U_(i) in gains_at_ranks.  Only a draw whose slots
+# from i up are all exactly 0 reaches log U = 0, an infinite gain; every
+# other draw lies at or below -2**-53/M < -2**-60 (M <= MAX_RANKED_USERS),
+# so the cap changes no other value and keeps the order.
+_LOG_U_CAP = -2.0 ** -60
 
 
 def _check_population(M: int, limit: int = MAX_RANKED_USERS) -> None:
@@ -122,18 +130,58 @@ def ordered_sf(spec: OrderStatSpec, x):
     return _binomial_sum(spec, x, range(spec.i))
 
 
+def gains_at_ranks(v: np.ndarray, ranks, lam: float) -> np.ndarray:
+    """Ordered Exp(mean=lam) gains at the requested ranks, from a uniform block.
+
+    Row t of the (count, M) block ``v`` holds the M uniforms in [0, 1)
+    of one draw; column j-1 is slot j.  The rank-i uniform of the draw
+    is built top down by the uniform-spacings chain (Devroye 1986,
+    ch. V): log U_(i) = sum_{j=i..M} log1p(-v_j)/j, summed from slot M
+    down, and its gain is -lam*log1mexp(log U_(i)).  Only the slots down
+    to the lowest requested rank are read, and the transform runs only
+    on the requested ranks.  Each rank's value depends only on its row
+    of ``v``, never on which other ranks or rows are requested.
+
+    Returns a (len(ranks), count) array: row k is the rank-``ranks[k]``
+    gain of every draw.
+    """
+    count, M = v.shape
+    lo = min(ranks)
+    if not 1 <= lo <= max(ranks) <= M:
+        raise ValueError(f"ranks must lie in 1..M={M}, got {list(ranks)}")
+    # one contiguous row per slot j = lo..M: log1p(-v_j)/j, then the sums
+    # from the top slot down
+    chain = np.empty((M - lo + 1, count))
+    np.negative(v[:, lo - 1:].T, out=chain)
+    np.log1p(chain, out=chain)
+    chain /= np.arange(lo, M + 1, dtype=float)[:, None]
+    for q in range(M - lo - 1, -1, -1):
+        chain[q] += chain[q + 1]
+    # gain = -lam*log(1 - exp(x)) at x = min(log U_(i), cap), evaluated as
+    # log(-expm1(x)) above -log 2 and log1p(-exp(x)) below (Maechler 2012)
+    out = np.empty((len(ranks), count))
+    for k, i in enumerate(ranks):
+        x = np.minimum(chain[i - lo], _LOG_U_CAP)
+        out[k] = np.where(x > -_LN2, np.log(-np.expm1(x)),
+                          np.log1p(-np.exp(np.minimum(x, -_LN2))))
+    out *= -lam
+    return out
+
+
 def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int | None = None):
     """Draw ordered exponential gain vectors.
 
     Returns the full ascending vector of M gains: shape (M,) when
-    ``size`` is None, else (size, M).  Consumes ``rng`` state; callers
-    that need reproducibility seed the generator themselves.
+    ``size`` is None, else (size, M).  Each vector maps M uniforms of
+    ``rng`` through ``gains_at_ranks``, the sampler the Monte-Carlo
+    oracle uses.  Consumes ``rng`` state; callers that need
+    reproducibility seed the generator themselves.
     """
     _check_population(M)
     if not (lam > 0):
         raise ValueError(f"mean gain lam must be > 0, got {lam}")
-    if size is None:
-        return np.sort(rng.exponential(lam, M))
-    if not (isinstance(size, (int, np.integer)) and size >= 1):
+    if size is not None and not (isinstance(size, (int, np.integer)) and size >= 1):
         raise ValueError(f"size must be a positive integer, got {size!r}")
-    return np.sort(rng.exponential(lam, (int(size), M)), axis=1)
+    v = rng.random((1 if size is None else int(size), M))
+    g = gains_at_ranks(v, range(1, M + 1), lam).T
+    return g[0] if size is None else g

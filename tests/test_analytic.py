@@ -64,6 +64,13 @@ class TestBesselK1:
         with pytest.raises(ValueError):
             bessel_k1(np.array([1.0, 0.0, 3.0]))
 
+    def test_infinite_argument_gives_the_limit_zero(self):
+        # RuntimeWarnings fail the suite, so this also checks that none is raised
+        assert bessel_k1(math.inf) == 0.0
+        got = bessel_k1(np.array([0.5, math.inf, 5.0]))
+        assert got[1] == 0.0
+        assert got[0] == bessel_k1(0.5) and got[2] == bessel_k1(5.0)
+
     def test_array_argument_meets_reference_table(self):
         # criterion 4 on one array call spanning both regimes; each entry is
         # the scalar call's value bit for bit

@@ -614,6 +614,18 @@ class TestMain:
         assert rc == 2
         assert "-4000.0 dB underflows a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, bad", [("-4000:0:10", "-4000.0"), ("4000:5000:10", "4000.0")])
+    def test_bad_first_grid_snr_names_its_sweep_point(self, tmp_path, capsys, grid, bad):
+        # the first grid value becomes the base config's SNR before the sweep
+        # runs; its error names the point as a later value's would
+        rc = main([f"--sweep-gamma0-db={grid}", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: sweep point gamma0_db={bad}: {bad} dB ")
+        config = tmp_path / "first.ini"
+        config.write_text(f"[sweep]\nvalues = {bad},0\n")
+        with pytest.raises(ValueError, match=rf"^sweep point gamma0_db={bad}: "):
+            load_config(config)
+
     def test_missing_config_is_reported(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "ghost.ini"),
                    "--out", str(tmp_path / "x.csv")])

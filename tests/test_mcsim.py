@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,16 +44,19 @@ class TestConfigs:
 
 
 class TestDrawBudget:
-    def test_block_aligned(self):
-        for M in range(1, 21):
-            for mode in ("joint", "independent"):
-                d = draws_per_trial(M, mode)
-                assert d % 4 == 0
-                assert d >= (M + 2 if mode == "joint" else 2 * M + 2)
+    def test_uniforms_per_trial(self):
+        for M in range(1, 101):
+            assert draws_per_trial(M, "joint") == M + 2
+            assert draws_per_trial(M, "independent") == 2 * M + 2
 
-    def test_reference_values(self):
-        assert draws_per_trial(6, "joint") == 8
-        assert draws_per_trial(6, "independent") == 16
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_trial_stream_is_the_tail_of_one_stream(self, mode):
+        mc = McConfig(trials=10, seed=2 ** 64 - 1, mode=mode)
+        w = draws_per_trial(6, mode)
+        whole = np.random.Generator(np.random.PCG64DXSM(mc.seed)).random(40 * w)
+        for t in (0, 1, 7, 33):
+            np.testing.assert_array_equal(trial_stream(mc, 6, t).random((40 - t) * w),
+                                          whole[t * w:])
 
 
 class TestDrawRealization:
@@ -81,21 +85,47 @@ class TestDrawRealization:
         assert not np.array_equal(real.g_sd, real.g_sd_strong)
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
-    def test_gains_are_sorted_inverse_cdf_of_the_uniforms(self, mode):
-        # the exact expression the draw layout is defined by, bit for bit
+    def test_requested_ranks_equal_the_all_rank_columns(self, mode):
+        # the ranks a chunk reads are bit for bit those of the full vectors
         cfg = default_config(lambda_sd=1.7, lambda_dnr=0.6, lambda_rdm=2.3)
         u = trial_stream(McConfig(trials=10, seed=4, mode=mode), cfg.M, 0).random(
             (1_000, draws_per_trial(cfg.M, mode)))
-        vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mode, u)
-        np.testing.assert_array_equal(vec1, np.sort(-1.7 * np.log1p(-u[:, :6]), axis=1))
-        if mode == "joint":
-            assert vec2 is None
-            off = 6
+        every = range(1, 7)
+        all1, all2, dnr, rdm = _gains_from_uniforms(cfg, mode, u, every, every)
+        for weak, strong in (([3], [6]), ([1, 2], [6]), ([5], [4, 5]), ([6], [6])):
+            vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mode, u, weak, strong)
+            for i in weak:
+                np.testing.assert_array_equal(vec1[i], all1[i])
+            for i in strong:
+                np.testing.assert_array_equal(vec2[i], all2[i])
+            np.testing.assert_array_equal(g_dnr, dnr)
+            np.testing.assert_array_equal(g_rdm, rdm)
+        off = 6 if mode == "joint" else 12
+        np.testing.assert_array_equal(dnr, -0.6 * np.log1p(-u[:, off]))
+        np.testing.assert_array_equal(rdm, -2.3 * np.log1p(-u[:, off + 1]))
+
+    @pytest.mark.parametrize("v", [0.0, 1.0 - 2.0 ** -53])
+    def test_extreme_uniform_rows_give_finite_gains(self, v):
+        # RuntimeWarnings fail the suite, so this also checks that none is
+        # raised.  v = 0 everywhere meets the cap on log U (gain 60 lam log 2,
+        # not inf); v = 1 - 2**-53 gives rank-1 gains near 1e-83, which only
+        # the log1p branch of log1mexp resolves.
+        cfg = default_config(M=100, m=1, n=100, lambda_sd=1.5)
+        u = np.full((3, draws_per_trial(100, "independent")), v)
+        every = range(1, 101)
+        vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, "independent", u, every, every)
+        if v == 0.0:
+            want = [1.5 * 60.0 * math.log(2.0)] * 100
         else:
-            np.testing.assert_array_equal(vec2, np.sort(-1.7 * np.log1p(-u[:, 6:12]), axis=1))
-            off = 12
-        np.testing.assert_array_equal(g_dnr, -0.6 * np.log1p(-u[:, off]))
-        np.testing.assert_array_equal(g_rdm, -2.3 * np.log1p(-u[:, off + 1]))
+            want = [-1.5 * math.log1p(-math.exp(-53.0 * math.log(2.0)
+                                                * math.fsum(1.0 / j for j in range(i, 101))))
+                    for i in every]
+        for vec in (vec1, vec2):
+            gains = np.array([vec[i] for i in every])
+            np.testing.assert_allclose(gains, np.repeat(np.array(want)[:, None], 3, axis=1),
+                                       rtol=1e-12)
+            assert np.all(np.diff(gains, axis=0) >= 0)
+        assert np.all(np.isfinite(g_dnr)) and np.all(np.isfinite(g_rdm))
 
     def test_relay_gain_moments(self):
         # empirical mean of each relay-hop gain ~ its lambda (3 sigma of the
@@ -193,6 +223,19 @@ class TestEstimate:
         est_n, est_m, _ = estimate(cfg, geo, mc)
         assert est_n.p_hat == hits_n / mc.trials
         assert est_m.p_hat == hits_m / mc.trials
+
+    def test_joint_m20_replay_and_chunking(self):
+        # the benchmark's pair (10, 20): lone trials and any chunking replay
+        # the same draw
+        cfg = default_config(M=20, m=10, n=20, a_m=0.8, a_n=0.2, gamma0=30.0)
+        geo = default_geometry()
+        mc = McConfig(trials=300, seed=11, chunk_size=64, mode="joint")
+        hits = np.zeros(2, dtype=int)
+        for t in range(mc.trials):
+            hits += outage_events(cfg, geo, draw_realization(cfg, mc, trial_stream(mc, 20, t)))
+        for chunk_size in (1, 64, 300):
+            est_n, est_m, _ = estimate(cfg, geo, replace(mc, chunk_size=chunk_size))
+            assert (est_n.p_hat, est_m.p_hat) == (hits[0] / 300, hits[1] / 300)
 
     def test_certain_outage_when_threshold_unreachable(self):
         cfg = default_config(gamma_thm=1e6, gamma_thn=1e6)

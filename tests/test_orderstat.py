@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from coopnoma.orderstat import (MAX_RANKED_USERS, MAX_USERS, OrderStatSpec, ordered_cdf,
-                                ordered_pdf, ordered_sf, phi_coefficient,
+from coopnoma.orderstat import (MAX_RANKED_USERS, MAX_USERS, OrderStatSpec, gains_at_ranks,
+                                ordered_cdf, ordered_pdf, ordered_sf, phi_coefficient,
                                 sample_ordered_gains)
 
 
@@ -227,6 +227,38 @@ class TestSampler:
         grid = np.linspace(0.05, 4.0, 50)
         emp = np.searchsorted(draws, grid, side="right") / draws.size
         assert np.max(np.abs(emp - ordered_cdf(spec, grid))) < 0.006
+
+    def test_joint_law_of_two_ranks_at_m20(self):
+        # a sort couples the ranks of one draw for free; the chain must build
+        # the same coupling: P(X_(10) <= x, X_(20) <= y) for x <= y is
+        # sum_{k=10..20} C(20,k) F(x)^k (F(y) - F(x))^(20-k)
+        draws = 200_000
+        v = np.random.Generator(np.random.PCG64DXSM(2018)).random((draws, 20))
+        g10, g20 = gains_at_ranks(v, [10, 20], 1.0)
+        for x, y in ((0.4, 2.0), (0.7, 3.0), (1.0, 4.5)):
+            fx, fy = -math.expm1(-x), -math.expm1(-y)
+            exact = math.fsum(math.comb(20, k) * fx ** k * (fy - fx) ** (20 - k)
+                              for k in range(10, 21))
+            sigma = math.sqrt(exact * (1.0 - exact) / draws)
+            got = float(np.mean((g10 <= x) & (g20 <= y)))
+            assert abs(got - exact) <= 3.0 * sigma
+            # independent ranks would miss the joint law by more than 7 sigma here
+            apart = (ordered_cdf(OrderStatSpec(M=20, i=10, lam=1.0), x)
+                     * ordered_cdf(OrderStatSpec(M=20, i=20, lam=1.0), y))
+            assert abs(apart - exact) > 7.0 * sigma
+        # each rank's marginal against its CDF (exact KS statistic; the
+        # bound is the 0.1 % critical value 1.95/sqrt(n))
+        grid = np.arange(1, draws + 1) / draws
+        for i, gains in ((10, g10), (20, g20)):
+            F = ordered_cdf(OrderStatSpec(M=20, i=i, lam=1.0), np.sort(gains))
+            ks = max(float(np.max(grid - F)), float(np.max(F - grid + 1.0 / draws)))
+            assert ks <= 1.95 / math.sqrt(draws)
+
+    def test_rank_validation(self):
+        v = np.zeros((2, 6))
+        for ranks in ([0, 3], [3, 7]):
+            with pytest.raises(ValueError, match="ranks must lie in 1..M=6"):
+                gains_at_ranks(v, ranks, 1.0)
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(0)
