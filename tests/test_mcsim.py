@@ -49,6 +49,10 @@ class TestDrawBudget:
             assert draws_per_trial(M, "joint") == M + 2
             assert draws_per_trial(M, "independent") == 2 * M + 2
 
+    def test_reference_values(self):
+        assert draws_per_trial(6, "joint") == 8
+        assert draws_per_trial(6, "independent") == 14
+
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     def test_trial_stream_is_the_tail_of_one_stream(self, mode):
         mc = McConfig(trials=10, seed=2 ** 64 - 1, mode=mode)
