@@ -14,11 +14,12 @@ is the length-1 case of the same code and gives floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linklevel import Geometry, SystemConfig
+from .linklevel import Geometry, SystemConfig, path_loss
 from .orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -136,7 +137,7 @@ def _strong(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray):
     """(outage, survival) of the strong user at each SNR of ``gamma0``."""
     if not sic_feasible(cfg):
         return np.ones_like(gamma0), np.zeros_like(gamma0)
-    dn_th = geo.d_sdn ** cfg.theta
+    dn_th = path_loss(geo.d_sdn, cfg.theta)
     with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
         beta = np.maximum(_alpha(cfg, gamma0) * dn_th,
                           cfg.gamma_thn * dn_th / (cfg.a_n * gamma0))
@@ -179,19 +180,22 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
             raise ValueError(f"{name} must be > 0, got {v}")
     scalar = np.ndim(gamma0) == 0
     g = np.atleast_1d(np.asarray(gamma0, dtype=float))
-    da = d_a ** theta
-    db = d_b ** theta
-    # t is 0 where gamma0**2 overflows (above about 1541 dB) and inf where
-    # it underflows (below about -1541 dB); t*K1(t) tends to 1 and to 0.
-    with np.errstate(over="ignore", divide="ignore"):
-        t = 2.0 * np.sqrt(da * db * gamma_th * (gamma_th + 1.0)
-                          / (g * g * lambda_a * lambda_b))
-        decay = np.exp(-(gamma_th / g) * (db / lambda_b + da / lambda_a))
-    t_k1 = np.where(t > 0, 0.0, 1.0)
-    mid = (t > 0) & np.isfinite(t)
-    t_k1[mid] = t[mid] * bessel_k1(t[mid])
-    # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
-    surv = np.minimum(decay * t_k1, 1.0)
+    da = path_loss(d_a, theta)
+    db = path_loss(d_b, theta)
+    if math.isinf(da) or math.isinf(db):
+        surv = np.zeros_like(g)  # a hop with infinite path loss: the link always fails
+    else:
+        # t is 0 where gamma0**2 overflows (above about 1541 dB) and inf where
+        # it underflows (below about -1541 dB); t*K1(t) tends to 1 and to 0.
+        with np.errstate(over="ignore", divide="ignore"):
+            t = 2.0 * np.sqrt(da * db * gamma_th * (gamma_th + 1.0)
+                              / (g * g * lambda_a * lambda_b))
+            decay = np.exp(-(gamma_th / g) * (db / lambda_b + da / lambda_a))
+        t_k1 = np.where(t > 0, 0.0, 1.0)
+        mid = (t > 0) & np.isfinite(t)
+        t_k1[mid] = t[mid] * bessel_k1(t[mid])
+        # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
+        surv = np.minimum(decay * t_k1, 1.0)
     outage = np.minimum(np.maximum(1.0 - surv, 0.0), 1.0)
     if survival:
         return _as_given(outage, scalar), _as_given(surv, scalar)
@@ -211,8 +215,8 @@ def _weak(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray, relay: bool):
         return np.ones_like(gamma0), np.zeros_like(gamma0)
     with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
         alpha = _alpha(cfg, gamma0)
-        x_n = alpha * geo.d_sdn ** cfg.theta
-        x_m = alpha * geo.d_sdm ** cfg.theta
+        x_n = alpha * path_loss(geo.d_sdn, cfg.theta)
+        x_m = alpha * path_loss(geo.d_sdm, cfg.theta)
     spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
     spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
     a = ordered_cdf(spec_n, x_n)

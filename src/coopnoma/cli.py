@@ -38,17 +38,10 @@ SWEEP_VARIABLES = ("gamma0_db", "pair", "distance-set")
 ENGINES = ("analytic", "mc")
 OUTPUTS = ("p_out_n", "p_out_m", "throughput")
 
-_CONFIG_KEYS = {
-    "system": ("M", "m", "n", "a_m", "a_n", "theta", "lambda_sd", "lambda_dnr",
-               "lambda_rdm", "R_m", "R_n"),
-    "geometry": ("d_sdn", "d_sdm", "d_dnr", "alpha1_deg", "alpha2_deg"),
-    "mc": ("trials", "seed", "chunk_size", "mode"),
-    "sweep": ("variable", "values", "engines", "baseline", "outputs", "gamma0_db"),
-}
-
-# Scenario defaults: 6 users, pair (3, 6) with the 0.7/0.3 power split,
-# unit rates, free-space-like path loss, unit mean gains, and the node
-# layout d_sdn=4 m, d_sdm=6 m, d_dnr=4 m with 40/60-degree opening angles.
+# Scenario defaults, which also name every key a config file may set:
+# 6 users, pair (3, 6) with the 0.7/0.3 power split, unit rates,
+# free-space-like path loss, unit mean gains, and the node layout
+# d_sdn=4 m, d_sdm=6 m, d_dnr=4 m with 40/60-degree opening angles.
 _DEFAULTS = {
     "system": {"M": "6", "m": "3", "n": "6", "a_m": "0.7", "a_n": "0.3", "theta": "2",
                "lambda_sd": "1", "lambda_dnr": "1", "lambda_rdm": "1", "R_m": "1", "R_n": "1"},
@@ -191,10 +184,10 @@ def load_config(path: str | Path | None) -> ConfigBundle:
         except configparser.Error as exc:
             raise ValueError(f"config file {path}: {exc}") from None
         for section in parser.sections():
-            if section not in _CONFIG_KEYS:
+            if section not in _DEFAULTS:
                 raise ValueError(f"config file {path}: unknown section [{section}]")
             for key, raw in parser.items(section):
-                if key not in _CONFIG_KEYS[section]:
+                if key not in _DEFAULTS[section]:
                     raise ValueError(f"config file {path}: unknown key [{section}] {key}")
                 merged[section][key] = raw
 
@@ -238,61 +231,6 @@ def load_config(path: str | Path | None) -> ConfigBundle:
     return cfg, geo, mc, sweep
 
 
-def _degrees_for_file(rad: float) -> float:
-    """Degrees value whose radians() round-trips to exactly ``rad`` when possible.
-
-    math.degrees/math.radians are each one rounding, so the naive
-    composition can be off by an ulp; nudging the degree value a few ulps
-    recovers exactness whenever the angle originally came from degrees.
-    """
-    deg = math.degrees(rad)
-    if math.radians(deg) == rad:
-        return deg
-    for steps in range(1, 5):
-        for target in (math.inf, -math.inf):
-            cand = deg
-            for _ in range(steps):
-                cand = math.nextafter(cand, target)
-            if math.radians(cand) == rad:
-                return cand
-    return deg
-
-
-def _format_values(sweep: SweepSpec) -> str:
-    if sweep.variable == "gamma0_db":
-        return ",".join(repr(float(v)) for v in sweep.values)
-    if sweep.variable == "pair":
-        return ",".join(f"{m}:{n}" for m, n in sweep.values)
-    return ",".join(f"{a!r}:{b!r}:{c!r}" for a, b, c in sweep.values)
-
-
-def write_config(path: str | Path, cfg: SystemConfig, geo: Geometry, mc: McConfig,
-                 sweep: SweepSpec) -> None:
-    """Serialize a scenario losslessly; load_config(write_config(c)) == c."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser["system"] = {
-        "M": repr(cfg.M), "m": repr(cfg.m), "n": repr(cfg.n),
-        "a_m": repr(cfg.a_m), "a_n": repr(cfg.a_n), "theta": repr(cfg.theta),
-        "lambda_sd": repr(cfg.lambda_sd), "lambda_dnr": repr(cfg.lambda_dnr),
-        "lambda_rdm": repr(cfg.lambda_rdm), "R_m": repr(cfg.R_m), "R_n": repr(cfg.R_n),
-    }
-    parser["geometry"] = {
-        "d_sdn": repr(geo.d_sdn), "d_sdm": repr(geo.d_sdm), "d_dnr": repr(geo.d_dnr),
-        "alpha1_deg": repr(_degrees_for_file(geo.alpha1)),
-        "alpha2_deg": repr(_degrees_for_file(geo.alpha2)),
-    }
-    parser["mc"] = {"trials": repr(mc.trials), "seed": repr(mc.seed),
-                    "chunk_size": repr(mc.chunk_size), "mode": mc.mode}
-    parser["sweep"] = {"variable": sweep.variable, "values": _format_values(sweep),
-                       "engines": ",".join(sweep.engines),
-                       "outputs": ",".join(sweep.outputs),
-                       "baseline": "true" if sweep.baseline else "false",
-                       "gamma0_db": repr(float(sweep.gamma0_db))}
-    with Path(path).open("w") as fh:
-        parser.write(fh)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -323,15 +261,13 @@ def _analytic_fields(p_out_n, p_out_m, throughput) -> dict:
             "stderr_m": "", "throughput": _fmt(throughput)}
 
 
-def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, *,
-              workers: int | None = None) -> list[dict]:
+def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> list[dict]:
     """Evaluate every sweep point with every requested engine.
 
     Returns CSV-ready rows (string values, CSV_COLUMNS keys), ordered by
-    sweep index then engine, independent of ``workers``, the Monte-Carlo
-    chunk threads (default: the CPUs this process may use).  Errors in
-    building a point or in its analytic rows propagate annotated with
-    the offending sweep point, before any Monte-Carlo trial is drawn.
+    sweep index then engine.  Errors in building a point or in its
+    analytic rows propagate annotated with the offending sweep point,
+    before any Monte-Carlo trial is drawn.
     """
     relays = (True, False) if sweep.baseline else (True,)
     on_grid = sweep.variable == "gamma0_db"
@@ -367,7 +303,7 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec, 
                 row |= _analytic_fields(p_n, p_m, tau)
     if mc_rows:
         (_, cfg_0, geo_0, relay_0), *rest = mc_rows
-        results = estimate(cfg_0, geo_0, mc, workers=workers, relay=relay_0,
+        results = estimate(cfg_0, geo_0, mc, relay=relay_0,
                            also=[(c, g, r) for _, c, g, r in rest])
         for (k, *_), (est_n, est_m, tau) in zip(mc_rows, results):
             rows[k] |= {"mode": mc.mode, "p_out_n": _fmt(est_n.p_hat),
@@ -500,8 +436,10 @@ def _parse_sweep_range(text: str) -> tuple[float, ...]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise ValueError(f"--sweep-gamma0-db expects START:STOP:STEP, got {text!r}") from None
-    if step <= 0 or stop < start:
-        raise ValueError(f"--sweep-gamma0-db needs step > 0 and stop >= start, got {text!r}")
+    # a non-finite value would never end the loop below
+    if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
+        raise ValueError(f"--sweep-gamma0-db needs finite values with step > 0 and "
+                         f"stop >= start, got {text!r}")
     values = []
     k = 0
     while True:

@@ -8,10 +8,11 @@ own.  The strong user also forwards the weak user's signal through an
 amplify-and-forward relay, giving the weak user a second, independently
 faded copy.
 
-Everything here is per-realization plumbing: validated configuration,
-distances derived from the node layout, and the SINR seen by each
-decoding step for given channel gains.  Outage statistics live in
-``analytic`` (closed forms) and ``mcsim`` (simulation).
+This module holds what both engines share: validated configuration,
+distances derived from the node layout, the path loss, and the SINR
+seen by each decoding step for given arrays of channel gains.  Outage
+statistics live in ``analytic`` (closed forms) and ``mcsim``
+(simulation).
 """
 
 from __future__ import annotations
@@ -153,46 +154,15 @@ def derive_geometry(d_sdn: float, d_sdm: float, d_dnr: float,
                     alpha1=alpha1, alpha2=alpha2, d_dndm=d_dndm, d_rdm=d_rdm)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One fading draw: ordered direct gains plus the two relay-hop gains.
+def path_loss(d: float, theta: float) -> float:
+    """d**theta, or inf where that overflows a float: a link so lossy always fails.
 
-    ``g_sd`` is the full ascending vector of source-user gains.  In the
-    default joint mode both scheduled users read their gain from this one
-    vector.  When ``g_sd_strong`` is present (independent mode) the
-    strong user reads rank n from that second, independently drawn
-    ordered vector instead, so the two ranks carry no cross-correlation.
+    Both engines take every path loss from here, so they share the limit.
     """
-
-    g_sd: np.ndarray
-    g_dnr: float
-    g_rdm: float
-    g_sd_strong: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("g_sd", "g_sd_strong"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=float)
-            object.__setattr__(self, name, v)
-            if v.ndim != 1 or v.size < 1:
-                raise ValueError(f"{name} must be a 1-D vector of gains")
-            if np.any(v < 0):
-                raise ValueError(f"{name} must be nonnegative")
-            if np.any(np.diff(v) < 0):
-                raise ValueError(f"{name} must be sorted ascending")
-        if self.g_dnr < 0 or self.g_rdm < 0:
-            raise ValueError("relay-hop gains must be nonnegative")
-
-    def gain_weak(self, m: int) -> float:
-        """Direct gain seen by the weak user (rank m of the first vector)."""
-        return float(self.g_sd[m - 1])
-
-    def gain_strong(self, n: int) -> float:
-        """Direct gain seen by the strong user (rank n; second vector if present)."""
-        v = self.g_sd if self.g_sd_strong is None else self.g_sd_strong
-        return float(v[n - 1])
+    try:
+        return float(d) ** float(theta)
+    except OverflowError:
+        return math.inf
 
 
 def sinr_direct_weak(cfg: SystemConfig, geo: Geometry, g):
@@ -202,21 +172,21 @@ def sinr_direct_weak(cfg: SystemConfig, geo: Geometry, g):
     a_m g / (a_n g + d_sdm**theta / gamma0).  Vectorized over g >= 0.
     """
     g = np.asarray(g, dtype=float)
-    out = cfg.a_m * g / (cfg.a_n * g + geo.d_sdm ** cfg.theta / cfg.gamma0)
+    out = cfg.a_m * g / (cfg.a_n * g + path_loss(geo.d_sdm, cfg.theta) / cfg.gamma0)
     return out if out.ndim else float(out)
 
 
 def sinr_strong_decodes_weak(cfg: SystemConfig, geo: Geometry, g):
     """SINR of the strong user decoding the weak user's signal (first SIC stage)."""
     g = np.asarray(g, dtype=float)
-    out = cfg.a_m * g / (cfg.a_n * g + geo.d_sdn ** cfg.theta / cfg.gamma0)
+    out = cfg.a_m * g / (cfg.a_n * g + path_loss(geo.d_sdn, cfg.theta) / cfg.gamma0)
     return out if out.ndim else float(out)
 
 
 def snr_strong_own(cfg: SystemConfig, geo: Geometry, g):
     """Post-cancellation SNR of the strong user decoding its own signal."""
     g = np.asarray(g, dtype=float)
-    out = cfg.gamma0 * cfg.a_n * g / geo.d_sdn ** cfg.theta
+    out = cfg.gamma0 * cfg.a_n * g / path_loss(geo.d_sdn, cfg.theta)
     return out if out.ndim else float(out)
 
 
@@ -232,8 +202,8 @@ def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
     g_dnr = np.asarray(g_dnr, dtype=float)
     g_rdm = np.asarray(g_rdm, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are replaced below
-        g1 = cfg.gamma0 * g_dnr / geo.d_dnr ** cfg.theta
-        g2 = cfg.gamma0 * g_rdm / geo.d_rdm ** cfg.theta
+        g1 = cfg.gamma0 * g_dnr / path_loss(geo.d_dnr, cfg.theta)
+        g2 = cfg.gamma0 * g_rdm / path_loss(geo.d_rdm, cfg.theta)
         out = g1 * g2 / (g1 + g2 + 1.0)
     bad = ~np.isfinite(out)
     if bad.any():

@@ -34,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import throughput
-from .linklevel import (ChannelRealization, Geometry, SystemConfig,
-                        sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
-                        snr_strong_own)
+from .linklevel import (Geometry, SystemConfig, sinr_direct_weak, sinr_relayed,
+                        sinr_strong_decodes_weak, snr_strong_own)
 from .orderstat import gains_at_ranks
 
 MODES = ("joint", "independent")
@@ -71,21 +70,27 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A binomial proportion estimate with its plug-in standard error."""
+    """A binomial proportion: ``events`` outages counted in ``trials`` trials."""
 
-    p_hat: float
-    stderr: float
+    events: int
     trials: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat}")
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        want = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
-        if abs(self.stderr - want) > 1e-12:
-            raise ValueError(
-                f"stderr={self.stderr} inconsistent with p_hat and trials (expected {want})")
+        if not (isinstance(self.events, (int, np.integer)) and 0 <= self.events <= self.trials):
+            raise ValueError(f"events must be an integer in [0, trials={self.trials}], "
+                             f"got {self.events!r}")
+
+    @property
+    def p_hat(self) -> float:
+        return self.events / self.trials
+
+    @property
+    def stderr(self) -> float:
+        """Plug-in standard error sqrt(p_hat (1 - p_hat) / trials)."""
+        p = self.p_hat
+        return math.sqrt(p * (1.0 - p) / self.trials)
 
 
 def draws_per_trial(M: int, mode: str) -> int:
@@ -136,17 +141,6 @@ def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray, weak, stro
     return vec1, vec2, g_dnr, g_rdm
 
 
-def draw_realization(cfg: SystemConfig, mc: McConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization, consuming one trial's worth of stream."""
-    u = rng.random((1, draws_per_trial(cfg.M, mc.mode)))
-    ranks = range(1, cfg.M + 1)
-    vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mc.mode, u, ranks, ranks)
-    return ChannelRealization(
-        g_sd=np.concatenate([vec1[i] for i in ranks]), g_dnr=float(g_dnr[0]),
-        g_rdm=float(g_rdm[0]),
-        g_sd_strong=None if mc.mode == "joint" else np.concatenate([vec2[i] for i in ranks]))
-
-
 def _event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,
                   relay: bool = True):
     """Vectorized outage indicators for both users.
@@ -165,15 +159,6 @@ def _event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,
     else:
         out_m = fail_sic | (~fail_sic & fail_direct)
     return out_n, out_m
-
-
-def outage_events(cfg: SystemConfig, geo: Geometry, real: ChannelRealization) -> tuple[bool, bool]:
-    """Evaluate the two outage events for one realization."""
-    out_n, out_m = _event_arrays(
-        cfg, geo,
-        np.atleast_1d(real.gain_weak(cfg.m)), np.atleast_1d(real.gain_strong(cfg.n)),
-        np.atleast_1d(real.g_dnr), np.atleast_1d(real.g_rdm))
-    return bool(out_n[0]), bool(out_m[0])
 
 
 # One scenario evaluated on a shared draw: (cfg, geo, relay).
@@ -239,9 +224,7 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | N
             counts = list(pool.map(lambda sc: _run_chunk(cfg, variants, mc, *sc), chunks))
     results = []
     for k, (v_cfg, _, _) in enumerate(variants):
-        p_n = sum(c[k][0] for c in counts) / mc.trials
-        p_m = sum(c[k][1] for c in counts) / mc.trials
-        est_n = McEstimate(p_n, math.sqrt(p_n * (1.0 - p_n) / mc.trials), mc.trials)
-        est_m = McEstimate(p_m, math.sqrt(p_m * (1.0 - p_m) / mc.trials), mc.trials)
-        results.append((est_n, est_m, throughput(v_cfg, p_n, p_m)))
+        est_n = McEstimate(sum(c[k][0] for c in counts), mc.trials)
+        est_m = McEstimate(sum(c[k][1] for c in counts), mc.trials)
+        results.append((est_n, est_m, throughput(v_cfg, est_n.p_hat, est_m.p_hat)))
     return results[0] if also is None else results

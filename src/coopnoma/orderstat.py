@@ -2,10 +2,11 @@
 
 When M Rayleigh-faded links are ranked by instantaneous power gain, the
 i-th weakest gain follows a classical order-statistic law built from the
-exponential parent.  This module provides the expansion coefficients used
-by the closed-form outage expressions, numerically stable PDF/CDF
-evaluators, and the one sampler of ranked gains: it maps a block of
-uniforms to the requested ranks without sorting.
+exponential parent.  This module provides the expansion coefficients of
+the rank distribution, numerically stable CDF and survival evaluators
+for the closed-form outage expressions, and the one sampler of ranked
+gains: it maps a block of uniforms to the requested ranks without
+sorting.
 
 The signed expansion coefficients are exact in float64 only up to
 M = 20 (``MAX_USERS``); the CDF and survival sums have only nonnegative
@@ -73,24 +74,6 @@ def phi_coefficient(k: int, i: int, M: int) -> float:
         raise ValueError(f"k must satisfy 0 <= k <= i-1={i - 1}, got {k}")
     mag = math.comb(M, i - 1 - k) * math.comb(M - i + k, k)
     return float(-mag if k & 1 else mag)
-
-
-def ordered_pdf(spec: OrderStatSpec, x):
-    """Density of the rank-``spec.i`` gain, vectorized over ``x``.
-
-    Evaluated in the standard Beta-kernel form
-    c * F(x)^(i-1) * (1-F(x))^(M-i) * f(x) with F computed via expm1,
-    which stays accurate for both tiny and huge arguments.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("gain argument x must be >= 0")
-    M, i, lam = spec.M, spec.i, spec.lam
-    p = -np.expm1(-x / lam)          # F(x)
-    q = np.exp(-x / lam)             # 1 - F(x)
-    c = i * math.comb(M, i)          # M! / ((i-1)! (M-i)!)
-    out = c * p ** (i - 1) * q ** (M - i) * (q / lam)
-    return out if out.ndim else float(out)
 
 
 def _binomial_sum(spec: OrderStatSpec, x, ranks: range):

@@ -150,6 +150,16 @@ class TestTwoHopOutage:
         # just below the overflow t is tiny but positive and K1 still evaluates
         assert 0.0 <= two_hop_outage(1.0, 1e150, 4.0, 3.4, 2.0, 1.0, 1.0) < 1e-12
 
+    def test_infinite_path_loss_is_certain_outage(self):
+        # 1e200**2 and 5.3**1000 overflow a float, so that hop is dead at every
+        # SNR (1e155 also overflows gamma0**2), whatever the other hop's loss
+        # (0.09**1000 underflows to 0)
+        snrs = np.array([1e-3, 1.0, 1e10, 1e155])
+        for args in ((1e200, 4.0, 2.0), (4.0, 1e200, 2.0), (5.3, 0.09, 1000.0)):
+            outage, surv = two_hop_outage(1.0, snrs, *args, 1.0, 1.0, survival=True)
+            np.testing.assert_array_equal(outage, 1.0)
+            np.testing.assert_array_equal(surv, 0.0)
+
     def test_monotone_in_snr(self):
         vals = [two_hop_outage(1.0, 10 ** (db / 10), 4.0, 3.4, 2.0, 1.0, 1.0)
                 for db in range(0, 41, 2)]
@@ -198,6 +208,20 @@ class TestOutageWeak:
         with_dead_relay = outage_weak(cfg, geo, relay=True)
         without = outage_weak(cfg, geo, relay=False)
         assert with_dead_relay == pytest.approx(without, rel=1e-9)
+
+    def test_overflowing_path_loss_takes_the_limit(self):
+        # d_dnr = 1e200 overflows d_dnr**2: the relay adds nothing, to the bit
+        grid = 10.0 ** (np.arange(0, 41, 5) / 10)
+        far = derive_geometry(4.0, 6.0, 1e200, math.radians(40.0), math.radians(60.0))
+        relayed, direct = (evaluate(default_config(), far, relay=r, gamma0=grid)
+                           for r in (True, False))
+        for name in ("p_out_n", "p_out_m", "throughput"):
+            np.testing.assert_array_equal(getattr(relayed, name), getattr(direct, name))
+        # theta = 400 overflows d_sdm**theta (6**400): certain outage for both
+        point = evaluate(default_config(theta=400.0), default_geometry(), gamma0=grid)
+        np.testing.assert_array_equal(point.p_out_m, 1.0)
+        np.testing.assert_array_equal(point.p_out_n, 1.0)
+        np.testing.assert_array_equal(point.throughput, 0.0)
 
     def test_probability_range_fuzz(self):
         rng = np.random.default_rng(11)

@@ -1,0 +1,25 @@
+import contextlib
+import io
+import pathlib
+import re
+
+import coopnoma
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_quick_start_runs_as_written():
+    text = README.read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
+    p_analytic, p_mc = map(float, out.getvalue().splitlines()[0].split())
+    assert f"{p_analytic:.4f}" == "0.2701"  # the value the README quotes
+    assert abs(p_mc - p_analytic) <= 5.0 * (p_analytic * (1.0 - p_analytic) / 1e6) ** 0.5
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in coopnoma.__all__ if not hasattr(coopnoma, name)]
+    assert missing == []
+    assert len(set(coopnoma.__all__)) == len(coopnoma.__all__)

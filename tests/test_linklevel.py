@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coopnoma.linklevel import (ChannelRealization, Geometry, SystemConfig,
-                                derive_geometry, sinr_direct_weak, sinr_relayed,
-                                sinr_strong_decodes_weak, snr_strong_own,
-                                threshold_from_rate)
+from coopnoma.linklevel import (Geometry, SystemConfig, derive_geometry, path_loss,
+                                sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
+                                snr_strong_own, threshold_from_rate)
 from coopnoma.orderstat import MAX_RANKED_USERS
 
 
@@ -128,25 +127,27 @@ class TestGeometry:
             assert geo.d_rdm >= abs(geo.d_dndm - geo.d_dnr) - 1e-12
 
 
-class TestChannelRealization:
-    def test_rank_accessors(self):
-        real = ChannelRealization(g_sd=np.array([0.1, 0.5, 2.0]), g_dnr=1.0, g_rdm=2.0)
-        assert real.gain_weak(1) == 0.1
-        assert real.gain_strong(3) == 2.0
+class TestPathLoss:
+    def test_is_the_power_where_it_fits_a_float(self):
+        assert path_loss(4.0, 2.0) == 16.0
+        assert path_loss(6.0, 2.5) == 6.0 ** 2.5
+        assert path_loss(7.0, 0.0) == 1.0
 
-    def test_second_vector_feeds_strong_rank(self):
-        real = ChannelRealization(g_sd=np.array([0.1, 0.5, 2.0]), g_dnr=1.0, g_rdm=2.0,
-                                  g_sd_strong=np.array([0.2, 0.3, 9.0]))
-        assert real.gain_weak(2) == 0.5
-        assert real.gain_strong(3) == 9.0
+    @pytest.mark.parametrize("d, theta", [(6.0, 400.0), (1e200, 2.0), (math.inf, 2.0)])
+    def test_overflow_is_an_infinite_loss(self, d, theta):
+        assert path_loss(d, theta) == math.inf
 
-    def test_rejects_unsorted_or_negative(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(g_sd=np.array([2.0, 1.0]), g_dnr=0.0, g_rdm=0.0)
-        with pytest.raises(ValueError):
-            ChannelRealization(g_sd=np.array([-0.1, 1.0]), g_dnr=0.0, g_rdm=0.0)
-        with pytest.raises(ValueError):
-            ChannelRealization(g_sd=np.array([0.1, 1.0]), g_dnr=-1.0, g_rdm=0.0)
+    def test_infinite_loss_kills_every_link(self):
+        # theta = 400 overflows d_sdm**theta (6**400) and d_dnr = 1e200
+        # overflows d_dnr**2; the SINRs take their limit 0 without warnings
+        g = np.array([0.0, 1.0, 1e30])
+        cfg = default_config(theta=400.0)
+        assert np.all(sinr_direct_weak(cfg, default_geometry(), g) == 0.0)
+        far = derive_geometry(4.0, 6.0, 1e200, math.radians(40.0), math.radians(60.0))
+        assert np.all(sinr_relayed(default_config(), far, g, g[::-1]) == 0.0)
+        cfg = default_config(theta=600.0)  # 4**600 overflows too
+        assert np.all(sinr_strong_decodes_weak(cfg, default_geometry(), g) == 0.0)
+        assert np.all(snr_strong_own(cfg, default_geometry(), g) == 0.0)
 
 
 class TestSinrExpressions:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from coopnoma.analytic import evaluate, throughput
-from coopnoma.linklevel import ChannelRealization, SystemConfig, derive_geometry
-from coopnoma.mcsim import (McConfig, McEstimate, _gains_from_uniforms, draw_realization,
-                            draws_per_trial, estimate, outage_events, trial_stream)
+from coopnoma.linklevel import SystemConfig, derive_geometry
+from coopnoma.mcsim import (McConfig, McEstimate, _event_arrays, _gains_from_uniforms,
+                            draws_per_trial, estimate, trial_stream)
 
 
 def default_config(**overrides):
@@ -18,6 +18,28 @@ def default_config(**overrides):
 
 def default_geometry():
     return derive_geometry(4.0, 6.0, 4.0, math.radians(40.0), math.radians(60.0))
+
+
+def draw_trial(cfg, mc, t):
+    """All M ranks of both vectors and the two hops of trial t, drawn on their own."""
+    u = trial_stream(mc, cfg.M, t).random((1, draws_per_trial(cfg.M, mc.mode)))
+    every = range(1, cfg.M + 1)
+    return _gains_from_uniforms(cfg, mc.mode, u, every, every)
+
+
+def events(cfg, geo, g_m, g_n, g_dnr, g_rdm):
+    """Both outage indicators of one hand-built trial, through the array path."""
+    out_n, out_m = _event_arrays(cfg, geo, *(np.array([g]) for g in (g_m, g_n, g_dnr, g_rdm)))
+    return bool(out_n[0]), bool(out_m[0])
+
+
+def replay(cfg, geo, mc):
+    """Outage counts (strong, weak) of every trial drawn and evaluated on its own."""
+    hits = np.zeros(2, dtype=int)
+    for t in range(mc.trials):
+        weak, strong, g_dnr, g_rdm = draw_trial(cfg, mc, t)
+        hits += events(cfg, geo, weak[cfg.m][0], strong[cfg.n][0], g_dnr[0], g_rdm[0])
+    return hits
 
 
 class TestConfigs:
@@ -36,11 +58,14 @@ class TestConfigs:
             McConfig(**kwargs)
 
     def test_estimate_consistency_enforced(self):
-        McEstimate(p_hat=0.25, stderr=math.sqrt(0.25 * 0.75 / 100), trials=100)
-        with pytest.raises(ValueError):
-            McEstimate(p_hat=0.25, stderr=0.9, trials=100)
-        with pytest.raises(ValueError):
-            McEstimate(p_hat=1.5, stderr=0.0, trials=100)
+        est = McEstimate(events=25, trials=100)
+        assert est.p_hat == 0.25
+        assert est.stderr == math.sqrt(0.25 * 0.75 / 100)
+        assert (McEstimate(0, 7).p_hat, McEstimate(0, 7).stderr) == (0.0, 0.0)
+        assert (McEstimate(7, 7).p_hat, McEstimate(7, 7).stderr) == (1.0, 0.0)
+        for events, trials in ((-1, 100), (101, 100), (0.5, 100), (0, 0)):
+            with pytest.raises(ValueError):
+                McEstimate(events=events, trials=trials)
 
 
 class TestDrawBudget:
@@ -67,26 +92,28 @@ class TestDrawRealization:
     def test_deterministic_for_fixed_stream_state(self):
         cfg = default_config()
         mc = McConfig(trials=10, seed=42, mode="joint")
-        r1 = draw_realization(cfg, mc, trial_stream(mc, cfg.M, 3))
-        r2 = draw_realization(cfg, mc, trial_stream(mc, cfg.M, 3))
-        np.testing.assert_array_equal(r1.g_sd, r2.g_sd)
-        assert (r1.g_dnr, r1.g_rdm) == (r2.g_dnr, r2.g_rdm)
+        (w1, s1, dnr1, rdm1), (w2, s2, dnr2, rdm2) = draw_trial(cfg, mc, 3), draw_trial(cfg, mc, 3)
+        for i in range(1, 7):
+            np.testing.assert_array_equal(w1[i], w2[i])
+            np.testing.assert_array_equal(s1[i], s2[i])
+        assert (dnr1, rdm1) == (dnr2, rdm2)
 
     def test_joint_mode_orders_single_vector(self):
         cfg = default_config()
-        mc = McConfig(trials=10, seed=1, mode="joint")
-        real = draw_realization(cfg, mc, trial_stream(mc, cfg.M, 0))
-        assert real.g_sd_strong is None
-        assert real.gain_strong(cfg.n) >= real.gain_weak(cfg.m)
-        assert np.all(np.diff(real.g_sd) >= 0)
+        weak, strong, _, _ = draw_trial(cfg, McConfig(trials=10, seed=1, mode="joint"), 0)
+        assert weak is strong
+        gains = np.concatenate([weak[i] for i in range(1, 7)])
+        assert strong[cfg.n][0] >= weak[cfg.m][0]
+        assert np.all(np.diff(gains) >= 0)
 
     def test_independent_mode_carries_two_vectors(self):
         cfg = default_config()
-        mc = McConfig(trials=10, seed=1, mode="independent")
-        real = draw_realization(cfg, mc, trial_stream(mc, cfg.M, 0))
-        assert real.g_sd_strong is not None
-        assert real.g_sd.shape == real.g_sd_strong.shape == (6,)
-        assert not np.array_equal(real.g_sd, real.g_sd_strong)
+        weak, strong, _, _ = draw_trial(cfg, McConfig(trials=10, seed=1, mode="independent"), 0)
+        vec1 = np.concatenate([weak[i] for i in range(1, 7)])
+        vec2 = np.concatenate([strong[i] for i in range(1, 7)])
+        assert vec1.shape == vec2.shape == (6,)
+        assert np.all(np.diff(vec1) >= 0) and np.all(np.diff(vec2) >= 0)
+        assert not np.array_equal(vec1, vec2)
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     def test_requested_ranks_equal_the_all_rank_columns(self, mode):
@@ -149,49 +176,29 @@ class TestDrawRealization:
 
 class TestOutageEvents:
     def test_all_zero_gains_fail_everything(self):
-        cfg = default_config()
-        real = ChannelRealization(g_sd=np.zeros(6), g_dnr=0.0, g_rdm=0.0)
-        assert outage_events(cfg, default_geometry(), real) == (True, True)
+        assert events(default_config(), default_geometry(), 0.0, 0.0, 0.0, 0.0) == (True, True)
 
     def test_huge_gains_pass_when_threshold_below_ceiling(self):
         cfg = default_config()  # gamma_thm = 1 < a_m/a_n
-        real = ChannelRealization(g_sd=np.full(6, 1e30), g_dnr=1e30, g_rdm=1e30)
-        assert outage_events(cfg, default_geometry(), real) == (False, False)
+        assert events(cfg, default_geometry(), 1e30, 1e30, 1e30, 1e30) == (False, False)
 
     def test_failed_sic_stage_dooms_weak_user(self):
         # strong user cannot decode the weak signal, weak user's own direct
         # link is fine: the weak user is still counted in outage.
-        cfg = default_config()
-        geo = default_geometry()
-        real = ChannelRealization(g_sd=np.full(6, 1e30), g_dnr=1e30, g_rdm=1e30,
-                                  g_sd_strong=np.zeros(6))
-        out_n, out_m = outage_events(cfg, geo, real)
-        assert out_n is True
-        assert out_m is True
+        assert events(default_config(), default_geometry(), 1e30, 0.0, 1e30, 1e30) == (True, True)
 
     def test_relay_rescues_direct_failure(self):
-        cfg = default_config()
-        geo = default_geometry()
-        real = ChannelRealization(g_sd=np.zeros(6), g_dnr=1e30, g_rdm=1e30,
-                                  g_sd_strong=np.full(6, 1e30))
-        out_n, out_m = outage_events(cfg, geo, real)
-        assert out_n is False
-        assert out_m is False  # relayed copy saved it
+        # the direct copy fails, the relayed copy saves it
+        assert events(default_config(), default_geometry(), 0.0, 1e30, 1e30, 1e30) == (False, False)
 
     def test_both_copies_failing_is_outage(self):
-        cfg = default_config()
-        geo = default_geometry()
-        real = ChannelRealization(g_sd=np.zeros(6), g_dnr=0.0, g_rdm=0.0,
-                                  g_sd_strong=np.full(6, 1e30))
-        assert outage_events(cfg, geo, real) == (False, True)
+        assert events(default_config(), default_geometry(), 0.0, 1e30, 0.0, 0.0) == (False, True)
 
     def test_overflowing_relay_hop_cannot_rescue_with_a_failing_one(self):
         # at gamma0 = 1e308 the first relay hop's SNR overflows; the second hop
         # still misses the threshold, so the weak user has no copy left
         cfg = default_config(gamma0=1e308)
-        real = ChannelRealization(g_sd=np.zeros(6), g_dnr=100.0, g_rdm=1e-310,
-                                  g_sd_strong=np.ones(6))
-        assert outage_events(cfg, default_geometry(), real) == (False, True)
+        assert events(cfg, default_geometry(), 0.0, 1.0, 100.0, 1e-310) == (False, True)
 
 
 class TestEstimate:
@@ -218,13 +225,9 @@ class TestEstimate:
         cfg = default_config()
         geo = default_geometry()
         mc = McConfig(trials=257, seed=3, chunk_size=64, mode="independent")
-        hits_n = hits_m = 0
-        for t in range(mc.trials):
-            real = draw_realization(cfg, mc, trial_stream(mc, cfg.M, t))
-            out_n, out_m = outage_events(cfg, geo, real)
-            hits_n += out_n
-            hits_m += out_m
+        hits_n, hits_m = replay(cfg, geo, mc)
         est_n, est_m, _ = estimate(cfg, geo, mc)
+        assert (est_n.events, est_m.events) == (hits_n, hits_m)
         assert est_n.p_hat == hits_n / mc.trials
         assert est_m.p_hat == hits_m / mc.trials
 
@@ -234,9 +237,7 @@ class TestEstimate:
         cfg = default_config(M=20, m=10, n=20, a_m=0.8, a_n=0.2, gamma0=30.0)
         geo = default_geometry()
         mc = McConfig(trials=300, seed=11, chunk_size=64, mode="joint")
-        hits = np.zeros(2, dtype=int)
-        for t in range(mc.trials):
-            hits += outage_events(cfg, geo, draw_realization(cfg, mc, trial_stream(mc, 20, t)))
+        hits = replay(cfg, geo, mc)
         for chunk_size in (1, 64, 300):
             est_n, est_m, _ = estimate(cfg, geo, replace(mc, chunk_size=chunk_size))
             assert (est_n.p_hat, est_m.p_hat) == (hits[0] / 300, hits[1] / 300)

@@ -3,11 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
 
 from coopnoma.orderstat import (MAX_RANKED_USERS, MAX_USERS, OrderStatSpec, gains_at_ranks,
-                                ordered_cdf, ordered_pdf, ordered_sf, phi_coefficient,
-                                sample_ordered_gains)
+                                ordered_cdf, ordered_sf, phi_coefficient, sample_ordered_gains)
 
 
 def test_spec_validation():
@@ -163,31 +161,6 @@ class TestPopulationsPastExactCoefficients:
         # the signed coefficients stay exact only up to MAX_USERS
         with pytest.raises(ValueError, match=f"M must be <= {MAX_USERS}"):
             phi_coefficient(0, 1, MAX_USERS + 1)
-
-
-class TestOrderedPdf:
-    def test_density_at_origin(self):
-        # Only the minimum has mass at 0: M/lam there, 0 for every other rank.
-        assert ordered_pdf(OrderStatSpec(M=6, i=1, lam=1.0), 0.0) == pytest.approx(6.0)
-        assert ordered_pdf(OrderStatSpec(M=6, i=6, lam=1.0), 0.0) == 0.0
-
-    @pytest.mark.parametrize("i", [1, 3, 6])
-    def test_integrates_to_one(self, i):
-        spec = OrderStatSpec(M=6, i=i, lam=1.0)
-        total, err = integrate.quad(lambda x: ordered_pdf(spec, x), 0.0, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("i", [1, 2, 5])
-    def test_is_derivative_of_cdf(self, i):
-        spec = OrderStatSpec(M=8, i=i, lam=0.9)
-        h = 1e-6
-        for x in (0.1, 0.5, 1.0, 2.5):
-            num = (ordered_cdf(spec, x + h) - ordered_cdf(spec, x - h)) / (2 * h)
-            assert ordered_pdf(spec, x) == pytest.approx(num, rel=1e-6, abs=1e-9)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            ordered_pdf(OrderStatSpec(M=6, i=3, lam=1.0), [-1.0, 0.5])
 
 
 class TestSampler:
