@@ -133,14 +133,23 @@ def _alpha(cfg: SystemConfig, gamma0: np.ndarray) -> np.ndarray:
     return cfg.gamma_thm / ((cfg.a_m - cfg.a_n * cfg.gamma_thm) * gamma0)
 
 
+def _gain_level(level: np.ndarray, pl: float) -> np.ndarray:
+    # level * pl, the least gain that meets a threshold over a link with path
+    # loss pl: 0 on a noise-free link (pl = 0) even where level is inf
+    return np.zeros_like(level) if pl == 0.0 else level * pl
+
+
 def _strong(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray):
     """(outage, survival) of the strong user at each SNR of ``gamma0``."""
     if not sic_feasible(cfg):
         return np.ones_like(gamma0), np.zeros_like(gamma0)
     dn_th = path_loss(geo.d_sdn, cfg.theta)
-    with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
-        beta = np.maximum(_alpha(cfg, gamma0) * dn_th,
-                          cfg.gamma_thn * dn_th / (cfg.a_n * gamma0))
+    if dn_th == 0.0:  # a noise-free link: the least gain that gets through is 0
+        beta = np.zeros_like(gamma0)
+    else:
+        with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
+            beta = np.maximum(_alpha(cfg, gamma0) * dn_th,
+                              cfg.gamma_thn * dn_th / (cfg.a_n * gamma0))
     spec = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
     return ordered_cdf(spec, beta), ordered_sf(spec, beta)
 
@@ -184,12 +193,21 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
     db = path_loss(d_b, theta)
     if math.isinf(da) or math.isinf(db):
         surv = np.zeros_like(g)  # a hop with infinite path loss: the link always fails
+    elif da == 0.0 and db == 0.0:
+        surv = np.ones_like(g)  # both hops noise-free: the link never fails
     else:
         # t is 0 where gamma0**2 overflows (above about 1541 dB) and inf where
         # it underflows (below about -1541 dB); t*K1(t) tends to 1 and to 0.
+        cross = da * db * gamma_th * (gamma_th + 1.0)
         with np.errstate(over="ignore", divide="ignore"):
-            t = 2.0 * np.sqrt(da * db * gamma_th * (gamma_th + 1.0)
-                              / (g * g * lambda_a * lambda_b))
+            if da == 0.0 or db == 0.0:  # one noise-free hop: the link is the other hop
+                t = np.zeros_like(g)
+            elif 0.0 < cross < math.inf:
+                t = 2.0 * np.sqrt(cross / (g * g * lambda_a * lambda_b))
+            else:  # the cross term leaves the floats: take t from logs, never inf/inf
+                log_c = 0.5 * (math.log(da) + math.log(db) + math.log(gamma_th)
+                               + math.log1p(gamma_th) - math.log(lambda_a) - math.log(lambda_b))
+                t = 2.0 * np.exp(log_c - np.log(g))
             decay = np.exp(-(gamma_th / g) * (db / lambda_b + da / lambda_a))
         t_k1 = np.where(t > 0, 0.0, 1.0)
         mid = (t > 0) & np.isfinite(t)
@@ -215,8 +233,8 @@ def _weak(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray, relay: bool):
         return np.ones_like(gamma0), np.zeros_like(gamma0)
     with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
         alpha = _alpha(cfg, gamma0)
-        x_n = alpha * path_loss(geo.d_sdn, cfg.theta)
-        x_m = alpha * path_loss(geo.d_sdm, cfg.theta)
+        x_n = _gain_level(alpha, path_loss(geo.d_sdn, cfg.theta))
+        x_m = _gain_level(alpha, path_loss(geo.d_sdm, cfg.theta))
     spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
     spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
     a = ordered_cdf(spec_n, x_n)

@@ -38,6 +38,10 @@ SWEEP_VARIABLES = ("gamma0_db", "pair", "distance-set")
 ENGINES = ("analytic", "mc")
 OUTPUTS = ("p_out_n", "p_out_m", "throughput")
 
+# Most points a --sweep-gamma0-db range may give.  A range of this many
+# steps or more is refused before any list of it is built.
+MAX_GRID_POINTS = 100_000
+
 # Scenario defaults, which also name every key a config file may set:
 # 6 users, pair (3, 6) with the 0.7/0.3 power split, unit rates,
 # free-space-like path loss, unit mean gains, and the node layout
@@ -440,6 +444,10 @@ def _parse_sweep_range(text: str) -> tuple[float, ...]:
     if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
         raise ValueError(f"--sweep-gamma0-db needs finite values with step > 0 and "
                          f"stop >= start, got {text!r}")
+    span = (stop - start) / step  # the grid has floor(span) + 1 points; inf on overflow
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(f"--sweep-gamma0-db {text!r} gives {span + 1:.6g} grid points, "
+                         f"more than {MAX_GRID_POINTS}")
     values = []
     k = 0
     while True:

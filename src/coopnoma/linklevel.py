@@ -155,14 +155,37 @@ def derive_geometry(d_sdn: float, d_sdm: float, d_dnr: float,
 
 
 def path_loss(d: float, theta: float) -> float:
-    """d**theta, or inf where that overflows a float: a link so lossy always fails.
+    """d**theta at its float limits.
 
-    Both engines take every path loss from here, so they share the limit.
+    Where it overflows it is inf: a link so lossy always fails.  Where it
+    underflows it is 0: a noise-free link, on which every gain above 0
+    gets through and a zero gain does not.  Both engines take every path
+    loss from here, so they share both limits.
     """
     try:
         return float(d) ** float(theta)
     except OverflowError:
         return math.inf
+
+
+def _snr(scale: float, g: np.ndarray, pl: float) -> np.ndarray:
+    """scale * g / pl, inf where it overflows and on a noise-free link (pl = 0), 0 at g = 0."""
+    if pl == 0.0:
+        return np.where(g > 0, math.inf, 0.0)
+    with np.errstate(over="ignore"):  # inf passes every threshold, as it should
+        return scale * g / pl
+
+
+def _weak_signal_sinr(cfg: SystemConfig, g: np.ndarray, pl: float) -> np.ndarray:
+    """a_m g / (a_n g + pl/gamma0), the SINR of the weak user's signal.
+
+    Where pl/gamma0 is 0 (a noise-free link) it is a_m/a_n for every g > 0
+    and 0 at g = 0.
+    """
+    noise = pl / cfg.gamma0
+    if noise == 0.0:
+        return np.where(g > 0, cfg.a_m / cfg.a_n, 0.0)
+    return cfg.a_m * g / (cfg.a_n * g + noise)
 
 
 def sinr_direct_weak(cfg: SystemConfig, geo: Geometry, g):
@@ -172,21 +195,21 @@ def sinr_direct_weak(cfg: SystemConfig, geo: Geometry, g):
     a_m g / (a_n g + d_sdm**theta / gamma0).  Vectorized over g >= 0.
     """
     g = np.asarray(g, dtype=float)
-    out = cfg.a_m * g / (cfg.a_n * g + path_loss(geo.d_sdm, cfg.theta) / cfg.gamma0)
+    out = _weak_signal_sinr(cfg, g, path_loss(geo.d_sdm, cfg.theta))
     return out if out.ndim else float(out)
 
 
 def sinr_strong_decodes_weak(cfg: SystemConfig, geo: Geometry, g):
     """SINR of the strong user decoding the weak user's signal (first SIC stage)."""
     g = np.asarray(g, dtype=float)
-    out = cfg.a_m * g / (cfg.a_n * g + path_loss(geo.d_sdn, cfg.theta) / cfg.gamma0)
+    out = _weak_signal_sinr(cfg, g, path_loss(geo.d_sdn, cfg.theta))
     return out if out.ndim else float(out)
 
 
 def snr_strong_own(cfg: SystemConfig, geo: Geometry, g):
     """Post-cancellation SNR of the strong user decoding its own signal."""
     g = np.asarray(g, dtype=float)
-    out = cfg.gamma0 * cfg.a_n * g / path_loss(geo.d_sdn, cfg.theta)
+    out = _snr(cfg.gamma0 * cfg.a_n, g, path_loss(geo.d_sdn, cfg.theta))
     return out if out.ndim else float(out)
 
 
@@ -199,14 +222,13 @@ def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
     SNR or their product overflows, the quotient is its finite limit
     1 / (1/g1 + 1/g2): the other hop's SNR when one hop is inf.
     """
-    g_dnr = np.asarray(g_dnr, dtype=float)
-    g_rdm = np.asarray(g_rdm, dtype=float)
+    g1 = _snr(cfg.gamma0, np.asarray(g_dnr, dtype=float), path_loss(geo.d_dnr, cfg.theta))
+    g2 = _snr(cfg.gamma0, np.asarray(g_rdm, dtype=float), path_loss(geo.d_rdm, cfg.theta))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are replaced below
-        g1 = cfg.gamma0 * g_dnr / path_loss(geo.d_dnr, cfg.theta)
-        g2 = cfg.gamma0 * g_rdm / path_loss(geo.d_rdm, cfg.theta)
         out = g1 * g2 / (g1 + g2 + 1.0)
     bad = ~np.isfinite(out)
     if bad.any():
-        with np.errstate(divide="ignore"):  # a zero-gain hop: 1/0 = inf gives the limit 0
+        # a zero-gain hop: 1/0 = inf gives the limit 0, as does 1/g past the floats
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(bad, 1.0 / (1.0 / g1 + 1.0 / g2), out)
     return out if out.ndim else float(out)

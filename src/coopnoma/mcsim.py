@@ -13,14 +13,19 @@ one thread pool sized to the CPUs this process may use.
 
 Determinism contract: (seed, trials) fix every estimate; chunk_size,
 worker count and which variants share the draw do not.  Trials are
-numbered globally and trial t owns the uniforms [t*w, (t+1)*w) of one
-PCG64DXSM stream seeded with the seed, w = draws_per_trial(M, mode).
-Its gains are ranks of M exponentials built from those uniforms by
+numbered globally and the stream is slot-major: the uniform in column k
+of trial t (see ``draws_per_trial``) is step k*2**64 + t of one
+PCG64DXSM stream seeded with the seed, so every column owns a segment
+of 2**64 steps and trials are consecutive within it.  A chunk draws only
+the columns its variants read, one contiguous row per column: each
+vector's slots from its lowest read rank up, and the two hops.  Its
+gains are ranks of M exponentials built from those rows by
 ``orderstat.gains_at_ranks``, where each rank depends only on the
-trial's own uniforms, never on which other ranks the variants read.  So
-any partition of the trial range into chunks replays bit-identical
-gains, and chunk results are integer counts reduced in chunk order,
-which is exact arithmetic.
+trial's own uniforms in the slots from that rank up, never on which
+other ranks the variants read.  So any partition of the trial range
+into chunks, and any set of variants, replays bit-identical gains, and
+chunk results are integer counts reduced in chunk order, which is exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ from .linklevel import (Geometry, SystemConfig, sinr_direct_weak, sinr_relayed,
 from .orderstat import gains_at_ranks
 
 MODES = ("joint", "independent")
+
+# Stream steps per column: column k of trial t is step k * _SEGMENT + t.
+_SEGMENT = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,9 @@ class McConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+        if self.trials >= _SEGMENT:
+            raise ValueError(f"trials must be < 2**64, the stream steps of one column, "
+                             f"got {self.trials!r}")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (isinstance(self.chunk_size, (int, np.integer)) and self.chunk_size >= 1):
@@ -94,50 +105,79 @@ class McEstimate:
 
 
 def draws_per_trial(M: int, mode: str) -> int:
-    """Uniform doubles owned by one trial (see the module notes).
+    """Uniform columns of one trial (see the module notes).
 
     Joint mode needs M direct-gain slots plus the two relay hops;
-    independent mode needs a second M-slot vector.  A trial's uniforms
-    lie in this order: slots 1..M, in independent mode slots 1..M of the
-    strong-read vector, then the hops S->D_n->R and R->D_m.
+    independent mode needs a second M-slot vector.  Column k of a trial
+    is: slot k+1 for k < M, in independent mode slot k-M+1 of the
+    strong-read vector for M <= k < 2M, then the hops S->D_n->R and
+    R->D_m.  A chunk draws only the columns its variants read.
     """
     return (M + 2) if mode == "joint" else (2 * M + 2)
 
 
-def trial_stream(mc: McConfig, M: int, trial: int) -> np.random.Generator:
-    """Random stream positioned at the first uniform of the given trial index.
+def trial_stream(mc: McConfig, M: int, trial: int, column: int = 0) -> np.random.Generator:
+    """Random stream positioned at the uniform in ``column`` of the given trial index.
 
     One uniform double is one step of the PCG64DXSM stream seeded with
-    mc.seed, so advancing by trial * draws_per_trial(M, mc.mode) steps
-    gives the same uniforms as drawing every earlier trial first.
+    mc.seed, and the uniform in column k of trial t is step
+    k * 2**64 + t, so drawing from here gives that column for trials
+    ``trial``, ``trial`` + 1, and so on.
     """
-    if not 0 <= trial:
-        raise ValueError(f"trial index must be >= 0, got {trial}")
+    if not 0 <= trial < _SEGMENT:
+        raise ValueError(f"trial index must lie in [0, 2**64), got {trial}")
+    if not 0 <= column < draws_per_trial(M, mc.mode):
+        raise ValueError(f"column must lie in [0, {draws_per_trial(M, mc.mode)}), got {column}")
     bg = np.random.PCG64DXSM(mc.seed)
-    bg.advance(trial * draws_per_trial(M, mc.mode))
+    bg.advance(column * _SEGMENT + trial)
     return np.random.Generator(bg)
 
 
+def _columns(M: int, mode: str, weak, strong) -> list[int]:
+    """Columns a chunk reads: each vector's slots from its lowest read rank up, then the hops."""
+    if mode == "joint":
+        return list(range(min(min(weak), min(strong)) - 1, M + 2))
+    return [*range(min(weak) - 1, M), *range(M + min(strong) - 1, 2 * M + 2)]
+
+
+def _draw(mc: McConfig, M: int, columns: Sequence[int], start: int, count: int) -> np.ndarray:
+    """Uniforms of trials start..start+count-1 in a (draws_per_trial, count) block.
+
+    Row k holds column k for every k in ``columns`` (ascending); the other
+    rows are left unset.  The stream is positioned once and then advanced
+    from the end of one row's segment to the start of the next.
+    """
+    u = np.empty((draws_per_trial(M, mc.mode), count))
+    rng = trial_stream(mc, M, start, columns[0])
+    for prev, k in zip([columns[0], *columns], columns):
+        if k != prev:
+            rng.bit_generator.advance((k - prev) * _SEGMENT - count)
+        rng.random(out=u[k])
+    return u
+
+
 def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray, weak, strong):
-    """Map a (count, draws_per_trial) uniform block to the requested gains.
+    """Map a slot-major (draws_per_trial, count) uniform block to the requested gains.
 
     ``weak`` and ``strong`` are the ranks read by the weak and the
-    strong user.  Returns (weak-read gains, strong-read gains, g_dnr,
-    g_rdm); the first two map each requested rank to its (count,) gain
-    array, and in joint mode they are one map over the one vector.
-    Relay hops use the inverse CDF -lam*log1p(-u).
+    strong user; only the rows ``_columns`` names are read, and the
+    direct-gain rows among them are overwritten.  Returns (weak-read
+    gains, strong-read gains, g_dnr, g_rdm); the first two map each
+    requested rank to its (count,) gain array, and in joint mode they
+    are one map over the one vector.  Relay hops use the inverse CDF
+    -lam*log1p(-u).
     """
     M, lam = cfg.M, cfg.lambda_sd
     if mode == "joint":
         ranks = sorted({*weak, *strong})
-        vec1 = vec2 = dict(zip(ranks, gains_at_ranks(u[:, :M], ranks, lam)))
+        vec1 = vec2 = dict(zip(ranks, gains_at_ranks(u[:M], ranks, lam)))
         off = M
     else:
-        vec1 = dict(zip(weak, gains_at_ranks(u[:, :M], weak, lam)))
-        vec2 = dict(zip(strong, gains_at_ranks(u[:, M:2 * M], strong, lam)))
+        vec1 = dict(zip(weak, gains_at_ranks(u[:M], weak, lam)))
+        vec2 = dict(zip(strong, gains_at_ranks(u[M:2 * M], strong, lam)))
         off = 2 * M
-    g_dnr = -cfg.lambda_dnr * np.log1p(-u[:, off])
-    g_rdm = -cfg.lambda_rdm * np.log1p(-u[:, off + 1])
+    g_dnr = -cfg.lambda_dnr * np.log1p(-u[off])
+    g_rdm = -cfg.lambda_rdm * np.log1p(-u[off + 1])
     return vec1, vec2, g_dnr, g_rdm
 
 
@@ -178,11 +218,11 @@ def _usable_cpus() -> int:
 def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], mc: McConfig,
                start: int, count: int) -> list[tuple[int, int]]:
     """Draw one chunk of trials and count both outages for every variant."""
-    rng = trial_stream(mc, draw.M, start)
-    u = rng.random((count, draws_per_trial(draw.M, mc.mode)))
-    weak, strong, g_dnr, g_rdm = _gains_from_uniforms(
-        draw, mc.mode, u, sorted({c.m for c, _, _ in variants}),
-        sorted({c.n for c, _, _ in variants}))
+    weak_ranks = sorted({c.m for c, _, _ in variants})
+    strong_ranks = sorted({c.n for c, _, _ in variants})
+    u = _draw(mc, draw.M, _columns(draw.M, mc.mode, weak_ranks, strong_ranks), start, count)
+    weak, strong, g_dnr, g_rdm = _gains_from_uniforms(draw, mc.mode, u, weak_ranks,
+                                                      strong_ranks)
     counts = []
     for cfg, geo, relay in variants:
         out_n, out_m = _event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n],

@@ -114,28 +114,30 @@ def ordered_sf(spec: OrderStatSpec, x):
 
 
 def gains_at_ranks(v: np.ndarray, ranks, lam: float) -> np.ndarray:
-    """Ordered Exp(mean=lam) gains at the requested ranks, from a uniform block.
+    """Ordered Exp(mean=lam) gains at the requested ranks, from a slot-major uniform block.
 
-    Row t of the (count, M) block ``v`` holds the M uniforms in [0, 1)
-    of one draw; column j-1 is slot j.  The rank-i uniform of the draw
-    is built top down by the uniform-spacings chain (Devroye 1986,
-    ch. V): log U_(i) = sum_{j=i..M} log1p(-v_j)/j, summed from slot M
-    down, and its gain is -lam*log1mexp(log U_(i)).  Only the slots down
-    to the lowest requested rank are read, and the transform runs only
-    on the requested ranks.  Each rank's value depends only on its row
-    of ``v``, never on which other ranks or rows are requested.
+    Row j-1 of the (M, count) block ``v`` holds slot j of every draw, so
+    column t holds the M uniforms in [0, 1) of draw t.  The rank-i
+    uniform of a draw is built top down by the uniform-spacings chain
+    (Devroye 1986, ch. V): log U_(i) = sum_{j=i..M} log1p(-v_j)/j,
+    summed from slot M down, and its gain is -lam*log1mexp(log U_(i)).
+    Only the rows from the lowest requested rank up are read, and they
+    are overwritten in place with the chain; the rows below may be left
+    unset.  The transform runs only on the requested ranks.  Each
+    rank's value depends only on its draw's slots from that rank up,
+    never on which other ranks or draws are requested.
 
     Returns a (len(ranks), count) array: row k is the rank-``ranks[k]``
     gain of every draw.
     """
-    count, M = v.shape
+    M, count = v.shape
     lo = min(ranks)
     if not 1 <= lo <= max(ranks) <= M:
         raise ValueError(f"ranks must lie in 1..M={M}, got {list(ranks)}")
-    # one contiguous row per slot j = lo..M: log1p(-v_j)/j, then the sums
-    # from the top slot down
-    chain = np.empty((M - lo + 1, count))
-    np.negative(v[:, lo - 1:].T, out=chain)
+    # row q of the chain is slot lo+q: log1p(-v_j)/j, then the sums from
+    # the top slot down
+    chain = v[lo - 1:]
+    np.negative(chain, out=chain)
     np.log1p(chain, out=chain)
     chain /= np.arange(lo, M + 1, dtype=float)[:, None]
     for q in range(M - lo - 1, -1, -1):
@@ -155,16 +157,16 @@ def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int
     """Draw ordered exponential gain vectors.
 
     Returns the full ascending vector of M gains: shape (M,) when
-    ``size`` is None, else (size, M).  Each vector maps M uniforms of
-    ``rng`` through ``gains_at_ranks``, the sampler the Monte-Carlo
-    oracle uses.  Consumes ``rng`` state; callers that need
-    reproducibility seed the generator themselves.
+    ``size`` is None, else (size, M).  The vectors map an (M, size)
+    slot-major block of ``rng``'s uniforms through ``gains_at_ranks``,
+    the sampler the Monte-Carlo oracle uses.  Consumes ``rng`` state;
+    callers that need reproducibility seed the generator themselves.
     """
     _check_population(M)
     if not (lam > 0):
         raise ValueError(f"mean gain lam must be > 0, got {lam}")
     if size is not None and not (isinstance(size, (int, np.integer)) and size >= 1):
         raise ValueError(f"size must be a positive integer, got {size!r}")
-    v = rng.random((1 if size is None else int(size), M))
+    v = rng.random((M, 1 if size is None else int(size)))
     g = gains_at_ranks(v, range(1, M + 1), lam).T
     return g[0] if size is None else g

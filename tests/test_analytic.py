@@ -160,6 +160,41 @@ class TestTwoHopOutage:
             np.testing.assert_array_equal(outage, 1.0)
             np.testing.assert_array_equal(surv, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cross_term_past_the_floats_takes_t_from_logs(self):
+        # d = 1e100 at theta = 2: da*db = 1e400 overflows, and so does
+        # gamma0**2 from about 1541 dB, where t was inf/inf
+        snrs = 10.0 ** np.array([150.0, 155.0, 160.0])
+        outage, surv = two_hop_outage(1.0, snrs, 1e100, 1e100, 2.0, 1.0, 1.0, survival=True)
+        np.testing.assert_array_equal(outage, 1.0)
+        np.testing.assert_array_equal(surv, 0.0)
+        # t depends on da*db/gamma0**2 and the decay on da/gamma0 and db/gamma0,
+        # so scaling both path losses and gamma0 by 1e200 leaves the link as it is
+        big = two_hop_outage(1.0, 1e200, 1e200, 1e200, 1.0, 1.0, 1.0, survival=True)
+        unit = two_hop_outage(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, survival=True)
+        assert big == pytest.approx(unit, rel=1e-12)
+
+    def test_finite_cross_term_keeps_the_closed_form_bits(self):
+        g = 10.0 ** np.linspace(-2.0, 16.0, 37)
+        for gamma_th, d_a, d_b, theta, lam_a, lam_b in ((1.0, 4.0, 3.4, 2.0, 1.0, 1.0),
+                                                        (3.0, 1e-3, 70.0, 3.5, 0.5, 2.0),
+                                                        (0.2, 1e30, 1e30, 4.0, 1.0, 1.0)):
+            da, db = d_a ** theta, d_b ** theta
+            t = 2.0 * np.sqrt(da * db * gamma_th * (gamma_th + 1.0) / (g * g * lam_a * lam_b))
+            decay = np.exp(-(gamma_th / g) * (db / lam_b + da / lam_a))
+            want = np.minimum(decay * (t * bessel_k1(t)), 1.0)
+            _, surv = two_hop_outage(gamma_th, g, d_a, d_b, theta, lam_a, lam_b, survival=True)
+            np.testing.assert_array_equal(surv, want)
+
+    def test_noise_free_hop_leaves_the_other_hop(self):
+        # 0.09**1000 underflows to 0: that hop's SNR is inf, so the link fails
+        # only when the other hop does, and never when both are noise-free
+        snrs = np.array([0.1, 1.0, 10.0])
+        _, surv = two_hop_outage(1.0, snrs, 0.09, 1.001, 1000.0, 1.0, 2.0, survival=True)
+        np.testing.assert_allclose(surv, np.exp(-1.001 ** 1000.0 / (2.0 * snrs)), rtol=1e-14)
+        _, surv = two_hop_outage(1.0, 1e-320, 0.09, 0.09, 1000.0, 1.0, 1.0, survival=True)
+        assert surv == 1.0
+
     def test_monotone_in_snr(self):
         vals = [two_hop_outage(1.0, 10 ** (db / 10), 4.0, 3.4, 2.0, 1.0, 1.0)
                 for db in range(0, 41, 2)]

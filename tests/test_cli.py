@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from coopnoma.cli import (CSV_COLUMNS, SweepSpec, db_to_linear, emit_plot_script,
-                          load_config, main, run_sweep, write_csv)
+from coopnoma.cli import (CSV_COLUMNS, MAX_GRID_POINTS, SweepSpec, _parse_sweep_range,
+                          db_to_linear, emit_plot_script, load_config, main, run_sweep,
+                          write_csv)
 from coopnoma.linklevel import derive_geometry
 from coopnoma.mcsim import McConfig, estimate
 
@@ -531,6 +532,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: --sweep-gamma0-db ") and grid in err
 
+    def test_grid_past_the_point_cap_is_refused(self, tmp_path, capsys):
+        # the count is taken before any point is built, so a grid of 1e15
+        # points is refused at once rather than exhausting memory
+        rc = main(["--sweep-gamma0-db", "0:1e12:1e-3", "--engine", "analytic",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --sweep-gamma0-db '0:1e12:1e-3' gives 1e+15 grid points, more than "
+            f"{MAX_GRID_POINTS}")
+        assert len(_parse_sweep_range(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=f"gives {MAX_GRID_POINTS + 1} grid points"):
+            _parse_sweep_range(f"0:{MAX_GRID_POINTS}:1")
+
     @pytest.mark.parametrize("config", ["[system]\ntheta = 400\n", "[geometry]\nd_dnr = 1e200\n"],
                              ids=["theta", "d_dnr"])
     def test_overflowing_path_loss_runs_both_engines(self, tmp_path, config):
@@ -559,6 +573,37 @@ class TestMain:
             assert [mc_row[c] for c in cols] == [mc_norelay[c] for c in cols]
             if "theta" in config:  # every link is dead: certain outage
                 assert {analytic[c] for c in cols[:2]} | {mc_row[c] for c in cols[:2]} == {"1"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("config", [
+        "[geometry]\nd_sdn = 1e-200\n",
+        "[geometry]\nd_dnr = 1e-200\n",
+        "[system]\ntheta = 2000\n[geometry]\nd_sdn = 0.5\nd_sdm = 0.5\nd_dnr = 0.5\n",
+    ], ids=["d_sdn", "d_dnr", "every-link"])
+    def test_underflowing_path_loss_runs_both_engines(self, tmp_path, config):
+        # the path loss underflows to 0: a noise-free link, on which every
+        # gain above 0 gets through, in both engines alike
+        scen = tmp_path / "near.ini"
+        scen.write_text(config)
+        out = tmp_path / "cli.csv"
+        # -3200 dB is a subnormal gamma0, where the gain levels are inf
+        rc = main(["--config", str(scen), "--sweep-gamma0-db=-3200:40:1620", "--engine", "both",
+                   "--trials", "20000", "--baseline", "--out", str(out)])
+        assert rc == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["engine"] for r in rows] == ["analytic", "analytic-norelay", "mc",
+                                               "mc-norelay"] * 3
+        for analytic, analytic_norelay, mc_row, mc_norelay in (rows[k:k + 4]
+                                                               for k in range(0, 12, 4)):
+            for exact, est in ((analytic, mc_row), (analytic_norelay, mc_norelay)):
+                for c, se in (("p_out_n", "stderr_n"), ("p_out_m", "stderr_m")):
+                    assert abs(float(exact[c]) - float(est[c])) <= max(5.0 * float(est[se]),
+                                                                       1e-4)
+            if "d_sdn" in config or "theta" in config:  # the strong user never fails
+                assert analytic["p_out_n"] == mc_row["p_out_n"] == "0"
+            if "theta" in config:  # and neither does the weak user
+                assert analytic["p_out_m"] == mc_row["p_out_m"] == "0"
 
     def test_snr_past_float_square_runs_both_engines(self, tmp_path):
         # gamma0**2 overflows above about 1541 dB; both engines must still agree

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
 from coopnoma.linklevel import SystemConfig, derive_geometry
-from coopnoma.mcsim import (McConfig, McEstimate, _event_arrays, _gains_from_uniforms,
-                            draws_per_trial, estimate, trial_stream)
+from coopnoma.mcsim import (McConfig, McEstimate, _columns, _draw, _event_arrays,
+                            _gains_from_uniforms, draws_per_trial, estimate, trial_stream)
 
 
 def default_config(**overrides):
@@ -20,9 +21,17 @@ def default_geometry():
     return derive_geometry(4.0, 6.0, 4.0, math.radians(40.0), math.radians(60.0))
 
 
+def stream_step(seed, step):
+    """The uniform at ``step`` of the PCG64DXSM(seed) stream, advanced by hand."""
+    bg = np.random.PCG64DXSM(seed)
+    bg.advance(step)
+    return np.random.Generator(bg).random()
+
+
 def draw_trial(cfg, mc, t):
     """All M ranks of both vectors and the two hops of trial t, drawn on their own."""
-    u = trial_stream(mc, cfg.M, t).random((1, draws_per_trial(cfg.M, mc.mode)))
+    u = np.array([[trial_stream(mc, cfg.M, t, k).random()]
+                  for k in range(draws_per_trial(cfg.M, mc.mode))])
     every = range(1, cfg.M + 1)
     return _gains_from_uniforms(cfg, mc.mode, u, every, every)
 
@@ -48,6 +57,7 @@ class TestConfigs:
         dict(trials=-5),
         dict(seed=-1),
         dict(seed=2 ** 64),
+        dict(trials=2 ** 64),
         dict(chunk_size=0),
         dict(mode="stratified"),
     ])
@@ -79,13 +89,46 @@ class TestDrawBudget:
         assert draws_per_trial(6, "independent") == 14
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
-    def test_trial_stream_is_the_tail_of_one_stream(self, mode):
+    def test_column_k_of_trial_t_is_step_k_2_64_plus_t(self, mode):
+        # a chunk's rows, skipped columns and the last trials of a segment
+        # included, against the stream advanced by hand
         mc = McConfig(trials=10, seed=2 ** 64 - 1, mode=mode)
         w = draws_per_trial(6, mode)
-        whole = np.random.Generator(np.random.PCG64DXSM(mc.seed)).random(40 * w)
-        for t in (0, 1, 7, 33):
-            np.testing.assert_array_equal(trial_stream(mc, 6, t).random((40 - t) * w),
-                                          whole[t * w:])
+        columns = [0, 3, 4, w - 2, w - 1]
+        for start, count in ((0, 7), (33, 3), (2 ** 64 - 5, 5)):
+            u = _draw(mc, 6, columns, start, count)
+            for k in columns:
+                want = [stream_step(mc.seed, k * 2 ** 64 + t) for t in range(start, start + count)]
+                assert u[k].tolist() == want
+                assert trial_stream(mc, 6, start, k).random(count).tolist() == want
+
+    @pytest.mark.parametrize("M, m, n, mode, per_trial", [
+        (20, 10, 20, "joint", 13),  # slots 10..20 and the two hops
+        (6, 3, 6, "independent", 7),  # slots 3..6, strong-read slot 6, the two hops
+    ])
+    def test_chunk_draws_only_the_columns_it_reads(self, monkeypatch, M, m, n, mode, per_trial):
+        drawn, streams = [], []
+        real_stream = mcsim.trial_stream
+
+        class Counting:
+            """A chunk's stream that counts the uniforms it hands out."""
+
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, rng.bit_generator
+
+            def random(self, size=None, out=None):
+                got = self.rng.random(size, out=out)
+                drawn.append(got.size)
+                return got
+
+        monkeypatch.setattr(mcsim, "trial_stream",
+                            lambda *a: streams.append(a) or Counting(real_stream(*a)))
+        cfg = default_config(M=M, m=m, n=n, a_m=0.8, a_n=0.2)
+        mc = McConfig(trials=1_000, seed=7, chunk_size=300, mode=mode)
+        estimate(cfg, default_geometry(), mc)
+        assert len(streams) == 4  # one stream per chunk
+        assert sum(drawn) == per_trial * mc.trials
+        assert len(_columns(M, mode, [m], [n])) == per_trial
 
 
 class TestDrawRealization:
@@ -119,12 +162,12 @@ class TestDrawRealization:
     def test_requested_ranks_equal_the_all_rank_columns(self, mode):
         # the ranks a chunk reads are bit for bit those of the full vectors
         cfg = default_config(lambda_sd=1.7, lambda_dnr=0.6, lambda_rdm=2.3)
-        u = trial_stream(McConfig(trials=10, seed=4, mode=mode), cfg.M, 0).random(
-            (1_000, draws_per_trial(cfg.M, mode)))
+        u = np.random.Generator(np.random.PCG64DXSM(4)).random(
+            (draws_per_trial(cfg.M, mode), 1_000))
         every = range(1, 7)
-        all1, all2, dnr, rdm = _gains_from_uniforms(cfg, mode, u, every, every)
+        all1, all2, dnr, rdm = _gains_from_uniforms(cfg, mode, u.copy(), every, every)
         for weak, strong in (([3], [6]), ([1, 2], [6]), ([5], [4, 5]), ([6], [6])):
-            vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mode, u, weak, strong)
+            vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mode, u.copy(), weak, strong)
             for i in weak:
                 np.testing.assert_array_equal(vec1[i], all1[i])
             for i in strong:
@@ -132,8 +175,8 @@ class TestDrawRealization:
             np.testing.assert_array_equal(g_dnr, dnr)
             np.testing.assert_array_equal(g_rdm, rdm)
         off = 6 if mode == "joint" else 12
-        np.testing.assert_array_equal(dnr, -0.6 * np.log1p(-u[:, off]))
-        np.testing.assert_array_equal(rdm, -2.3 * np.log1p(-u[:, off + 1]))
+        np.testing.assert_array_equal(dnr, -0.6 * np.log1p(-u[off]))
+        np.testing.assert_array_equal(rdm, -2.3 * np.log1p(-u[off + 1]))
 
     @pytest.mark.parametrize("v", [0.0, 1.0 - 2.0 ** -53])
     def test_extreme_uniform_rows_give_finite_gains(self, v):
@@ -142,7 +185,7 @@ class TestDrawRealization:
         # not inf); v = 1 - 2**-53 gives rank-1 gains near 1e-83, which only
         # the log1p branch of log1mexp resolves.
         cfg = default_config(M=100, m=1, n=100, lambda_sd=1.5)
-        u = np.full((3, draws_per_trial(100, "independent")), v)
+        u = np.full((draws_per_trial(100, "independent"), 3), v)
         every = range(1, 101)
         vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, "independent", u, every, every)
         if v == 0.0:
@@ -163,13 +206,9 @@ class TestDrawRealization:
         # exponential's own std at this sample size)
         cfg = default_config(lambda_dnr=2.0, lambda_rdm=0.5)
         mc = McConfig(trials=10, seed=9, mode="joint")
-        rng = trial_stream(mc, cfg.M, 0)
         draws = 200_000
-        dnr = np.empty(draws)
-        rdm = np.empty(draws)
-        u = rng.random((draws, draws_per_trial(cfg.M, mc.mode)))
-        dnr = -cfg.lambda_dnr * np.log1p(-u[:, cfg.M])
-        rdm = -cfg.lambda_rdm * np.log1p(-u[:, cfg.M + 1])
+        dnr = -cfg.lambda_dnr * np.log1p(-trial_stream(mc, cfg.M, 0, cfg.M).random(draws))
+        rdm = -cfg.lambda_rdm * np.log1p(-trial_stream(mc, cfg.M, 0, cfg.M + 1).random(draws))
         assert abs(dnr.mean() - 2.0) < 3 * 2.0 / math.sqrt(draws)
         assert abs(rdm.mean() - 0.5) < 3 * 0.5 / math.sqrt(draws)
 
@@ -289,6 +328,9 @@ class TestSharedDraw:
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     def test_each_variant_equals_its_lone_estimate(self, mode):
+        # fused, the chunks also draw the slots below rank 3 (and, in
+        # independent mode, below strong rank 6) that the first variant's
+        # lone draw skips; its counts must not move
         mc = McConfig(trials=5_000, seed=13, chunk_size=1_500, mode=mode)
         (cfg, geo, relay), *rest = self.variants()
         fused = estimate(cfg, geo, mc, relay=relay, also=rest)

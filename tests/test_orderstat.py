@@ -206,7 +206,7 @@ class TestSampler:
         # the same coupling: P(X_(10) <= x, X_(20) <= y) for x <= y is
         # sum_{k=10..20} C(20,k) F(x)^k (F(y) - F(x))^(20-k)
         draws = 200_000
-        v = np.random.Generator(np.random.PCG64DXSM(2018)).random((draws, 20))
+        v = np.random.Generator(np.random.PCG64DXSM(2018)).random((20, draws))
         g10, g20 = gains_at_ranks(v, [10, 20], 1.0)
         for x, y in ((0.4, 2.0), (0.7, 3.0), (1.0, 4.5)):
             fx, fy = -math.expm1(-x), -math.expm1(-y)
@@ -228,7 +228,7 @@ class TestSampler:
             assert ks <= 1.95 / math.sqrt(draws)
 
     def test_rank_validation(self):
-        v = np.zeros((2, 6))
+        v = np.zeros((6, 2))
         for ranks in ([0, 3], [3, 7]):
             with pytest.raises(ValueError, match="ranks must lie in 1..M=6"):
                 gains_at_ranks(v, ranks, 1.0)
