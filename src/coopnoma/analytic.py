@@ -23,6 +23,7 @@ from .linklevel import Geometry, SystemConfig, path_loss
 from .orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 _EULER_GAMMA = 0.5772156649015328606
+_TINY = np.finfo(float).tiny  # the least normal float
 # 64-node Gauss-Legendre rule, reused by every large-argument K1 call.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -196,21 +197,25 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
     elif da == 0.0 and db == 0.0:
         surv = np.ones_like(g)  # both hops noise-free: the link never fails
     else:
-        # t is 0 where gamma0**2 overflows (above about 1541 dB) and inf where
-        # it underflows (below about -1541 dB); t*K1(t) tends to 1 and to 0.
+        # t = 2 sqrt(cross / (gamma0**2 lambda_a lambda_b)); where the cross term
+        # or the denominator leaves the normal floats (gamma0**2 overflows
+        # above about 1541 dB), t is taken from logs instead
         cross = da * db * gamma_th * (gamma_th + 1.0)
         with np.errstate(over="ignore", divide="ignore"):
             if da == 0.0 or db == 0.0:  # one noise-free hop: the link is the other hop
                 t = np.zeros_like(g)
-            elif 0.0 < cross < math.inf:
-                t = 2.0 * np.sqrt(cross / (g * g * lambda_a * lambda_b))
-            else:  # the cross term leaves the floats: take t from logs, never inf/inf
+            else:
+                den = g * g * lambda_a * lambda_b
+                direct = (_TINY <= cross < math.inf) & (_TINY <= den) & (den < math.inf)
+                t = np.empty_like(g)
+                t[direct] = 2.0 * np.sqrt(cross / den[direct])
                 log_c = 0.5 * (math.log(da) + math.log(db) + math.log(gamma_th)
                                + math.log1p(gamma_th) - math.log(lambda_a) - math.log(lambda_b))
-                t = 2.0 * np.exp(log_c - np.log(g))
+                t[~direct] = 2.0 * np.exp(log_c - np.log(g[~direct]))
             decay = np.exp(-(gamma_th / g) * (db / lambda_b + da / lambda_a))
-        t_k1 = np.where(t > 0, 0.0, 1.0)
-        mid = (t > 0) & np.isfinite(t)
+        # below 2**-100, t*K1(t) = 1 + O(t**2 log t) rounds to 1
+        t_k1 = np.where(t > 2.0 ** -100, 0.0, 1.0)
+        mid = (t > 2.0 ** -100) & np.isfinite(t)
         t_k1[mid] = t[mid] * bessel_k1(t[mid])
         # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
         surv = np.minimum(decay * t_k1, 1.0)

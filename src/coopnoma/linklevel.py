@@ -9,8 +9,9 @@ amplify-and-forward relay, giving the weak user a second, independently
 faded copy.
 
 This module holds what both engines share: validated configuration,
-distances derived from the node layout, the path loss, and the SINR
-seen by each decoding step for given arrays of channel gains.  Outage
+distances derived from the node layout, the path loss, the SINR seen by
+each decoding step for given arrays of channel gains, and, for each
+direct-link step, the least gain that gets through.  Outage
 statistics live in ``analytic`` (closed forms) and ``mcsim``
 (simulation).
 """
@@ -18,6 +19,7 @@ statistics live in ``analytic`` (closed forms) and ``mcsim``
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +76,7 @@ class SystemConfig:
             raise ValueError(
                 f"power shares must satisfy a_m > a_n > 0, got a_m={self.a_m}, a_n={self.a_n}")
         if abs(self.a_m + self.a_n - 1.0) > 1e-9:
-            raise ValueError(f"power shares must sum to 1, got {self.a_m + self.a_n}")
+            raise ValueError(f"power shares a_m + a_n must sum to 1, got {self.a_m + self.a_n}")
         if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
             raise ValueError(f"gamma0 must be finite and > 0, got {self.gamma0}")
         if not (self.theta >= 0):
@@ -87,10 +89,17 @@ class SystemConfig:
             v = getattr(self, name)
             if not (v > 0):
                 raise ValueError(f"{name} must be > 0, got {v}")
-        if self.gamma_thm is None:
-            object.__setattr__(self, "gamma_thm", threshold_from_rate(self.R_m))
-        if self.gamma_thn is None:
-            object.__setattr__(self, "gamma_thn", threshold_from_rate(self.R_n))
+        for th, rate in (("gamma_thm", "R_m"), ("gamma_thn", "R_n")):
+            if getattr(self, th) is None:
+                r = getattr(self, rate)
+                try:
+                    value = threshold_from_rate(r)
+                except OverflowError:
+                    value = math.inf
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{rate} must give a threshold 2**{rate} - 1 in "
+                                     f"(0, inf) in floats, got {rate}={r}")
+                object.__setattr__(self, th, value)
         if not (self.gamma_thm > 0):
             raise ValueError(f"gamma_thm must be > 0, got {self.gamma_thm}")
         if not (self.gamma_thn > 0):
@@ -98,7 +107,19 @@ class SystemConfig:
 
 
 def _law_of_cosines(a: float, b: float, angle: float) -> float:
-    return math.sqrt(a * a + b * b - 2.0 * a * b * math.cos(angle))
+    """Third side of a triangle with sides a, b at ``angle``.
+
+    Where the textbook form's square leaves the normal floats (a*a
+    overflows or underflows, or the difference cancels to 0 or below),
+    the side is taken as s*sqrt(((a-b)/s)**2 + 4 (a/s) (b/s)
+    sin(angle/2)**2) with s = max(a, b), which has neither problem.
+    """
+    c2 = a * a + b * b - 2.0 * a * b * math.cos(angle)
+    if sys.float_info.min <= c2 < math.inf:
+        return math.sqrt(c2)
+    s = max(a, b)
+    x, y = a / s, b / s
+    return s * math.sqrt((x - y) ** 2 + 4.0 * x * y * math.sin(0.5 * angle) ** 2)
 
 
 @dataclass(frozen=True)
@@ -150,6 +171,10 @@ def derive_geometry(d_sdn: float, d_sdm: float, d_dnr: float,
             raise ValueError(f"angle {name} must lie in (0, pi), got {v}")
     d_dndm = _law_of_cosines(d_sdm, d_sdn, alpha2)
     d_rdm = _law_of_cosines(d_dndm, d_dnr, alpha1)
+    for name, v, free in (("d_dndm", d_dndm, "d_sdm, d_sdn and alpha2"),
+                          ("d_rdm", d_rdm, "d_sdm, d_sdn, d_dnr, alpha1 and alpha2")):
+        if not (0.0 < v < math.inf):
+            raise ValueError(f"{free} give {name}={v}, outside the positive floats")
     return Geometry(d_sdn=d_sdn, d_sdm=d_sdm, d_dnr=d_dnr,
                     alpha1=alpha1, alpha2=alpha2, d_dndm=d_dndm, d_rdm=d_rdm)
 
@@ -232,3 +257,43 @@ def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
         with np.errstate(divide="ignore", over="ignore"):
             out = np.where(bad, 1.0 / (1.0 / g1 + 1.0 / g2), out)
     return out if out.ndim else float(out)
+
+
+# The least gain that passes each direct-link decoding stage.  Each SINR
+# above increases with the gain, so a stage fails exactly where the gain
+# lies below its level; the levels invert those expressions and take the
+# same path-loss limits.  A level is inf where no gain passes and 0 on a
+# noise-free link, where every gain above 0 passes and a zero gain fails.
+
+
+def _weak_signal_gain(cfg: SystemConfig, pl: float) -> float:
+    """Least g with a_m g / (a_n g + pl/gamma0) >= gamma_thm: inverts ``_weak_signal_sinr``.
+
+    inf where the SINR's ceiling a_m/a_n does not exceed gamma_thm, or
+    where pl is inf.
+    """
+    spare = cfg.a_m - cfg.a_n * cfg.gamma_thm
+    if spare <= 0.0 or math.isinf(pl):
+        return math.inf
+    return cfg.gamma_thm * (pl / cfg.gamma0) / spare
+
+
+def gain_direct_weak(cfg: SystemConfig, geo: Geometry) -> float:
+    """Least gain at which ``sinr_direct_weak`` reaches gamma_thm."""
+    return _weak_signal_gain(cfg, path_loss(geo.d_sdm, cfg.theta))
+
+
+def gain_strong_decodes_weak(cfg: SystemConfig, geo: Geometry) -> float:
+    """Least gain at which ``sinr_strong_decodes_weak`` reaches gamma_thm."""
+    return _weak_signal_gain(cfg, path_loss(geo.d_sdn, cfg.theta))
+
+
+def gain_strong_own(cfg: SystemConfig, geo: Geometry) -> float:
+    """Least gain at which ``snr_strong_own`` reaches gamma_thn.
+
+    gamma_thn d_sdn**theta / (gamma0 a_n).
+    """
+    pl, scale = path_loss(geo.d_sdn, cfg.theta), cfg.gamma0 * cfg.a_n
+    if math.isinf(pl) or scale == 0.0:  # scale 0: the SNR is 0 at every gain
+        return math.inf
+    return cfg.gamma_thn * pl / scale

@@ -1,8 +1,24 @@
 """Monte-Carlo link simulator: an independent oracle for the closed forms.
 
-Each trial replays the three-phase protocol at SINR level — draw fading
-gains, evaluate every decoding stage against its threshold, record the
-two outage events — and the estimator averages over trials.
+Each trial replays the three-phase protocol — draw fading gains, decide
+every decoding stage, record the two outage events — and the estimator
+averages over trials.
+
+Threshold decisions: each direct-link stage (the strong user's SIC and
+own stages on rank n, the weak user's direct copy on rank m) fails
+exactly where its rank's gain lies below the least gain that passes it,
+which ``linklevel`` gives by inverting its own SINR expressions.  The
+gain is an increasing function of the chain value log U_(i) that
+``orderstat`` builds, so ``estimate`` maps each variant's least gains to
+chain levels once, and a chunk decides each stage with one comparison of
+a chain row against a scalar: no gain transform and no SINR per trial.
+Trials within a relative 1e-9 of a level (the guard band, wider where
+the SINR is ill-conditioned) are decided by the SINR expressions on
+their gains, as are all trials of a variant whose level is degenerate
+(SIC infeasible, an infinite or zero path loss, inputs near the ends of
+the floats), so every decision equals the SINR path's bit for bit.  The
+relayed SINR runs only on the trials that need it: SIC kept, direct
+copy lost.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
@@ -19,34 +35,42 @@ PCG64DXSM stream seeded with the seed, so every column owns a segment
 of 2**64 steps and trials are consecutive within it.  A chunk draws only
 the columns its variants read, one contiguous row per column: each
 vector's slots from its lowest read rank up, and the two hops.  Its
-gains are ranks of M exponentials built from those rows by
-``orderstat.gains_at_ranks``, where each rank depends only on the
-trial's own uniforms in the slots from that rank up, never on which
-other ranks the variants read.  So any partition of the trial range
-into chunks, and any set of variants, replays bit-identical gains, and
-chunk results are integer counts reduced in chunk order, which is exact
-arithmetic.
+chain rows are built from those rows by ``orderstat.log_uniform_chain``,
+where each rank depends only on the trial's own uniforms in the slots
+from that rank up, never on which other ranks the variants read.  So
+any partition of the trial range into chunks, and any set of variants,
+replays bit-identical chains, and chunk results are integer counts
+reduced in chunk order, which is exact arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import throughput
-from .linklevel import (Geometry, SystemConfig, sinr_direct_weak, sinr_relayed,
+from .linklevel import (Geometry, SystemConfig, gain_direct_weak, gain_strong_decodes_weak,
+                        gain_strong_own, path_loss, sinr_direct_weak, sinr_relayed,
                         sinr_strong_decodes_weak, snr_strong_own)
-from .orderstat import gains_at_ranks
+from .orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
 
 MODES = ("joint", "independent")
 
 # Stream steps per column: column k of trial t is step k * _SEGMENT + t.
 _SEGMENT = 2 ** 64
+
+# Half-width of a stage's guard band, relative in gain, before the
+# widening for the SINR's conditioning (see _stage).
+_BAND = 1e-9
+# Magnitudes between which a stage's inputs keep every SINR a normal float.
+_ORDINARY = (2.0 ** -300, 2.0 ** 300)
 
 
 @dataclass(frozen=True)
@@ -156,49 +180,163 @@ def _draw(mc: McConfig, M: int, columns: Sequence[int], start: int, count: int) 
     return u
 
 
+def _chains(M: int, mode: str, u: np.ndarray, weak, strong):
+    """Chain rows log U_(i) of the requested ranks, built in place in the uniform block.
+
+    ``weak`` and ``strong`` are the ranks read by the weak and the strong
+    user; only the direct-gain rows ``_columns`` names are read, and they
+    are overwritten.  Returns (weak-read map, strong-read map), each
+    mapping a requested rank to its (count,) chain row; in joint mode
+    they are one map over the one vector.
+    """
+    if mode == "joint":
+        lo = min(*weak, *strong)
+        chain = log_uniform_chain(u[:M], lo)
+        vec1 = vec2 = {i: chain[i - lo] for i in (*weak, *strong)}
+    else:
+        chain1 = log_uniform_chain(u[:M], min(weak))
+        chain2 = log_uniform_chain(u[M:2 * M], min(strong))
+        vec1 = {i: chain1[i - min(weak)] for i in weak}
+        vec2 = {i: chain2[i - min(strong)] for i in strong}
+    return vec1, vec2
+
+
+def _hop_gains(cfg: SystemConfig, mode: str, u: np.ndarray):
+    """Relay-hop gains (g_dnr, g_rdm) of a uniform block, by the inverse CDF -lam*log1p(-u)."""
+    off = cfg.M if mode == "joint" else 2 * cfg.M
+    return -cfg.lambda_dnr * np.log1p(-u[off]), -cfg.lambda_rdm * np.log1p(-u[off + 1])
+
+
 def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray, weak, strong):
     """Map a slot-major (draws_per_trial, count) uniform block to the requested gains.
 
-    ``weak`` and ``strong`` are the ranks read by the weak and the
-    strong user; only the rows ``_columns`` names are read, and the
-    direct-gain rows among them are overwritten.  Returns (weak-read
-    gains, strong-read gains, g_dnr, g_rdm); the first two map each
-    requested rank to its (count,) gain array, and in joint mode they
-    are one map over the one vector.  Relay hops use the inverse CDF
-    -lam*log1p(-u).
+    ``_chains`` and then ``gains_from_chain`` on every requested rank.
+    Returns (weak-read gains, strong-read gains, g_dnr, g_rdm); the first
+    two map each requested rank to its (count,) gain array, and in joint
+    mode they are one map over the one vector.
     """
-    M, lam = cfg.M, cfg.lambda_sd
-    if mode == "joint":
-        ranks = sorted({*weak, *strong})
-        vec1 = vec2 = dict(zip(ranks, gains_at_ranks(u[:M], ranks, lam)))
-        off = M
-    else:
-        vec1 = dict(zip(weak, gains_at_ranks(u[:M], weak, lam)))
-        vec2 = dict(zip(strong, gains_at_ranks(u[M:2 * M], strong, lam)))
-        off = 2 * M
-    g_dnr = -cfg.lambda_dnr * np.log1p(-u[off])
-    g_rdm = -cfg.lambda_rdm * np.log1p(-u[off + 1])
-    return vec1, vec2, g_dnr, g_rdm
+    vec1, vec2 = _chains(cfg.M, mode, u, weak, strong)
+    gains1 = {i: gains_from_chain(x, cfg.lambda_sd) for i, x in vec1.items()}
+    gains2 = gains1 if vec2 is vec1 else {i: gains_from_chain(x, cfg.lambda_sd)
+                                          for i, x in vec2.items()}
+    return (gains1, gains2, *_hop_gains(cfg, mode, u))
 
 
-def _event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,
-                  relay: bool = True):
-    """Vectorized outage indicators for both users.
+def _direct_stages(cfg: SystemConfig, geo: Geometry, g_m, g_n):
+    """Per-trial (fail_sic, out_n, fail_direct) from the SINR expressions.
 
-    The strong user fails if either SIC stage misses its threshold.  The
-    weak user is in outage when the strong user's SIC stage failed
-    (nothing is forwarded), or when both its own copies — direct and
-    relayed — fail; with relay=False the relayed copy is never available.
+    The strong user fails if either SIC stage misses its threshold;
+    fail_direct is the weak user's direct copy missing its threshold.
     """
     fail_sic = sinr_strong_decodes_weak(cfg, geo, g_n) < cfg.gamma_thm
     out_n = fail_sic | (snr_strong_own(cfg, geo, g_n) < cfg.gamma_thn)
     fail_direct = sinr_direct_weak(cfg, geo, g_m) < cfg.gamma_thm
+    return fail_sic, out_n, fail_direct
+
+
+def _event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,
+                  relay: bool = True):
+    """Vectorized outage indicators for both users, every stage at SINR level.
+
+    The weak user is in outage when the strong user's SIC stage failed
+    (nothing is forwarded), or when both its own copies — direct and
+    relayed — fail; with relay=False the relayed copy is never available.
+    """
+    fail_sic, out_n, fail_direct = _direct_stages(cfg, geo, g_m, g_n)
     if relay:
         fail_relay = sinr_relayed(cfg, geo, g_dnr, g_rdm) < cfg.gamma_thm
         out_m = fail_sic | (~fail_sic & fail_direct & fail_relay)
     else:
         out_m = fail_sic | (~fail_sic & fail_direct)
     return out_n, out_m
+
+
+class _Stage(NamedTuple):
+    """A direct-link stage on the chain: values below lo fail, values at or above hi pass.
+
+    [lo, hi) is the guard band, where the SINR decides.
+    """
+
+    lo: float
+    hi: float
+
+
+class _Plan(NamedTuple):
+    """The three direct-link stages of one (cfg, geo): SIC and strong-own on rank n, direct on m."""
+
+    sic: _Stage
+    own: _Stage
+    direct: _Stage
+
+
+def _stage(gain: float, lam: float, cond: float, *factors: float) -> _Stage | None:
+    """Chain band of a stage whose least passing gain is ``gain``; None where it is degenerate.
+
+    ``cond`` is d log SINR / d log g at that gain, ``factors`` the
+    stage's other inputs.  The SINR expression, the level and the gain
+    transform each err by a few ulps relative, and an error e in the SINR
+    moves the crossing by e/cond in gain, so the band spans a relative
+    ``_BAND``/cond of the gain on each side.  The stage is degenerate
+    (every trial goes through its SINR) where the band would be wider
+    than about 1e-3, or where the gain, its band or an input leaves
+    ``_ORDINARY``: inside it every product of a gain (between 2**-276 lam
+    and 42 lam) and an input is a normal float, so every SINR keeps its
+    relative accuracy.
+    """
+    if not cond > _BAND * 1e3:  # a band wider than 1e-3, or SIC infeasible
+        return None
+    edges = (gain * (1.0 - _BAND / cond), gain * (1.0 + _BAND / cond))
+    if not all(_ORDINARY[0] <= v <= _ORDINARY[1] for v in (*edges, lam, *factors)):
+        return None
+    return _Stage(*(chain_at_gain(e, lam) for e in edges))
+
+
+def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan | None:
+    """The chain bands of cfg's direct-link stages, or None where any stage is degenerate.
+
+    SIC infeasible, an infinite or zero path loss, and inputs near the
+    ends of the floats are degenerate.
+    """
+    lam = cfg.lambda_sd
+    cond = 1.0 - cfg.a_n * cfg.gamma_thm / cfg.a_m  # of a_m g / (a_n g + noise) at its level
+    pl_n, pl_m = path_loss(geo.d_sdn, cfg.theta), path_loss(geo.d_sdm, cfg.theta)
+    stages = (
+        _stage(gain_strong_decodes_weak(cfg, geo), lam, cond, cfg.gamma_thm, pl_n / cfg.gamma0),
+        _stage(gain_strong_own(cfg, geo), lam, 1.0, cfg.gamma_thn, pl_n, cfg.gamma0 * cfg.a_n),
+        _stage(gain_direct_weak(cfg, geo), lam, cond, cfg.gamma_thm, pl_m / cfg.gamma0))
+    return None if None in stages else _Plan(*stages)
+
+
+def _in_band(y: np.ndarray, stage: _Stage, below: np.ndarray) -> bool:
+    """Whether any chain value lies in the stage's band; ``below`` is y < stage.lo."""
+    return np.count_nonzero(y < stage.hi) != np.count_nonzero(below)
+
+
+def _decide(cfg: SystemConfig, geo: Geometry, plan: _Plan, y_m: np.ndarray, y_n: np.ndarray):
+    """Per-trial (fail_sic, out_n, fail_direct) from the chain rows of ranks m and n.
+
+    Each stage is one comparison of a chain row with its level.  Trials
+    in any guard band are decided by ``_direct_stages`` on their gains
+    instead, so every value equals the SINR path's.
+    """
+    sic, own, direct = plan
+    fail_sic = y_n < sic.lo
+    # outside the bands out_n is y_n < sic.lo or y_n < own.lo
+    out_n = fail_sic if own.lo <= sic.lo else y_n < own.lo
+    fail_direct = y_m < direct.lo
+    if (_in_band(y_n, sic, fail_sic)
+            or _in_band(y_n, own, y_n < own.lo if out_n is fail_sic else out_n)
+            or _in_band(y_m, direct, fail_direct)):
+        band = np.flatnonzero(((y_n >= sic.lo) & (y_n < sic.hi))
+                              | ((y_n >= own.lo) & (y_n < own.hi))
+                              | ((y_m >= direct.lo) & (y_m < direct.hi)))
+        exact = _direct_stages(cfg, geo, gains_from_chain(y_m[band], cfg.lambda_sd),
+                                gains_from_chain(y_n[band], cfg.lambda_sd))
+        if out_n is fail_sic:
+            out_n = fail_sic.copy()
+        for mask, value in zip((fail_sic, out_n, fail_direct), exact):
+            mask[band] = value
+    return fail_sic, out_n, fail_direct
 
 
 # One scenario evaluated on a shared draw: (cfg, geo, relay).
@@ -215,20 +353,53 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], mc: McConfig,
-               start: int, count: int) -> list[tuple[int, int]]:
+def _count(variants: Sequence[_Variant], plans: Sequence[_Plan | None], weak, strong,
+           hop_gains) -> list[tuple[int, int]]:
+    """Outage counts (strong, weak) of every variant on a chunk's chain rows.
+
+    ``weak`` and ``strong`` map ranks to chain rows as ``_chains`` does,
+    ``hop_gains()`` gives (g_dnr, g_rdm), and ``plans[k]`` is ``_plan``
+    of variant k.  Variants that share (cfg, geo) share their
+    direct-stage decisions.  The relayed SINR runs only on the trials
+    whose weak user has kept the SIC stage and lost its direct copy; a
+    variant without a plan runs every stage on every trial.
+    """
+    decided = {}  # (cfg, geo) -> (strong-user outages, SIC failures, trials left to the relay)
+    counts = []
+    for (cfg, geo, relay), plan in zip(variants, plans):
+        y_m, y_n = weak[cfg.m], strong[cfg.n]
+        if plan is None:
+            out_n, out_m = _event_arrays(cfg, geo, gains_from_chain(y_m, cfg.lambda_sd),
+                                         gains_from_chain(y_n, cfg.lambda_sd), *hop_gains(),
+                                         relay)
+            counts.append((int(out_n.sum()), int(out_m.sum())))
+            continue
+        if (cfg, geo) not in decided:
+            fail_sic, out_n, fail_direct = _decide(cfg, geo, plan, y_m, y_n)
+            decided[cfg, geo] = (np.count_nonzero(out_n), np.count_nonzero(fail_sic),
+                                 fail_direct & ~fail_sic)
+        n_out_n, n_sic, left = decided[cfg, geo]
+        if relay:
+            g_dnr, g_rdm = hop_gains()
+            left = np.flatnonzero(left)
+            n_left = np.count_nonzero(sinr_relayed(cfg, geo, g_dnr[left], g_rdm[left])
+                                      < cfg.gamma_thm)
+        else:
+            n_left = np.count_nonzero(left)
+        counts.append((int(n_out_n), int(n_sic + n_left)))
+    return counts
+
+
+def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence[_Plan | None],
+               mc: McConfig, start: int, count: int) -> list[tuple[int, int]]:
     """Draw one chunk of trials and count both outages for every variant."""
     weak_ranks = sorted({c.m for c, _, _ in variants})
     strong_ranks = sorted({c.n for c, _, _ in variants})
     u = _draw(mc, draw.M, _columns(draw.M, mc.mode, weak_ranks, strong_ranks), start, count)
-    weak, strong, g_dnr, g_rdm = _gains_from_uniforms(draw, mc.mode, u, weak_ranks,
-                                                      strong_ranks)
-    counts = []
-    for cfg, geo, relay in variants:
-        out_n, out_m = _event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n],
-                                     g_dnr, g_rdm, relay)
-        counts.append((int(out_n.sum()), int(out_m.sum())))
-    return counts
+    weak, strong = _chains(draw.M, mc.mode, u, weak_ranks, strong_ranks)
+    # the hop gains are made once, when a variant first needs them
+    return _count(variants, plans, weak, strong,
+                  functools.cache(lambda: _hop_gains(draw, mc.mode, u)))
 
 
 def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | None = None,
@@ -257,11 +428,12 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | N
     chunks = [(start, min(mc.chunk_size, mc.trials - start))
               for start in range(0, mc.trials, mc.chunk_size)]
     workers = min(_usable_cpus() if workers is None else workers, len(chunks))
+    plans = [_plan(c, g) for c, g, _ in variants]
     if workers == 1:
-        counts = [_run_chunk(cfg, variants, mc, s, c) for s, c in chunks]
+        counts = [_run_chunk(cfg, variants, plans, mc, s, c) for s, c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda sc: _run_chunk(cfg, variants, mc, *sc), chunks))
+            counts = list(pool.map(lambda sc: _run_chunk(cfg, variants, plans, mc, *sc), chunks))
     results = []
     for k, (v_cfg, _, _) in enumerate(variants):
         est_n = McEstimate(sum(c[k][0] for c in counts), mc.trials)

@@ -5,8 +5,10 @@ i-th weakest gain follows a classical order-statistic law built from the
 exponential parent.  This module provides the expansion coefficients of
 the rank distribution, numerically stable CDF and survival evaluators
 for the closed-form outage expressions, and the one sampler of ranked
-gains: it maps a block of uniforms to the requested ranks without
-sorting.
+gains, in two steps: a chain that maps a block of uniforms to log U_(i)
+of the requested ranks without sorting, and the transform of a chain
+value to its gain.  Because the transform is increasing, a threshold on
+a gain is a threshold on the chain (``chain_at_gain``).
 
 The signed expansion coefficients are exact in float64 only up to
 M = 20 (``MAX_USERS``); the CDF and survival sums have only nonnegative
@@ -25,7 +27,7 @@ MAX_USERS = 20
 MAX_RANKED_USERS = 100
 
 _LN2 = math.log(2.0)
-# Cap on the chain's log U_(i) in gains_at_ranks.  Only a draw whose slots
+# Cap on the chain's log U_(i) in gains_from_chain.  Only a draw whose slots
 # from i up are all exactly 0 reaches log U = 0, an infinite gain; every
 # other draw lies at or below -2**-53/M < -2**-60 (M <= MAX_RANKED_USERS),
 # so the cap changes no other value and keeps the order.
@@ -113,44 +115,76 @@ def ordered_sf(spec: OrderStatSpec, x):
     return _binomial_sum(spec, x, range(spec.i))
 
 
-def gains_at_ranks(v: np.ndarray, ranks, lam: float) -> np.ndarray:
-    """Ordered Exp(mean=lam) gains at the requested ranks, from a slot-major uniform block.
+def log_uniform_chain(v: np.ndarray, lo: int) -> np.ndarray:
+    """The chain log U_(i), i = lo..M, built in place from a slot-major uniform block.
 
     Row j-1 of the (M, count) block ``v`` holds slot j of every draw, so
     column t holds the M uniforms in [0, 1) of draw t.  The rank-i
     uniform of a draw is built top down by the uniform-spacings chain
     (Devroye 1986, ch. V): log U_(i) = sum_{j=i..M} log1p(-v_j)/j,
-    summed from slot M down, and its gain is -lam*log1mexp(log U_(i)).
-    Only the rows from the lowest requested rank up are read, and they
-    are overwritten in place with the chain; the rows below may be left
-    unset.  The transform runs only on the requested ranks.  Each
-    rank's value depends only on its draw's slots from that rank up,
-    never on which other ranks or draws are requested.
-
-    Returns a (len(ranks), count) array: row k is the rank-``ranks[k]``
-    gain of every draw.
+    summed from slot M down.  Only the rows from ``lo`` up are read, and
+    they are overwritten with the chain; the rows below may be left
+    unset.  Each rank's value depends only on its draw's slots from that
+    rank up.  Returns the overwritten rows as a view: row q is
+    log U_(lo+q) of every draw.  Its values lie at or below -2**-53/M,
+    or are exactly 0 where every slot from the rank up is 0.
     """
-    M, count = v.shape
-    lo = min(ranks)
-    if not 1 <= lo <= max(ranks) <= M:
-        raise ValueError(f"ranks must lie in 1..M={M}, got {list(ranks)}")
-    # row q of the chain is slot lo+q: log1p(-v_j)/j, then the sums from
-    # the top slot down
+    M = v.shape[0]
+    if not 1 <= lo <= M:
+        raise ValueError(f"lowest rank must lie in 1..M={M}, got {lo}")
     chain = v[lo - 1:]
     np.negative(chain, out=chain)
     np.log1p(chain, out=chain)
     chain /= np.arange(lo, M + 1, dtype=float)[:, None]
     for q in range(M - lo - 1, -1, -1):
         chain[q] += chain[q + 1]
-    # gain = -lam*log(1 - exp(x)) at x = min(log U_(i), cap), evaluated as
-    # log(-expm1(x)) above -log 2 and log1p(-exp(x)) below (Maechler 2012)
-    out = np.empty((len(ranks), count))
-    for k, i in enumerate(ranks):
-        x = np.minimum(chain[i - lo], _LOG_U_CAP)
-        out[k] = np.where(x > -_LN2, np.log(-np.expm1(x)),
-                          np.log1p(-np.exp(np.minimum(x, -_LN2))))
-    out *= -lam
-    return out
+    return chain
+
+
+def gains_from_chain(x, lam: float) -> np.ndarray:
+    """Exp(mean=lam) rank gains -lam*log(1 - exp(x)) at chain values x = log U_(i).
+
+    x is first capped at ``_LOG_U_CAP``, so the all-zero draw (x = 0)
+    gets a finite gain.  log(1 - exp(x)) is evaluated as log(-expm1(x))
+    above -log 2 and as log1p(-exp(x)) below (Maechler 2012).  Each
+    entry depends only on its own x.
+    """
+    x = np.minimum(x, _LOG_U_CAP)
+    return np.where(x > -_LN2, np.log(-np.expm1(x)),
+                    np.log1p(-np.exp(np.minimum(x, -_LN2)))) * -lam
+
+
+def chain_at_gain(g: float, lam: float) -> float:
+    """Chain level of gain ``g``: a chain value x maps to a gain below g iff x < level.
+
+    The level is log(1 - exp(-g/lam)), the inverse of ``gains_from_chain``
+    (Maechler's two branches again), taken over the capped chain: where
+    the level lies above ``_LOG_U_CAP`` every chain value maps below g,
+    and the level is inf.  The float result is within a few ulps of the
+    exact level.  Needs 0 < g/lam < inf.
+    """
+    a = g / lam
+    level = math.log(-math.expm1(-a)) if a < _LN2 else math.log1p(-math.exp(-a))
+    return level if level <= _LOG_U_CAP else math.inf
+
+
+def gains_at_ranks(v: np.ndarray, ranks, lam: float) -> np.ndarray:
+    """Ordered Exp(mean=lam) gains at the requested ranks, from a slot-major uniform block.
+
+    The chain of ``log_uniform_chain`` from the lowest requested rank up
+    (in place in ``v``), then ``gains_from_chain`` on the requested
+    ranks only.  Each rank's value depends only on its draw's slots from
+    that rank up, never on which other ranks or draws are requested.
+
+    Returns a (len(ranks), count) array: row k is the rank-``ranks[k]``
+    gain of every draw.
+    """
+    M = v.shape[0]
+    lo = min(ranks)
+    if not 1 <= lo <= max(ranks) <= M:
+        raise ValueError(f"ranks must lie in 1..M={M}, got {list(ranks)}")
+    chain = log_uniform_chain(v, lo)
+    return gains_from_chain(chain[[i - lo for i in ranks]], lam)
 
 
 def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int | None = None):

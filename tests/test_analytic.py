@@ -144,11 +144,22 @@ class TestTwoHopOutage:
         assert two_hop_outage(1e9, 1.0, 4.0, 3.4, 2.0, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_snr_past_float_square_uses_small_t_limit(self):
-        # gamma0**2 overflows, so t underflows to 0; t*K1(t) -> 1 gives outage 0
+        # gamma0**2 overflows, so t comes from logs: about 4e-154, where
+        # t*K1(t) rounds to 1 and the outage to 0
         assert two_hop_outage(1.0, 1e155, 4.0, 3.4, 2.0, 1.0, 1.0) == 0.0
         assert two_hop_outage(1.0, math.inf, 4.0, 3.4, 2.0, 1.0, 1.0) == 0.0
         # just below the overflow t is tiny but positive and K1 still evaluates
         assert 0.0 <= two_hop_outage(1.0, 1e150, 4.0, 3.4, 2.0, 1.0, 1.0) < 1e-12
+
+    def test_snr_past_float_square_takes_t_from_logs(self):
+        # gamma0 = 1e155 overflows gamma0**2, but path losses near 1e154 keep t
+        # at 0.0707, where t*K1(t) is about 0.99, not its t -> 0 limit 1
+        with mpmath.workdps(40):
+            da, g0 = mpmath.mpf(5e76) ** 2, mpmath.mpf(1e155)
+            t = 2 * mpmath.sqrt(da * da * 2) / g0
+            want = float(1 - mpmath.exp(-2 * da / g0) * t * mpmath.besselk(1, t))
+        assert two_hop_outage(1.0, 1e155, 5e76, 5e76, 2.0, 1.0, 1.0) == pytest.approx(want,
+                                                                                      rel=1e-9)
 
     def test_infinite_path_loss_is_certain_outage(self):
         # 1e200**2 and 5.3**1000 overflow a float, so that hop is dead at every

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from coopnoma.linklevel import (Geometry, SystemConfig, derive_geometry, path_loss,
+from coopnoma.linklevel import (Geometry, SystemConfig, derive_geometry, gain_direct_weak,
+                                gain_strong_decodes_weak, gain_strong_own, path_loss,
                                 sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
                                 snr_strong_own, threshold_from_rate)
 from coopnoma.orderstat import MAX_RANKED_USERS
@@ -66,6 +68,13 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="gamma0 must be finite"):
             default_config(gamma0=gamma0)
 
+    @pytest.mark.parametrize("key", ["R_m", "R_n"])
+    @pytest.mark.parametrize("rate", [1e-300, 2000.0])
+    def test_rate_whose_threshold_leaves_the_floats_names_key(self, key, rate):
+        # 2**1e-300 - 1 rounds to 0 and 2**2000 overflows
+        with pytest.raises(ValueError, match=f"^{key} must give a threshold"):
+            default_config(**{key: rate})
+
 
 class TestThresholdFromRate:
     def test_values(self):
@@ -107,6 +116,22 @@ class TestGeometry:
         free[key] = bad
         with pytest.raises(ValueError, match=f"{key} must"):
             derive_geometry(**free)
+
+    def test_extreme_layouts_keep_accurate_derived_distances(self):
+        # the textbook square overflows, underflows or cancels to 0 here
+        for free in ((1e-160, 1e-160, 1e-160, 0.7, 1.0), (1e200, 1e-200, 1e200, 0.7, 1.0),
+                     (4.0, 4.0, 4.0, 1e-10, 1e-10)):
+            geo = derive_geometry(*free)
+            with mpmath.workdps(50):
+                def side(a, b, angle):
+                    a, b = mpmath.mpf(a), mpmath.mpf(b)
+                    return mpmath.sqrt(a * a + b * b - 2 * a * b * mpmath.cos(mpmath.mpf(angle)))
+                want_dndm = side(free[1], free[0], free[4])
+                want_rdm = side(geo.d_dndm, free[2], free[3])
+            assert geo.d_dndm == pytest.approx(float(want_dndm), rel=1e-12)
+            assert geo.d_rdm == pytest.approx(float(want_rdm), rel=1e-12)
+        with pytest.raises(ValueError, match="give d_dndm=inf"):
+            derive_geometry(1e308, 1e308, 1.0, 1.0, 3.1)
 
     def test_rejects_inconsistent_derived_distances(self):
         geo = default_geometry()
@@ -192,6 +217,34 @@ class TestSinrExpressions:
         assert snr_strong_own(hi, geo, 0.8) == pytest.approx(
             100.0 * snr_strong_own(lo, geo, 0.8), rel=1e-12)
         assert snr_strong_own(lo, geo, 16.0 / (10.0 * 0.3)) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestLeastPassingGains:
+    STAGES = ((gain_direct_weak, sinr_direct_weak, "gamma_thm"),
+              (gain_strong_decodes_weak, sinr_strong_decodes_weak, "gamma_thm"),
+              (gain_strong_own, snr_strong_own, "gamma_thn"))
+
+    @pytest.mark.parametrize("overrides", [{}, dict(gamma0=1e-4, theta=3.5, R_n=2.0),
+                                           dict(a_m=0.8, a_n=0.2, gamma_thm=3.9)])
+    def test_invert_the_sinr_expressions(self, overrides):
+        cfg, geo = default_config(**overrides), default_geometry()
+        for gain, sinr, th in self.STAGES:
+            x = gain(cfg, geo)
+            assert sinr(cfg, geo, x) == pytest.approx(getattr(cfg, th), rel=1e-12)
+            assert sinr(cfg, geo, x * (1 - 1e-9)) < getattr(cfg, th) <= sinr(cfg, geo,
+                                                                            x * (1 + 1e-9))
+
+    def test_limits(self):
+        geo = default_geometry()
+        # SIC infeasible: no gain passes the weak-signal stages
+        cfg = default_config(gamma_thm=0.7 / 0.3)
+        assert gain_direct_weak(cfg, geo) == gain_strong_decodes_weak(cfg, geo) == math.inf
+        # an infinite path loss (4**600): no gain passes; a noise-free link:
+        # every gain above 0
+        cfg = default_config(theta=600.0)
+        assert [gain(cfg, geo) for gain, _, _ in self.STAGES] == [math.inf] * 3
+        near = derive_geometry(1e-200, 1e-200, 4.0, 0.7, 1.0)
+        assert [gain(default_config(), near) for gain, _, _ in self.STAGES] == [0.0] * 3
 
 
 class TestRelayedSinr:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 
 from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
-from coopnoma.linklevel import SystemConfig, derive_geometry
-from coopnoma.mcsim import (McConfig, McEstimate, _columns, _draw, _event_arrays,
-                            _gains_from_uniforms, draws_per_trial, estimate, trial_stream)
+from coopnoma.linklevel import (SystemConfig, derive_geometry, gain_direct_weak,
+                                gain_strong_decodes_weak, gain_strong_own)
+from coopnoma.mcsim import (MODES, McConfig, McEstimate, _columns, _direct_stages, _draw,
+                            _event_arrays, _gains_from_uniforms, draws_per_trial, estimate,
+                            trial_stream)
+from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
 
 
 def default_config(**overrides):
@@ -359,3 +363,202 @@ class TestSharedDraw:
             with pytest.raises(ValueError, match="workers"):
                 estimate(default_config(), default_geometry(), McConfig(trials=10, seed=1),
                          workers=workers)
+
+
+def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
+    """Outage indicators of hand-built chain values, one trial per _count call."""
+    plans = [mcsim._plan(cfg, geo)]
+    out = []
+    for ym, yn, dnr, rdm in zip(*(np.asarray(a, dtype=float)[:, None]
+                                  for a in (y_m, y_n, g_dnr, g_rdm))):
+        (n, m), = mcsim._count([(cfg, geo, relay)], plans, {cfg.m: ym}, {cfg.n: yn},
+                               lambda dnr=dnr, rdm=rdm: (dnr, rdm))
+        out.append((bool(n), bool(m)))
+    return out
+
+
+def sinr_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
+    """The same indicators through the gain transform and every SINR."""
+    lam = cfg.lambda_sd
+    out_n, out_m = _event_arrays(cfg, geo, gains_from_chain(np.asarray(y_m, dtype=float), lam),
+                                 gains_from_chain(np.asarray(y_n, dtype=float), lam),
+                                 np.asarray(g_dnr, dtype=float), np.asarray(g_rdm, dtype=float),
+                                 relay)
+    return list(zip(out_n.tolist(), out_m.tolist()))
+
+
+def edge_points(cfg, geo):
+    """Chain values at and around each direct stage's level and band: (rank n's, rank m's)."""
+    lam = cfg.lambda_sd
+    plan = mcsim._plan(cfg, geo)
+    bands = ([] if plan is None else [plan.sic, plan.own], [] if plan is None else [plan.direct])
+    points = []
+    for gains, stages in zip(((gain_strong_decodes_weak(cfg, geo), gain_strong_own(cfg, geo)),
+                              (gain_direct_weak(cfg, geo),)), bands):
+        pts = [0.0, -2.0 ** -60, -0.7, -3.0]  # all-zero slots, the cap, either transform branch
+        for g in gains:
+            if 0.0 < g / lam < math.inf:
+                c = chain_at_gain(g, lam)
+                pts += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+        for stage in stages:
+            for edge in stage:
+                # lo is the band's least value, hi the least value above it
+                pts += [edge, np.nextafter(edge, -np.inf)]
+        points.append([p for p in pts if -200.0 <= p <= 0.0])
+    return points
+
+
+class TestThresholdPath:
+    def cases(self):
+        geo = default_geometry()
+        ref = default_config()
+        level = gain_strong_decodes_weak(ref, geo) / (60.0 * math.log(2.0))  # lam at the cap
+        yield ref, geo
+        yield default_config(gamma0=1e8, a_m=0.8, a_n=0.2), geo
+        for lam in (1e-3, level, level * (1 + 1e-12), level * (1 - 1e-6)):
+            yield default_config(lambda_sd=lam), geo
+        # a noise-free link, an overflowing path loss, SIC infeasible, and
+        # gain levels / lam that underflow
+        yield default_config(), derive_geometry(1e-200, 6.0, 4.0, 0.7, 1.0)
+        yield default_config(theta=400.0), geo
+        yield default_config(gamma_thm=0.7 / 0.3), geo
+        yield default_config(gamma0=1e300, lambda_sd=1e300), geo
+
+    def test_degenerate_levels_have_no_plan(self):
+        degenerate = list(self.cases())[-4:]
+        assert [mcsim._plan(c, g) for c, g in degenerate] == [None] * 4
+        assert None not in [mcsim._plan(c, g) for c, g in list(self.cases())[:-4]]
+
+    @pytest.mark.parametrize("relay", [True, False])
+    def test_edges_give_the_sinr_path_events(self, relay):
+        rng = np.random.default_rng(17)
+        for cfg, geo in self.cases():
+            pts_n, pts_m = edge_points(cfg, geo)
+            y_n, y_m = (a.ravel() for a in np.meshgrid(pts_n, pts_m))
+            hops = rng.exponential(1.0, (2, y_n.size)) * rng.integers(0, 2, (2, y_n.size))
+            want = sinr_events(cfg, geo, y_m, y_n, *hops, relay)
+            assert chain_events(cfg, geo, y_m, y_n, *hops, relay) == want
+            # all trials in one chunk: the band's trials are patched into the masks
+            counts, = mcsim._count([(cfg, geo, relay)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
+                                   {cfg.n: y_n}, lambda: hops)
+            assert counts == tuple(map(sum, zip(*want)))
+
+    def test_all_zero_slots_meet_the_cap(self):
+        # a draw whose slots from rank 3 up are all 0 has chain value 0 and
+        # the capped gain 60 lam log 2
+        chain = log_uniform_chain(np.zeros((6, 1)), 3)
+        assert chain.ravel().tolist() == [0.0] * 4
+        for cfg, geo in self.cases():
+            y = [0.0]
+            assert chain_events(cfg, geo, y, y, [0.0], [0.0]) == sinr_events(cfg, geo, y, y,
+                                                                          [0.0], [0.0])
+
+
+class TestThresholdMechanism:
+    def test_reference_chunk_decides_by_threshold(self, monkeypatch):
+        # the reference sweep's 18 variants on one chunk: the gain transform
+        # and the direct-link SINRs see only trials in a guard band (none
+        # here), and the relayed SINR exactly the trials that kept SIC and
+        # lost the direct copy
+        geo = default_geometry()
+        variants = [(default_config(gamma0=10.0 ** (db / 10)), geo, relay)
+                    for db in range(0, 41, 5) for relay in (True, False)]
+        plans = [mcsim._plan(c, g) for c, g, _ in variants]
+        mc = McConfig(trials=65_536, seed=20180415)
+        weak, strong, g_dnr, g_rdm = _gains_from_uniforms(
+            variants[0][0], mc.mode, _draw(mc, 6, _columns(6, mc.mode, [3], [6]), 0, 65_536),
+            [3], [6])
+        seen = []
+        relayed = []
+
+        def counting(fn):
+            return lambda *a: seen.append(np.size(a[-1])) or fn(*a)
+
+        for name in ("gains_from_chain", "sinr_direct_weak", "sinr_strong_decodes_weak",
+                     "snr_strong_own"):
+            monkeypatch.setattr(mcsim, name, counting(getattr(mcsim, name)))
+        real_relayed = mcsim.sinr_relayed
+        monkeypatch.setattr(mcsim, "sinr_relayed",
+                            lambda cfg, geo, a, b: relayed.append((cfg, a, b))
+                            or real_relayed(cfg, geo, a, b))
+        counts = mcsim._run_chunk(variants[0][0], variants, plans, mc, 0, 65_536)
+        assert None not in plans and sum(seen) == 0
+        assert [c for c, _, _ in relayed] == [c for c, _, r in variants if r]
+        for (cfg, _, relay), (n, m) in zip(variants, counts):
+            fail_sic, out_n, fail_direct = _direct_stages(cfg, geo, weak[3], strong[6])
+            left = fail_direct & ~fail_sic
+            if relay:
+                (_, a, b), = [(c, a, b) for c, a, b in relayed if c == cfg]
+                np.testing.assert_array_equal(a, g_dnr[left])
+                np.testing.assert_array_equal(b, g_rdm[left])
+            out_m = _event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)[1]
+            assert (n, m) == (out_n.sum(), out_m.sum())
+
+
+def sinr_replay(cfg, geo, mc, relay):
+    """Outage counts (strong, weak) of every trial through the gain transform and every SINR."""
+    u = _draw(mc, cfg.M, range(draws_per_trial(cfg.M, mc.mode)), 0, mc.trials)
+    weak, strong, g_dnr, g_rdm = _gains_from_uniforms(cfg, mc.mode, u, [cfg.m], [cfg.n])
+    out_n, out_m = _event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n], g_dnr, g_rdm, relay)
+    return int(out_n.sum()), int(out_m.sum())
+
+
+class TestInputBoxFuzz:
+    GEOMETRY_KEYS = ("d_sdn", "d_sdm", "d_dnr", "alpha1", "alpha2")
+
+    def point(self, rng):
+        """One seeded point of the input box: (SystemConfig kwargs, derive_geometry kwargs).
+
+        Each field is drawn from its usual range, or with probability 0.07
+        from its extremes, invalid values included.
+        """
+        def pick(usual, extremes):
+            return extremes[rng.integers(len(extremes))] if rng.random() < 0.07 else usual
+
+        def log_uniform(lo, hi):
+            return float(10.0 ** rng.uniform(lo, hi))
+
+        M = int(pick(rng.integers(2, 101), [0, 1, 2, 100, 101]))
+        m = int(pick(rng.integers(1, max(M, 2)), [0, 1, M]))
+        n = int(pick(rng.integers(m + 1, max(M, m + 1) + 1), [m, M, M + 1]))
+        a_m = float(pick(rng.uniform(0.5, 1.0), [0.5, 1.0 - 1e-12, 0.5 + 1e-12, 1.0]))
+        cfg = dict(M=M, m=m, n=n, a_m=a_m, a_n=float(pick(1.0 - a_m, [0.3, 0.0, -0.1])),
+                   gamma0=pick(log_uniform(-5.0, 8.0),
+                               [1e-300, 1e300, 5e-324, 0.0, -1.0, math.inf, math.nan]),
+                   theta=pick(rng.uniform(0.0, 6.0), [0.0, 400.0, -1.0, math.nan]))
+        for key in ("lambda_sd", "lambda_dnr", "lambda_rdm"):
+            cfg[key] = pick(log_uniform(-2.0, 2.0), [1e-300, 1e300, 0.0, -1.0])
+        for key in ("R_m", "R_n"):
+            cfg[key] = pick(log_uniform(-2.0, 0.7), [1e-300, 50.0, 2000.0, 0.0, -1.0])
+        for key in ("gamma_thm", "gamma_thn"):
+            if rng.random() < 0.2:
+                cfg[key] = pick(log_uniform(-3.0, 2.0), [1e-300, 1e300, 0.0, math.inf])
+        geo = {key: pick(log_uniform(-3.0, 3.0), [1e-200, 1e200, 0.0, math.inf, math.nan])
+               for key in self.GEOMETRY_KEYS[:3]}
+        for key in self.GEOMETRY_KEYS[3:]:
+            geo[key] = pick(rng.uniform(0.01, math.pi - 0.01), [0.0, math.pi, 1e-10])
+        return cfg, geo
+
+    def test_points_are_rejected_by_key_or_agree_with_the_sinr_path(self):
+        # RuntimeWarnings fail the suite, so no point may raise one either
+        rng = np.random.default_rng(2018)
+        evaluated = 0
+        for _ in range(400):
+            cfg_kw, geo_kw = self.point(rng)
+            try:
+                cfg = SystemConfig(**cfg_kw)
+                geo = derive_geometry(**geo_kw)
+            except ValueError as exc:
+                assert any(re.search(rf"\b{key}\b", str(exc)) for key in (*cfg_kw, *geo_kw)), exc
+                continue
+            evaluated += 1
+            for relay in (True, False):
+                point = evaluate(cfg, geo, relay=relay)
+                assert 0.0 <= point.p_out_n <= 1.0 and 0.0 <= point.p_out_m <= 1.0
+            for mode in MODES:
+                mc = McConfig(trials=300, seed=int(rng.integers(2 ** 63)), mode=mode,
+                              chunk_size=200)
+                results = estimate(cfg, geo, mc, also=[(cfg, geo, False)], workers=1)
+                for (est_n, est_m, _), relay in zip(results, (True, False)):
+                    assert (est_n.events, est_m.events) == sinr_replay(cfg, geo, mc, relay)
+        assert evaluated >= 100
