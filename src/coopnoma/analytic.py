@@ -198,24 +198,30 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
         surv = np.ones_like(g)  # both hops noise-free: the link never fails
     else:
         # t = 2 sqrt(cross / (gamma0**2 lambda_a lambda_b)); where the cross term
-        # or the denominator leaves the normal floats (gamma0**2 overflows
-        # above about 1541 dB), t is taken from logs instead
+        # or any partial product of the denominator leaves the normal floats
+        # (gamma0**2 overflows above about 1541 dB), t is taken from logs
+        # instead, and below 2**-100 there it is 0: t*K1(t) = 1 + O(t**2 log t)
+        # rounds to 1.  t*K1(t) tends to 1 as t -> 0 and to 0 as t -> inf.
         cross = da * db * gamma_th * (gamma_th + 1.0)
         with np.errstate(over="ignore", divide="ignore"):
             if da == 0.0 or db == 0.0:  # one noise-free hop: the link is the other hop
                 t = np.zeros_like(g)
             else:
-                den = g * g * lambda_a * lambda_b
-                direct = (_TINY <= cross < math.inf) & (_TINY <= den) & (den < math.inf)
+                g2 = g * g
+                g2a = g2 * lambda_a
+                den = g2a * lambda_b
+                direct = _TINY <= cross < math.inf
+                for v in (g2, g2a, den):
+                    direct = direct & (_TINY <= v) & (v < math.inf)
                 t = np.empty_like(g)
                 t[direct] = 2.0 * np.sqrt(cross / den[direct])
                 log_c = 0.5 * (math.log(da) + math.log(db) + math.log(gamma_th)
                                + math.log1p(gamma_th) - math.log(lambda_a) - math.log(lambda_b))
-                t[~direct] = 2.0 * np.exp(log_c - np.log(g[~direct]))
+                t_log = 2.0 * np.exp(log_c - np.log(g[~direct]))
+                t[~direct] = np.where(t_log < 2.0 ** -100, 0.0, t_log)
             decay = np.exp(-(gamma_th / g) * (db / lambda_b + da / lambda_a))
-        # below 2**-100, t*K1(t) = 1 + O(t**2 log t) rounds to 1
-        t_k1 = np.where(t > 2.0 ** -100, 0.0, 1.0)
-        mid = (t > 2.0 ** -100) & np.isfinite(t)
+        t_k1 = np.where(t > 0, 0.0, 1.0)
+        mid = (t > 0) & np.isfinite(t)
         t_k1[mid] = t[mid] * bessel_k1(t[mid])
         # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
         surv = np.minimum(decay * t_k1, 1.0)

@@ -45,7 +45,6 @@ reduced in chunk order, which is exact arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections.abc import Sequence
@@ -321,19 +320,16 @@ def _decide(cfg: SystemConfig, geo: Geometry, plan: _Plan, y_m: np.ndarray, y_n:
     """
     sic, own, direct = plan
     fail_sic = y_n < sic.lo
-    # outside the bands out_n is y_n < sic.lo or y_n < own.lo
-    out_n = fail_sic if own.lo <= sic.lo else y_n < own.lo
+    own_fail = y_n < own.lo
+    out_n = fail_sic | own_fail
     fail_direct = y_m < direct.lo
-    if (_in_band(y_n, sic, fail_sic)
-            or _in_band(y_n, own, y_n < own.lo if out_n is fail_sic else out_n)
+    if (_in_band(y_n, sic, fail_sic) or _in_band(y_n, own, own_fail)
             or _in_band(y_m, direct, fail_direct)):
         band = np.flatnonzero(((y_n >= sic.lo) & (y_n < sic.hi))
                               | ((y_n >= own.lo) & (y_n < own.hi))
                               | ((y_m >= direct.lo) & (y_m < direct.hi)))
         exact = _direct_stages(cfg, geo, gains_from_chain(y_m[band], cfg.lambda_sd),
                                 gains_from_chain(y_n[band], cfg.lambda_sd))
-        if out_n is fail_sic:
-            out_n = fail_sic.copy()
         for mask, value in zip((fail_sic, out_n, fail_direct), exact):
             mask[band] = value
     return fail_sic, out_n, fail_direct
@@ -354,11 +350,11 @@ def _usable_cpus() -> int:
 
 
 def _count(variants: Sequence[_Variant], plans: Sequence[_Plan | None], weak, strong,
-           hop_gains) -> list[tuple[int, int]]:
+           g_dnr: np.ndarray, g_rdm: np.ndarray) -> list[tuple[int, int]]:
     """Outage counts (strong, weak) of every variant on a chunk's chain rows.
 
     ``weak`` and ``strong`` map ranks to chain rows as ``_chains`` does,
-    ``hop_gains()`` gives (g_dnr, g_rdm), and ``plans[k]`` is ``_plan``
+    ``g_dnr`` and ``g_rdm`` are the hop gains, and ``plans[k]`` is ``_plan``
     of variant k.  Variants that share (cfg, geo) share their
     direct-stage decisions.  The relayed SINR runs only on the trials
     whose weak user has kept the SIC stage and lost its direct copy; a
@@ -370,7 +366,7 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan | None], weak, st
         y_m, y_n = weak[cfg.m], strong[cfg.n]
         if plan is None:
             out_n, out_m = _event_arrays(cfg, geo, gains_from_chain(y_m, cfg.lambda_sd),
-                                         gains_from_chain(y_n, cfg.lambda_sd), *hop_gains(),
+                                         gains_from_chain(y_n, cfg.lambda_sd), g_dnr, g_rdm,
                                          relay)
             counts.append((int(out_n.sum()), int(out_m.sum())))
             continue
@@ -380,7 +376,6 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan | None], weak, st
                                  fail_direct & ~fail_sic)
         n_out_n, n_sic, left = decided[cfg, geo]
         if relay:
-            g_dnr, g_rdm = hop_gains()
             left = np.flatnonzero(left)
             n_left = np.count_nonzero(sinr_relayed(cfg, geo, g_dnr[left], g_rdm[left])
                                       < cfg.gamma_thm)
@@ -397,9 +392,7 @@ def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence
     strong_ranks = sorted({c.n for c, _, _ in variants})
     u = _draw(mc, draw.M, _columns(draw.M, mc.mode, weak_ranks, strong_ranks), start, count)
     weak, strong = _chains(draw.M, mc.mode, u, weak_ranks, strong_ranks)
-    # the hop gains are made once, when a variant first needs them
-    return _count(variants, plans, weak, strong,
-                  functools.cache(lambda: _hop_gains(draw, mc.mode, u)))
+    return _count(variants, plans, weak, strong, *_hop_gains(draw, mc.mode, u))
 
 
 def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | None = None,

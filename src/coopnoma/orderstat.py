@@ -184,7 +184,10 @@ def gains_at_ranks(v: np.ndarray, ranks, lam: float) -> np.ndarray:
     if not 1 <= lo <= max(ranks) <= M:
         raise ValueError(f"ranks must lie in 1..M={M}, got {list(ranks)}")
     chain = log_uniform_chain(v, lo)
-    return gains_from_chain(chain[[i - lo for i in ranks]], lam)
+    out = np.empty((len(ranks), v.shape[1]))
+    for k, i in enumerate(ranks):  # row by row, so the transform's temporaries stay in cache
+        out[k] = gains_from_chain(chain[i - lo], lam)
+    return out
 
 
 def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int | None = None):

@@ -161,6 +161,16 @@ class TestTwoHopOutage:
         assert two_hop_outage(1.0, 1e155, 5e76, 5e76, 2.0, 1.0, 1.0) == pytest.approx(want,
                                                                                       rel=1e-9)
 
+    def test_subnormal_snr_square_takes_t_from_logs(self):
+        # gamma0**2 = 1e-320 is subnormal (about 11 significant bits), but
+        # lambdas of 1e160 bring the denominator back to 1: t = 2 sqrt(2)
+        with mpmath.workdps(40):
+            g0, lam = mpmath.mpf(1e-160), mpmath.mpf(1e160)
+            t = 2 * mpmath.sqrt(2 / (g0 * g0 * lam * lam))
+            want = float(1 - mpmath.exp(-2 / (g0 * lam)) * t * mpmath.besselk(1, t))
+        got = two_hop_outage(1.0, 1e-160, 1.0, 1.0, 2.0, 1e160, 1e160)
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_infinite_path_loss_is_certain_outage(self):
         # 1e200**2 and 5.3**1000 overflow a float, so that hop is dead at every
         # SNR (1e155 also overflows gamma0**2), whatever the other hop's loss

@@ -372,7 +372,7 @@ def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
     for ym, yn, dnr, rdm in zip(*(np.asarray(a, dtype=float)[:, None]
                                   for a in (y_m, y_n, g_dnr, g_rdm))):
         (n, m), = mcsim._count([(cfg, geo, relay)], plans, {cfg.m: ym}, {cfg.n: yn},
-                               lambda dnr=dnr, rdm=rdm: (dnr, rdm))
+                               dnr, rdm)
         out.append((bool(n), bool(m)))
     return out
 
@@ -440,7 +440,7 @@ class TestThresholdPath:
             assert chain_events(cfg, geo, y_m, y_n, *hops, relay) == want
             # all trials in one chunk: the band's trials are patched into the masks
             counts, = mcsim._count([(cfg, geo, relay)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                   {cfg.n: y_n}, lambda: hops)
+                                   {cfg.n: y_n}, *hops)
             assert counts == tuple(map(sum, zip(*want)))
 
     def test_all_zero_slots_meet_the_cap(self):
