@@ -3,14 +3,15 @@
 Layers, bottom to top:
 
 - ``orderstat``: distributions and sampling of ranked exponential gains
-- ``linklevel``: configuration, node geometry, instantaneous SINRs
+- ``linklevel``: configuration, node geometry, instantaneous SINRs and
+  the least gain that passes each decoding stage
 - ``analytic``: closed-form outage probabilities and throughput
 - ``mcsim``: deterministic Monte-Carlo oracle for the closed forms
 - ``cli``: config files, sweeps, CSV output, plot-script emission
 """
 
 from .analytic import (OutagePoint, bessel_k1, evaluate, outage_strong, outage_weak,
-                       relay_link_outage, sic_feasible, throughput, two_hop_outage)
+                       relay_link_outage, throughput, two_hop_outage)
 from .linklevel import (Geometry, SystemConfig, derive_geometry, sinr_direct_weak,
                         sinr_relayed, sinr_strong_decodes_weak, snr_strong_own,
                         threshold_from_rate)
@@ -25,7 +26,7 @@ __all__ = [
     "ordered_sf", "sample_ordered_gains",
     "SystemConfig", "Geometry", "derive_geometry", "threshold_from_rate",
     "sinr_direct_weak", "sinr_strong_decodes_weak", "snr_strong_own", "sinr_relayed",
-    "bessel_k1", "sic_feasible", "outage_strong", "two_hop_outage", "relay_link_outage",
+    "bessel_k1", "outage_strong", "two_hop_outage", "relay_link_outage",
     "outage_weak", "throughput", "OutagePoint", "evaluate",
     "McConfig", "McEstimate", "draws_per_trial", "trial_stream", "estimate",
 ]

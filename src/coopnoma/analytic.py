@@ -1,6 +1,7 @@
 """Closed-form outage probabilities and throughput.
 
-Outage events reduce to threshold crossings on order-statistic gains,
+Outage events reduce to threshold crossings on order-statistic gains at
+the least passing gain of each decoding stage (``linklevel.gain_*``),
 which the coefficient expansion in ``orderstat`` turns into finite sums;
 the two-hop relay link adds a Bessel-K1 factor.  A purpose-built K1
 evaluator keeps the package dependency-light while holding ~1e-13
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linklevel import Geometry, SystemConfig, path_loss
+from .linklevel import (Geometry, SystemConfig, gain_direct_weak, gain_strong_decodes_weak,
+                        gain_strong_own, path_loss)
 from .orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -100,16 +102,6 @@ def _k1_integral(x: np.ndarray) -> np.ndarray:
     return 2.0 * np.exp(-x) * (w * integrand).sum(axis=1)
 
 
-def sic_feasible(cfg: SystemConfig) -> bool:
-    """Whether the power split can ever support the weak user's threshold.
-
-    The weak-signal SINR is capped at a_m/a_n no matter how strong the
-    channel, so gamma_thm >= a_m/a_n makes outage certain for both the
-    direct and the SIC decoding stage.
-    """
-    return cfg.gamma_thm < cfg.a_m / cfg.a_n
-
-
 def _snr_grid(cfg: SystemConfig, gamma0):
     """``gamma0`` (default cfg.gamma0) as a checked float array of ndim >= 1.
 
@@ -127,30 +119,10 @@ def _as_given(values: np.ndarray, scalar: bool):
     return float(values.flat[0]) if scalar else values
 
 
-def _alpha(cfg: SystemConfig, gamma0: np.ndarray) -> np.ndarray:
-    # Gain level at which the interference-limited weak-signal SINR hits
-    # its threshold, normalized by distance**theta later.  Callers let it
-    # overflow to inf where gamma0 is too small for any gain to reach it.
-    return cfg.gamma_thm / ((cfg.a_m - cfg.a_n * cfg.gamma_thm) * gamma0)
-
-
-def _gain_level(level: np.ndarray, pl: float) -> np.ndarray:
-    # level * pl, the least gain that meets a threshold over a link with path
-    # loss pl: 0 on a noise-free link (pl = 0) even where level is inf
-    return np.zeros_like(level) if pl == 0.0 else level * pl
-
-
 def _strong(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray):
     """(outage, survival) of the strong user at each SNR of ``gamma0``."""
-    if not sic_feasible(cfg):
-        return np.ones_like(gamma0), np.zeros_like(gamma0)
-    dn_th = path_loss(geo.d_sdn, cfg.theta)
-    if dn_th == 0.0:  # a noise-free link: the least gain that gets through is 0
-        beta = np.zeros_like(gamma0)
-    else:
-        with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
-            beta = np.maximum(_alpha(cfg, gamma0) * dn_th,
-                              cfg.gamma_thn * dn_th / (cfg.a_n * gamma0))
+    beta = np.maximum(gain_strong_decodes_weak(cfg, geo, gamma0),
+                      gain_strong_own(cfg, geo, gamma0))
     spec = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
     return ordered_cdf(spec, beta), ordered_sf(spec, beta)
 
@@ -162,7 +134,8 @@ def outage_strong(cfg: SystemConfig, geo: Geometry, gamma0=None):
     (SIC stage) or, after cancelling it, cannot decode its own.  Both
     conditions are monotone thresholds on the same rank-n gain, so the
     outage probability is the rank-n CDF at the tighter gain level.
-    Returns 1.0 outright when the power split makes SIC infeasible.
+    Where the power split makes SIC infeasible that level is inf, so the
+    outage is 1.
     ``gamma0`` (default cfg.gamma0) may be an array of SNRs; the result
     then has its shape.
     """
@@ -240,12 +213,8 @@ def relay_link_outage(cfg: SystemConfig, geo: Geometry, gamma0=None):
 
 def _weak(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray, relay: bool):
     """(outage, survival) of the weak user at each SNR of ``gamma0``."""
-    if not sic_feasible(cfg):
-        return np.ones_like(gamma0), np.zeros_like(gamma0)
-    with np.errstate(over="ignore", divide="ignore"):  # gain levels -> inf as gamma0 -> 0
-        alpha = _alpha(cfg, gamma0)
-        x_n = _gain_level(alpha, path_loss(geo.d_sdn, cfg.theta))
-        x_m = _gain_level(alpha, path_loss(geo.d_sdm, cfg.theta))
+    x_n = gain_strong_decodes_weak(cfg, geo, gamma0)
+    x_m = gain_direct_weak(cfg, geo, gamma0)
     spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
     spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
     a = ordered_cdf(spec_n, x_n)

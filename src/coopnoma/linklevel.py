@@ -259,41 +259,56 @@ def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
     return out if out.ndim else float(out)
 
 
-# The least gain that passes each direct-link decoding stage.  Each SINR
-# above increases with the gain, so a stage fails exactly where the gain
-# lies below its level; the levels invert those expressions and take the
-# same path-loss limits.  A level is inf where no gain passes and 0 on a
+# The least gain that passes each direct-link decoding stage, at cfg.gamma0
+# or at each SNR of an array ``gamma0``.  Each SINR above increases with
+# the gain, so a stage fails exactly where the gain lies below its level;
+# the levels invert those expressions and take the same path-loss limits.
+# A level is inf where no gain passes (also where it overflows) and 0 on a
 # noise-free link, where every gain above 0 passes and a zero gain fails.
 
 
-def _weak_signal_gain(cfg: SystemConfig, pl: float) -> float:
+def _least_gain(cfg: SystemConfig, gamma0, pl: float, never: bool, level):
+    """``level(gamma0)``, or inf where ``never`` or pl is inf, then 0 where pl is 0."""
+    g = np.asarray(cfg.gamma0 if gamma0 is None else gamma0, dtype=float)
+    if never or math.isinf(pl):
+        out = np.full_like(g, math.inf)
+    elif pl == 0.0:
+        out = np.zeros_like(g)
+    else:
+        # overflow gives inf: no gain passes (gain_strong_own maps its 0/0 to inf)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = level(g)
+    return out if out.ndim else float(out)
+
+
+def _weak_signal_gain(cfg: SystemConfig, pl: float, gamma0):
     """Least g with a_m g / (a_n g + pl/gamma0) >= gamma_thm: inverts ``_weak_signal_sinr``.
 
-    inf where the SINR's ceiling a_m/a_n does not exceed gamma_thm, or
-    where pl is inf.
+    gamma_thm / (spare gamma0) pl with spare = a_m - a_n gamma_thm; inf
+    where spare <= 0, as the SINR's ceiling a_m/a_n then does not exceed
+    gamma_thm.
     """
     spare = cfg.a_m - cfg.a_n * cfg.gamma_thm
-    if spare <= 0.0 or math.isinf(pl):
-        return math.inf
-    return cfg.gamma_thm * (pl / cfg.gamma0) / spare
+    return _least_gain(cfg, gamma0, pl, spare <= 0.0,
+                       lambda g: cfg.gamma_thm / (spare * g) * pl)
 
 
-def gain_direct_weak(cfg: SystemConfig, geo: Geometry) -> float:
+def gain_direct_weak(cfg: SystemConfig, geo: Geometry, gamma0=None):
     """Least gain at which ``sinr_direct_weak`` reaches gamma_thm."""
-    return _weak_signal_gain(cfg, path_loss(geo.d_sdm, cfg.theta))
+    return _weak_signal_gain(cfg, path_loss(geo.d_sdm, cfg.theta), gamma0)
 
 
-def gain_strong_decodes_weak(cfg: SystemConfig, geo: Geometry) -> float:
+def gain_strong_decodes_weak(cfg: SystemConfig, geo: Geometry, gamma0=None):
     """Least gain at which ``sinr_strong_decodes_weak`` reaches gamma_thm."""
-    return _weak_signal_gain(cfg, path_loss(geo.d_sdn, cfg.theta))
+    return _weak_signal_gain(cfg, path_loss(geo.d_sdn, cfg.theta), gamma0)
 
 
-def gain_strong_own(cfg: SystemConfig, geo: Geometry) -> float:
+def gain_strong_own(cfg: SystemConfig, geo: Geometry, gamma0=None):
     """Least gain at which ``snr_strong_own`` reaches gamma_thn.
 
-    gamma_thn d_sdn**theta / (gamma0 a_n).
+    gamma_thn d_sdn**theta / (a_n gamma0); inf where a_n gamma0 underflows
+    to 0, as the SNR is then 0 at every gain.
     """
-    pl, scale = path_loss(geo.d_sdn, cfg.theta), cfg.gamma0 * cfg.a_n
-    if math.isinf(pl) or scale == 0.0:  # scale 0: the SNR is 0 at every gain
-        return math.inf
-    return cfg.gamma_thn * pl / scale
+    pl = path_loss(geo.d_sdn, cfg.theta)
+    return _least_gain(cfg, gamma0, pl, False, lambda g: np.where(
+        cfg.a_n * g > 0.0, cfg.gamma_thn * pl / (cfg.a_n * g), math.inf))

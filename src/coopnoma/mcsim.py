@@ -14,11 +14,11 @@ chain levels once, and a chunk decides each stage with one comparison of
 a chain row against a scalar: no gain transform and no SINR per trial.
 Trials within a relative 1e-9 of a level (the guard band, wider where
 the SINR is ill-conditioned) are decided by the SINR expressions on
-their gains, as are all trials of a variant whose level is degenerate
-(SIC infeasible, an infinite or zero path loss, inputs near the ends of
-the floats), so every decision equals the SINR path's bit for bit.  The
-relayed SINR runs only on the trials that need it: SIC kept, direct
-copy lost.
+their gains.  A degenerate stage (SIC infeasible, an infinite or zero
+path loss, inputs near the ends of the floats) has a band spanning the
+whole chain, so all its trials are decided that way.  Every decision
+thus equals the SINR path's bit for bit.  The relayed SINR runs only on
+the trials that need it: SIC kept, direct copy lost.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
@@ -209,7 +209,9 @@ def _hop_gains(cfg: SystemConfig, mode: str, u: np.ndarray):
 def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray, weak, strong):
     """Map a slot-major (draws_per_trial, count) uniform block to the requested gains.
 
-    ``_chains`` and then ``gains_from_chain`` on every requested rank.
+    ``_chains`` and then ``gains_from_chain`` on every requested rank: the
+    per-trial gains of the SINR reference (see ``_event_arrays``); the
+    estimator itself decides on the chain rows.
     Returns (weak-read gains, strong-read gains, g_dnr, g_rdm); the first
     two map each requested rank to its (count,) gain array, and in joint
     mode they are one map over the one vector.
@@ -240,6 +242,8 @@ def _event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,
     The weak user is in outage when the strong user's SIC stage failed
     (nothing is forwarded), or when both its own copies — direct and
     relayed — fail; with relay=False the relayed copy is never available.
+    This per-trial SINR path is the reference that the tests hold the
+    estimator's threshold decisions to; ``estimate`` does not call it.
     """
     fail_sic, out_n, fail_direct = _direct_stages(cfg, geo, g_m, g_n)
     if relay:
@@ -253,11 +257,15 @@ def _event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,
 class _Stage(NamedTuple):
     """A direct-link stage on the chain: values below lo fail, values at or above hi pass.
 
-    [lo, hi) is the guard band, where the SINR decides.
+    [lo, hi) is the guard band, where the SINR decides; a degenerate
+    stage's band (-inf, inf) spans the whole chain.
     """
 
     lo: float
     hi: float
+
+
+_WHOLE_CHAIN = _Stage(-math.inf, math.inf)
 
 
 class _Plan(NamedTuple):
@@ -268,33 +276,33 @@ class _Plan(NamedTuple):
     direct: _Stage
 
 
-def _stage(gain: float, lam: float, cond: float, *factors: float) -> _Stage | None:
-    """Chain band of a stage whose least passing gain is ``gain``; None where it is degenerate.
+def _stage(gain: float, lam: float, cond: float, *factors: float) -> _Stage:
+    """Chain band of a stage whose least passing gain is ``gain``.
 
     ``cond`` is d log SINR / d log g at that gain, ``factors`` the
     stage's other inputs.  The SINR expression, the level and the gain
     transform each err by a few ulps relative, and an error e in the SINR
     moves the crossing by e/cond in gain, so the band spans a relative
     ``_BAND``/cond of the gain on each side.  The stage is degenerate
-    (every trial goes through its SINR) where the band would be wider
-    than about 1e-3, or where the gain, its band or an input leaves
-    ``_ORDINARY``: inside it every product of a gain (between 2**-276 lam
-    and 42 lam) and an input is a normal float, so every SINR keeps its
-    relative accuracy.
+    (its band spans the chain, so every trial goes through its SINR)
+    where the band would be wider than about 1e-3, or where the gain,
+    its band or an input leaves ``_ORDINARY``: inside it every product
+    of a gain (between 2**-276 lam and 42 lam) and an input is a normal
+    float, so every SINR keeps its relative accuracy.
     """
     if not cond > _BAND * 1e3:  # a band wider than 1e-3, or SIC infeasible
-        return None
+        return _WHOLE_CHAIN
     edges = (gain * (1.0 - _BAND / cond), gain * (1.0 + _BAND / cond))
     if not all(_ORDINARY[0] <= v <= _ORDINARY[1] for v in (*edges, lam, *factors)):
-        return None
+        return _WHOLE_CHAIN
     return _Stage(*(chain_at_gain(e, lam) for e in edges))
 
 
-def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan | None:
-    """The chain bands of cfg's direct-link stages, or None where any stage is degenerate.
+def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan:
+    """The chain bands of cfg's direct-link stages.
 
     SIC infeasible, an infinite or zero path loss, and inputs near the
-    ends of the floats are degenerate.
+    ends of the floats make a stage degenerate.
     """
     lam = cfg.lambda_sd
     cond = 1.0 - cfg.a_n * cfg.gamma_thm / cfg.a_m  # of a_m g / (a_n g + noise) at its level
@@ -303,7 +311,7 @@ def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan | None:
         _stage(gain_strong_decodes_weak(cfg, geo), lam, cond, cfg.gamma_thm, pl_n / cfg.gamma0),
         _stage(gain_strong_own(cfg, geo), lam, 1.0, cfg.gamma_thn, pl_n, cfg.gamma0 * cfg.a_n),
         _stage(gain_direct_weak(cfg, geo), lam, cond, cfg.gamma_thm, pl_m / cfg.gamma0))
-    return None if None in stages else _Plan(*stages)
+    return _Plan(*stages)
 
 
 def _in_band(y: np.ndarray, stage: _Stage, below: np.ndarray) -> bool:
@@ -349,7 +357,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count(variants: Sequence[_Variant], plans: Sequence[_Plan | None], weak, strong,
+def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
            g_dnr: np.ndarray, g_rdm: np.ndarray) -> list[tuple[int, int]]:
     """Outage counts (strong, weak) of every variant on a chunk's chain rows.
 
@@ -357,21 +365,13 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan | None], weak, st
     ``g_dnr`` and ``g_rdm`` are the hop gains, and ``plans[k]`` is ``_plan``
     of variant k.  Variants that share (cfg, geo) share their
     direct-stage decisions.  The relayed SINR runs only on the trials
-    whose weak user has kept the SIC stage and lost its direct copy; a
-    variant without a plan runs every stage on every trial.
+    whose weak user has kept the SIC stage and lost its direct copy.
     """
     decided = {}  # (cfg, geo) -> (strong-user outages, SIC failures, trials left to the relay)
     counts = []
     for (cfg, geo, relay), plan in zip(variants, plans):
-        y_m, y_n = weak[cfg.m], strong[cfg.n]
-        if plan is None:
-            out_n, out_m = _event_arrays(cfg, geo, gains_from_chain(y_m, cfg.lambda_sd),
-                                         gains_from_chain(y_n, cfg.lambda_sd), g_dnr, g_rdm,
-                                         relay)
-            counts.append((int(out_n.sum()), int(out_m.sum())))
-            continue
         if (cfg, geo) not in decided:
-            fail_sic, out_n, fail_direct = _decide(cfg, geo, plan, y_m, y_n)
+            fail_sic, out_n, fail_direct = _decide(cfg, geo, plan, weak[cfg.m], strong[cfg.n])
             decided[cfg, geo] = (np.count_nonzero(out_n), np.count_nonzero(fail_sic),
                                  fail_direct & ~fail_sic)
         n_out_n, n_sic, left = decided[cfg, geo]
@@ -385,7 +385,7 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan | None], weak, st
     return counts
 
 
-def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence[_Plan | None],
+def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence[_Plan],
                mc: McConfig, start: int, count: int) -> list[tuple[int, int]]:
     """Draw one chunk of trials and count both outages for every variant."""
     weak_ranks = sorted({c.m for c, _, _ in variants})

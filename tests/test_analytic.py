@@ -11,9 +11,9 @@ from scipy import integrate
 from scipy.special import betainc, k1
 
 from coopnoma.analytic import (OutagePoint, bessel_k1, evaluate, outage_strong,
-                               outage_weak, relay_link_outage, sic_feasible,
-                               throughput, two_hop_outage)
-from coopnoma.linklevel import SystemConfig, derive_geometry
+                               outage_weak, relay_link_outage, throughput,
+                               two_hop_outage)
+from coopnoma.linklevel import SystemConfig, derive_geometry, gain_direct_weak
 from coopnoma.orderstat import OrderStatSpec, ordered_cdf
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -102,9 +102,15 @@ class TestOutageStrong:
     def test_sic_infeasible_threshold_forces_outage(self):
         # a_m/a_n = 7/3; rate 2 gives threshold 3 above the ceiling
         cfg = default_config(R_m=2.0)
-        assert not sic_feasible(cfg)
+        assert gain_direct_weak(cfg, default_geometry()) == math.inf
         assert outage_strong(cfg, default_geometry()) == 1.0
         assert outage_weak(cfg, default_geometry()) == 1.0
+
+    def test_vanishing_snr_scale_forces_outage(self):
+        # a_n gamma0 and gamma_thn d_sdn**theta both underflow to 0: the strong
+        # user's SNR is 0 at every gain, so its level is inf, not 0/0
+        cfg = default_config(gamma0=5e-324, gamma_thn=1e-300)
+        assert outage_strong(cfg, derive_geometry(1e-20, 6.0, 4.0, 0.7, 1.0)) == 1.0
 
     def test_vanishes_at_high_snr(self):
         cfg = default_config(gamma0=1e12)

@@ -245,6 +245,35 @@ class TestLeastPassingGains:
         assert [gain(cfg, geo) for gain, _, _ in self.STAGES] == [math.inf] * 3
         near = derive_geometry(1e-200, 1e-200, 4.0, 0.7, 1.0)
         assert [gain(default_config(), near) for gain, _, _ in self.STAGES] == [0.0] * 3
+        # the noise-free limit comes first, also where a_n gamma0 underflows to 0
+        # or gamma_thn is inf: snr_strong_own passes every gain above 0
+        for cfg in (default_config(gamma0=5e-324), default_config(gamma_thn=math.inf)):
+            assert gain_strong_own(cfg, near) == 0.0
+            assert snr_strong_own(cfg, near, 5e-324) >= cfg.gamma_thn
+        # a_n gamma0 underflows to 0 on a lossy link: the SNR is 0 at every gain,
+        # also where gamma_thn d_sdn**theta underflows to 0 as well
+        faint = derive_geometry(1e-20, 6.0, 4.0, 0.7, 1.0)
+        cfg = default_config(gamma0=5e-324, gamma_thn=1e-300)
+        assert gain_strong_own(cfg, faint) == math.inf
+        assert snr_strong_own(cfg, faint, 1e300) < cfg.gamma_thn
+
+    @pytest.mark.parametrize("layout", [(4.0, 6.0, 4.0, 2.0), (1e-80, 3e60, 1e-30, 3.7),
+                                        (1e-200, 6.0, 4.0, 2.0), (4.0, 6.0, 4.0, 600.0)])
+    def test_snr_array_matches_scalar_calls(self, layout):
+        # RuntimeWarnings fail the suite, so no entry may raise one either
+        *dists, theta = layout
+        geo = derive_geometry(*dists, 0.7, 1.0)
+        gamma0 = 10.0 ** (np.arange(-1600.0, 1600.5, 2.5) / 10.0)
+        for cfg in (default_config(theta=theta), default_config(theta=theta, gamma_thm=0.7 / 0.3)):
+            for gain, _, _ in self.STAGES:
+                got = gain(cfg, geo, gamma0)
+                want = [gain(cfg, geo, float(g)) for g in gamma0]
+                assert all(isinstance(w, float) for w in want)
+                assert got.tobytes() == np.array(want).tobytes()
+        # the extreme layout holds levels that overflow and levels that do not
+        got = gain_direct_weak(default_config(theta=3.7), derive_geometry(1e-80, 3e60, 1e-30,
+                                                                          0.7, 1.0), gamma0)
+        assert np.isinf(got).any() and np.isfinite(got).any()
 
 
 class TestRelayedSinr:

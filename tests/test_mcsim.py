@@ -391,10 +391,10 @@ def edge_points(cfg, geo):
     """Chain values at and around each direct stage's level and band: (rank n's, rank m's)."""
     lam = cfg.lambda_sd
     plan = mcsim._plan(cfg, geo)
-    bands = ([] if plan is None else [plan.sic, plan.own], [] if plan is None else [plan.direct])
     points = []
     for gains, stages in zip(((gain_strong_decodes_weak(cfg, geo), gain_strong_own(cfg, geo)),
-                              (gain_direct_weak(cfg, geo),)), bands):
+                              (gain_direct_weak(cfg, geo),)),
+                             ([plan.sic, plan.own], [plan.direct])):
         pts = [0.0, -2.0 ** -60, -0.7, -3.0]  # all-zero slots, the cap, either transform branch
         for g in gains:
             if 0.0 < g / lam < math.inf:
@@ -424,10 +424,11 @@ class TestThresholdPath:
         yield default_config(gamma_thm=0.7 / 0.3), geo
         yield default_config(gamma0=1e300, lambda_sd=1e300), geo
 
-    def test_degenerate_levels_have_no_plan(self):
-        degenerate = list(self.cases())[-4:]
-        assert [mcsim._plan(c, g) for c, g in degenerate] == [None] * 4
-        assert None not in [mcsim._plan(c, g) for c, g in list(self.cases())[:-4]]
+    def test_degenerate_levels_span_the_chain(self):
+        whole = mcsim._Stage(-math.inf, math.inf)
+        cases = list(self.cases())
+        assert all(whole in mcsim._plan(c, g) for c, g in cases[-4:])
+        assert not any(whole in mcsim._plan(c, g) for c, g in cases[:-4])
 
     @pytest.mark.parametrize("relay", [True, False])
     def test_edges_give_the_sinr_path_events(self, relay):
