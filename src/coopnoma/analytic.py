@@ -8,9 +8,11 @@ evaluator keeps the package dependency-light while holding ~1e-13
 relative accuracy across the full argument range the link budget can
 produce.
 
-Every closed form takes an array of transmit SNRs as well as a single
-one, so a whole SNR grid is evaluated in one array pass; a single SNR
-is the length-1 case of the same code and gives floats.
+``evaluate`` is the one entry to the closed forms of a scenario;
+``two_hop_outage`` is the relay link's own factor.  Both take an array
+of transmit SNRs as well as a single one, so a whole SNR grid is
+evaluated in one array pass; a single SNR is the length-1 case of the
+same code and gives floats.
 """
 
 from __future__ import annotations
@@ -119,43 +121,18 @@ def _as_given(values: np.ndarray, scalar: bool):
     return float(values.flat[0]) if scalar else values
 
 
-def _strong(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray):
-    """(outage, survival) of the strong user at each SNR of ``gamma0``."""
-    beta = np.maximum(gain_strong_decodes_weak(cfg, geo, gamma0),
-                      gain_strong_own(cfg, geo, gamma0))
-    spec = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
-    return ordered_cdf(spec, beta), ordered_sf(spec, beta)
-
-
-def outage_strong(cfg: SystemConfig, geo: Geometry, gamma0=None):
-    """Outage probability of the strong (rank-n) user.
-
-    The strong user fails if it cannot decode the weak user's signal
-    (SIC stage) or, after cancelling it, cannot decode its own.  Both
-    conditions are monotone thresholds on the same rank-n gain, so the
-    outage probability is the rank-n CDF at the tighter gain level.
-    Where the power split makes SIC infeasible that level is inf, so the
-    outage is 1.
-    ``gamma0`` (default cfg.gamma0) may be an array of SNRs; the result
-    then has its shape.
-    """
-    g, scalar = _snr_grid(cfg, gamma0)
-    return _as_given(_strong(cfg, geo, g)[0], scalar)
-
-
 def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
-                   theta: float, lambda_a: float, lambda_b: float, *, survival: bool = False):
-    """Outage of a variable-gain AF two-hop link with Rayleigh hops.
+                   theta: float, lambda_a: float, lambda_b: float):
+    """(outage, survival) of a variable-gain AF two-hop link with Rayleigh hops.
 
     Hop SNRs are gamma0 * g / d**theta with g ~ Exp(mean lambda); the
     end-to-end SINR g1 g2 / (g1 + g2 + 1) drops below gamma_th with
     probability 1 - exp(-gamma_th (d_b**theta/lambda_b + d_a**theta/
     lambda_a) / gamma0) * t * K1(t), where t**2 collects the cross term
     gamma_th (gamma_th + 1) of both hops.  ``gamma0`` may be an array,
-    and the result then has its shape.  ``survival=True`` returns
-    (outage, survival), the survival computed directly rather than as
-    1 - outage, so that it keeps its relative accuracy where the
-    outage is close to 1.
+    and both results then have its shape.  The survival is computed
+    directly rather than as 1 - outage, so that it keeps its relative
+    accuracy where the outage is close to 1.
     """
     for name, v in (("gamma_th", gamma_th), ("gamma0", gamma0), ("d_a", d_a),
                     ("d_b", d_b), ("lambda_a", lambda_a), ("lambda_b", lambda_b)):
@@ -199,48 +176,7 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
         # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
         surv = np.minimum(decay * t_k1, 1.0)
     outage = np.minimum(np.maximum(1.0 - surv, 0.0), 1.0)
-    if survival:
-        return _as_given(outage, scalar), _as_given(surv, scalar)
-    return _as_given(outage, scalar)
-
-
-def relay_link_outage(cfg: SystemConfig, geo: Geometry, gamma0=None):
-    """Outage of the relayed copy reaching the weak user (array ``gamma0`` as above)."""
-    g, scalar = _snr_grid(cfg, gamma0)
-    return _as_given(two_hop_outage(cfg.gamma_thm, g, geo.d_dnr, geo.d_rdm, cfg.theta,
-                                    cfg.lambda_dnr, cfg.lambda_rdm), scalar)
-
-
-def _weak(cfg: SystemConfig, geo: Geometry, gamma0: np.ndarray, relay: bool):
-    """(outage, survival) of the weak user at each SNR of ``gamma0``."""
-    x_n = gain_strong_decodes_weak(cfg, geo, gamma0)
-    x_m = gain_direct_weak(cfg, geo, gamma0)
-    spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
-    spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
-    a = ordered_cdf(spec_n, x_n)
-    b = ordered_cdf(spec_m, x_m)
-    if relay:
-        c, s_c = two_hop_outage(cfg.gamma_thm, gamma0, geo.d_dnr, geo.d_rdm, cfg.theta,
-                                cfg.lambda_dnr, cfg.lambda_rdm, survival=True)
-    else:
-        c, s_c = 1.0, 0.0
-    # 1 - (a + (1-a) b c) = (1-a) ((1-b) + b (1-c)), each factor summed directly
-    return a + (1.0 - a) * b * c, ordered_sf(spec_n, x_n) * (ordered_sf(spec_m, x_m) + b * s_c)
-
-
-def outage_weak(cfg: SystemConfig, geo: Geometry, relay: bool = True, gamma0=None):
-    """Outage probability of the weak (rank-m) user with selection combining.
-
-    Decomposes over the strong user's SIC stage: if that fails (prob A,
-    a rank-n threshold), nothing is forwarded and the weak user is in
-    outage by definition; otherwise the weak user fails only if both the
-    direct copy (prob B, a rank-m threshold) and the relayed copy
-    (prob C) fail.  ``relay=False`` drops the relayed copy (C = 1),
-    giving the non-cooperative baseline.  ``gamma0`` (default
-    cfg.gamma0) may be an array of SNRs; the result then has its shape.
-    """
-    g, scalar = _snr_grid(cfg, gamma0)
-    return _as_given(_weak(cfg, geo, g, relay)[0], scalar)
+    return _as_given(outage, scalar), _as_given(surv, scalar)
 
 
 def throughput(cfg: SystemConfig, p_out_n, p_out_m):
@@ -276,6 +212,20 @@ class OutagePoint:
 def evaluate(cfg: SystemConfig, geo: Geometry, relay: bool = True, gamma0=None) -> OutagePoint:
     """Evaluate both outage probabilities and the sum throughput.
 
+    The strong (rank-n) user fails if it cannot decode the weak user's
+    signal (SIC stage) or, after cancelling it, cannot decode its own.
+    Both are monotone thresholds on the same rank-n gain, so its outage
+    is the rank-n CDF at the tighter gain level; where the power split
+    makes SIC infeasible that level is inf and the outage is 1.
+
+    The weak (rank-m) user's outage decomposes over the strong user's
+    SIC stage: if that fails (prob A, a rank-n threshold), nothing is
+    forwarded and the weak user is in outage; otherwise it fails only if
+    both the direct copy (prob B, a rank-m threshold) and the relayed
+    copy (prob C, ``two_hop_outage``) fail, with selection combining.
+    ``relay=False`` drops the relayed copy (C = 1), giving the
+    non-cooperative baseline.
+
     At cfg.gamma0 by default, giving floats; an array ``gamma0`` of SNRs
     gives arrays of its shape, each entry equal to what a lone call at
     that SNR returns.  The throughput is summed from the users' success
@@ -283,8 +233,22 @@ def evaluate(cfg: SystemConfig, geo: Geometry, relay: bool = True, gamma0=None) 
     it keeps its relative accuracy where both outages are close to 1.
     """
     g, scalar = _snr_grid(cfg, gamma0)
-    p_n, s_n = _strong(cfg, geo, g)
-    p_m, s_m = _weak(cfg, geo, g, relay)
+    x_n = gain_strong_decodes_weak(cfg, geo, g)
+    x_m = gain_direct_weak(cfg, geo, g)
+    beta = np.maximum(x_n, gain_strong_own(cfg, geo, g))
+    spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
+    spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
+    p_n, s_n = ordered_cdf(spec_n, beta), ordered_sf(spec_n, beta)
+    a = ordered_cdf(spec_n, x_n)
+    b = ordered_cdf(spec_m, x_m)
+    if relay:
+        c, s_c = two_hop_outage(cfg.gamma_thm, g, geo.d_dnr, geo.d_rdm, cfg.theta,
+                                cfg.lambda_dnr, cfg.lambda_rdm)
+    else:
+        c, s_c = 1.0, 0.0
+    # 1 - (a + (1-a) b c) = (1-a) ((1-b) + b (1-c)), each factor summed directly
+    p_m = a + (1.0 - a) * b * c
+    s_m = ordered_sf(spec_n, x_n) * (ordered_sf(spec_m, x_m) + b * s_c)
     return OutagePoint(gamma0=_as_given(g, scalar), p_out_n=_as_given(p_n, scalar),
                        p_out_m=_as_given(p_m, scalar),
                        throughput=_as_given(s_n * cfg.R_n + s_m * cfg.R_m, scalar))

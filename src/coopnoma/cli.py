@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import evaluate
-from .linklevel import Geometry, SystemConfig, derive_geometry
+from .linklevel import Geometry, SystemConfig
 from .mcsim import McConfig, estimate
 
 CSV_COLUMNS = ("gamma0_db", "m", "n", "engine", "mode",
@@ -219,7 +219,7 @@ def load_config(path: str | Path | None) -> ConfigBundle:
         R_m=_parse_scalar("system", "R_m", sy["R_m"], float),
         R_n=_parse_scalar("system", "R_n", sy["R_n"], float),
     )
-    geo = derive_geometry(
+    geo = Geometry(
         d_sdn=_parse_scalar("geometry", "d_sdn", ge["d_sdn"], float),
         d_sdm=_parse_scalar("geometry", "d_sdm", ge["d_sdm"], float),
         d_dnr=_parse_scalar("geometry", "d_dnr", ge["d_dnr"], float),
@@ -257,7 +257,7 @@ def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value,
     if sweep.variable == "pair":
         return db, cfg.gamma0, replace(cfg, m=value[0], n=value[1]), geo
     d_sdn, d_sdm, d_dnr = value
-    return db, cfg.gamma0, cfg, derive_geometry(d_sdn, d_sdm, d_dnr, geo.alpha1, geo.alpha2)
+    return db, cfg.gamma0, cfg, Geometry(d_sdn, d_sdm, d_dnr, geo.alpha1, geo.alpha2)
 
 
 def _analytic_fields(p_out_n, p_out_m, throughput) -> dict:

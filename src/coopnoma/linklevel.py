@@ -9,11 +9,11 @@ amplify-and-forward relay, giving the weak user a second, independently
 faded copy.
 
 This module holds what both engines share: validated configuration,
-distances derived from the node layout, the path loss, the SINR seen by
-each decoding step for given arrays of channel gains, and, for each
-direct-link step, the least gain that gets through.  Outage
-statistics live in ``analytic`` (closed forms) and ``mcsim``
-(simulation).
+the node layout (``Geometry`` derives its two dependent sides from the
+free parameters), the path loss, the SINR seen by each decoding step
+for given arrays of channel gains, and, for each direct-link step, the
+least gain that gets through.  Outage statistics live in ``analytic``
+(closed forms) and ``mcsim`` (simulation).
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orderstat import MAX_RANKED_USERS
-
-
-def threshold_from_rate(rate: float) -> float:
-    """SINR threshold for reliable decoding at ``rate`` bit/s/Hz: 2**rate - 1."""
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    return 2.0 ** rate - 1.0
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,8 @@ class SystemConfig:
             raise ValueError(f"path-loss exponent theta must be >= 0, got {self.theta}")
         for name in ("lambda_sd", "lambda_dnr", "lambda_rdm"):
             v = getattr(self, name)
-            if not (v > 0):
-                raise ValueError(f"{name} must be > 0, got {v}")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         for name in ("R_m", "R_n"):
             v = getattr(self, name)
             if not (v > 0):
@@ -93,7 +86,7 @@ class SystemConfig:
             if getattr(self, th) is None:
                 r = getattr(self, rate)
                 try:
-                    value = threshold_from_rate(r)
+                    value = 2.0 ** r - 1.0  # reliable decoding at r bit/s/Hz
                 except OverflowError:
                     value = math.inf
                 if not 0.0 < value < math.inf:
@@ -124,13 +117,12 @@ def _law_of_cosines(a: float, b: float, angle: float) -> float:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Node layout distances; angles in radians.
+    """Node layout from its free parameters; angles in radians.
 
     d_dndm and d_rdm are derived, not free: the strong-user/weak-user
     separation comes from the source-user triangle (angle alpha2 at the
     source), and the relay/weak-user distance from the strong-user
-    triangle (angle alpha1 at the strong user).  Construct via
-    ``derive_geometry`` unless you already have consistent values.
+    triangle (angle alpha1 at the strong user).
     """
 
     d_sdn: float
@@ -138,45 +130,25 @@ class Geometry:
     d_dnr: float
     alpha1: float
     alpha2: float
-    d_dndm: float
-    d_rdm: float
+    d_dndm: float = field(init=False)
+    d_rdm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("d_sdn", "d_sdm", "d_dnr", "d_dndm", "d_rdm"):
+        for name in ("d_sdn", "d_sdm", "d_dnr"):
             v = getattr(self, name)
-            if not (v > 0):
-                raise ValueError(f"distance {name} must be > 0, got {v}")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"distance {name} must be finite and > 0, got {v}")
         for name in ("alpha1", "alpha2"):
             v = getattr(self, name)
             if not (0 < v < math.pi):
                 raise ValueError(f"angle {name} must lie in (0, pi), got {v}")
-        want_dndm = _law_of_cosines(self.d_sdm, self.d_sdn, self.alpha2)
-        if not math.isclose(self.d_dndm, want_dndm, rel_tol=1e-12):
-            raise ValueError(
-                f"d_dndm={self.d_dndm} inconsistent with triangle (expected {want_dndm})")
-        want_rdm = _law_of_cosines(self.d_dndm, self.d_dnr, self.alpha1)
-        if not math.isclose(self.d_rdm, want_rdm, rel_tol=1e-12):
-            raise ValueError(
-                f"d_rdm={self.d_rdm} inconsistent with triangle (expected {want_rdm})")
-
-
-def derive_geometry(d_sdn: float, d_sdm: float, d_dnr: float,
-                    alpha1: float, alpha2: float) -> Geometry:
-    """Build a consistent Geometry from the free parameters (angles in radians)."""
-    for name, v in (("d_sdn", d_sdn), ("d_sdm", d_sdm), ("d_dnr", d_dnr)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"distance {name} must be finite and > 0, got {v}")
-    for name, v in (("alpha1", alpha1), ("alpha2", alpha2)):
-        if not (0 < v < math.pi):
-            raise ValueError(f"angle {name} must lie in (0, pi), got {v}")
-    d_dndm = _law_of_cosines(d_sdm, d_sdn, alpha2)
-    d_rdm = _law_of_cosines(d_dndm, d_dnr, alpha1)
-    for name, v, free in (("d_dndm", d_dndm, "d_sdm, d_sdn and alpha2"),
-                          ("d_rdm", d_rdm, "d_sdm, d_sdn, d_dnr, alpha1 and alpha2")):
-        if not (0.0 < v < math.inf):
-            raise ValueError(f"{free} give {name}={v}, outside the positive floats")
-    return Geometry(d_sdn=d_sdn, d_sdm=d_sdm, d_dnr=d_dnr,
-                    alpha1=alpha1, alpha2=alpha2, d_dndm=d_dndm, d_rdm=d_rdm)
+        d_dndm = _law_of_cosines(self.d_sdm, self.d_sdn, self.alpha2)
+        d_rdm = _law_of_cosines(d_dndm, self.d_dnr, self.alpha1)
+        for name, v, free in (("d_dndm", d_dndm, "d_sdm, d_sdn and alpha2"),
+                              ("d_rdm", d_rdm, "d_sdm, d_sdn, d_dnr, alpha1 and alpha2")):
+            if not (0.0 < v < math.inf):
+                raise ValueError(f"{free} give {name}={v}, outside the positive floats")
+            object.__setattr__(self, name, v)
 
 
 def path_loss(d: float, theta: float) -> float:

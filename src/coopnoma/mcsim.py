@@ -395,8 +395,8 @@ def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence
     return _count(variants, plans, weak, strong, *_hop_gains(draw, mc.mode, u))
 
 
-def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | None = None,
-             relay: bool = True, also: Sequence[_Variant] | None = None):
+def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, relay: bool = True,
+             also: Sequence[_Variant] | None = None):
     """Estimate both outage probabilities and the throughput they imply.
 
     Returns (strong-user estimate, weak-user estimate, throughput) for
@@ -404,14 +404,11 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | N
     evaluate on the same fading draws; when it is given, the result is a
     list of such triples, the first for (cfg, geo, relay) and then one
     per entry of ``also``.  Every variant must share cfg's M and
-    lambda_*, which fix the draw.  ``workers`` threads share the chunks
-    (default: the CPUs this process may use), never more than there are
-    chunks.  Results are bit-identical for fixed (seed, trials) whatever
-    ``chunk_size``, ``workers`` and ``also`` are; see the module
-    docstring for why.
+    lambda_*, which fix the draw.  One thread per CPU this process may
+    use shares the chunks, never more than there are chunks.  Results are
+    bit-identical for fixed (seed, trials) whatever ``chunk_size``, the
+    CPU count and ``also`` are; see the module docstring for why.
     """
-    if workers is not None and not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     variants = [(cfg, geo, relay), *(also or ())]
     for other, _, _ in variants[1:]:
         for name in _DRAW_FIELDS:
@@ -420,7 +417,7 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, workers: int | N
                                  f"draw's {name}={getattr(cfg, name)!r}")
     chunks = [(start, min(mc.chunk_size, mc.trials - start))
               for start in range(0, mc.trials, mc.chunk_size)]
-    workers = min(_usable_cpus() if workers is None else workers, len(chunks))
+    workers = min(_usable_cpus(), len(chunks))
     plans = [_plan(c, g) for c, g, _ in variants]
     if workers == 1:
         counts = [_run_chunk(cfg, variants, plans, mc, s, c) for s, c in chunks]

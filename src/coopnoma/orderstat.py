@@ -84,8 +84,9 @@ def _binomial_sum(spec: OrderStatSpec, x, ranks: range):
     if np.any(x < 0):
         raise ValueError("gain argument x must be >= 0")
     M, lam = spec.M, spec.lam
-    p = -np.expm1(-x / lam)
-    q = np.exp(-x / lam)
+    with np.errstate(over="ignore"):  # x/lam past the floats is inf: F = 1, 1 - F = 0
+        p = -np.expm1(-x / lam)
+        q = np.exp(-x / lam)
     acc = np.zeros_like(p)
     for j in ranks:
         acc = acc + math.comb(M, j) * p ** j * q ** (M - j)
@@ -168,42 +169,23 @@ def chain_at_gain(g: float, lam: float) -> float:
     return level if level <= _LOG_U_CAP else math.inf
 
 
-def gains_at_ranks(v: np.ndarray, ranks, lam: float) -> np.ndarray:
-    """Ordered Exp(mean=lam) gains at the requested ranks, from a slot-major uniform block.
-
-    The chain of ``log_uniform_chain`` from the lowest requested rank up
-    (in place in ``v``), then ``gains_from_chain`` on the requested
-    ranks only.  Each rank's value depends only on its draw's slots from
-    that rank up, never on which other ranks or draws are requested.
-
-    Returns a (len(ranks), count) array: row k is the rank-``ranks[k]``
-    gain of every draw.
-    """
-    M = v.shape[0]
-    lo = min(ranks)
-    if not 1 <= lo <= max(ranks) <= M:
-        raise ValueError(f"ranks must lie in 1..M={M}, got {list(ranks)}")
-    chain = log_uniform_chain(v, lo)
-    out = np.empty((len(ranks), v.shape[1]))
-    for k, i in enumerate(ranks):  # row by row, so the transform's temporaries stay in cache
-        out[k] = gains_from_chain(chain[i - lo], lam)
-    return out
-
-
 def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int | None = None):
     """Draw ordered exponential gain vectors.
 
     Returns the full ascending vector of M gains: shape (M,) when
     ``size`` is None, else (size, M).  The vectors map an (M, size)
-    slot-major block of ``rng``'s uniforms through ``gains_at_ranks``,
-    the sampler the Monte-Carlo oracle uses.  Consumes ``rng`` state;
-    callers that need reproducibility seed the generator themselves.
+    slot-major block of ``rng``'s uniforms through ``log_uniform_chain``
+    and then ``gains_from_chain`` rank by rank, the sampler the
+    Monte-Carlo oracle uses.  Consumes ``rng`` state; callers that need
+    reproducibility seed the generator themselves.
     """
     _check_population(M)
     if not (lam > 0):
         raise ValueError(f"mean gain lam must be > 0, got {lam}")
     if size is not None and not (isinstance(size, (int, np.integer)) and size >= 1):
         raise ValueError(f"size must be a positive integer, got {size!r}")
-    v = rng.random((M, 1 if size is None else int(size)))
-    g = gains_at_ranks(v, range(1, M + 1), lam).T
-    return g[0] if size is None else g
+    chain = log_uniform_chain(rng.random((M, 1 if size is None else int(size))), 1)
+    g = np.empty_like(chain)
+    for k in range(M):  # row by row, so the transform's temporaries stay in cache
+        g[k] = gains_from_chain(chain[k], lam)
+    return g.T[0] if size is None else g.T

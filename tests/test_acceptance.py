@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from coopnoma.analytic import (bessel_k1, evaluate, outage_strong, outage_weak,
-                               two_hop_outage)
+from coopnoma.analytic import bessel_k1, evaluate, two_hop_outage
 from coopnoma.cli import main
-from coopnoma.linklevel import SystemConfig, derive_geometry
+from coopnoma.linklevel import Geometry, SystemConfig
 from coopnoma.mcsim import McConfig, estimate
 from coopnoma.orderstat import (OrderStatSpec, ordered_cdf, phi_coefficient,
                                 sample_ordered_gains)
@@ -40,8 +39,8 @@ def reference_config(gamma0_db=20.0, **overrides):
 
 
 def reference_geometry(scale=1.0):
-    return derive_geometry(4.0 * scale, 6.0 * scale, 4.0 * scale,
-                           math.radians(40.0), math.radians(60.0))
+    return Geometry(4.0 * scale, 6.0 * scale, 4.0 * scale,
+                    math.radians(40.0), math.radians(60.0))
 
 
 def report(capsys, name: str, passed: bool, detail: str) -> None:
@@ -63,7 +62,7 @@ def mc_cache():
             cfg = reference_config(db)
             mc = McConfig(trials=MC_TRIALS, seed=MC_SEED, mode=mode, chunk_size=65536)
             t0 = time.perf_counter()
-            est_n, est_m, tau = estimate(cfg, geo, mc, workers=4)
+            est_n, est_m, tau = estimate(cfg, geo, mc)
             cache[key] = (est_n, est_m, tau, time.perf_counter() - t0)
         return cache[key]
 
@@ -78,7 +77,7 @@ def test_c1_strong_user_mc_agreement(mc_cache, capsys):
     for db in SNR_GRID_DB:
         est_n, _, _, dt = mc_cache(db, "joint")
         elapsed += dt
-        p_ref = outage_strong(reference_config(db), geo)
+        p_ref = evaluate(reference_config(db), geo).p_out_n
         tol = max(3.0 * est_n.stderr, 1e-4)
         worst = max(worst, abs(est_n.p_hat - p_ref) / tol)
     ok = worst <= 1.0 and elapsed < 30.0
@@ -108,7 +107,7 @@ def test_c2_weak_user_mc_agreement(mc_cache, capsys):
     for db in SNR_GRID_DB:
         _, est_m_ind, _, _ = mc_cache(db, "independent")
         _, est_m_jnt, _, _ = mc_cache(db, "joint")
-        p_ref = outage_weak(reference_config(db), geo)
+        p_ref = evaluate(reference_config(db), geo).p_out_m
         tol = max(3.0 * est_m_ind.stderr, 1e-4)
         worst = max(worst, abs(est_m_ind.p_hat - p_ref) / tol)
         lines.append(f"{db:4.0f} {p_ref:12.6g} {est_m_ind.p_hat:12.6g} "
@@ -146,7 +145,7 @@ def test_c3_two_hop_closed_form_vs_quadrature(capsys):
     for g0 in gamma0s:
         for d_a in dists:
             for d_b in dists:
-                closed = two_hop_outage(1.0, float(g0), float(d_a), float(d_b), 2.0, 1.0, 1.0)
+                closed = two_hop_outage(1.0, float(g0), float(d_a), float(d_b), 2.0, 1.0, 1.0)[0]
                 ref = _two_hop_quadrature(1.0, float(g0), float(d_a), float(d_b), 2.0, 1.0, 1.0)
                 worst = max(worst, abs(closed - ref) / ref)
     ok = worst <= 1e-6
@@ -235,8 +234,8 @@ def test_c6_qualitative_trends(mc_cache, capsys):
                    and tau40_mc <= 2.0)
     # (e) the relayed copy never hurts
     checks["e"] = all(
-        outage_weak(reference_config(db), geo, relay=True)
-        <= outage_weak(reference_config(db), geo, relay=False) + 1e-15
+        evaluate(reference_config(db), geo, relay=True).p_out_m
+        <= evaluate(reference_config(db), geo, relay=False).p_out_m + 1e-15
         for db in grid)
 
     ok = all(checks.values())

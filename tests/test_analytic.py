@@ -10,11 +10,9 @@ import pytest
 from scipy import integrate
 from scipy.special import betainc, k1
 
-from coopnoma.analytic import (OutagePoint, bessel_k1, evaluate, outage_strong,
-                               outage_weak, relay_link_outage, throughput,
-                               two_hop_outage)
-from coopnoma.linklevel import SystemConfig, derive_geometry, gain_direct_weak
-from coopnoma.orderstat import OrderStatSpec, ordered_cdf
+from coopnoma.analytic import OutagePoint, bessel_k1, evaluate, throughput, two_hop_outage
+from coopnoma.linklevel import Geometry, SystemConfig, gain_direct_weak, gain_strong_decodes_weak
+from coopnoma.orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -26,7 +24,7 @@ def default_config(**overrides):
 
 
 def default_geometry():
-    return derive_geometry(4.0, 6.0, 4.0, math.radians(40.0), math.radians(60.0))
+    return Geometry(4.0, 6.0, 4.0, math.radians(40.0), math.radians(60.0))
 
 
 class TestBesselK1:
@@ -96,31 +94,32 @@ class TestOutageStrong:
         alpha = cfg.gamma_thm / ((cfg.a_m - cfg.a_n * cfg.gamma_thm) * cfg.gamma0)
         beta = max(alpha * 16.0, cfg.gamma_thn * 16.0 / (cfg.a_n * cfg.gamma0))
         want = (-math.expm1(-beta)) ** 6
-        assert outage_strong(cfg, geo) == pytest.approx(want, rel=1e-12)
-        assert outage_strong(cfg, geo) == pytest.approx(1.96e-8, rel=5e-3)
+        p_out_n = evaluate(cfg, geo).p_out_n
+        assert p_out_n == pytest.approx(want, rel=1e-12)
+        assert p_out_n == pytest.approx(1.96e-8, rel=5e-3)
 
     def test_sic_infeasible_threshold_forces_outage(self):
         # a_m/a_n = 7/3; rate 2 gives threshold 3 above the ceiling
         cfg = default_config(R_m=2.0)
         assert gain_direct_weak(cfg, default_geometry()) == math.inf
-        assert outage_strong(cfg, default_geometry()) == 1.0
-        assert outage_weak(cfg, default_geometry()) == 1.0
+        pt = evaluate(cfg, default_geometry())
+        assert pt.p_out_n == pt.p_out_m == 1.0
 
     def test_vanishing_snr_scale_forces_outage(self):
         # a_n gamma0 and gamma_thn d_sdn**theta both underflow to 0: the strong
         # user's SNR is 0 at every gain, so its level is inf, not 0/0
         cfg = default_config(gamma0=5e-324, gamma_thn=1e-300)
-        assert outage_strong(cfg, derive_geometry(1e-20, 6.0, 4.0, 0.7, 1.0)) == 1.0
+        assert evaluate(cfg, Geometry(1e-20, 6.0, 4.0, 0.7, 1.0)).p_out_n == 1.0
 
     def test_vanishes_at_high_snr(self):
         cfg = default_config(gamma0=1e12)
-        assert outage_strong(cfg, default_geometry()) < 1e-30
+        assert evaluate(cfg, default_geometry()).p_out_n < 1e-30
 
     def test_binding_branch_switches_with_own_rate(self):
         # raising the strong user's own rate eventually dominates the SIC stage
         geo = default_geometry()
-        mild = outage_strong(default_config(), geo)
-        harsh = outage_strong(default_config(R_n=6.0), geo)
+        mild = evaluate(default_config(), geo).p_out_n
+        harsh = evaluate(default_config(R_n=6.0), geo).p_out_n
         assert harsh > mild
 
 
@@ -141,21 +140,21 @@ class TestTwoHopOutage:
         return 1.0 - val
 
     def test_matches_quadrature_spot(self):
-        got = two_hop_outage(1.0, 10.0, 1.0, 1.0, 2.0, 1.0, 1.0)
+        got, _ = two_hop_outage(1.0, 10.0, 1.0, 1.0, 2.0, 1.0, 1.0)
         want = self.quad_reference(1.0, 10.0, 1.0, 1.0, 2.0, 1.0, 1.0)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_limits(self):
-        assert two_hop_outage(1.0, 1e12, 4.0, 3.4, 2.0, 1.0, 1.0) < 1e-10
-        assert two_hop_outage(1e9, 1.0, 4.0, 3.4, 2.0, 1.0, 1.0) == pytest.approx(1.0)
+        assert two_hop_outage(1.0, 1e12, 4.0, 3.4, 2.0, 1.0, 1.0)[0] < 1e-10
+        assert two_hop_outage(1e9, 1.0, 4.0, 3.4, 2.0, 1.0, 1.0)[0] == pytest.approx(1.0)
 
     def test_snr_past_float_square_uses_small_t_limit(self):
         # gamma0**2 overflows, so t comes from logs: about 4e-154, where
         # t*K1(t) rounds to 1 and the outage to 0
-        assert two_hop_outage(1.0, 1e155, 4.0, 3.4, 2.0, 1.0, 1.0) == 0.0
-        assert two_hop_outage(1.0, math.inf, 4.0, 3.4, 2.0, 1.0, 1.0) == 0.0
+        assert two_hop_outage(1.0, 1e155, 4.0, 3.4, 2.0, 1.0, 1.0)[0] == 0.0
+        assert two_hop_outage(1.0, math.inf, 4.0, 3.4, 2.0, 1.0, 1.0)[0] == 0.0
         # just below the overflow t is tiny but positive and K1 still evaluates
-        assert 0.0 <= two_hop_outage(1.0, 1e150, 4.0, 3.4, 2.0, 1.0, 1.0) < 1e-12
+        assert 0.0 <= two_hop_outage(1.0, 1e150, 4.0, 3.4, 2.0, 1.0, 1.0)[0] < 1e-12
 
     def test_snr_past_float_square_takes_t_from_logs(self):
         # gamma0 = 1e155 overflows gamma0**2, but path losses near 1e154 keep t
@@ -164,8 +163,8 @@ class TestTwoHopOutage:
             da, g0 = mpmath.mpf(5e76) ** 2, mpmath.mpf(1e155)
             t = 2 * mpmath.sqrt(da * da * 2) / g0
             want = float(1 - mpmath.exp(-2 * da / g0) * t * mpmath.besselk(1, t))
-        assert two_hop_outage(1.0, 1e155, 5e76, 5e76, 2.0, 1.0, 1.0) == pytest.approx(want,
-                                                                                      rel=1e-9)
+        got, _ = two_hop_outage(1.0, 1e155, 5e76, 5e76, 2.0, 1.0, 1.0)
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_subnormal_snr_square_takes_t_from_logs(self):
         # gamma0**2 = 1e-320 is subnormal (about 11 significant bits), but
@@ -174,7 +173,7 @@ class TestTwoHopOutage:
             g0, lam = mpmath.mpf(1e-160), mpmath.mpf(1e160)
             t = 2 * mpmath.sqrt(2 / (g0 * g0 * lam * lam))
             want = float(1 - mpmath.exp(-2 / (g0 * lam)) * t * mpmath.besselk(1, t))
-        got = two_hop_outage(1.0, 1e-160, 1.0, 1.0, 2.0, 1e160, 1e160)
+        got, _ = two_hop_outage(1.0, 1e-160, 1.0, 1.0, 2.0, 1e160, 1e160)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_infinite_path_loss_is_certain_outage(self):
@@ -183,7 +182,7 @@ class TestTwoHopOutage:
         # (0.09**1000 underflows to 0)
         snrs = np.array([1e-3, 1.0, 1e10, 1e155])
         for args in ((1e200, 4.0, 2.0), (4.0, 1e200, 2.0), (5.3, 0.09, 1000.0)):
-            outage, surv = two_hop_outage(1.0, snrs, *args, 1.0, 1.0, survival=True)
+            outage, surv = two_hop_outage(1.0, snrs, *args, 1.0, 1.0)
             np.testing.assert_array_equal(outage, 1.0)
             np.testing.assert_array_equal(surv, 0.0)
 
@@ -192,13 +191,13 @@ class TestTwoHopOutage:
         # d = 1e100 at theta = 2: da*db = 1e400 overflows, and so does
         # gamma0**2 from about 1541 dB, where t was inf/inf
         snrs = 10.0 ** np.array([150.0, 155.0, 160.0])
-        outage, surv = two_hop_outage(1.0, snrs, 1e100, 1e100, 2.0, 1.0, 1.0, survival=True)
+        outage, surv = two_hop_outage(1.0, snrs, 1e100, 1e100, 2.0, 1.0, 1.0)
         np.testing.assert_array_equal(outage, 1.0)
         np.testing.assert_array_equal(surv, 0.0)
         # t depends on da*db/gamma0**2 and the decay on da/gamma0 and db/gamma0,
         # so scaling both path losses and gamma0 by 1e200 leaves the link as it is
-        big = two_hop_outage(1.0, 1e200, 1e200, 1e200, 1.0, 1.0, 1.0, survival=True)
-        unit = two_hop_outage(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, survival=True)
+        big = two_hop_outage(1.0, 1e200, 1e200, 1e200, 1.0, 1.0, 1.0)
+        unit = two_hop_outage(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         assert big == pytest.approx(unit, rel=1e-12)
 
     def test_finite_cross_term_keeps_the_closed_form_bits(self):
@@ -210,27 +209,27 @@ class TestTwoHopOutage:
             t = 2.0 * np.sqrt(da * db * gamma_th * (gamma_th + 1.0) / (g * g * lam_a * lam_b))
             decay = np.exp(-(gamma_th / g) * (db / lam_b + da / lam_a))
             want = np.minimum(decay * (t * bessel_k1(t)), 1.0)
-            _, surv = two_hop_outage(gamma_th, g, d_a, d_b, theta, lam_a, lam_b, survival=True)
+            _, surv = two_hop_outage(gamma_th, g, d_a, d_b, theta, lam_a, lam_b)
             np.testing.assert_array_equal(surv, want)
 
     def test_noise_free_hop_leaves_the_other_hop(self):
         # 0.09**1000 underflows to 0: that hop's SNR is inf, so the link fails
         # only when the other hop does, and never when both are noise-free
         snrs = np.array([0.1, 1.0, 10.0])
-        _, surv = two_hop_outage(1.0, snrs, 0.09, 1.001, 1000.0, 1.0, 2.0, survival=True)
+        _, surv = two_hop_outage(1.0, snrs, 0.09, 1.001, 1000.0, 1.0, 2.0)
         np.testing.assert_allclose(surv, np.exp(-1.001 ** 1000.0 / (2.0 * snrs)), rtol=1e-14)
-        _, surv = two_hop_outage(1.0, 1e-320, 0.09, 0.09, 1000.0, 1.0, 1.0, survival=True)
+        _, surv = two_hop_outage(1.0, 1e-320, 0.09, 0.09, 1000.0, 1.0, 1.0)
         assert surv == 1.0
 
     def test_monotone_in_snr(self):
-        vals = [two_hop_outage(1.0, 10 ** (db / 10), 4.0, 3.4, 2.0, 1.0, 1.0)
+        vals = [two_hop_outage(1.0, 10 ** (db / 10), 4.0, 3.4, 2.0, 1.0, 1.0)[0]
                 for db in range(0, 41, 2)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_hop_symmetry_under_matched_stats(self):
         # swapping the two hops (distance and fading mean together) is symmetric
-        a = two_hop_outage(1.0, 50.0, 2.0, 7.0, 2.0, 0.5, 1.5)
-        b = two_hop_outage(1.0, 50.0, 7.0, 2.0, 2.0, 1.5, 0.5)
+        a = two_hop_outage(1.0, 50.0, 2.0, 7.0, 2.0, 0.5, 1.5)[0]
+        b = two_hop_outage(1.0, 50.0, 7.0, 2.0, 2.0, 1.5, 0.5)[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_rejects_nonpositive_parameters(self):
@@ -240,11 +239,16 @@ class TestTwoHopOutage:
             two_hop_outage(1.0, 10.0, -1.0, 1.0, 2.0, 1.0, 1.0)
 
     def test_relay_link_outage_uses_geometry(self):
+        # evaluate's relay factor C is this link over d_dnr and the derived
+        # d_rdm: p_out_m = A + (1 - A) B C, where A + (1 - A) B is the
+        # no-relay outage and A the SIC stage's
         cfg = default_config()
-        geo = default_geometry()
-        want = two_hop_outage(cfg.gamma_thm, cfg.gamma0, geo.d_dnr, geo.d_rdm,
-                              cfg.theta, cfg.lambda_dnr, cfg.lambda_rdm)
-        assert relay_link_outage(cfg, geo) == want
+        for geo in (default_geometry(), replace(default_geometry(), d_dnr=7.0)):
+            c, _ = two_hop_outage(cfg.gamma_thm, cfg.gamma0, geo.d_dnr, geo.d_rdm,
+                                  cfg.theta, cfg.lambda_dnr, cfg.lambda_rdm)
+            a = ordered_cdf(OrderStatSpec(6, 6, 1.0), gain_strong_decodes_weak(cfg, geo))
+            direct = evaluate(cfg, geo, relay=False).p_out_m
+            assert evaluate(cfg, geo).p_out_m == pytest.approx(a + (direct - a) * c, rel=1e-12)
 
 
 class TestOutageWeak:
@@ -255,26 +259,28 @@ class TestOutageWeak:
         alpha = cfg.gamma_thm / ((cfg.a_m - cfg.a_n * cfg.gamma_thm) * cfg.gamma0)
         A = ordered_cdf(OrderStatSpec(6, 6, 1.0), alpha * 16.0)
         B = ordered_cdf(OrderStatSpec(6, 3, 1.0), alpha * 36.0)
-        C = relay_link_outage(cfg, geo)
-        assert outage_weak(cfg, geo) == pytest.approx(A + (1 - A) * B * C, rel=1e-12)
+        C, _ = two_hop_outage(cfg.gamma_thm, cfg.gamma0, geo.d_dnr, geo.d_rdm,
+                              cfg.theta, cfg.lambda_dnr, cfg.lambda_rdm)
+        assert evaluate(cfg, geo).p_out_m == pytest.approx(A + (1 - A) * B * C, rel=1e-12)
 
     def test_relay_always_helps(self):
         geo = default_geometry()
         for db in range(0, 42, 2):
             cfg = default_config(gamma0=10 ** (db / 10))
-            assert outage_weak(cfg, geo, relay=True) <= outage_weak(cfg, geo, relay=False) + 1e-15
+            relayed, direct = (evaluate(cfg, geo, relay=r).p_out_m for r in (True, False))
+            assert relayed <= direct + 1e-15
 
     def test_distant_relay_degenerates_to_direct_only(self):
         cfg = default_config(gamma0=100.0)
-        geo = derive_geometry(4.0, 6.0, 1e8, math.radians(40.0), math.radians(60.0))
-        with_dead_relay = outage_weak(cfg, geo, relay=True)
-        without = outage_weak(cfg, geo, relay=False)
+        geo = Geometry(4.0, 6.0, 1e8, math.radians(40.0), math.radians(60.0))
+        with_dead_relay = evaluate(cfg, geo, relay=True).p_out_m
+        without = evaluate(cfg, geo, relay=False).p_out_m
         assert with_dead_relay == pytest.approx(without, rel=1e-9)
 
     def test_overflowing_path_loss_takes_the_limit(self):
         # d_dnr = 1e200 overflows d_dnr**2: the relay adds nothing, to the bit
         grid = 10.0 ** (np.arange(0, 41, 5) / 10)
-        far = derive_geometry(4.0, 6.0, 1e200, math.radians(40.0), math.radians(60.0))
+        far = Geometry(4.0, 6.0, 1e200, math.radians(40.0), math.radians(60.0))
         relayed, direct = (evaluate(default_config(), far, relay=r, gamma0=grid)
                            for r in (True, False))
         for name in ("p_out_n", "p_out_m", "throughput"):
@@ -296,7 +302,8 @@ class TestOutageWeak:
                                gamma0=float(np.exp(rng.uniform(-2, 9))),
                                R_m=float(rng.uniform(0.2, 3.0)),
                                R_n=float(rng.uniform(0.2, 3.0)))
-            for p in (outage_strong(cfg, geo), outage_weak(cfg, geo)):
+            pt = evaluate(cfg, geo)
+            for p in (pt.p_out_n, pt.p_out_m):
                 assert 0.0 <= p <= 1.0
 
 
@@ -325,9 +332,11 @@ class TestEvaluate:
         cfg = default_config(gamma0=100.0)
         geo = default_geometry()
         pt = evaluate(cfg, geo)
+        direct = evaluate(cfg, geo, relay=False)
         assert pt.gamma0 == 100.0
-        assert pt.p_out_n == outage_strong(cfg, geo)
-        assert pt.p_out_m == outage_weak(cfg, geo)
+        # the relay leaves the strong user alone and only helps the weak one
+        assert pt.p_out_n == direct.p_out_n
+        assert pt.p_out_m < direct.p_out_m
         # summed from directly computed survivals, not from 1 - p: equal up to rounding
         assert pt.throughput == pytest.approx(throughput(cfg, pt.p_out_n, pt.p_out_m),
                                               rel=1e-14)
@@ -355,18 +364,14 @@ class TestSnrGrid:
         grid = 10.0 ** (dbs / 10.0)
         for relay in (True, False):
             pt = evaluate(cfg, geo, relay=relay, gamma0=grid)
-            strong = outage_strong(cfg, geo, gamma0=grid)
-            weak = outage_weak(cfg, geo, relay=relay, gamma0=grid)
             for k, g in enumerate(grid.tolist()):
-                lone_cfg = replace(cfg, gamma0=g)
-                lone = evaluate(lone_cfg, geo, relay=relay)
+                lone = evaluate(replace(cfg, gamma0=g), geo, relay=relay)
                 assert (lone.gamma0, lone.p_out_n, lone.p_out_m, lone.throughput) == (
                     pt.gamma0[k], pt.p_out_n[k], pt.p_out_m[k], pt.throughput[k])
-                assert (strong[k], weak[k]) == (lone.p_out_n, lone.p_out_m)
-                assert outage_strong(lone_cfg, geo) == lone.p_out_n
-        relay_c = relay_link_outage(cfg, geo, gamma0=grid)
-        assert relay_c.tolist() == [relay_link_outage(replace(cfg, gamma0=g), geo)
-                                    for g in grid.tolist()]
+        hops = (geo.d_dnr, geo.d_rdm, cfg.theta, cfg.lambda_dnr, cfg.lambda_rdm)
+        relay_c, relay_s = two_hop_outage(cfg.gamma_thm, grid, *hops)
+        assert list(zip(relay_c.tolist(), relay_s.tolist())) == [
+            two_hop_outage(cfg.gamma_thm, g, *hops) for g in grid.tolist()]
 
     def test_scalar_snr_gives_floats(self):
         pt = evaluate(default_config(), default_geometry())
@@ -389,6 +394,23 @@ class TestSnrGrid:
     def test_rejects_bad_snr_in_grid(self, bad):
         with pytest.raises(ValueError, match="gamma0 must be finite and > 0"):
             evaluate(default_config(), default_geometry(), gamma0=np.array([10.0, bad]))
+
+
+class TestGainLevelOverMeanPastTheFloats:
+    """Where a gain level over lambda_sd overflows, its rank CDF takes the limit 1."""
+
+    @pytest.mark.parametrize("lambda_sd, gamma0", [(1e-300, 1e-10), (1e-320, 100.0)])
+    def test_certain_outage_without_warnings(self, lambda_sd, gamma0):
+        cfg = default_config(lambda_sd=lambda_sd, gamma0=gamma0)
+        geo = default_geometry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rank, x in ((cfg.n, gain_strong_decodes_weak(cfg, geo)),
+                            (cfg.m, gain_direct_weak(cfg, geo))):
+                spec = OrderStatSpec(cfg.M, rank, lambda_sd)
+                assert (ordered_cdf(spec, x), ordered_sf(spec, x)) == (1.0, 0.0)
+            pt = evaluate(cfg, geo)
+        assert (pt.p_out_n, pt.p_out_m, pt.throughput) == (1.0, 1.0, 0.0)
 
 
 def _mp_throughput(cfg, geo, relay):

@@ -10,7 +10,7 @@ import pytest
 from coopnoma.cli import (CSV_COLUMNS, MAX_GRID_POINTS, SweepSpec, _parse_sweep_range,
                           db_to_linear, emit_plot_script, load_config, main, run_sweep,
                           write_csv)
-from coopnoma.linklevel import derive_geometry
+from coopnoma.linklevel import Geometry
 from coopnoma.mcsim import McConfig, estimate
 
 
@@ -334,7 +334,7 @@ class TestFusedSweep:
         cfg = replace(cfg, gamma0=db_to_linear(sweep.gamma0_db))
         if sweep.variable == "pair":
             return replace(cfg, m=value[0], n=value[1]), geo
-        return cfg, derive_geometry(*value, geo.alpha1, geo.alpha2)
+        return cfg, Geometry(*value, geo.alpha1, geo.alpha2)
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     @pytest.mark.parametrize("variable", sorted(SWEEPS))

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from coopnoma.linklevel import (Geometry, SystemConfig, derive_geometry, gain_direct_weak,
+from coopnoma.linklevel import (Geometry, SystemConfig, gain_direct_weak,
                                 gain_strong_decodes_weak, gain_strong_own, path_loss,
                                 sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
-                                snr_strong_own, threshold_from_rate)
+                                snr_strong_own)
 from coopnoma.orderstat import MAX_RANKED_USERS
 
 
@@ -18,7 +19,7 @@ def default_config(**overrides):
 
 
 def default_geometry():
-    return derive_geometry(4.0, 6.0, 4.0, math.radians(40.0), math.radians(60.0))
+    return Geometry(4.0, 6.0, 4.0, math.radians(40.0), math.radians(60.0))
 
 
 class TestSystemConfig:
@@ -51,6 +52,9 @@ class TestSystemConfig:
         dict(theta=-1.0),
         dict(lambda_sd=0.0),
         dict(lambda_rdm=-2.0),
+        dict(lambda_sd=math.inf),
+        dict(lambda_dnr=math.inf),
+        dict(lambda_rdm=math.inf),
         dict(R_m=0.0),
         dict(M=0, m=1, n=2),
     ])
@@ -78,13 +82,15 @@ class TestSystemConfig:
 
 class TestThresholdFromRate:
     def test_values(self):
-        assert threshold_from_rate(0.0) == 0.0
-        assert threshold_from_rate(1.0) == 1.0
-        assert threshold_from_rate(2.0) == 3.0
+        # 2**R - 1; a zero rate is rejected with the negative ones below
+        assert default_config(R_m=1.0).gamma_thm == 1.0
+        assert default_config(R_m=2.0).gamma_thm == 3.0
+        assert default_config(R_m=0.5).gamma_thm == 2.0 ** 0.5 - 1.0
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_from_rate(-0.5)
+        for rate in (0.0, -0.5):
+            with pytest.raises(ValueError, match="^R_m must be > 0"):
+                default_config(R_m=rate)
 
 
 class TestGeometry:
@@ -98,16 +104,16 @@ class TestGeometry:
         assert geo.d_rdm == pytest.approx(3.4017, abs=1e-4)
 
     def test_pythagorean_case(self):
-        geo = derive_geometry(3.0, 4.0, 1.0, math.radians(90.0), math.radians(90.0))
+        geo = Geometry(3.0, 4.0, 1.0, math.radians(90.0), math.radians(90.0))
         assert geo.d_dndm == pytest.approx(5.0, rel=1e-12)
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            derive_geometry(0.0, 6.0, 4.0, 1.0, 1.0)
+            Geometry(0.0, 6.0, 4.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            derive_geometry(4.0, 6.0, 4.0, 0.0, 1.0)
+            Geometry(4.0, 6.0, 4.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            derive_geometry(4.0, 6.0, 4.0, 1.0, math.pi)
+            Geometry(4.0, 6.0, 4.0, 1.0, math.pi)
 
     @pytest.mark.parametrize("key", ["d_sdn", "d_sdm", "d_dnr", "alpha1", "alpha2"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -115,13 +121,13 @@ class TestGeometry:
         free = dict(d_sdn=4.0, d_sdm=6.0, d_dnr=4.0, alpha1=1.0, alpha2=1.0)
         free[key] = bad
         with pytest.raises(ValueError, match=f"{key} must"):
-            derive_geometry(**free)
+            Geometry(**free)
 
     def test_extreme_layouts_keep_accurate_derived_distances(self):
         # the textbook square overflows, underflows or cancels to 0 here
         for free in ((1e-160, 1e-160, 1e-160, 0.7, 1.0), (1e200, 1e-200, 1e200, 0.7, 1.0),
                      (4.0, 4.0, 4.0, 1e-10, 1e-10)):
-            geo = derive_geometry(*free)
+            geo = Geometry(*free)
             with mpmath.workdps(50):
                 def side(a, b, angle):
                     a, b = mpmath.mpf(a), mpmath.mpf(b)
@@ -131,21 +137,27 @@ class TestGeometry:
             assert geo.d_dndm == pytest.approx(float(want_dndm), rel=1e-12)
             assert geo.d_rdm == pytest.approx(float(want_rdm), rel=1e-12)
         with pytest.raises(ValueError, match="give d_dndm=inf"):
-            derive_geometry(1e308, 1e308, 1.0, 1.0, 3.1)
+            Geometry(1e308, 1e308, 1.0, 1.0, 3.1)
 
-    def test_rejects_inconsistent_derived_distances(self):
+    def test_replace_derives_the_sides_again(self):
         geo = default_geometry()
-        with pytest.raises(ValueError):
-            Geometry(d_sdn=geo.d_sdn, d_sdm=geo.d_sdm, d_dnr=geo.d_dnr,
-                     alpha1=geo.alpha1, alpha2=geo.alpha2,
-                     d_dndm=geo.d_dndm, d_rdm=geo.d_rdm * 1.001)
+        moved = dataclasses.replace(geo, d_dnr=7.0)
+        assert moved == Geometry(geo.d_sdn, geo.d_sdm, 7.0, geo.alpha1, geo.alpha2)
+        assert moved.d_dndm == geo.d_dndm and moved.d_rdm != geo.d_rdm
+
+    def test_derived_sides_are_not_parameters(self):
+        geo = default_geometry()
+        free = (geo.d_sdn, geo.d_sdm, geo.d_dnr, geo.alpha1, geo.alpha2)
+        for sides in (dict(d_dndm=geo.d_dndm), dict(d_dndm=geo.d_dndm, d_rdm=geo.d_rdm)):
+            with pytest.raises(TypeError):
+                Geometry(*free, **sides)
 
     def test_triangle_inequalities_hold(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             d1, d2, d3 = np.exp(rng.uniform(-1, 3, size=3))
             a1, a2 = rng.uniform(0.05, math.pi - 0.05, size=2)
-            geo = derive_geometry(d1, d2, d3, a1, a2)
+            geo = Geometry(d1, d2, d3, a1, a2)
             assert geo.d_dndm <= geo.d_sdn + geo.d_sdm + 1e-12
             assert geo.d_dndm >= abs(geo.d_sdn - geo.d_sdm) - 1e-12
             assert geo.d_rdm <= geo.d_dndm + geo.d_dnr + 1e-12
@@ -168,7 +180,7 @@ class TestPathLoss:
         g = np.array([0.0, 1.0, 1e30])
         cfg = default_config(theta=400.0)
         assert np.all(sinr_direct_weak(cfg, default_geometry(), g) == 0.0)
-        far = derive_geometry(4.0, 6.0, 1e200, math.radians(40.0), math.radians(60.0))
+        far = Geometry(4.0, 6.0, 1e200, math.radians(40.0), math.radians(60.0))
         assert np.all(sinr_relayed(default_config(), far, g, g[::-1]) == 0.0)
         cfg = default_config(theta=600.0)  # 4**600 overflows too
         assert np.all(sinr_strong_decodes_weak(cfg, default_geometry(), g) == 0.0)
@@ -178,14 +190,14 @@ class TestPathLoss:
 class TestSinrExpressions:
     def test_direct_weak_substitution(self):
         cfg = default_config(gamma0=10.0)
-        geo = derive_geometry(1.0, 1.0, 1.0, math.radians(40.0), math.radians(60.0))
+        geo = Geometry(1.0, 1.0, 1.0, math.radians(40.0), math.radians(60.0))
         # 0.7*1 / (0.3*1 + 1/10)
         assert sinr_direct_weak(cfg, geo, 1.0) == pytest.approx(1.75, rel=1e-12)
 
     def test_direct_weak_reduces_to_snr_without_interference(self):
         # push a_n toward zero: SINR approaches gamma0 * g / d^theta
         cfg = default_config(a_m=1.0 - 1e-12, a_n=1e-12, gamma0=10.0)
-        geo = derive_geometry(1.0, 1.0, 1.0, math.radians(40.0), math.radians(60.0))
+        geo = Geometry(1.0, 1.0, 1.0, math.radians(40.0), math.radians(60.0))
         assert sinr_direct_weak(cfg, geo, 1.0) == pytest.approx(10.0, rel=1e-9)
 
     def test_interference_ceiling(self):
@@ -243,7 +255,7 @@ class TestLeastPassingGains:
         # every gain above 0
         cfg = default_config(theta=600.0)
         assert [gain(cfg, geo) for gain, _, _ in self.STAGES] == [math.inf] * 3
-        near = derive_geometry(1e-200, 1e-200, 4.0, 0.7, 1.0)
+        near = Geometry(1e-200, 1e-200, 4.0, 0.7, 1.0)
         assert [gain(default_config(), near) for gain, _, _ in self.STAGES] == [0.0] * 3
         # the noise-free limit comes first, also where a_n gamma0 underflows to 0
         # or gamma_thn is inf: snr_strong_own passes every gain above 0
@@ -252,7 +264,7 @@ class TestLeastPassingGains:
             assert snr_strong_own(cfg, near, 5e-324) >= cfg.gamma_thn
         # a_n gamma0 underflows to 0 on a lossy link: the SNR is 0 at every gain,
         # also where gamma_thn d_sdn**theta underflows to 0 as well
-        faint = derive_geometry(1e-20, 6.0, 4.0, 0.7, 1.0)
+        faint = Geometry(1e-20, 6.0, 4.0, 0.7, 1.0)
         cfg = default_config(gamma0=5e-324, gamma_thn=1e-300)
         assert gain_strong_own(cfg, faint) == math.inf
         assert snr_strong_own(cfg, faint, 1e300) < cfg.gamma_thn
@@ -262,7 +274,7 @@ class TestLeastPassingGains:
     def test_snr_array_matches_scalar_calls(self, layout):
         # RuntimeWarnings fail the suite, so no entry may raise one either
         *dists, theta = layout
-        geo = derive_geometry(*dists, 0.7, 1.0)
+        geo = Geometry(*dists, 0.7, 1.0)
         gamma0 = 10.0 ** (np.arange(-1600.0, 1600.5, 2.5) / 10.0)
         for cfg in (default_config(theta=theta), default_config(theta=theta, gamma_thm=0.7 / 0.3)):
             for gain, _, _ in self.STAGES:
@@ -271,7 +283,7 @@ class TestLeastPassingGains:
                 assert all(isinstance(w, float) for w in want)
                 assert got.tobytes() == np.array(want).tobytes()
         # the extreme layout holds levels that overflow and levels that do not
-        got = gain_direct_weak(default_config(theta=3.7), derive_geometry(1e-80, 3e60, 1e-30,
+        got = gain_direct_weak(default_config(theta=3.7), Geometry(1e-80, 3e60, 1e-30,
                                                                           0.7, 1.0), gamma0)
         assert np.isinf(got).any() and np.isfinite(got).any()
 
@@ -285,7 +297,7 @@ class TestRelayedSinr:
 
     def test_balanced_hops(self):
         cfg = default_config(gamma0=10.0)
-        geo = derive_geometry(1.0, 1.0, 1.0, math.radians(60.0), math.radians(60.0))
+        geo = Geometry(1.0, 1.0, 1.0, math.radians(60.0), math.radians(60.0))
         # both hop SNRs are 10*g/d_hop^2; pick gains that land both at 10
         g2 = geo.d_rdm ** 2 / 1.0
         got = sinr_relayed(cfg, geo, 1.0, g2)

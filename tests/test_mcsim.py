@@ -7,7 +7,7 @@ import pytest
 
 from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
-from coopnoma.linklevel import (SystemConfig, derive_geometry, gain_direct_weak,
+from coopnoma.linklevel import (Geometry, SystemConfig, gain_direct_weak,
                                 gain_strong_decodes_weak, gain_strong_own)
 from coopnoma.mcsim import (MODES, McConfig, McEstimate, _columns, _direct_stages, _draw,
                             _event_arrays, _gains_from_uniforms, draws_per_trial, estimate,
@@ -22,7 +22,7 @@ def default_config(**overrides):
 
 
 def default_geometry():
-    return derive_geometry(4.0, 6.0, 4.0, math.radians(40.0), math.radians(60.0))
+    return Geometry(4.0, 6.0, 4.0, math.radians(40.0), math.radians(60.0))
 
 
 def stream_step(seed, step):
@@ -253,12 +253,14 @@ class TestEstimate:
         ps = [(en.p_hat, em.p_hat) for en, em, _ in runs]
         assert ps[0] == ps[1] == ps[2]
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = default_config()
         geo = default_geometry()
         mc = McConfig(trials=50_000, seed=8, chunk_size=4096)
-        serial = estimate(cfg, geo, mc, workers=1)
-        threaded = estimate(cfg, geo, mc, workers=8)
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 1)
+        serial = estimate(cfg, geo, mc)
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 8)
+        threaded = estimate(cfg, geo, mc)
         assert serial[0] == threaded[0]
         assert serial[1] == threaded[1]
         assert serial[2] == threaded[2]
@@ -325,7 +327,7 @@ class TestEstimate:
 class TestSharedDraw:
     def variants(self):
         geo = default_geometry()
-        far = derive_geometry(6.0, 9.0, 6.0, math.radians(40.0), math.radians(60.0))
+        far = Geometry(6.0, 9.0, 6.0, math.radians(40.0), math.radians(60.0))
         return [(default_config(gamma0=10.0), geo, True),
                 (default_config(m=1, n=2), geo, False),
                 (default_config(m=2, n=5, gamma0=1000.0), far, True)]
@@ -358,11 +360,22 @@ class TestSharedDraw:
         with pytest.raises(ValueError, match=f"variant {field}="):
             estimate(default_config(), geo, mc, also=[(default_config(**other), geo, True)])
 
-    def test_bad_worker_count_rejected(self):
-        for workers in (0, -1, 1.5):
-            with pytest.raises(ValueError, match="workers"):
-                estimate(default_config(), default_geometry(), McConfig(trials=10, seed=1),
-                         workers=workers)
+    def test_pool_takes_one_thread_per_usable_cpu_up_to_the_chunks(self, monkeypatch):
+        sizes = []
+
+        class Pool(mcsim.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 8)
+        cfg, geo = default_config(), default_geometry()
+        estimate(cfg, geo, McConfig(trials=10, seed=1))  # one chunk runs without a pool
+        estimate(cfg, geo, McConfig(trials=300, seed=1, chunk_size=100))
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
+        estimate(cfg, geo, McConfig(trials=300, seed=1, chunk_size=100))
+        assert sizes == [3, 2]
 
 
 def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
@@ -419,7 +432,7 @@ class TestThresholdPath:
             yield default_config(lambda_sd=lam), geo
         # a noise-free link, an overflowing path loss, SIC infeasible, and
         # gain levels / lam that underflow
-        yield default_config(), derive_geometry(1e-200, 6.0, 4.0, 0.7, 1.0)
+        yield default_config(), Geometry(1e-200, 6.0, 4.0, 0.7, 1.0)
         yield default_config(theta=400.0), geo
         yield default_config(gamma_thm=0.7 / 0.3), geo
         yield default_config(gamma0=1e300, lambda_sd=1e300), geo
@@ -508,7 +521,7 @@ class TestInputBoxFuzz:
     GEOMETRY_KEYS = ("d_sdn", "d_sdm", "d_dnr", "alpha1", "alpha2")
 
     def point(self, rng):
-        """One seeded point of the input box: (SystemConfig kwargs, derive_geometry kwargs).
+        """One seeded point of the input box: (SystemConfig kwargs, Geometry kwargs).
 
         Each field is drawn from its usual range, or with probability 0.07
         from its extremes, invalid values included.
@@ -548,7 +561,7 @@ class TestInputBoxFuzz:
             cfg_kw, geo_kw = self.point(rng)
             try:
                 cfg = SystemConfig(**cfg_kw)
-                geo = derive_geometry(**geo_kw)
+                geo = Geometry(**geo_kw)
             except ValueError as exc:
                 assert any(re.search(rf"\b{key}\b", str(exc)) for key in (*cfg_kw, *geo_kw)), exc
                 continue
@@ -559,7 +572,7 @@ class TestInputBoxFuzz:
             for mode in MODES:
                 mc = McConfig(trials=300, seed=int(rng.integers(2 ** 63)), mode=mode,
                               chunk_size=200)
-                results = estimate(cfg, geo, mc, also=[(cfg, geo, False)], workers=1)
+                results = estimate(cfg, geo, mc, also=[(cfg, geo, False)])
                 for (est_n, est_m, _), relay in zip(results, (True, False)):
                     assert (est_n.events, est_m.events) == sinr_replay(cfg, geo, mc, relay)
         assert evaluated >= 100

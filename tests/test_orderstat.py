@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from coopnoma.orderstat import (MAX_RANKED_USERS, MAX_USERS, OrderStatSpec, gains_at_ranks,
-                                ordered_cdf, ordered_sf, phi_coefficient, sample_ordered_gains)
+from coopnoma.orderstat import (MAX_RANKED_USERS, MAX_USERS, OrderStatSpec, gains_from_chain,
+                                log_uniform_chain, ordered_cdf, ordered_sf, phi_coefficient,
+                                sample_ordered_gains)
 
 
 def test_spec_validation():
@@ -207,7 +208,8 @@ class TestSampler:
         # sum_{k=10..20} C(20,k) F(x)^k (F(y) - F(x))^(20-k)
         draws = 200_000
         v = np.random.Generator(np.random.PCG64DXSM(2018)).random((20, draws))
-        g10, g20 = gains_at_ranks(v, [10, 20], 1.0)
+        chain = log_uniform_chain(v, 10)
+        g10, g20 = gains_from_chain(chain[0], 1.0), gains_from_chain(chain[10], 1.0)
         for x, y in ((0.4, 2.0), (0.7, 3.0), (1.0, 4.5)):
             fx, fy = -math.expm1(-x), -math.expm1(-y)
             exact = math.fsum(math.comb(20, k) * fx ** k * (fy - fx) ** (20 - k)
@@ -229,9 +231,9 @@ class TestSampler:
 
     def test_rank_validation(self):
         v = np.zeros((6, 2))
-        for ranks in ([0, 3], [3, 7]):
-            with pytest.raises(ValueError, match="ranks must lie in 1..M=6"):
-                gains_at_ranks(v, ranks, 1.0)
+        for lo in (0, 7):
+            with pytest.raises(ValueError, match="lowest rank must lie in 1..M=6"):
+                log_uniform_chain(v, lo)
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(0)
