@@ -7,12 +7,16 @@ cleanly.  Plots are emitted as standalone matplotlib scripts rather than
 images, keeping this package free of plotting dependencies and the
 artifacts byte-reproducible.
 
-A sweep first builds and validates every point and computes its
-analytic rows: an SNR grid in one ``evaluate`` call per relay flag over
-the array of its SNRs, pair and distance-set sweeps in one call per
-point.  Then one ``estimate`` call draws the fading gains once and
-evaluates every Monte-Carlo row on them.  A bad point is reported
-before any trial is drawn.
+A sweep runs in three passes.  It first builds and validates every
+point, so a bad point is reported before any trial is drawn.  It then
+computes the analytic columns: an SNR grid in one ``evaluate`` call per
+relay flag over the array of its SNRs, pair and distance-set sweeps in
+one call per point.  Last, one ``estimate`` call draws the fading gains
+once and evaluates every Monte-Carlo row on them.  Each column is
+formatted once, from Python floats, and each row is built once, its
+keys in CSV order.  ``write_csv`` streams the rows to the file one line
+at a time; no field needs quoting, so the bytes are those of
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import argparse
 import configparser
 import csv
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -69,6 +74,27 @@ def db_to_linear(db: float) -> float:
     return ratio
 
 
+def _is_int(v) -> bool:
+    """An int, numpy's included, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite int or float, numpy's included, and not a bool."""
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# What each sweep variable's values must be, and the test of one value.
+_SWEEP_VALUES = {
+    "gamma0_db": ("finite reals", _is_real),
+    "pair": ("(m, n) tuples of integers",
+             lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))),
+    "distance-set": ("(d_sdn, d_sdm, d_dnr) tuples of finite reals",
+                     lambda v: isinstance(v, tuple) and len(v) == 3 and all(map(_is_real, v))),
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep, with which engines, and which outputs to plot.
@@ -94,10 +120,10 @@ class SweepSpec:
         if not self.values:
             raise ValueError("sweep values must be non-empty")
         object.__setattr__(self, "values", tuple(self.values))
-        if self.variable == "gamma0_db":
-            if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in self.values):
-                raise ValueError(f"gamma0_db sweep values must be finite reals, "
-                                 f"got {self.values}")
+        want, valid = _SWEEP_VALUES[self.variable]
+        for v in self.values:
+            if not valid(v):
+                raise ValueError(f"{self.variable} sweep values must be {want}, got {v!r}")
         engines = tuple(e for e in ENGINES if e in self.engines)
         if len(set(self.engines)) != len(engines) or not engines:
             bad = set(self.engines) - set(ENGINES) or "empty set"
@@ -108,7 +134,7 @@ class SweepSpec:
             bad = set(self.outputs) - set(OUTPUTS) or "empty set"
             raise ValueError(f"outputs must be a non-empty subset of {OUTPUTS}, got {bad}")
         object.__setattr__(self, "outputs", outputs)
-        if not (isinstance(self.gamma0_db, (int, float)) and math.isfinite(self.gamma0_db)):
+        if not _is_real(self.gamma0_db):
             raise ValueError(f"gamma0_db must be a finite real, got {self.gamma0_db!r}")
 
 
@@ -235,10 +261,8 @@ def load_config(path: str | Path | None) -> ConfigBundle:
     return cfg, geo, mc, sweep
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.10g}"
+# Every number in the CSV: 10 significant digits, so output files diff cleanly.
+_fmt = "{:.10g}".format
 
 
 def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value,
@@ -260,68 +284,91 @@ def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value,
     return db, cfg.gamma0, cfg, Geometry(d_sdn, d_sdm, d_dnr, geo.alpha1, geo.alpha2)
 
 
-def _analytic_fields(p_out_n, p_out_m, throughput) -> dict:
-    return {"mode": "", "p_out_n": _fmt(p_out_n), "p_out_m": _fmt(p_out_m), "stderr_n": "",
-            "stderr_m": "", "throughput": _fmt(throughput)}
+def _point_error(sweep: SweepSpec, value, exc: Exception) -> Exception:
+    return type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}")
+
+
+def _analytic_columns(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, points: list,
+                      relays: tuple[bool, ...]) -> list[list[list[str]]]:
+    """Formatted (p_out_n, p_out_m, throughput) columns over the points, one triple per relay flag.
+
+    An SNR grid takes one ``evaluate`` call per relay flag over the array
+    of its SNRs; any other sweep takes one call per point and flag.
+    """
+    if sweep.variable == "gamma0_db":
+        grid = np.array([gamma0 for _, gamma0, _, _ in points])
+        curves = [evaluate(cfg, geo, relay=relay, gamma0=grid) for relay in relays]
+        columns = [(c.p_out_n.tolist(), c.p_out_m.tolist(), c.throughput.tolist())
+                   for c in curves]
+    else:
+        lone = []
+        for value, (_, _, cfg_i, geo_i) in zip(sweep.values, points):
+            try:
+                lone.append([evaluate(cfg_i, geo_i, relay=relay) for relay in relays])
+            except (ValueError, ArithmeticError) as exc:
+                raise _point_error(sweep, value, exc) from exc
+        columns = [zip(*((p[j].p_out_n, p[j].p_out_m, p[j].throughput) for p in lone))
+                   for j in range(len(relays))]
+    return [[list(map(_fmt, column)) for column in triple] for triple in columns]
 
 
 def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> list[dict]:
     """Evaluate every sweep point with every requested engine.
 
-    Returns CSV-ready rows (string values, CSV_COLUMNS keys), ordered by
-    sweep index then engine.  Errors in building a point or in its
-    analytic rows propagate annotated with the offending sweep point,
+    Returns CSV-ready rows (string values, CSV_COLUMNS keys in order),
+    ordered by sweep index then engine.  Errors in building a point or in
+    its analytic rows propagate annotated with the offending sweep point,
     before any Monte-Carlo trial is drawn.
     """
     relays = (True, False) if sweep.baseline else (True,)
-    on_grid = sweep.variable == "gamma0_db"
-    rows = []
-    grid = []  # gamma0 of every point; an SNR grid's analytic rows are filled in below
-    mc_rows = []  # (row index, cfg_i, geo_i, relay), filled in by one estimate call
+    build_cfg = sweep.variable != "gamma0_db" or "mc" in sweep.engines
+    points = []
     for value in sweep.values:
         try:
-            db, gamma0, cfg_i, geo_i = _point_scenario(
-                cfg, geo, sweep, value, build_cfg=not on_grid or "mc" in sweep.engines)
-            grid.append(gamma0)
-            ranks = cfg_i or cfg  # a grid point without a config of its own has the sweep's
-            for engine in sweep.engines:
-                for relay in relays:
-                    name = engine if relay else engine + "-norelay"
-                    row = {"gamma0_db": _fmt(db), "m": str(ranks.m), "n": str(ranks.n),
-                           "engine": name}
-                    if engine == "mc":
-                        mc_rows.append((len(rows), cfg_i, geo_i, relay))
-                    elif not on_grid:
-                        point = evaluate(cfg_i, geo_i, relay=relay)
-                        row |= _analytic_fields(point.p_out_n, point.p_out_m, point.throughput)
-                    rows.append(row)
+            points.append(_point_scenario(cfg, geo, sweep, value, build_cfg=build_cfg))
         except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}") from exc
-    if on_grid and "analytic" in sweep.engines:
-        # analytic comes first in sweep.engines: relay flag j's rows are rows[j::stride]
-        stride = len(sweep.engines) * len(relays)
+            raise _point_error(sweep, value, exc) from exc
+
+    # engine, mode, then the p_out_n, p_out_m, stderr_n, stderr_m, throughput columns
+    variants = []
+    if "analytic" in sweep.engines:
+        blank = [""] * len(points)
+        for relay, (p_n, p_m, tau) in zip(relays, _analytic_columns(cfg, geo, sweep, points,
+                                                                    relays)):
+            variants.append(("analytic" if relay else "analytic-norelay", "", p_n, p_m,
+                             blank, blank, tau))
+    if "mc" in sweep.engines:
+        (cfg_0, geo_0, relay_0), *rest = [(cfg_i, geo_i, relay)
+                                          for _, _, cfg_i, geo_i in points for relay in relays]
+        results = estimate(cfg_0, geo_0, mc, relay=relay_0, also=rest)
         for j, relay in enumerate(relays):
-            curve = evaluate(cfg, geo, relay=relay, gamma0=np.array(grid))
-            for row, p_n, p_m, tau in zip(rows[j::stride], curve.p_out_n, curve.p_out_m,
-                                          curve.throughput):
-                row |= _analytic_fields(p_n, p_m, tau)
-    if mc_rows:
-        (_, cfg_0, geo_0, relay_0), *rest = mc_rows
-        results = estimate(cfg_0, geo_0, mc, relay=relay_0,
-                           also=[(c, g, r) for _, c, g, r in rest])
-        for (k, *_), (est_n, est_m, tau) in zip(mc_rows, results):
-            rows[k] |= {"mode": mc.mode, "p_out_n": _fmt(est_n.p_hat),
-                        "p_out_m": _fmt(est_m.p_hat), "stderr_n": _fmt(est_n.stderr),
-                        "stderr_m": _fmt(est_m.stderr), "throughput": _fmt(tau)}
+            columns = zip(*((est_n.p_hat, est_m.p_hat, est_n.stderr, est_m.stderr, tau)
+                            for est_n, est_m, tau in results[j::len(relays)]))
+            variants.append(("mc" if relay else "mc-norelay", mc.mode,
+                             *(list(map(_fmt, column)) for column in columns)))
+
+    rows = []
+    for i, (db, _, cfg_i, _) in enumerate(points):
+        ranks = cfg_i or cfg  # a grid point without a config of its own has the sweep's
+        db_s, m_s, n_s = _fmt(db), str(ranks.m), str(ranks.n)
+        for engine, mode, p_n, p_m, se_n, se_m, tau in variants:
+            rows.append({"gamma0_db": db_s, "m": m_s, "n": n_s, "engine": engine,
+                         "mode": mode, "p_out_n": p_n[i], "p_out_m": p_m[i],
+                         "stderr_n": se_n[i], "stderr_m": se_m[i], "throughput": tau[i]})
     return rows
 
 
 def write_csv(rows: list[dict], path: str | Path) -> None:
-    """Write sweep rows with the fixed header; newline-strict for stable bytes."""
+    """Write sweep rows under the fixed header, streamed one line per row.
+
+    Every field is a ``%.10g`` number, a decimal integer, a fixed engine
+    or mode name, or empty, so none needs quoting: the bytes are those
+    ``csv.writer`` writes with ``lineterminator="\\n"``.
+    """
+    get = operator.itemgetter(*CSV_COLUMNS)
     with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(",".join(get(row)) + "\n" for row in rows)
 
 
 def _read_rows(csv_path: Path) -> list[dict]:
@@ -480,19 +527,22 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg, geo, mc, sweep = load_config(args.config)
+        # one replace, so SweepSpec checks a long grid once
+        overrides = {}
         if args.sweep_gamma0_db is not None:
-            sweep = replace(sweep, variable="gamma0_db",
-                            values=_parse_sweep_range(args.sweep_gamma0_db))
+            overrides |= {"variable": "gamma0_db",
+                          "values": _parse_sweep_range(args.sweep_gamma0_db)}
+        if args.engine is not None:
+            overrides["engines"] = ENGINES if args.engine == "both" else (args.engine,)
+        if args.baseline:
+            overrides["baseline"] = True
+        sweep = replace(sweep, **overrides)
         if args.trials is not None:
             mc = replace(mc, trials=args.trials)
         if args.seed is not None:
             mc = replace(mc, seed=args.seed)
         if args.mode is not None:
             mc = replace(mc, mode=args.mode)
-        if args.engine is not None:
-            sweep = replace(sweep, engines=ENGINES if args.engine == "both" else (args.engine,))
-        if args.baseline:
-            sweep = replace(sweep, baseline=True)
         cfg = replace(cfg, gamma0=_base_gamma0(sweep))
 
         rows = run_sweep(cfg, geo, mc, sweep)

@@ -53,14 +53,14 @@ class SystemConfig:
     gamma_thn: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.M, (int, np.integer)) or self.M < 1:
+        if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
         if self.M > MAX_RANKED_USERS:
             raise ValueError(f"M must be <= {MAX_RANKED_USERS}, the largest population whose "
                              f"rank distributions are checked, got {self.M}")
         for name in ("m", "n"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 1 <= self.m < self.n <= self.M:
             raise ValueError(

@@ -206,23 +206,6 @@ def _hop_gains(cfg: SystemConfig, mode: str, u: np.ndarray):
     return -cfg.lambda_dnr * np.log1p(-u[off]), -cfg.lambda_rdm * np.log1p(-u[off + 1])
 
 
-def _gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray, weak, strong):
-    """Map a slot-major (draws_per_trial, count) uniform block to the requested gains.
-
-    ``_chains`` and then ``gains_from_chain`` on every requested rank: the
-    per-trial gains of the SINR reference (see ``_event_arrays``); the
-    estimator itself decides on the chain rows.
-    Returns (weak-read gains, strong-read gains, g_dnr, g_rdm); the first
-    two map each requested rank to its (count,) gain array, and in joint
-    mode they are one map over the one vector.
-    """
-    vec1, vec2 = _chains(cfg.M, mode, u, weak, strong)
-    gains1 = {i: gains_from_chain(x, cfg.lambda_sd) for i, x in vec1.items()}
-    gains2 = gains1 if vec2 is vec1 else {i: gains_from_chain(x, cfg.lambda_sd)
-                                          for i, x in vec2.items()}
-    return (gains1, gains2, *_hop_gains(cfg, mode, u))
-
-
 def _direct_stages(cfg: SystemConfig, geo: Geometry, g_m, g_n):
     """Per-trial (fail_sic, out_n, fail_direct) from the SINR expressions.
 
@@ -233,25 +216,6 @@ def _direct_stages(cfg: SystemConfig, geo: Geometry, g_m, g_n):
     out_n = fail_sic | (snr_strong_own(cfg, geo, g_n) < cfg.gamma_thn)
     fail_direct = sinr_direct_weak(cfg, geo, g_m) < cfg.gamma_thm
     return fail_sic, out_n, fail_direct
-
-
-def _event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,
-                  relay: bool = True):
-    """Vectorized outage indicators for both users, every stage at SINR level.
-
-    The weak user is in outage when the strong user's SIC stage failed
-    (nothing is forwarded), or when both its own copies — direct and
-    relayed — fail; with relay=False the relayed copy is never available.
-    This per-trial SINR path is the reference that the tests hold the
-    estimator's threshold decisions to; ``estimate`` does not call it.
-    """
-    fail_sic, out_n, fail_direct = _direct_stages(cfg, geo, g_m, g_n)
-    if relay:
-        fail_relay = sinr_relayed(cfg, geo, g_dnr, g_rdm) < cfg.gamma_thm
-        out_m = fail_sic | (~fail_sic & fail_direct & fail_relay)
-    else:
-        out_m = fail_sic | (~fail_sic & fail_direct)
-    return out_n, out_m
 
 
 class _Stage(NamedTuple):

@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from coopnoma.cli import (CSV_COLUMNS, MAX_GRID_POINTS, SweepSpec, _parse_sweep_range,
@@ -194,6 +196,34 @@ class TestSweepSpec:
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
             SweepSpec(variable="gamma0_db", values=(0.0,), engines=("fpga",))
+
+    @pytest.mark.parametrize("variable, values", [
+        ("pair", ((1,),)),
+        ("pair", ((1, 2, 3),)),
+        ("pair", ((True, 2),)),
+        ("pair", ((1.0, 2),)),
+        ("distance-set", ((4.0, 6.0),)),
+        ("distance-set", ((4.0, 6.0, 4.0, 1.0),)),
+        ("distance-set", ((4.0, True, 4.0),)),
+        ("distance-set", ((4.0, 6.0, math.nan),)),
+        ("gamma0_db", (True,)),
+    ])
+    def test_rejects_malformed_values(self, variable, values):
+        with pytest.raises(ValueError, match="sweep values"):
+            SweepSpec(variable=variable, values=values)
+
+    def test_rejects_bool_fixed_snr(self):
+        with pytest.raises(ValueError, match="gamma0_db must be a finite real"):
+            SweepSpec(variable="pair", values=((1, 2),), gamma0_db=True)
+
+    def test_numpy_numbers_run_as_their_values(self):
+        cfg, geo, mc, _ = small_bundle()
+        sweep = SweepSpec(variable="gamma0_db", values=(np.int64(3), np.float64(4.5)),
+                          engines=("analytic",))
+        assert [r["gamma0_db"] for r in run_sweep(cfg, geo, mc, sweep)] == ["3", "4.5"]
+        sweep = SweepSpec(variable="pair", values=((np.int64(2), np.int64(5)),),
+                          engines=("analytic",))
+        assert [(r["m"], r["n"]) for r in run_sweep(cfg, geo, mc, sweep)] == [("2", "5")]
 
     def test_canonicalizes_order(self):
         s = SweepSpec(variable="gamma0_db", values=[0.0, 5.0],
@@ -388,6 +418,28 @@ class TestCsvAndPlots:
         out = tmp_path / "sweep.csv"
         write_csv(rows, out)
         return out
+
+    @pytest.mark.parametrize("variable, values", [
+        ("gamma0_db", (0.0, 12.5, 30.0)),
+        ("pair", ((1, 2), (3, 6))),
+        ("distance-set", ((4.0, 6.0, 4.0), (2.0, 9.0, 7.0))),
+    ])
+    def test_bytes_equal_the_csv_module(self, tmp_path, variable, values):
+        # write_csv joins fields without quoting; csv.DictWriter is the reference
+        from dataclasses import replace
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, variable=variable, values=values, engines=("analytic", "mc"),
+                        baseline=True)
+        rows = run_sweep(cfg, geo, mc, sweep)
+        assert len(rows) == 4 * len(values)
+        assert all(tuple(row) == CSV_COLUMNS for row in rows)
+        out = tmp_path / "sweep.csv"
+        write_csv(rows, out)
+        want = io.StringIO()
+        writer = csv.DictWriter(want, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_header_line(self, tmp_path):
         out = self.run_small_sweep(tmp_path)

@@ -62,6 +62,11 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             default_config(**bad)
 
+    @pytest.mark.parametrize("key", ["M", "m", "n"])
+    def test_rejects_bool_rank_naming_key(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            default_config(**{key: True})
+
     def test_population_bound_names_key(self):
         assert default_config(M=MAX_RANKED_USERS, n=MAX_RANKED_USERS).M == MAX_RANKED_USERS
         with pytest.raises(ValueError, match=f"^M must be <= {MAX_RANKED_USERS}"):

@@ -10,9 +10,9 @@ from coopnoma.analytic import evaluate, throughput
 from coopnoma.linklevel import (Geometry, SystemConfig, gain_direct_weak,
                                 gain_strong_decodes_weak, gain_strong_own)
 from coopnoma.mcsim import (MODES, McConfig, McEstimate, _columns, _direct_stages, _draw,
-                            _event_arrays, _gains_from_uniforms, draws_per_trial, estimate,
-                            trial_stream)
+                            draws_per_trial, estimate, trial_stream)
 from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
+from sinr_reference import event_arrays, gains_from_uniforms
 
 
 def default_config(**overrides):
@@ -37,12 +37,12 @@ def draw_trial(cfg, mc, t):
     u = np.array([[trial_stream(mc, cfg.M, t, k).random()]
                   for k in range(draws_per_trial(cfg.M, mc.mode))])
     every = range(1, cfg.M + 1)
-    return _gains_from_uniforms(cfg, mc.mode, u, every, every)
+    return gains_from_uniforms(cfg, mc.mode, u, every, every)
 
 
 def events(cfg, geo, g_m, g_n, g_dnr, g_rdm):
     """Both outage indicators of one hand-built trial, through the array path."""
-    out_n, out_m = _event_arrays(cfg, geo, *(np.array([g]) for g in (g_m, g_n, g_dnr, g_rdm)))
+    out_n, out_m = event_arrays(cfg, geo, *(np.array([g]) for g in (g_m, g_n, g_dnr, g_rdm)))
     return bool(out_n[0]), bool(out_m[0])
 
 
@@ -169,9 +169,9 @@ class TestDrawRealization:
         u = np.random.Generator(np.random.PCG64DXSM(4)).random(
             (draws_per_trial(cfg.M, mode), 1_000))
         every = range(1, 7)
-        all1, all2, dnr, rdm = _gains_from_uniforms(cfg, mode, u.copy(), every, every)
+        all1, all2, dnr, rdm = gains_from_uniforms(cfg, mode, u.copy(), every, every)
         for weak, strong in (([3], [6]), ([1, 2], [6]), ([5], [4, 5]), ([6], [6])):
-            vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, mode, u.copy(), weak, strong)
+            vec1, vec2, g_dnr, g_rdm = gains_from_uniforms(cfg, mode, u.copy(), weak, strong)
             for i in weak:
                 np.testing.assert_array_equal(vec1[i], all1[i])
             for i in strong:
@@ -191,7 +191,7 @@ class TestDrawRealization:
         cfg = default_config(M=100, m=1, n=100, lambda_sd=1.5)
         u = np.full((draws_per_trial(100, "independent"), 3), v)
         every = range(1, 101)
-        vec1, vec2, g_dnr, g_rdm = _gains_from_uniforms(cfg, "independent", u, every, every)
+        vec1, vec2, g_dnr, g_rdm = gains_from_uniforms(cfg, "independent", u, every, every)
         if v == 0.0:
             want = [1.5 * 60.0 * math.log(2.0)] * 100
         else:
@@ -393,7 +393,7 @@ def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
 def sinr_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
     """The same indicators through the gain transform and every SINR."""
     lam = cfg.lambda_sd
-    out_n, out_m = _event_arrays(cfg, geo, gains_from_chain(np.asarray(y_m, dtype=float), lam),
+    out_n, out_m = event_arrays(cfg, geo, gains_from_chain(np.asarray(y_m, dtype=float), lam),
                                  gains_from_chain(np.asarray(y_n, dtype=float), lam),
                                  np.asarray(g_dnr, dtype=float), np.asarray(g_rdm, dtype=float),
                                  relay)
@@ -479,7 +479,7 @@ class TestThresholdMechanism:
                     for db in range(0, 41, 5) for relay in (True, False)]
         plans = [mcsim._plan(c, g) for c, g, _ in variants]
         mc = McConfig(trials=65_536, seed=20180415)
-        weak, strong, g_dnr, g_rdm = _gains_from_uniforms(
+        weak, strong, g_dnr, g_rdm = gains_from_uniforms(
             variants[0][0], mc.mode, _draw(mc, 6, _columns(6, mc.mode, [3], [6]), 0, 65_536),
             [3], [6])
         seen = []
@@ -505,15 +505,15 @@ class TestThresholdMechanism:
                 (_, a, b), = [(c, a, b) for c, a, b in relayed if c == cfg]
                 np.testing.assert_array_equal(a, g_dnr[left])
                 np.testing.assert_array_equal(b, g_rdm[left])
-            out_m = _event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)[1]
+            out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)[1]
             assert (n, m) == (out_n.sum(), out_m.sum())
 
 
 def sinr_replay(cfg, geo, mc, relay):
     """Outage counts (strong, weak) of every trial through the gain transform and every SINR."""
     u = _draw(mc, cfg.M, range(draws_per_trial(cfg.M, mc.mode)), 0, mc.trials)
-    weak, strong, g_dnr, g_rdm = _gains_from_uniforms(cfg, mc.mode, u, [cfg.m], [cfg.n])
-    out_n, out_m = _event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n], g_dnr, g_rdm, relay)
+    weak, strong, g_dnr, g_rdm = gains_from_uniforms(cfg, mc.mode, u, [cfg.m], [cfg.n])
+    out_n, out_m = event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n], g_dnr, g_rdm, relay)
     return int(out_n.sum()), int(out_m.sum())
 
 
