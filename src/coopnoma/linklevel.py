@@ -20,11 +20,19 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .orderstat import MAX_RANKED_USERS
+
+
+def _reject_bools(config) -> None:
+    """Name the first constructor field of ``config`` given a bool, which would pass as 0 or 1."""
+    for f in fields(config):
+        if f.init and isinstance(getattr(config, f.name), (bool, np.bool_)):
+            raise ValueError(f"{f.name} must be a number, not a bool, "
+                             f"got {getattr(config, f.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +61,15 @@ class SystemConfig:
     gamma_thn: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.M, (int, np.integer)) or isinstance(self.M, bool) or self.M < 1:
+        _reject_bools(self)
+        if not isinstance(self.M, (int, np.integer)) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
         if self.M > MAX_RANKED_USERS:
             raise ValueError(f"M must be <= {MAX_RANKED_USERS}, the largest population whose "
                              f"rank distributions are checked, got {self.M}")
         for name in ("m", "n"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            if not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 1 <= self.m < self.n <= self.M:
             raise ValueError(
@@ -134,6 +143,7 @@ class Geometry:
     d_rdm: float = field(init=False)
 
     def __post_init__(self) -> None:
+        _reject_bools(self)
         for name in ("d_sdn", "d_sdm", "d_dnr"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):

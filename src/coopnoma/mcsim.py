@@ -32,15 +32,18 @@ worker count and which variants share the draw do not.  Trials are
 numbered globally and the stream is slot-major: the uniform in column k
 of trial t (see ``draws_per_trial``) is step k*2**64 + t of one
 PCG64DXSM stream seeded with the seed, so every column owns a segment
-of 2**64 steps and trials are consecutive within it.  A chunk draws only
-the columns its variants read, one contiguous row per column: each
-vector's slots from its lowest read rank up, and the two hops.  Its
-chain rows are built from those rows by ``orderstat.log_uniform_chain``,
-where each rank depends only on the trial's own uniforms in the slots
-from that rank up, never on which other ranks the variants read.  So
-any partition of the trial range into chunks, and any set of variants,
-replays bit-identical chains, and chunk results are integer counts
-reduced in chunk order, which is exact arithmetic.
+of 2**64 steps and trials are consecutive within it.  A chunk streams
+only the columns its variants read, one contiguous row per column, with
+one ``advance`` of the stream between rows: each vector's slots from M
+down to its lowest read rank, each turned at once into a chain term by
+``orderstat.log_uniform_chain``, and then the two hops.  So a chunk
+holds the slot row, one chain row per rank read, the two hop rows and
+two rows for the relay's share of the hops, whatever M is.  Each rank
+depends only on the trial's own uniforms in the slots from that rank
+up, never on which other ranks the variants read.  So any partition
+of the trial range into chunks, and any set of variants, replays
+bit-identical chains, and chunk results are integer counts reduced in
+chunk order, which is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import throughput
-from .linklevel import (Geometry, SystemConfig, gain_direct_weak, gain_strong_decodes_weak,
-                        gain_strong_own, path_loss, sinr_direct_weak, sinr_relayed,
-                        sinr_strong_decodes_weak, snr_strong_own)
+from .linklevel import (Geometry, SystemConfig, _reject_bools, gain_direct_weak,
+                        gain_strong_decodes_weak, gain_strong_own, path_loss, sinr_direct_weak,
+                        sinr_relayed, sinr_strong_decodes_weak, snr_strong_own)
 from .orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
 
 MODES = ("joint", "independent")
@@ -89,6 +92,7 @@ class McConfig:
     chunk_size: int = 65536
 
     def __post_init__(self) -> None:
+        _reject_bools(self)
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
         if self.trials >= _SEGMENT:
@@ -154,56 +158,6 @@ def trial_stream(mc: McConfig, M: int, trial: int, column: int = 0) -> np.random
     bg = np.random.PCG64DXSM(mc.seed)
     bg.advance(column * _SEGMENT + trial)
     return np.random.Generator(bg)
-
-
-def _columns(M: int, mode: str, weak, strong) -> list[int]:
-    """Columns a chunk reads: each vector's slots from its lowest read rank up, then the hops."""
-    if mode == "joint":
-        return list(range(min(min(weak), min(strong)) - 1, M + 2))
-    return [*range(min(weak) - 1, M), *range(M + min(strong) - 1, 2 * M + 2)]
-
-
-def _draw(mc: McConfig, M: int, columns: Sequence[int], start: int, count: int) -> np.ndarray:
-    """Uniforms of trials start..start+count-1 in a (draws_per_trial, count) block.
-
-    Row k holds column k for every k in ``columns`` (ascending); the other
-    rows are left unset.  The stream is positioned once and then advanced
-    from the end of one row's segment to the start of the next.
-    """
-    u = np.empty((draws_per_trial(M, mc.mode), count))
-    rng = trial_stream(mc, M, start, columns[0])
-    for prev, k in zip([columns[0], *columns], columns):
-        if k != prev:
-            rng.bit_generator.advance((k - prev) * _SEGMENT - count)
-        rng.random(out=u[k])
-    return u
-
-
-def _chains(M: int, mode: str, u: np.ndarray, weak, strong):
-    """Chain rows log U_(i) of the requested ranks, built in place in the uniform block.
-
-    ``weak`` and ``strong`` are the ranks read by the weak and the strong
-    user; only the direct-gain rows ``_columns`` names are read, and they
-    are overwritten.  Returns (weak-read map, strong-read map), each
-    mapping a requested rank to its (count,) chain row; in joint mode
-    they are one map over the one vector.
-    """
-    if mode == "joint":
-        lo = min(*weak, *strong)
-        chain = log_uniform_chain(u[:M], lo)
-        vec1 = vec2 = {i: chain[i - lo] for i in (*weak, *strong)}
-    else:
-        chain1 = log_uniform_chain(u[:M], min(weak))
-        chain2 = log_uniform_chain(u[M:2 * M], min(strong))
-        vec1 = {i: chain1[i - min(weak)] for i in weak}
-        vec2 = {i: chain2[i - min(strong)] for i in strong}
-    return vec1, vec2
-
-
-def _hop_gains(cfg: SystemConfig, mode: str, u: np.ndarray):
-    """Relay-hop gains (g_dnr, g_rdm) of a uniform block, by the inverse CDF -lam*log1p(-u)."""
-    off = cfg.M if mode == "joint" else 2 * cfg.M
-    return -cfg.lambda_dnr * np.log1p(-u[off]), -cfg.lambda_rdm * np.log1p(-u[off + 1])
 
 
 def _direct_stages(cfg: SystemConfig, geo: Geometry, g_m, g_n):
@@ -322,14 +276,16 @@ def _usable_cpus() -> int:
 
 
 def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
-           g_dnr: np.ndarray, g_rdm: np.ndarray) -> list[tuple[int, int]]:
+           g_dnr: np.ndarray, g_rdm: np.ndarray, gathered: np.ndarray) -> list[tuple[int, int]]:
     """Outage counts (strong, weak) of every variant on a chunk's chain rows.
 
-    ``weak`` and ``strong`` map ranks to chain rows as ``_chains`` does,
+    ``weak`` and ``strong`` map the ranks read by the weak and the strong
+    user to chain rows (one map over the one vector in joint mode),
     ``g_dnr`` and ``g_rdm`` are the hop gains, and ``plans[k]`` is ``_plan``
     of variant k.  Variants that share (cfg, geo) share their
     direct-stage decisions.  The relayed SINR runs only on the trials
-    whose weak user has kept the SIC stage and lost its direct copy.
+    whose weak user has kept the SIC stage and lost its direct copy;
+    their hop gains are gathered into the two rows of ``gathered``.
     """
     decided = {}  # (cfg, geo) -> (strong-user outages, SIC failures, trials left to the relay)
     counts = []
@@ -341,8 +297,10 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
         n_out_n, n_sic, left = decided[cfg, geo]
         if relay:
             left = np.flatnonzero(left)
-            n_left = np.count_nonzero(sinr_relayed(cfg, geo, g_dnr[left], g_rdm[left])
-                                      < cfg.gamma_thm)
+            # mode "clip" lets take write straight into ``out`` (the indices are in range)
+            a = np.take(g_dnr, left, out=gathered[0, :left.size], mode="clip")
+            b = np.take(g_rdm, left, out=gathered[1, :left.size], mode="clip")
+            n_left = np.count_nonzero(sinr_relayed(cfg, geo, a, b) < cfg.gamma_thm)
         else:
             n_left = np.count_nonzero(left)
         counts.append((int(n_out_n), int(n_sic + n_left)))
@@ -351,12 +309,43 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
 
 def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence[_Plan],
                mc: McConfig, start: int, count: int) -> list[tuple[int, int]]:
-    """Draw one chunk of trials and count both outages for every variant."""
-    weak_ranks = sorted({c.m for c, _, _ in variants})
-    strong_ranks = sorted({c.n for c, _, _ in variants})
-    u = _draw(mc, draw.M, _columns(draw.M, mc.mode, weak_ranks, strong_ranks), start, count)
-    weak, strong = _chains(draw.M, mc.mode, u, weak_ranks, strong_ranks)
-    return _count(variants, plans, weak, strong, *_hop_gains(draw, mc.mode, u))
+    """Stream one chunk of trials column by column and count both outages for every variant.
+
+    One (rows, count) block holds the slot row, the chain row of every
+    requested rank, the two hop rows and the two rows ``_count`` gathers
+    the relay's hop gains into, so a chunk's memory does not grow with M
+    and the relay path allocates little beside it.  Each vector's slots
+    are drawn from M down and chained at once by ``log_uniform_chain``;
+    the hops come last and become gains in place.
+    """
+    M = draw.M
+    weak_ranks = {c.m for c, _, _ in variants}
+    strong_ranks = {c.n for c, _, _ in variants}
+    vectors = ([(0, weak_ranks | strong_ranks)] if mc.mode == "joint"
+               else [(0, weak_ranks), (M, strong_ranks)])  # (column of slot 1, ranks read)
+    block = np.empty((1 + sum(len(r) for _, r in vectors) + 4, count))
+    slot_row, hops, gathered = block[0], block[-4:-2], block[-2:]
+    rng = trial_stream(mc, M, start, M - 1)
+    here = (M - 1) * _SEGMENT  # stream step of the next draw, less start
+
+    def column(k: int, row: np.ndarray) -> np.ndarray:
+        nonlocal here
+        rng.bit_generator.advance(k * _SEGMENT - here)
+        here = k * _SEGMENT + count
+        return rng.random(out=row)
+
+    chains, top = [], 1
+    for first, ranks in vectors:
+        chains.append(log_uniform_chain(lambda j, first=first: column(first + j - 1, slot_row),
+                                        M, ranks, block[top:top + len(ranks)]))
+        top += len(ranks)
+    weak, strong = chains[0], chains[-1]  # one map over the one vector in joint mode
+    for k, (hop, lam) in enumerate(zip(hops, (draw.lambda_dnr, draw.lambda_rdm))):
+        column(draws_per_trial(M, mc.mode) - 2 + k, hop)
+        np.negative(hop, out=hop)  # the inverse CDF -lam*log1p(-u), in place
+        np.log1p(hop, out=hop)
+        hop *= -lam
+    return _count(variants, plans, weak, strong, *hops, gathered)
 
 
 def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, relay: bool = True,

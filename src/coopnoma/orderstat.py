@@ -5,10 +5,11 @@ i-th weakest gain follows a classical order-statistic law built from the
 exponential parent.  This module provides the expansion coefficients of
 the rank distribution, numerically stable CDF and survival evaluators
 for the closed-form outage expressions, and the one sampler of ranked
-gains, in two steps: a chain that maps a block of uniforms to log U_(i)
-of the requested ranks without sorting, and the transform of a chain
-value to its gain.  Because the transform is increasing, a threshold on
-a gain is a threshold on the chain (``chain_at_gain``).
+gains, in two steps: a chain that streams the uniforms one slot at a
+time into log U_(i) of the requested ranks, without sorting, and the
+transform of a chain value to its gain.  Because the transform is
+increasing, a threshold on a gain is a threshold on the chain
+(``chain_at_gain``).
 
 The signed expansion coefficients are exact in float64 only up to
 M = 20 (``MAX_USERS``); the CDF and survival sums have only nonnegative
@@ -19,6 +20,7 @@ the largest population the other entry points accept.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,30 +118,45 @@ def ordered_sf(spec: OrderStatSpec, x):
     return _binomial_sum(spec, x, range(spec.i))
 
 
-def log_uniform_chain(v: np.ndarray, lo: int) -> np.ndarray:
-    """The chain log U_(i), i = lo..M, built in place from a slot-major uniform block.
+def log_uniform_chain(slot: Callable[[int], np.ndarray], M: int, ranks: Sequence[int],
+                      out: np.ndarray) -> dict[int, np.ndarray]:
+    """The chain log U_(i) of the requested ranks, streamed one slot at a time.
 
-    Row j-1 of the (M, count) block ``v`` holds slot j of every draw, so
-    column t holds the M uniforms in [0, 1) of draw t.  The rank-i
-    uniform of a draw is built top down by the uniform-spacings chain
-    (Devroye 1986, ch. V): log U_(i) = sum_{j=i..M} log1p(-v_j)/j,
-    summed from slot M down.  Only the rows from ``lo`` up are read, and
-    they are overwritten with the chain; the rows below may be left
-    unset.  Each rank's value depends only on its draw's slots from that
-    rank up.  Returns the overwritten rows as a view: row q is
-    log U_(lo+q) of every draw.  Its values lie at or below -2**-53/M,
-    or are exactly 0 where every slot from the rank up is 0.
+    ``slot(j)`` returns slot j of every draw as a writable (count,) row of
+    uniforms in [0, 1); it is called once per slot, from j = M down to the
+    lowest requested rank, and its row is overwritten.  The rank-i uniform
+    of a draw is built top down by the uniform-spacings chain (Devroye
+    1986, ch. V): log U_(i) = sum_{j=i..M} t_j with t_j = log1p(-v_j)/j.
+    Each slot's term is made in its own row and added at once to the
+    running sum S_j = t_j + S_{j+1}, which lives in the ``out`` row of the
+    next requested rank at or below j, so no row beyond ``out`` and the
+    slot row is needed whatever M is.  ``out`` holds one (count,) row per
+    requested rank in ascending rank order; ``slot(j)`` may return the
+    ``out`` row of rank j itself, or a row outside ``out``.  Each rank's
+    value depends only on its draw's slots from that rank up.  Returns
+    {rank: its row of ``out``}.  The values lie at or below -2**-53/M, or
+    are exactly 0 where every slot from the rank up is 0.
     """
-    M = v.shape[0]
-    if not 1 <= lo <= M:
-        raise ValueError(f"lowest rank must lie in 1..M={M}, got {lo}")
-    chain = v[lo - 1:]
-    np.negative(chain, out=chain)
-    np.log1p(chain, out=chain)
-    chain /= np.arange(lo, M + 1, dtype=float)[:, None]
-    for q in range(M - lo - 1, -1, -1):
-        chain[q] += chain[q + 1]
-    return chain
+    ranks = sorted(ranks)
+    if not ranks or ranks[0] < 1 or ranks[-1] > M or len(set(ranks)) != len(ranks):
+        raise ValueError(f"ranks must be distinct and lie in 1..M={M}, got {ranks}")
+    if len(out) != len(ranks):
+        raise ValueError(f"out must have one row per rank, got {len(out)} for {len(ranks)}")
+    k = len(ranks) - 1  # index of the rank whose ``out`` row holds the running sum
+    total = None
+    for j in range(M, ranks[0] - 1, -1):
+        term = slot(j)
+        np.negative(term, out=term)
+        np.log1p(term, out=term)
+        term /= j
+        if j < ranks[k]:
+            k -= 1
+        if total is None:
+            np.copyto(out[k], term)
+        else:
+            np.add(term, total, out=out[k])
+        total = out[k]
+    return dict(zip(ranks, out))
 
 
 def gains_from_chain(x, lam: float) -> np.ndarray:
@@ -174,18 +191,19 @@ def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int
 
     Returns the full ascending vector of M gains: shape (M,) when
     ``size`` is None, else (size, M).  The vectors map an (M, size)
-    slot-major block of ``rng``'s uniforms through ``log_uniform_chain``
-    and then ``gains_from_chain`` rank by rank, the sampler the
-    Monte-Carlo oracle uses.  Consumes ``rng`` state; callers that need
-    reproducibility seed the generator themselves.
+    slot-major block of ``rng``'s uniforms, row j-1 holding slot j,
+    through ``log_uniform_chain`` in place and then ``gains_from_chain``
+    rank by rank, the sampler the Monte-Carlo oracle uses.  Consumes
+    ``rng`` state; callers that need reproducibility seed the generator
+    themselves.
     """
     _check_population(M)
     if not (lam > 0):
         raise ValueError(f"mean gain lam must be > 0, got {lam}")
     if size is not None and not (isinstance(size, (int, np.integer)) and size >= 1):
         raise ValueError(f"size must be a positive integer, got {size!r}")
-    chain = log_uniform_chain(rng.random((M, 1 if size is None else int(size))), 1)
-    g = np.empty_like(chain)
+    g = rng.random((M, 1 if size is None else int(size)))
+    log_uniform_chain(lambda j: g[j - 1], M, range(1, M + 1), g)
     for k in range(M):  # row by row, so the transform's temporaries stay in cache
-        g[k] = gains_from_chain(chain[k], lam)
+        g[k] = gains_from_chain(g[k], lam)
     return g.T[0] if size is None else g.T

@@ -11,23 +11,52 @@ from __future__ import annotations
 import numpy as np
 
 from coopnoma.linklevel import Geometry, SystemConfig, sinr_relayed
-from coopnoma.mcsim import _chains, _direct_stages, _hop_gains
-from coopnoma.orderstat import gains_from_chain
+from coopnoma.mcsim import McConfig, _direct_stages, draws_per_trial, trial_stream
+from coopnoma.orderstat import gains_from_chain, log_uniform_chain
+
+
+def draw_columns(mc: McConfig, M: int, columns, start: int, count: int) -> np.ndarray:
+    """Uniforms of trials start..start+count-1 in a (draws_per_trial, count) block.
+
+    Row k holds column k for every k in ``columns``, drawn in the order
+    given; the other rows are left unset.  The stream is positioned once
+    by ``trial_stream`` and then advanced from the end of one row's
+    segment to the start of the next, backwards where columns descend.
+    """
+    u = np.empty((draws_per_trial(M, mc.mode), count))
+    rng = trial_stream(mc, M, start, columns[0])
+    for prev, k in zip([columns[0], *columns], columns):
+        if k != prev:
+            rng.bit_generator.advance((k - prev) * 2 ** 64 - count)
+        rng.random(out=u[k])
+    return u
 
 
 def gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray, weak, strong):
     """Map a slot-major (draws_per_trial, count) uniform block to the requested gains.
 
-    ``mcsim._chains`` and then ``gains_from_chain`` on every requested
-    rank.  Returns (weak-read gains, strong-read gains, g_dnr, g_rdm);
-    the first two map each requested rank to its (count,) gain array, and
-    in joint mode they are one map over the one vector.
+    ``orderstat.log_uniform_chain`` over each vector's slot rows, then
+    ``gains_from_chain`` on every requested rank; the hops by their
+    inverse CDF.  ``u`` is left as it is.  Returns (weak-read gains,
+    strong-read gains, g_dnr, g_rdm); the first two map each requested
+    rank to its (count,) gain array, and in joint mode they are one map
+    over the one vector.
     """
-    vec1, vec2 = _chains(cfg.M, mode, u, weak, strong)
-    gains1 = {i: gains_from_chain(x, cfg.lambda_sd) for i, x in vec1.items()}
-    gains2 = gains1 if vec2 is vec1 else {i: gains_from_chain(x, cfg.lambda_sd)
-                                          for i, x in vec2.items()}
-    return (gains1, gains2, *_hop_gains(cfg, mode, u))
+    M = cfg.M
+
+    def gains(first, ranks):
+        ranks = sorted(set(ranks))
+        chain = log_uniform_chain(lambda j: u[first + j - 1].copy(), M, ranks,
+                                  np.empty((len(ranks), u.shape[1])))
+        return {i: gains_from_chain(x, cfg.lambda_sd) for i, x in chain.items()}
+
+    if mode == "joint":
+        gains1 = gains2 = gains(0, [*weak, *strong])
+    else:
+        gains1, gains2 = gains(0, weak), gains(M, strong)
+    hop = draws_per_trial(M, mode) - 2
+    return (gains1, gains2, -cfg.lambda_dnr * np.log1p(-u[hop]),
+            -cfg.lambda_rdm * np.log1p(-u[hop + 1]))
 
 
 def event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,

@@ -67,6 +67,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             default_config(**{key: True})
 
+    @pytest.mark.parametrize("key", ["a_m", "a_n", "gamma0", "theta", "lambda_sd", "lambda_dnr",
+                                     "lambda_rdm", "R_m", "R_n", "gamma_thm", "gamma_thn"])
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_bool_number_naming_key(self, key, flag):
+        # a bool is an int, so True would otherwise pass as 1.0
+        with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
+            default_config(**{key: flag})
+
     def test_population_bound_names_key(self):
         assert default_config(M=MAX_RANKED_USERS, n=MAX_RANKED_USERS).M == MAX_RANKED_USERS
         with pytest.raises(ValueError, match=f"^M must be <= {MAX_RANKED_USERS}"):
@@ -126,6 +134,13 @@ class TestGeometry:
         free = dict(d_sdn=4.0, d_sdm=6.0, d_dnr=4.0, alpha1=1.0, alpha2=1.0)
         free[key] = bad
         with pytest.raises(ValueError, match=f"{key} must"):
+            Geometry(**free)
+
+    @pytest.mark.parametrize("key", ["d_sdn", "d_sdm", "d_dnr", "alpha1", "alpha2"])
+    def test_rejects_bool_naming_key(self, key):
+        free = dict(d_sdn=4.0, d_sdm=6.0, d_dnr=4.0, alpha1=1.0, alpha2=1.0)
+        free[key] = True
+        with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
             Geometry(**free)
 
     def test_extreme_layouts_keep_accurate_derived_distances(self):

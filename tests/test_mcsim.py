@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,10 @@ from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
 from coopnoma.linklevel import (Geometry, SystemConfig, gain_direct_weak,
                                 gain_strong_decodes_weak, gain_strong_own)
-from coopnoma.mcsim import (MODES, McConfig, McEstimate, _columns, _direct_stages, _draw,
-                            draws_per_trial, estimate, trial_stream)
+from coopnoma.mcsim import (MODES, McConfig, McEstimate, _direct_stages, draws_per_trial,
+                            estimate, trial_stream)
 from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
-from sinr_reference import event_arrays, gains_from_uniforms
+from sinr_reference import draw_columns, event_arrays, gains_from_uniforms
 
 
 def default_config(**overrides):
@@ -71,6 +72,13 @@ class TestConfigs:
         with pytest.raises(ValueError):
             McConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", ["trials", "seed", "chunk_size"])
+    def test_rejects_bool_naming_key(self, key):
+        kwargs = dict(trials=100, seed=1, mode="joint", chunk_size=10)
+        kwargs[key] = True
+        with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
+            McConfig(**kwargs)
+
     def test_estimate_consistency_enforced(self):
         est = McEstimate(events=25, trials=100)
         assert est.p_hat == 0.25
@@ -95,44 +103,82 @@ class TestDrawBudget:
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     def test_column_k_of_trial_t_is_step_k_2_64_plus_t(self, mode):
         # a chunk's rows, skipped columns and the last trials of a segment
-        # included, against the stream advanced by hand
+        # included, against the stream advanced by hand; a chunk draws its
+        # slots from M down, so the columns are also drawn descending, which
+        # moves the stream back across segments
         mc = McConfig(trials=10, seed=2 ** 64 - 1, mode=mode)
         w = draws_per_trial(6, mode)
-        columns = [0, 3, 4, w - 2, w - 1]
-        for start, count in ((0, 7), (33, 3), (2 ** 64 - 5, 5)):
-            u = _draw(mc, 6, columns, start, count)
-            for k in columns:
-                want = [stream_step(mc.seed, k * 2 ** 64 + t) for t in range(start, start + count)]
-                assert u[k].tolist() == want
-                assert trial_stream(mc, 6, start, k).random(count).tolist() == want
+        for columns in ([0, 3, 4, w - 2, w - 1], [w - 1, w - 2, 4, 3, 0]):
+            for start, count in ((0, 7), (33, 3), (2 ** 64 - 5, 5)):
+                u = draw_columns(mc, 6, columns, start, count)
+                for k in columns:
+                    want = [stream_step(mc.seed, k * 2 ** 64 + t)
+                            for t in range(start, start + count)]
+                    assert u[k].tolist() == want
+                    assert trial_stream(mc, 6, start, k).random(count).tolist() == want
 
     @pytest.mark.parametrize("M, m, n, mode, per_trial", [
-        (20, 10, 20, "joint", 13),  # slots 10..20 and the two hops
-        (6, 3, 6, "independent", 7),  # slots 3..6, strong-read slot 6, the two hops
+        (20, 10, 20, "joint", 13),  # slots 20 down to 10 and the two hops
+        (6, 3, 6, "independent", 7),  # slots 6 down to 3, strong-read slot 6, the two hops
     ])
     def test_chunk_draws_only_the_columns_it_reads(self, monkeypatch, M, m, n, mode, per_trial):
-        drawn, streams = [], []
+        streams = []
         real_stream = mcsim.trial_stream
 
-        class Counting:
-            """A chunk's stream that counts the uniforms it hands out."""
+        class Recording:
+            """A chunk's stream that records the (column, trial, count) of every draw."""
 
-            def __init__(self, rng):
-                self.rng, self.bit_generator = rng, rng.bit_generator
+            def __init__(self, mc, M, trial, column):
+                self.rng = real_stream(mc, M, trial, column)
+                self.step, self.visits, self.bit_generator = column * 2 ** 64 + trial, [], self
+                streams.append(self)
+
+            def advance(self, delta):
+                self.rng.bit_generator.advance(delta)
+                self.step = (self.step + delta) % 2 ** 128
 
             def random(self, size=None, out=None):
                 got = self.rng.random(size, out=out)
-                drawn.append(got.size)
+                want = [stream_step(7, self.step + t) for t in (0, got.size - 1)]
+                assert [got.flat[0], got.flat[-1]] == want
+                self.visits.append((*divmod(self.step, 2 ** 64), got.size))
+                self.step += got.size
                 return got
 
-        monkeypatch.setattr(mcsim, "trial_stream",
-                            lambda *a: streams.append(a) or Counting(real_stream(*a)))
+        monkeypatch.setattr(mcsim, "trial_stream", Recording)
         cfg = default_config(M=M, m=m, n=n, a_m=0.8, a_n=0.2)
         mc = McConfig(trials=1_000, seed=7, chunk_size=300, mode=mode)
         estimate(cfg, default_geometry(), mc)
-        assert len(streams) == 4  # one stream per chunk
-        assert sum(drawn) == per_trial * mc.trials
-        assert len(_columns(M, mode, [m], [n])) == per_trial
+        slots = [*range(M - 1, m - 2, -1)]
+        if mode == "independent":
+            slots += range(2 * M - 1, M + n - 2, -1)
+        columns = [*slots, draws_per_trial(M, mode) - 2, draws_per_trial(M, mode) - 1]
+        assert len(columns) == per_trial
+        # one stream per chunk, each visiting every column it reads once, in this order
+        assert sorted(s.visits for s in streams) == [
+            [(k, start, count) for k in columns]
+            for start, count in ((0, 300), (300, 300), (600, 300), (900, 100))]
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_chunk_memory_does_not_grow_with_M(self, mode):
+        # a chunk holds the slot row, the requested ranks' rows, the two hops
+        # and the relay's two gather rows, plus _count's temporaries: a few
+        # rows whatever M is, where a (draws_per_trial, chunk) block would
+        # need M + 2 or 2M + 2
+        count = 4_096
+        for M in (20, 100):
+            cfg = default_config(M=M, m=M - 1, n=M, a_m=0.8, a_n=0.2)
+            variants = [(cfg, default_geometry(), True)]
+            plans = [mcsim._plan(cfg, default_geometry())]
+            mc = McConfig(trials=count, seed=5, mode=mode)
+            mcsim._run_chunk(cfg, variants, plans, mc, 0, count)  # warm-up
+            tracemalloc.start()
+            try:
+                mcsim._run_chunk(cfg, variants, plans, mc, 0, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * count * 8, (M, peak / (count * 8))
 
 
 class TestDrawRealization:
@@ -385,7 +431,7 @@ def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
     for ym, yn, dnr, rdm in zip(*(np.asarray(a, dtype=float)[:, None]
                                   for a in (y_m, y_n, g_dnr, g_rdm))):
         (n, m), = mcsim._count([(cfg, geo, relay)], plans, {cfg.m: ym}, {cfg.n: yn},
-                               dnr, rdm)
+                               dnr, rdm, np.empty((2, 1)))
         out.append((bool(n), bool(m)))
     return out
 
@@ -454,14 +500,15 @@ class TestThresholdPath:
             assert chain_events(cfg, geo, y_m, y_n, *hops, relay) == want
             # all trials in one chunk: the band's trials are patched into the masks
             counts, = mcsim._count([(cfg, geo, relay)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                   {cfg.n: y_n}, *hops)
+                                   {cfg.n: y_n}, *hops, np.empty(hops.shape))
             assert counts == tuple(map(sum, zip(*want)))
 
     def test_all_zero_slots_meet_the_cap(self):
         # a draw whose slots from rank 3 up are all 0 has chain value 0 and
         # the capped gain 60 lam log 2
-        chain = log_uniform_chain(np.zeros((6, 1)), 3)
-        assert chain.ravel().tolist() == [0.0] * 4
+        v = np.zeros((6, 1))
+        chain = log_uniform_chain(lambda j: v[j - 1], 6, range(3, 7), v[2:])
+        assert [x.item() for x in chain.values()] == [0.0] * 4
         for cfg, geo in self.cases():
             y = [0.0]
             assert chain_events(cfg, geo, y, y, [0.0], [0.0]) == sinr_events(cfg, geo, y, y,
@@ -480,8 +527,8 @@ class TestThresholdMechanism:
         plans = [mcsim._plan(c, g) for c, g, _ in variants]
         mc = McConfig(trials=65_536, seed=20180415)
         weak, strong, g_dnr, g_rdm = gains_from_uniforms(
-            variants[0][0], mc.mode, _draw(mc, 6, _columns(6, mc.mode, [3], [6]), 0, 65_536),
-            [3], [6])
+            variants[0][0], mc.mode, draw_columns(mc, 6, range(draws_per_trial(6, mc.mode)), 0,
+                                                  65_536), [3], [6])
         seen = []
         relayed = []
 
@@ -493,7 +540,7 @@ class TestThresholdMechanism:
             monkeypatch.setattr(mcsim, name, counting(getattr(mcsim, name)))
         real_relayed = mcsim.sinr_relayed
         monkeypatch.setattr(mcsim, "sinr_relayed",
-                            lambda cfg, geo, a, b: relayed.append((cfg, a, b))
+                            lambda cfg, geo, a, b: relayed.append((cfg, a.copy(), b.copy()))
                             or real_relayed(cfg, geo, a, b))
         counts = mcsim._run_chunk(variants[0][0], variants, plans, mc, 0, 65_536)
         assert None not in plans and sum(seen) == 0
@@ -511,7 +558,7 @@ class TestThresholdMechanism:
 
 def sinr_replay(cfg, geo, mc, relay):
     """Outage counts (strong, weak) of every trial through the gain transform and every SINR."""
-    u = _draw(mc, cfg.M, range(draws_per_trial(cfg.M, mc.mode)), 0, mc.trials)
+    u = draw_columns(mc, cfg.M, range(draws_per_trial(cfg.M, mc.mode)), 0, mc.trials)
     weak, strong, g_dnr, g_rdm = gains_from_uniforms(cfg, mc.mode, u, [cfg.m], [cfg.n])
     out_n, out_m = event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n], g_dnr, g_rdm, relay)
     return int(out_n.sum()), int(out_m.sum())

@@ -208,8 +208,8 @@ class TestSampler:
         # sum_{k=10..20} C(20,k) F(x)^k (F(y) - F(x))^(20-k)
         draws = 200_000
         v = np.random.Generator(np.random.PCG64DXSM(2018)).random((20, draws))
-        chain = log_uniform_chain(v, 10)
-        g10, g20 = gains_from_chain(chain[0], 1.0), gains_from_chain(chain[10], 1.0)
+        chain = log_uniform_chain(lambda j: v[j - 1], 20, [20, 10], np.empty((2, draws)))
+        g10, g20 = gains_from_chain(chain[10], 1.0), gains_from_chain(chain[20], 1.0)
         for x, y in ((0.4, 2.0), (0.7, 3.0), (1.0, 4.5)):
             fx, fy = -math.expm1(-x), -math.expm1(-y)
             exact = math.fsum(math.comb(20, k) * fx ** k * (fy - fx) ** (20 - k)
@@ -231,9 +231,29 @@ class TestSampler:
 
     def test_rank_validation(self):
         v = np.zeros((6, 2))
-        for lo in (0, 7):
-            with pytest.raises(ValueError, match="lowest rank must lie in 1..M=6"):
-                log_uniform_chain(v, lo)
+        for ranks in ([0, 3], [3, 7], [], [4, 4]):
+            with pytest.raises(ValueError, match="ranks must be distinct and lie in 1..M=6"):
+                log_uniform_chain(lambda j: v[j - 1], 6, ranks, np.empty((len(ranks), 2)))
+        with pytest.raises(ValueError, match="one row per rank"):
+            log_uniform_chain(lambda j: v[j - 1], 6, [3, 6], np.empty((1, 2)))
+
+    def test_streamed_chain_equals_the_summed_terms(self):
+        # each rank's row is its own terms log1p(-v_j)/j summed from slot M
+        # down, whichever other ranks are requested, and slot rows are asked
+        # for once each, from M down to the lowest rank
+        v = np.random.Generator(np.random.PCG64DXSM(3)).random((8, 50))
+        want = {i: np.zeros(50) for i in range(1, 9)}
+        for i in range(1, 9):
+            for j in range(8, i - 1, -1):
+                want[i] = np.log1p(-v[j - 1]) / j + want[i]
+        for ranks in ([1], [8], [2, 5], [3, 4, 8], range(1, 9)):
+            asked = []
+            chain = log_uniform_chain(lambda j: asked.append(j) or v[j - 1].copy(), 8, ranks,
+                                      np.empty((len(ranks), 50)))
+            assert asked == [*range(8, min(ranks) - 1, -1)]
+            assert sorted(chain) == sorted(ranks)
+            for i, row in chain.items():
+                assert row.tolist() == want[i].tolist()
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(0)
