@@ -20,19 +20,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orderstat import MAX_RANKED_USERS
-
-
-def _reject_bools(config) -> None:
-    """Name the first constructor field of ``config`` given a bool, which would pass as 0 or 1."""
-    for f in fields(config):
-        if f.init and isinstance(getattr(config, f.name), (bool, np.bool_)):
-            raise ValueError(f"{f.name} must be a number, not a bool, "
-                             f"got {getattr(config, f.name)!r}")
+from .orderstat import MAX_RANKED_USERS, _reject_bools
 
 
 @dataclass(frozen=True)

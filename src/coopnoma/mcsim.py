@@ -17,8 +17,23 @@ the SINR is ill-conditioned) are decided by the SINR expressions on
 their gains.  A degenerate stage (SIC infeasible, an infinite or zero
 path loss, inputs near the ends of the floats) has a band spanning the
 whole chain, so all its trials are decided that way.  Every decision
-thus equals the SINR path's bit for bit.  The relayed SINR runs only on
-the trials that need it: SIC kept, direct copy lost.
+thus equals the SINR path's bit for bit.
+
+The relayed stage gets the same treatment with the roles swapped.  With
+x = pl_dnr/g_dnr and y = pl_rdm/g_rdm, the AF SINR is
+gamma0**2 / (gamma0 s + x y) with s = x + y, which increases with
+gamma0, so a trial's relay fails exactly where gamma0 lies below its
+critical SNR gamma* = (th/2) s (1 + sqrt(1 + 4r/th)), r = x (y/s) / s in
+[0, 1/4].  Every term is positive, so nothing cancels, and nothing
+overflows while the inputs stay inside ``_ORDINARY``, so gamma* is good
+to a few ulps.  A chunk computes one gamma* row per relay group (the two
+hop path losses and gamma_thm) and decides each relay variant by one
+comparison of that row with the variant's gamma0.  d log SINR / d log
+gamma0 lies in [1, 2], so a relative 1e-9 of gamma0 is again a safe
+guard band.  Only the trials left to the relay (SIC kept, direct copy
+lost) whose gamma* lies in the band or is nan (a zero hop gain) go
+through the relayed SINR; a degenerate group or SNR sends every such
+trial that way.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
@@ -38,12 +53,12 @@ one ``advance`` of the stream between rows: each vector's slots from M
 down to its lowest read rank, each turned at once into a chain term by
 ``orderstat.log_uniform_chain``, and then the two hops.  So a chunk
 holds the slot row, one chain row per rank read, the two hop rows and
-two rows for the relay's share of the hops, whatever M is.  Each rank
-depends only on the trial's own uniforms in the slots from that rank
-up, never on which other ranks the variants read.  So any partition
-of the trial range into chunks, and any set of variants, replays
-bit-identical chains, and chunk results are integer counts reduced in
-chunk order, which is exact arithmetic.
+two rows that, with the slot row, make the gamma* row, whatever M is.
+Each rank depends only on the trial's own uniforms in the slots from
+that rank up, never on which other ranks the variants read.  So any
+partition of the trial range into chunks, and any set of variants,
+replays bit-identical chains, and chunk results are integer counts
+reduced in chunk order, which is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -58,10 +73,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import throughput
-from .linklevel import (Geometry, SystemConfig, _reject_bools, gain_direct_weak,
-                        gain_strong_decodes_weak, gain_strong_own, path_loss, sinr_direct_weak,
-                        sinr_relayed, sinr_strong_decodes_weak, snr_strong_own)
-from .orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
+from .linklevel import (Geometry, SystemConfig, gain_direct_weak, gain_strong_decodes_weak,
+                        gain_strong_own, path_loss, sinr_direct_weak, sinr_relayed,
+                        sinr_strong_decodes_weak, snr_strong_own)
+from .orderstat import _reject_bools, chain_at_gain, gains_from_chain, log_uniform_chain
 
 MODES = ("joint", "independent")
 
@@ -114,6 +129,7 @@ class McEstimate:
     trials: int
 
     def __post_init__(self) -> None:
+        _reject_bools(self)
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
         if not (isinstance(self.events, (int, np.integer)) and 0 <= self.events <= self.trials):
@@ -173,10 +189,13 @@ def _direct_stages(cfg: SystemConfig, geo: Geometry, g_m, g_n):
 
 
 class _Stage(NamedTuple):
-    """A direct-link stage on the chain: values below lo fail, values at or above hi pass.
+    """A stage's guard band, from lo to hi, on a per-trial row.
 
-    [lo, hi) is the guard band, where the SINR decides; a degenerate
-    stage's band (-inf, inf) spans the whole chain.
+    On the chain (direct-link stages) values below lo fail and values at
+    or above hi pass.  On the gamma* row (the relayed stage) it is the
+    band of the variant's gamma0: values above hi fail, values below lo
+    pass.  Inside the band the SINR decides; a degenerate stage's band
+    (-inf, inf) spans the whole row.
     """
 
     lo: float
@@ -187,11 +206,23 @@ _WHOLE_CHAIN = _Stage(-math.inf, math.inf)
 
 
 class _Plan(NamedTuple):
-    """The three direct-link stages of one (cfg, geo): SIC and strong-own on rank n, direct on m."""
+    """The stages of one (cfg, geo): SIC and strong-own on rank n, direct on m, and the relay.
+
+    ``hops`` names the relay group, (d_dnr**theta, d_rdm**theta,
+    gamma_thm), or is None where the group is degenerate; ``relay`` is
+    the band of cfg.gamma0 on that group's gamma* row.
+    """
 
     sic: _Stage
     own: _Stage
     direct: _Stage
+    hops: tuple[float, float, float] | None
+    relay: _Stage
+
+
+def _ordinary(*values: float) -> bool:
+    """Whether every value lies in ``_ORDINARY``."""
+    return all(_ORDINARY[0] <= v <= _ORDINARY[1] for v in values)
 
 
 def _stage(gain: float, lam: float, cond: float, *factors: float) -> _Stage:
@@ -211,16 +242,22 @@ def _stage(gain: float, lam: float, cond: float, *factors: float) -> _Stage:
     if not cond > _BAND * 1e3:  # a band wider than 1e-3, or SIC infeasible
         return _WHOLE_CHAIN
     edges = (gain * (1.0 - _BAND / cond), gain * (1.0 + _BAND / cond))
-    if not all(_ORDINARY[0] <= v <= _ORDINARY[1] for v in (*edges, lam, *factors)):
+    if not _ordinary(*edges, lam, *factors):
         return _WHOLE_CHAIN
     return _Stage(*(chain_at_gain(e, lam) for e in edges))
 
 
 def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan:
-    """The chain bands of cfg's direct-link stages.
+    """The chain bands of cfg's direct-link stages and the gamma* band of its relay.
 
     SIC infeasible, an infinite or zero path loss, and inputs near the
-    ends of the floats make a stage degenerate.
+    ends of the floats make a stage degenerate.  The relay group is
+    degenerate where a hop's path loss or mean gain, or gamma_thm, leaves
+    ``_ORDINARY``: inside it every hop gain is 0 or lies between
+    2**-53 lam and 37 lam, so x, y, s and gamma* stay normal floats, and
+    so do the relayed SINR's terms near gamma_thm.  The relayed stage is
+    degenerate in a degenerate group or where a band edge leaves
+    ``_ORDINARY``.
     """
     lam = cfg.lambda_sd
     cond = 1.0 - cfg.a_n * cfg.gamma_thm / cfg.a_m  # of a_m g / (a_n g + noise) at its level
@@ -229,7 +266,11 @@ def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan:
         _stage(gain_strong_decodes_weak(cfg, geo), lam, cond, cfg.gamma_thm, pl_n / cfg.gamma0),
         _stage(gain_strong_own(cfg, geo), lam, 1.0, cfg.gamma_thn, pl_n, cfg.gamma0 * cfg.a_n),
         _stage(gain_direct_weak(cfg, geo), lam, cond, cfg.gamma_thm, pl_m / cfg.gamma0))
-    return _Plan(*stages)
+    hops = (path_loss(geo.d_dnr, cfg.theta), path_loss(geo.d_rdm, cfg.theta), cfg.gamma_thm)
+    if not _ordinary(*hops, cfg.lambda_dnr, cfg.lambda_rdm):
+        return _Plan(*stages, None, _WHOLE_CHAIN)
+    edges = (cfg.gamma0 * (1.0 - _BAND), cfg.gamma0 * (1.0 + _BAND))
+    return _Plan(*stages, hops, _Stage(*edges) if _ordinary(*edges) else _WHOLE_CHAIN)
 
 
 def _in_band(y: np.ndarray, stage: _Stage, below: np.ndarray) -> bool:
@@ -244,7 +285,7 @@ def _decide(cfg: SystemConfig, geo: Geometry, plan: _Plan, y_m: np.ndarray, y_n:
     in any guard band are decided by ``_direct_stages`` on their gains
     instead, so every value equals the SINR path's.
     """
-    sic, own, direct = plan
+    sic, own, direct = plan.sic, plan.own, plan.direct
     fail_sic = y_n < sic.lo
     own_fail = y_n < own.lo
     out_n = fail_sic | own_fail
@@ -275,35 +316,75 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _critical_snr(hops: tuple[float, float, float] | None, g_dnr: np.ndarray,
+                  g_rdm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The relay group's per-trial critical SNR gamma*, in ``rows[0]``.
+
+    gamma* = (th/2) s (1 + sqrt(1 + 4r/th)) with x = pl_dnr/g_dnr,
+    y = pl_rdm/g_rdm, s = x + y and r = x (y/s) / s (see the module
+    notes).  ``rows[1:]`` are scratch.  gamma* is nan where a hop gain is
+    0, and on every trial of a degenerate group (``hops`` None).
+    """
+    star, x, s = rows
+    if hops is None:
+        star.fill(math.nan)
+        return star
+    pl_dnr, pl_rdm, th = hops
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero hop gain gives nan
+        np.divide(pl_dnr, g_dnr, out=x)
+        np.divide(pl_rdm, g_rdm, out=star)
+        np.add(x, star, out=s)
+        star /= s
+        star *= x
+        star /= s
+    star *= 4.0 / th
+    star += 1.0
+    np.sqrt(star, out=star)
+    star += 1.0
+    star *= s
+    star *= 0.5 * th
+    return star
+
+
 def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
-           g_dnr: np.ndarray, g_rdm: np.ndarray, gathered: np.ndarray) -> list[tuple[int, int]]:
+           g_dnr: np.ndarray, g_rdm: np.ndarray, scratch: np.ndarray) -> list[tuple[int, int]]:
     """Outage counts (strong, weak) of every variant on a chunk's chain rows.
 
     ``weak`` and ``strong`` map the ranks read by the weak and the strong
     user to chain rows (one map over the one vector in joint mode),
-    ``g_dnr`` and ``g_rdm`` are the hop gains, and ``plans[k]`` is ``_plan``
-    of variant k.  Variants that share (cfg, geo) share their
-    direct-stage decisions.  The relayed SINR runs only on the trials
-    whose weak user has kept the SIC stage and lost its direct copy;
-    their hop gains are gathered into the two rows of ``gathered``.
+    ``g_dnr`` and ``g_rdm`` are the hop gains, ``scratch`` is three rows
+    that ``_critical_snr`` may overwrite, and ``plans[k]`` is ``_plan`` of
+    variant k.  Variants that share (cfg, geo) share their direct-stage
+    decisions, which are all made before any relay is counted, so the
+    gamma* row stays in cache across the relay variants.  A relay variant
+    fails the trials left to it (SIC kept, direct copy lost) whose gamma*
+    lies above its band; those in the band or with a nan gamma* go
+    through the relayed SINR.  Variants come in point order, so only the
+    latest relay group's gamma* row is kept.
     """
     decided = {}  # (cfg, geo) -> (strong-user outages, SIC failures, trials left to the relay)
-    counts = []
-    for (cfg, geo, relay), plan in zip(variants, plans):
+    for (cfg, geo, _), plan in zip(variants, plans):
         if (cfg, geo) not in decided:
             fail_sic, out_n, fail_direct = _decide(cfg, geo, plan, weak[cfg.m], strong[cfg.n])
-            decided[cfg, geo] = (np.count_nonzero(out_n), np.count_nonzero(fail_sic),
-                                 fail_direct & ~fail_sic)
-        n_out_n, n_sic, left = decided[cfg, geo]
+            left = fail_direct & ~fail_sic
+            decided[cfg, geo] = (np.count_nonzero(out_n), np.count_nonzero(fail_sic), left,
+                                 np.count_nonzero(left))
+    counts = []
+    star, star_hops = None, None  # the gamma* row and the relay group it belongs to
+    for (cfg, geo, relay), plan in zip(variants, plans):
+        n_out_n, n_sic, left, n_left = decided[cfg, geo]
+        n_lost = n_left  # trials left to the relay that it does not rescue
         if relay:
-            left = np.flatnonzero(left)
-            # mode "clip" lets take write straight into ``out`` (the indices are in range)
-            a = np.take(g_dnr, left, out=gathered[0, :left.size], mode="clip")
-            b = np.take(g_rdm, left, out=gathered[1, :left.size], mode="clip")
-            n_left = np.count_nonzero(sinr_relayed(cfg, geo, a, b) < cfg.gamma_thm)
-        else:
-            n_left = np.count_nonzero(left)
-        counts.append((int(n_out_n), int(n_sic + n_left)))
+            if star is None or plan.hops != star_hops:
+                star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, scratch), plan.hops
+            fails = left & (star > plan.relay.hi)
+            passes = left & (star < plan.relay.lo)
+            n_lost = np.count_nonzero(fails)
+            if n_lost + np.count_nonzero(passes) != n_left:  # some in the band, or nan
+                band = np.flatnonzero(left & ~(fails | passes))
+                n_lost += np.count_nonzero(
+                    sinr_relayed(cfg, geo, g_dnr[band], g_rdm[band]) < cfg.gamma_thm)
+        counts.append((int(n_out_n), int(n_sic + n_lost)))
     return counts
 
 
@@ -311,20 +392,20 @@ def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence
                mc: McConfig, start: int, count: int) -> list[tuple[int, int]]:
     """Stream one chunk of trials column by column and count both outages for every variant.
 
-    One (rows, count) block holds the slot row, the chain row of every
-    requested rank, the two hop rows and the two rows ``_count`` gathers
-    the relay's hop gains into, so a chunk's memory does not grow with M
-    and the relay path allocates little beside it.  Each vector's slots
-    are drawn from M down and chained at once by ``log_uniform_chain``;
-    the hops come last and become gains in place.
+    One (rows, count) block holds the slot row and two scratch rows, the
+    chain row of every requested rank and the two hop rows, so a chunk's
+    memory does not grow with M.  Each vector's slots are drawn from M
+    down and chained at once by ``log_uniform_chain``; the hops come last
+    and become gains in place.  The slot row and the scratch rows are
+    then free, and ``_count`` makes its gamma* rows in them.
     """
     M = draw.M
     weak_ranks = {c.m for c, _, _ in variants}
     strong_ranks = {c.n for c, _, _ in variants}
     vectors = ([(0, weak_ranks | strong_ranks)] if mc.mode == "joint"
                else [(0, weak_ranks), (M, strong_ranks)])  # (column of slot 1, ranks read)
-    block = np.empty((1 + sum(len(r) for _, r in vectors) + 4, count))
-    slot_row, hops, gathered = block[0], block[-4:-2], block[-2:]
+    block = np.empty((3 + sum(len(r) for _, r in vectors) + 2, count))
+    slot_row, hops = block[0], block[-2:]
     rng = trial_stream(mc, M, start, M - 1)
     here = (M - 1) * _SEGMENT  # stream step of the next draw, less start
 
@@ -334,7 +415,7 @@ def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence
         here = k * _SEGMENT + count
         return rng.random(out=row)
 
-    chains, top = [], 1
+    chains, top = [], 3
     for first, ranks in vectors:
         chains.append(log_uniform_chain(lambda j, first=first: column(first + j - 1, slot_row),
                                         M, ranks, block[top:top + len(ranks)]))
@@ -345,7 +426,7 @@ def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence
         np.negative(hop, out=hop)  # the inverse CDF -lam*log1p(-u), in place
         np.log1p(hop, out=hop)
         hop *= -lam
-    return _count(variants, plans, weak, strong, *hops, gathered)
+    return _count(variants, plans, weak, strong, *hops, block[:3])
 
 
 def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, relay: bool = True,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,21 @@ _LN2 = math.log(2.0)
 _LOG_U_CAP = -2.0 ** -60
 
 
+def _reject_bool(name: str, value) -> None:
+    """Refuse a bool for ``name``, which would otherwise pass as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+
+
+def _reject_bools(config) -> None:
+    """Name the first constructor field of the dataclass ``config`` given a bool."""
+    for f in fields(config):
+        if f.init:
+            _reject_bool(f.name, getattr(config, f.name))
+
+
 def _check_population(M: int, limit: int = MAX_RANKED_USERS) -> None:
+    _reject_bool("M", M)
     if not isinstance(M, (int, np.integer)):
         raise ValueError(f"M must be an integer, got {M!r}")
     if M < 1:
@@ -54,6 +68,7 @@ class OrderStatSpec:
     lam: float
 
     def __post_init__(self) -> None:
+        _reject_bools(self)
         _check_population(self.M)
         if not isinstance(self.i, (int, np.integer)):
             raise ValueError(f"rank i must be an integer, got {self.i!r}")
@@ -198,6 +213,8 @@ def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int
     themselves.
     """
     _check_population(M)
+    for name, value in (("lam", lam), ("size", size)):
+        _reject_bool(name, value)
     if not (lam > 0):
         raise ValueError(f"mean gain lam must be > 0, got {lam}")
     if size is not None and not (isinstance(size, (int, np.integer)) and size >= 1):

@@ -79,6 +79,14 @@ class TestConfigs:
         with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
             McConfig(**kwargs)
 
+    @pytest.mark.parametrize("key, kwargs", [
+        ("events", dict(events=True, trials=True)),
+        ("trials", dict(events=1, trials=True)),
+    ])
+    def test_estimate_rejects_bool_naming_key(self, key, kwargs):
+        with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
+            McEstimate(**kwargs)
+
     def test_estimate_consistency_enforced(self):
         est = McEstimate(events=25, trials=100)
         assert est.p_hat == 0.25
@@ -431,7 +439,7 @@ def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
     for ym, yn, dnr, rdm in zip(*(np.asarray(a, dtype=float)[:, None]
                                   for a in (y_m, y_n, g_dnr, g_rdm))):
         (n, m), = mcsim._count([(cfg, geo, relay)], plans, {cfg.m: ym}, {cfg.n: yn},
-                               dnr, rdm, np.empty((2, 1)))
+                               dnr, rdm, np.empty((3, 1)))
         out.append((bool(n), bool(m)))
     return out
 
@@ -467,6 +475,53 @@ def edge_points(cfg, geo):
     return points
 
 
+def relay_edge_points(cfg, geo):
+    """Hop gains (g_dnr's, g_rdm's) whose gamma* sits at and around the relay's gamma0 and band.
+
+    For each target (gamma0 and the two edges of the relayed stage's band)
+    and two g_dnr, g_rdm is solved from SINR = gamma_thm at the target,
+    moved to the float whose computed gamma* lies nearest the target, and
+    taken with its neighbours one ulp either side.  Zero gains on one hop
+    and on both come first; a degenerate group gets only those.
+    """
+    plan = mcsim._plan(cfg, geo)
+    pairs = [(0.0, 0.8), (0.8, 0.0), (0.0, 0.0)]
+    if plan.hops is None:
+        return [list(p) for p in zip(*pairs)]
+    pl_dnr, pl_rdm, th = plan.hops
+
+    def star(g_dnr, g_rdm):
+        return mcsim._critical_snr(plan.hops, np.array([g_dnr]), np.array([g_rdm]),
+                                   np.empty((3, 1)))[0]
+
+    for target in (cfg.gamma0, *plan.relay):
+        for g_dnr in (0.5, 2.0):
+            x = pl_dnr / g_dnr
+            y = target * (target - th * x) / (th * (target + x))  # SINR(target) = th
+            if not (0.0 < y < math.inf and 0.0 < pl_rdm / y < math.inf):
+                continue
+            g = pl_rdm / y
+            for _ in range(8):  # gamma* falls as g_rdm grows
+                step = np.nextafter(g, math.inf if star(g_dnr, g) > target else 0.0)
+                if abs(star(g_dnr, step) - target) >= abs(star(g_dnr, g) - target):
+                    break
+                g = step
+            pairs += [(g_dnr, h) for h in (np.nextafter(g, 0.0), g, np.nextafter(g, math.inf))]
+    return [list(p) for p in zip(*pairs)]
+
+
+def relay_trials(cfg, geo):
+    """(y_n, y_m, g_dnr, g_rdm) rows: a few chain pairs times ``relay_edge_points``.
+
+    The pair (0.0, -30.0) keeps SIC and loses the direct copy wherever a
+    case lets a trial do both.
+    """
+    chain = [(0.0, -30.0), (-2.0 ** -60, -3.0), (-0.7, -0.7)]
+    g_dnr, g_rdm = relay_edge_points(cfg, geo)
+    rows = [(yn, ym, a, b) for yn, ym in chain for a, b in zip(g_dnr, g_rdm)]
+    return tuple(np.array(v) for v in zip(*rows))
+
+
 class TestThresholdPath:
     def cases(self):
         geo = default_geometry()
@@ -482,12 +537,20 @@ class TestThresholdPath:
         yield default_config(theta=400.0), geo
         yield default_config(gamma_thm=0.7 / 0.3), geo
         yield default_config(gamma0=1e300, lambda_sd=1e300), geo
+        # degenerate relay groups: a noise-free hop, hop means and a
+        # threshold past the floats (theta = 400 and gamma0 = 1e300 above
+        # make the relay degenerate too)
+        yield default_config(), Geometry(4.0, 6.0, 1e-200, 0.7, 1.0)
+        yield default_config(lambda_dnr=1e-300), geo
+        yield default_config(lambda_rdm=1e300), geo
+        yield default_config(gamma_thm=1e-95, gamma0=1e-90), geo
 
     def test_degenerate_levels_span_the_chain(self):
-        whole = mcsim._Stage(-math.inf, math.inf)
-        cases = list(self.cases())
-        assert all(whole in mcsim._plan(c, g) for c, g in cases[-4:])
-        assert not any(whole in mcsim._plan(c, g) for c, g in cases[:-4])
+        whole = mcsim._WHOLE_CHAIN
+        plans = [mcsim._plan(c, g) for c, g in self.cases()]
+        assert [whole in p[:3] for p in plans] == [False] * 6 + [True] * 4 + [False] * 3 + [True]
+        assert [p.relay == whole for p in plans] == [False] * 7 + [True, False] + [True] * 5
+        assert [p.hops is None for p in plans] == [False] * 7 + [True] + [False] * 2 + [True] * 4
 
     @pytest.mark.parametrize("relay", [True, False])
     def test_edges_give_the_sinr_path_events(self, relay):
@@ -500,8 +563,39 @@ class TestThresholdPath:
             assert chain_events(cfg, geo, y_m, y_n, *hops, relay) == want
             # all trials in one chunk: the band's trials are patched into the masks
             counts, = mcsim._count([(cfg, geo, relay)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                   {cfg.n: y_n}, *hops, np.empty(hops.shape))
+                                   {cfg.n: y_n}, *hops, np.empty((3, y_n.size)))
             assert counts == tuple(map(sum, zip(*want)))
+
+    def test_relay_edges_give_the_sinr_path_events(self, monkeypatch):
+        seen = []
+        real_relayed = mcsim.sinr_relayed
+
+        def recording(cfg, geo, a, b):
+            seen.append(a.size)
+            return real_relayed(cfg, geo, a, b)
+
+        monkeypatch.setattr(mcsim, "sinr_relayed", recording)
+        straddled = 0
+        for cfg, geo in self.cases():
+            y_n, y_m, g_dnr, g_rdm = relay_trials(cfg, geo)
+            want = sinr_events(cfg, geo, y_m, y_n, g_dnr, g_rdm)
+            assert chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm) == want
+            seen.clear()
+            counts, = mcsim._count([(cfg, geo, True)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
+                                   {cfg.n: y_n}, g_dnr, g_rdm, np.empty((3, y_n.size)))
+            assert counts == tuple(map(sum, zip(*want)))
+            lam = cfg.lambda_sd
+            fail_sic, _, fail_direct = _direct_stages(cfg, geo, gains_from_chain(y_m, lam),
+                                                      gains_from_chain(y_n, lam))
+            n_left = np.count_nonzero(fail_direct & ~fail_sic)
+            if mcsim._plan(cfg, geo).relay == mcsim._WHOLE_CHAIN:
+                # a degenerate relay sends every trial left to it through the SINR
+                assert sum(seen) == n_left
+            elif n_left:
+                # the edges straddle the band: the SINR decides some trials, gamma* the rest
+                assert 0 < sum(seen) < n_left
+                straddled += 1
+        assert straddled == 4
 
     def test_all_zero_slots_meet_the_cap(self):
         # a draw whose slots from rank 3 up are all 0 has chain value 0 and
@@ -518,9 +612,8 @@ class TestThresholdPath:
 class TestThresholdMechanism:
     def test_reference_chunk_decides_by_threshold(self, monkeypatch):
         # the reference sweep's 18 variants on one chunk: the gain transform
-        # and the direct-link SINRs see only trials in a guard band (none
-        # here), and the relayed SINR exactly the trials that kept SIC and
-        # lost the direct copy
+        # and every SINR, the relayed one included, see only trials in a
+        # guard band (none here)
         geo = default_geometry()
         variants = [(default_config(gamma0=10.0 ** (db / 10)), geo, relay)
                     for db in range(0, 41, 5) for relay in (True, False)]
@@ -530,29 +623,17 @@ class TestThresholdMechanism:
             variants[0][0], mc.mode, draw_columns(mc, 6, range(draws_per_trial(6, mc.mode)), 0,
                                                   65_536), [3], [6])
         seen = []
-        relayed = []
 
         def counting(fn):
             return lambda *a: seen.append(np.size(a[-1])) or fn(*a)
 
         for name in ("gains_from_chain", "sinr_direct_weak", "sinr_strong_decodes_weak",
-                     "snr_strong_own"):
+                     "snr_strong_own", "sinr_relayed"):
             monkeypatch.setattr(mcsim, name, counting(getattr(mcsim, name)))
-        real_relayed = mcsim.sinr_relayed
-        monkeypatch.setattr(mcsim, "sinr_relayed",
-                            lambda cfg, geo, a, b: relayed.append((cfg, a.copy(), b.copy()))
-                            or real_relayed(cfg, geo, a, b))
         counts = mcsim._run_chunk(variants[0][0], variants, plans, mc, 0, 65_536)
-        assert None not in plans and sum(seen) == 0
-        assert [c for c, _, _ in relayed] == [c for c, _, r in variants if r]
+        assert sum(seen) == 0
         for (cfg, _, relay), (n, m) in zip(variants, counts):
-            fail_sic, out_n, fail_direct = _direct_stages(cfg, geo, weak[3], strong[6])
-            left = fail_direct & ~fail_sic
-            if relay:
-                (_, a, b), = [(c, a, b) for c, a, b in relayed if c == cfg]
-                np.testing.assert_array_equal(a, g_dnr[left])
-                np.testing.assert_array_equal(b, g_rdm[left])
-            out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)[1]
+            out_n, out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)
             assert (n, m) == (out_n.sum(), out_m.sum())
 
 

@@ -23,6 +23,16 @@ def test_spec_validation():
         OrderStatSpec(M=MAX_RANKED_USERS + 1, i=1, lam=1.0)
 
 
+@pytest.mark.parametrize("key, kwargs", [
+    ("M", dict(M=True, i=1, lam=1.0)),
+    ("i", dict(M=6, i=True, lam=True)),
+    ("lam", dict(M=6, i=1, lam=np.True_)),
+])
+def test_spec_rejects_bool_naming_key(key, kwargs):
+    with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
+        OrderStatSpec(**kwargs)
+
+
 class TestPhiCoefficient:
     def test_first_term_is_count_of_upper_subsets(self):
         # k = 0 term weight is C(M, i-1): the minimum-rank case collapses to 1.
@@ -263,3 +273,12 @@ class TestSampler:
             sample_ordered_gains(6, -1.0, rng)
         with pytest.raises(ValueError):
             sample_ordered_gains(6, 1.0, rng, size=0)
+
+    @pytest.mark.parametrize("key, args", [
+        ("M", (True, 1.0)),
+        ("lam", (6, True)),
+        ("size", (6, 1.0)),
+    ])
+    def test_rejects_bool_naming_key(self, key, args):
+        with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
+            sample_ordered_gains(*args, np.random.default_rng(0), size=True)
