@@ -7,12 +7,13 @@ cleanly.  Plots are emitted as standalone matplotlib scripts rather than
 images, keeping this package free of plotting dependencies and the
 artifacts byte-reproducible.
 
-A sweep runs in three passes.  It first builds and validates every
-point, so a bad point is reported before any trial is drawn.  It then
-computes the analytic columns: an SNR grid in one ``evaluate`` call per
-relay flag over the array of its SNRs, pair and distance-set sweeps in
-one call per point.  Last, one ``estimate`` call draws the fading gains
-once and evaluates every Monte-Carlo row on them.  Each column is
+A sweep is a list of groups, each a run of points that differ only in
+their SNR: an SNR grid is one group, a pair or distance-set sweep one
+group per point at the fixed SNR.  Every group is built and checked
+before anything is computed, so a bad point is reported before any trial
+is drawn.  Each group then takes one ``evaluate`` call per relay flag
+over the array of its SNRs, and one ``estimate`` call draws the fading
+gains once and evaluates every Monte-Carlo row on them.  Each column is
 formatted once, from Python floats, and each row is built once, its
 keys in CSV order.  ``write_csv`` streams the rows to the file one line
 at a time; no field needs quoting, so the bytes are those of
@@ -34,12 +35,11 @@ import numpy as np
 
 from .analytic import evaluate
 from .linklevel import Geometry, SystemConfig
-from .mcsim import McConfig, estimate
+from .mcsim import MODES, McConfig, estimate
 
 CSV_COLUMNS = ("gamma0_db", "m", "n", "engine", "mode",
                "p_out_n", "p_out_m", "stderr_n", "stderr_m", "throughput")
 
-SWEEP_VARIABLES = ("gamma0_db", "pair", "distance-set")
 ENGINES = ("analytic", "mc")
 OUTPUTS = ("p_out_n", "p_out_m", "throughput")
 
@@ -47,19 +47,19 @@ OUTPUTS = ("p_out_n", "p_out_m", "throughput")
 # steps or more is refused before any list of it is built.
 MAX_GRID_POINTS = 100_000
 
-# Scenario defaults, which also name every key a config file may set:
-# 6 users, pair (3, 6) with the 0.7/0.3 power split, unit rates,
-# free-space-like path loss, unit mean gains, and the node layout
-# d_sdn=4 m, d_sdm=6 m, d_dnr=4 m with 40/60-degree opening angles.
+# Scenario defaults, which also name every key a config file may set and
+# give the type its value is read as: 6 users, pair (3, 6) with the
+# 0.7/0.3 power split, unit rates, free-space-like path loss, unit mean
+# gains, and the node layout d_sdn=4 m, d_sdm=6 m, d_dnr=4 m with
+# 40/60-degree opening angles.  Sweep values are read for their variable.
 _DEFAULTS = {
-    "system": {"M": "6", "m": "3", "n": "6", "a_m": "0.7", "a_n": "0.3", "theta": "2",
-               "lambda_sd": "1", "lambda_dnr": "1", "lambda_rdm": "1", "R_m": "1", "R_n": "1"},
-    "geometry": {"d_sdn": "4", "d_sdm": "6", "d_dnr": "4",
-                 "alpha1_deg": "40", "alpha2_deg": "60"},
-    "mc": {"trials": "100000", "seed": "12345", "chunk_size": "65536", "mode": "independent"},
+    "system": {"M": 6, "m": 3, "n": 6, "a_m": 0.7, "a_n": 0.3, "theta": 2.0,
+               "lambda_sd": 1.0, "lambda_dnr": 1.0, "lambda_rdm": 1.0, "R_m": 1.0, "R_n": 1.0},
+    "geometry": {"d_sdn": 4.0, "d_sdm": 6.0, "d_dnr": 4.0,
+                 "alpha1_deg": 40.0, "alpha2_deg": 60.0},
+    "mc": {"trials": 100_000, "seed": 12345, "chunk_size": 65536, "mode": "independent"},
     "sweep": {"variable": "gamma0_db", "values": "0,5,10,15,20,25,30,35,40",
-              "engines": "analytic,mc", "baseline": "false",
-              "outputs": "p_out_n,p_out_m,throughput", "gamma0_db": "20"},
+              "engines": ENGINES, "baseline": False, "outputs": OUTPUTS, "gamma0_db": 20.0},
 }
 
 
@@ -93,6 +93,7 @@ _SWEEP_VALUES = {
     "distance-set": ("(d_sdn, d_sdm, d_dnr) tuples of finite reals",
                      lambda v: isinstance(v, tuple) and len(v) == 3 and all(map(_is_real, v))),
 }
+SWEEP_VARIABLES = tuple(_SWEEP_VALUES)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class SweepSpec:
 
     variable: str
     values: tuple
-    engines: tuple[str, ...] = ("analytic", "mc")
+    engines: tuple[str, ...] = ENGINES
     outputs: tuple[str, ...] = OUTPUTS
     baseline: bool = False
     gamma0_db: float = 20.0
@@ -141,21 +142,17 @@ class SweepSpec:
 ConfigBundle = tuple[SystemConfig, Geometry, McConfig, SweepSpec]
 
 
-def _parse_scalar(section: str, key: str, raw: str, kind):
+def _parse_scalar(section: str, key: str, raw: str):
+    """``raw`` read as the type of the key's default; a tuple from a comma-separated list."""
+    kind = type(_DEFAULTS[section][key])
+    text = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
         if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        return raw.strip()
-    except (TypeError, ValueError):
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        if kind is tuple:
+            return tuple(s.strip() for s in text.split(",") if s.strip())
+        return kind(text)
+    except (KeyError, ValueError):
         raise ValueError(f"config key [{section}] {key}: cannot parse {raw!r} "
                          f"as {kind.__name__}") from None
 
@@ -183,26 +180,32 @@ def _parse_values(variable: str, raw: str) -> tuple:
                          f"for variable {variable!r} ({exc})") from None
 
 
-def _base_gamma0(sweep: SweepSpec) -> float:
-    """Linear SNR of the base config: the first grid point, or the sweep's fixed SNR."""
-    if sweep.variable != "gamma0_db":
-        return db_to_linear(sweep.gamma0_db)
-    db = float(sweep.values[0])
+def _gamma0(key: str, db) -> float:
+    """``db_to_linear(db)``, its error naming the sweep key the SNR came from."""
     try:
         return db_to_linear(db)
     except ValueError as exc:
-        raise ValueError(f"sweep point gamma0_db={db!r}: {exc}") from None
+        raise ValueError(f"{key}={db!r}: {exc}") from None
+
+
+def _snrs(sweep: SweepSpec) -> tuple[list, list[float]]:
+    """The dB and linear SNRs of an SNR grid, or the fixed SNR of any other sweep."""
+    if sweep.variable == "gamma0_db":
+        dbs = [float(v) for v in sweep.values]
+        return dbs, [_gamma0("sweep point gamma0_db", db) for db in dbs]
+    return [sweep.gamma0_db], [_gamma0("sweep gamma0_db", sweep.gamma0_db)]
 
 
 def load_config(path: str | Path | None) -> ConfigBundle:
     """Load a scenario from an INI-style file, filling defaults for omitted keys.
 
-    ``path=None`` yields the full default scenario.  Unknown sections or
-    keys, unparseable values, and invariant violations all raise
-    ValueError naming the offending key; a missing file raises
-    FileNotFoundError.
+    ``path=None`` yields the full default scenario.  The config's SNR is
+    the first sweep point's.  Unknown sections or keys, unparseable
+    values, an SNR that over- or underflows a float, and invariant
+    violations all raise ValueError naming the offending key; a missing
+    file raises FileNotFoundError.
     """
-    merged = {sec: dict(kv) for sec, kv in _DEFAULTS.items()}
+    given = {section: {} for section in _DEFAULTS}
     if path is not None:
         path = Path(path)
         if not path.is_file():
@@ -219,127 +222,74 @@ def load_config(path: str | Path | None) -> ConfigBundle:
             for key, raw in parser.items(section):
                 if key not in _DEFAULTS[section]:
                     raise ValueError(f"config file {path}: unknown key [{section}] {key}")
-                merged[section][key] = raw
+                given[section][key] = raw
 
-    sy, ge, mc_s, sw = (merged[s] for s in ("system", "geometry", "mc", "sweep"))
-    variable = _parse_scalar("sweep", "variable", sw["variable"], str)
-    sweep = SweepSpec(
-        variable=variable,
-        values=_parse_values(variable, sw["values"]),
-        engines=tuple(s.strip() for s in sw["engines"].split(",") if s.strip()),
-        outputs=tuple(s.strip() for s in sw["outputs"].split(",") if s.strip()),
-        baseline=_parse_scalar("sweep", "baseline", sw["baseline"], bool),
-        gamma0_db=_parse_scalar("sweep", "gamma0_db", sw["gamma0_db"], float),
-    )
-    cfg = SystemConfig(
-        M=_parse_scalar("system", "M", sy["M"], int),
-        m=_parse_scalar("system", "m", sy["m"], int),
-        n=_parse_scalar("system", "n", sy["n"], int),
-        a_m=_parse_scalar("system", "a_m", sy["a_m"], float),
-        a_n=_parse_scalar("system", "a_n", sy["a_n"], float),
-        gamma0=_base_gamma0(sweep),
-        theta=_parse_scalar("system", "theta", sy["theta"], float),
-        lambda_sd=_parse_scalar("system", "lambda_sd", sy["lambda_sd"], float),
-        lambda_dnr=_parse_scalar("system", "lambda_dnr", sy["lambda_dnr"], float),
-        lambda_rdm=_parse_scalar("system", "lambda_rdm", sy["lambda_rdm"], float),
-        R_m=_parse_scalar("system", "R_m", sy["R_m"], float),
-        R_n=_parse_scalar("system", "R_n", sy["R_n"], float),
-    )
-    geo = Geometry(
-        d_sdn=_parse_scalar("geometry", "d_sdn", ge["d_sdn"], float),
-        d_sdm=_parse_scalar("geometry", "d_sdm", ge["d_sdm"], float),
-        d_dnr=_parse_scalar("geometry", "d_dnr", ge["d_dnr"], float),
-        alpha1=math.radians(_parse_scalar("geometry", "alpha1_deg", ge["alpha1_deg"], float)),
-        alpha2=math.radians(_parse_scalar("geometry", "alpha2_deg", ge["alpha2_deg"], float)),
-    )
-    mc = McConfig(
-        trials=_parse_scalar("mc", "trials", mc_s["trials"], int),
-        seed=_parse_scalar("mc", "seed", mc_s["seed"], int),
-        chunk_size=_parse_scalar("mc", "chunk_size", mc_s["chunk_size"], int),
-        mode=_parse_scalar("mc", "mode", mc_s["mode"], str),
-    )
-    return cfg, geo, mc, sweep
+    system, geometry, mc, sweep = (
+        {key: _parse_scalar(section, key, given[section][key]) if key in given[section]
+         else default for key, default in keys.items()}
+        for section, keys in _DEFAULTS.items())
+    sweep = SweepSpec(**sweep | {"values": _parse_values(sweep["variable"], sweep["values"])})
+    cfg = SystemConfig(**system, gamma0=_snrs(sweep)[1][0])
+    geo = Geometry(**{key.removesuffix("_deg"): math.radians(v) if key.endswith("_deg") else v
+                      for key, v in geometry.items()})
+    return cfg, geo, McConfig(**mc), sweep
 
 
 # Every number in the CSV: 10 significant digits, so output files diff cleanly.
 _fmt = "{:.10g}".format
 
 
-def _point_scenario(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, value,
-                    build_cfg: bool = True):
-    """Specialize (cfg, geo) for one sweep value; returns (db, gamma0, cfg, geo).
+def _groups(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec) -> list[tuple]:
+    """The sweep as groups of points that differ only in their SNR.
 
-    With ``build_cfg=False`` an SNR-grid point gets no SystemConfig of its
-    own (None); db_to_linear has already checked its gamma0.
+    A group is (cfg, geo, gamma0_db list, gamma0 list): an SNR grid is one
+    group, any other sweep one group per point at the fixed SNR.  Every
+    group carries its own SNRs, so ``cfg.gamma0`` is never read.
     """
+    dbs, gamma0s = _snrs(sweep)
     if sweep.variable == "gamma0_db":
-        db = float(value)
-        gamma0 = db_to_linear(db)
-        return db, gamma0, replace(cfg, gamma0=gamma0) if build_cfg else None, geo
-    db = sweep.gamma0_db
-    cfg = replace(cfg, gamma0=db_to_linear(db))
-    if sweep.variable == "pair":
-        return db, cfg.gamma0, replace(cfg, m=value[0], n=value[1]), geo
-    d_sdn, d_sdm, d_dnr = value
-    return db, cfg.gamma0, cfg, Geometry(d_sdn, d_sdm, d_dnr, geo.alpha1, geo.alpha2)
-
-
-def _point_error(sweep: SweepSpec, value, exc: Exception) -> Exception:
-    return type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}")
-
-
-def _analytic_columns(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec, points: list,
-                      relays: tuple[bool, ...]) -> list[list[list[str]]]:
-    """Formatted (p_out_n, p_out_m, throughput) columns over the points, one triple per relay flag.
-
-    An SNR grid takes one ``evaluate`` call per relay flag over the array
-    of its SNRs; any other sweep takes one call per point and flag.
-    """
-    if sweep.variable == "gamma0_db":
-        grid = np.array([gamma0 for _, gamma0, _, _ in points])
-        curves = [evaluate(cfg, geo, relay=relay, gamma0=grid) for relay in relays]
-        columns = [(c.p_out_n.tolist(), c.p_out_m.tolist(), c.throughput.tolist())
-                   for c in curves]
-    else:
-        lone = []
-        for value, (_, _, cfg_i, geo_i) in zip(sweep.values, points):
-            try:
-                lone.append([evaluate(cfg_i, geo_i, relay=relay) for relay in relays])
-            except (ValueError, ArithmeticError) as exc:
-                raise _point_error(sweep, value, exc) from exc
-        columns = [zip(*((p[j].p_out_n, p[j].p_out_m, p[j].throughput) for p in lone))
-                   for j in range(len(relays))]
-    return [[list(map(_fmt, column)) for column in triple] for triple in columns]
+        return [(cfg, geo, dbs, gamma0s)]
+    groups = []
+    for value in sweep.values:
+        try:
+            if sweep.variable == "pair":
+                point = replace(cfg, m=value[0], n=value[1]), geo
+            else:
+                point = cfg, Geometry(*value, geo.alpha1, geo.alpha2)
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"sweep point {sweep.variable}={value!r}: {exc}") from exc
+        groups.append((*point, dbs, gamma0s))
+    return groups
 
 
 def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> list[dict]:
     """Evaluate every sweep point with every requested engine.
 
     Returns CSV-ready rows (string values, CSV_COLUMNS keys in order),
-    ordered by sweep index then engine.  Errors in building a point or in
-    its analytic rows propagate annotated with the offending sweep point,
-    before any Monte-Carlo trial is drawn.
+    ordered by sweep index then engine.  The SNRs come from the sweep,
+    never from ``cfg.gamma0``.  An error in building a point propagates
+    annotated with the offending sweep point, before any Monte-Carlo
+    trial is drawn.
     """
     relays = (True, False) if sweep.baseline else (True,)
-    build_cfg = sweep.variable != "gamma0_db" or "mc" in sweep.engines
-    points = []
-    for value in sweep.values:
-        try:
-            points.append(_point_scenario(cfg, geo, sweep, value, build_cfg=build_cfg))
-        except (ValueError, ArithmeticError) as exc:
-            raise _point_error(sweep, value, exc) from exc
+    groups = _groups(cfg, geo, sweep)
 
     # engine, mode, then the p_out_n, p_out_m, stderr_n, stderr_m, throughput columns
     variants = []
     if "analytic" in sweep.engines:
-        blank = [""] * len(points)
-        for relay, (p_n, p_m, tau) in zip(relays, _analytic_columns(cfg, geo, sweep, points,
-                                                                    relays)):
+        blank = [""] * len(sweep.values)
+        for relay in relays:
+            curves = [evaluate(cfg_g, geo_g, relay=relay, gamma0=np.array(gamma0s))
+                      for cfg_g, geo_g, _, gamma0s in groups]
+            p_n, p_m, tau = (list(map(_fmt, np.concatenate(column).tolist())) for column in
+                             zip(*((c.p_out_n, c.p_out_m, c.throughput) for c in curves)))
             variants.append(("analytic" if relay else "analytic-norelay", "", p_n, p_m,
                              blank, blank, tau))
     if "mc" in sweep.engines:
-        (cfg_0, geo_0, relay_0), *rest = [(cfg_i, geo_i, relay)
-                                          for _, _, cfg_i, geo_i in points for relay in relays]
+        scenarios = [(replace(cfg_g, gamma0=gamma0), geo_g)
+                     for cfg_g, geo_g, _, gamma0s in groups for gamma0 in gamma0s]
+        (cfg_0, geo_0, relay_0), *rest = [(*scenario, relay) for scenario in scenarios
+                                          for relay in relays]
         results = estimate(cfg_0, geo_0, mc, relay=relay_0, also=rest)
         for j, relay in enumerate(relays):
             columns = zip(*((est_n.p_hat, est_m.p_hat, est_n.stderr, est_m.stderr, tau)
@@ -348,9 +298,8 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
                              *(list(map(_fmt, column)) for column in columns)))
 
     rows = []
-    for i, (db, _, cfg_i, _) in enumerate(points):
-        ranks = cfg_i or cfg  # a grid point without a config of its own has the sweep's
-        db_s, m_s, n_s = _fmt(db), str(ranks.m), str(ranks.n)
+    points = ((_fmt(db), str(cfg_g.m), str(cfg_g.n)) for cfg_g, _, dbs, _ in groups for db in dbs)
+    for i, (db_s, m_s, n_s) in enumerate(points):
         for engine, mode, p_n, p_m, se_n, se_m, tau in variants:
             rows.append({"gamma0_db": db_s, "m": m_s, "n": n_s, "engine": engine,
                          "mode": mode, "p_out_n": p_n[i], "p_out_m": p_m[i],
@@ -517,8 +466,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="override the sweep with an SNR grid in dB")
     ap.add_argument("--trials", type=int, metavar="N", help="Monte-Carlo trials per point")
     ap.add_argument("--seed", type=int, metavar="N", help="Monte-Carlo seed")
-    ap.add_argument("--engine", choices=("analytic", "mc", "both"), help="engine selection")
-    ap.add_argument("--mode", choices=("joint", "independent"), help="MC pairing mode")
+    ap.add_argument("--engine", choices=(*ENGINES, "both"), help="engine selection")
+    ap.add_argument("--mode", choices=MODES, help="MC pairing mode")
     ap.add_argument("--baseline", action="store_true",
                     help="add non-relaying baseline rows")
     ap.add_argument("--out", metavar="CSV_PATH", default="sweep.csv", help="output CSV path")
@@ -543,7 +492,6 @@ def main(argv: list[str] | None = None) -> int:
             mc = replace(mc, seed=args.seed)
         if args.mode is not None:
             mc = replace(mc, mode=args.mode)
-        cfg = replace(cfg, gamma0=_base_gamma0(sweep))
 
         rows = run_sweep(cfg, geo, mc, sweep)
         write_csv(rows, args.out)

@@ -87,6 +87,10 @@ def phi_coefficient(k: int, i: int, M: int) -> float:
     every M <= MAX_USERS.  Valid for 0 <= k <= i-1.
     """
     _check_population(M, MAX_USERS)
+    for name, v in (("k", k), ("i", i)):
+        _reject_bool(name, v)
+        if not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if not 1 <= i <= M:
         raise ValueError(f"rank i must satisfy 1 <= i <= M={M}, got {i}")
     if not 0 <= k <= i - 1:

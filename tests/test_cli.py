@@ -1,3 +1,4 @@
+import configparser
 import csv
 import io
 import json
@@ -167,9 +168,68 @@ class TestLoadConfig:
 
     def test_unparseable_value_names_key(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[mc]\ntrials = many\n")
-        with pytest.raises(ValueError, match="trials"):
+        for config, message in [
+            ("[mc]\ntrials = many\n", "config key [mc] trials: cannot parse 'many' as int"),
+            ("[system]\ntheta = steep\n",
+             "config key [system] theta: cannot parse 'steep' as float"),
+            ("[sweep]\nbaseline = maybe\n",
+             "config key [sweep] baseline: cannot parse 'maybe' as bool"),
+        ]:
+            path.write_text(config)
+            with pytest.raises(ValueError) as info:
+                load_config(path)
+            assert str(info.value) == message
+
+    # every key of every section, each set to a value other than its default
+    EVERY_KEY = {
+        "system": {"M": "8", "m": "2", "n": "5", "a_m": "0.8", "a_n": "0.2", "theta": "3",
+                   "lambda_sd": "2", "lambda_dnr": "3", "lambda_rdm": "4", "R_m": "0.5",
+                   "R_n": "2"},
+        "geometry": {"d_sdn": "3", "d_sdm": "7", "d_dnr": "5", "alpha1_deg": "30",
+                     "alpha2_deg": "75"},
+        "mc": {"trials": "1234", "seed": "99", "chunk_size": "256", "mode": "joint"},
+        "sweep": {"variable": "pair", "values": "1:2, 2:5", "engines": "mc", "baseline": "yes",
+                  "outputs": "throughput", "gamma0_db": "17.5"},
+    }
+
+    def test_every_key_lands_on_its_field(self, tmp_path):
+        import coopnoma.cli as cli
+        from dataclasses import fields
+        from coopnoma.linklevel import SystemConfig
+        assert ({s: list(keys) for s, keys in self.EVERY_KEY.items()}
+                == {s: list(keys) for s, keys in cli._DEFAULTS.items()})
+        path = tmp_path / "every.ini"
+        path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                for s, keys in self.EVERY_KEY.items()))
+        loaded = load_config(path)
+        assert loaded == (
+            SystemConfig(M=8, m=2, n=5, a_m=0.8, a_n=0.2, gamma0=db_to_linear(17.5), theta=3.0,
+                         lambda_sd=2.0, lambda_dnr=3.0, lambda_rdm=4.0, R_m=0.5, R_n=2.0),
+            Geometry(3.0, 7.0, 5.0, math.radians(30.0), math.radians(75.0)),
+            McConfig(trials=1234, seed=99, chunk_size=256, mode="joint"),
+            SweepSpec("pair", ((1, 2), (2, 5)), engines=("mc",), outputs=("throughput",),
+                      baseline=True, gamma0_db=17.5))
+        # and no field kept its default
+        for got, default in zip(loaded, load_config(None)):
+            assert [f.name for f in fields(got)
+                    if getattr(got, f.name) == getattr(default, f.name)] == []
+
+    @pytest.mark.parametrize("spelling", sorted(configparser.ConfigParser.BOOLEAN_STATES))
+    def test_every_boolean_spelling_parses(self, tmp_path, spelling):
+        path = tmp_path / "flag.ini"
+        for text in (spelling, spelling.upper(), spelling.capitalize()):
+            path.write_text(f"[sweep]\nbaseline = {text}\n")
+            baseline = load_config(path)[3].baseline
+            assert baseline is configparser.ConfigParser.BOOLEAN_STATES[spelling]
+
+    @pytest.mark.parametrize("bad", ["4000", "-4000"])
+    def test_fixed_sweep_snr_out_of_range_names_its_key(self, tmp_path, capsys, bad):
+        path = tmp_path / "pairs.ini"
+        path.write_text(f"[sweep]\nvariable = pair\nvalues = 1:2\ngamma0_db = {bad}\n")
+        with pytest.raises(ValueError, match=rf"^sweep gamma0_db={bad}\.0: {bad}\.0 dB "):
             load_config(path)
+        assert main(["--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: sweep gamma0_db={bad}.0: ")
 
     def test_pair_sweep_values(self, tmp_path):
         path = tmp_path / "pairs.ini"
@@ -331,6 +391,26 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=rf"sweep point gamma0_db={bad_db!r}: "):
             run_sweep(cfg, geo, mc, replace(sweep, engines=("analytic",)))
         assert len(streams) == 0
+
+    @pytest.mark.parametrize("bad", [4000.0, -4000.0])
+    def test_fixed_snr_out_of_range_names_its_key(self, bad):
+        # the fixed SNR is at fault, not the first pair
+        from dataclasses import replace
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, variable="pair", values=((1, 2), (3, 6)), gamma0_db=bad)
+        with pytest.raises(ValueError, match=rf"^sweep gamma0_db={bad!r}: {bad!r} dB "):
+            run_sweep(cfg, geo, mc, sweep)
+
+    @pytest.mark.parametrize("variable, values", [
+        ("gamma0_db", (0.0, 15.0)), ("pair", ((1, 2), (3, 6))),
+        ("distance-set", ((4.0, 6.0, 4.0), (2.0, 9.0, 7.0)))])
+    def test_rows_do_not_read_the_config_snr(self, variable, values):
+        # every SNR comes from the sweep, so the config's own gamma0 changes no byte
+        from dataclasses import replace
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, variable=variable, values=values, baseline=True)
+        rows = run_sweep(cfg, geo, mc, sweep)
+        assert run_sweep(replace(cfg, gamma0=1e-300), geo, mc, sweep) == rows
 
     def test_grid_makes_one_evaluate_call_per_relay_flag(self, monkeypatch):
         from dataclasses import replace

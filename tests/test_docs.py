@@ -23,3 +23,13 @@ def test_every_exported_name_resolves():
     missing = [name for name in coopnoma.__all__ if not hasattr(coopnoma, name)]
     assert missing == []
     assert len(set(coopnoma.__all__)) == len(coopnoma.__all__)
+
+
+def test_config_key_listing_matches_the_key_table():
+    from coopnoma.cli import _DEFAULTS
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    listed = {}
+    for line in block.splitlines():
+        section, keys = re.match(r"\[(\w+)\]\s+([^;]*)", line).groups()
+        listed[section] = [key.strip() for key in keys.split(",")]
+    assert listed == {section: list(keys) for section, keys in _DEFAULTS.items()}

@@ -70,6 +70,27 @@ class TestPhiCoefficient:
         with pytest.raises(ValueError):
             phi_coefficient(0, 1, MAX_USERS + 1)
 
+    @pytest.mark.parametrize("key, args", [
+        ("k", (True, 2, 6)),
+        ("i", (0, True, 6)),
+        ("k", (np.False_, 2, 6)),
+    ])
+    def test_rejects_bool_naming_key(self, key, args):
+        with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
+            phi_coefficient(*args)
+
+    @pytest.mark.parametrize("key, args", [
+        ("k", (1.0, 3, 6)),
+        ("i", (0, 2.0, 6)),
+        ("k", ("1", 3, 6)),
+    ])
+    def test_rejects_non_integer_naming_key(self, key, args):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            phi_coefficient(*args)
+
+    def test_numpy_integers_give_the_int_values(self):
+        assert phi_coefficient(np.int64(1), np.int32(6), 6) == phi_coefficient(1, 6, 6)
+
 
 class TestOrderedCdf:
     def test_boundaries(self):
