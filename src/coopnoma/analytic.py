@@ -5,8 +5,8 @@ the least passing gain of each decoding stage (``linklevel.gain_*``),
 which the coefficient expansion in ``orderstat`` turns into finite sums;
 the two-hop relay link adds a Bessel-K1 factor.  A purpose-built K1
 evaluator keeps the package dependency-light while holding ~1e-13
-relative accuracy across the full argument range the link budget can
-produce.
+relative accuracy at every argument the input box gives (``linklevel``:
+t lies in [1e-107, 1e131]).
 
 ``evaluate`` is the one entry to the closed forms of a scenario;
 ``two_hop_outage`` is the relay link's own factor.  Both take an array
@@ -17,17 +17,15 @@ same code and gives floats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linklevel import (Geometry, SystemConfig, gain_direct_weak, gain_strong_decodes_weak,
-                        gain_strong_own, path_loss)
+from .linklevel import (Geometry, SystemConfig, check_box, gain_direct_weak,
+                        gain_strong_decodes_weak, gain_strong_own, path_loss)
 from .orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 _EULER_GAMMA = 0.5772156649015328606
-_TINY = np.finfo(float).tiny  # the least normal float
 # 64-node Gauss-Legendre rule, reused by every large-argument K1 call.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -110,10 +108,7 @@ def _snr_grid(cfg: SystemConfig, gamma0):
     Returns (array, scalar) where ``scalar`` says a scalar was given, so
     that the caller hands back floats for it.
     """
-    g = np.asarray(cfg.gamma0 if gamma0 is None else gamma0, dtype=float)
-    bad = ~(np.isfinite(g) & (g > 0))
-    if bad.any():
-        raise ValueError(f"gamma0 must be finite and > 0, got {g[bad].flat[0]}")
+    g = check_box("gamma0", np.asarray(cfg.gamma0 if gamma0 is None else gamma0, dtype=float))
     return np.atleast_1d(g), g.ndim == 0
 
 
@@ -134,49 +129,22 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
     directly rather than as 1 - outage, so that it keeps its relative
     accuracy where the outage is close to 1.
     """
-    for name, v in (("gamma_th", gamma_th), ("gamma0", gamma0), ("d_a", d_a),
-                    ("d_b", d_b), ("lambda_a", lambda_a), ("lambda_b", lambda_b)):
-        if not np.all(np.asarray(v) > 0):
-            raise ValueError(f"{name} must be > 0, got {v}")
+    for name, v, key in (("gamma_th", gamma_th, "gamma_thm"), ("gamma0", gamma0, "gamma0"),
+                         ("d_a", d_a, "d_dnr"), ("d_b", d_b, "d_rdm"), ("theta", theta, "theta"),
+                         ("lambda_a", lambda_a, "lambda_dnr"),
+                         ("lambda_b", lambda_b, "lambda_rdm")):
+        check_box(name, np.asarray(v, dtype=float), key)
     scalar = np.ndim(gamma0) == 0
     g = np.atleast_1d(np.asarray(gamma0, dtype=float))
     da = path_loss(d_a, theta)
     db = path_loss(d_b, theta)
-    if math.isinf(da) or math.isinf(db):
-        surv = np.zeros_like(g)  # a hop with infinite path loss: the link always fails
-    elif da == 0.0 and db == 0.0:
-        surv = np.ones_like(g)  # both hops noise-free: the link never fails
-    else:
-        # t = 2 sqrt(cross / (gamma0**2 lambda_a lambda_b)); where the cross term
-        # or any partial product of the denominator leaves the normal floats
-        # (gamma0**2 overflows above about 1541 dB), t is taken from logs
-        # instead, and below 2**-100 there it is 0: t*K1(t) = 1 + O(t**2 log t)
-        # rounds to 1.  t*K1(t) tends to 1 as t -> 0 and to 0 as t -> inf.
-        cross = da * db * gamma_th * (gamma_th + 1.0)
-        with np.errstate(over="ignore", divide="ignore"):
-            if da == 0.0 or db == 0.0:  # one noise-free hop: the link is the other hop
-                t = np.zeros_like(g)
-            else:
-                g2 = g * g
-                g2a = g2 * lambda_a
-                den = g2a * lambda_b
-                direct = _TINY <= cross < math.inf
-                for v in (g2, g2a, den):
-                    direct = direct & (_TINY <= v) & (v < math.inf)
-                t = np.empty_like(g)
-                t[direct] = 2.0 * np.sqrt(cross / den[direct])
-                log_c = 0.5 * (math.log(da) + math.log(db) + math.log(gamma_th)
-                               + math.log1p(gamma_th) - math.log(lambda_a) - math.log(lambda_b))
-                t_log = 2.0 * np.exp(log_c - np.log(g[~direct]))
-                t[~direct] = np.where(t_log < 2.0 ** -100, 0.0, t_log)
-            decay = np.exp(-(gamma_th / g) * (db / lambda_b + da / lambda_a))
-        t_k1 = np.where(t > 0, 0.0, 1.0)
-        mid = (t > 0) & np.isfinite(t)
-        t_k1[mid] = t[mid] * bessel_k1(t[mid])
-        # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
-        surv = np.minimum(decay * t_k1, 1.0)
-    outage = np.minimum(np.maximum(1.0 - surv, 0.0), 1.0)
-    return _as_given(outage, scalar), _as_given(surv, scalar)
+    # t*K1(t) tends to 1 as t -> 0 and to 0 as t -> inf; inside the input box
+    # t and every partial product below are normal floats (see check_box).
+    t = 2.0 * np.sqrt(da * db * gamma_th * (gamma_th + 1.0) / (g * g * lambda_a * lambda_b))
+    decay = np.exp(-(gamma_th / g) * (db / lambda_b + da / lambda_a))
+    # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
+    surv = np.minimum(decay * (t * bessel_k1(t)), 1.0)
+    return _as_given(1.0 - surv, scalar), _as_given(surv, scalar)
 
 
 def throughput(cfg: SystemConfig, p_out_n, p_out_m):

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import evaluate
-from .linklevel import Geometry, SystemConfig
+from .linklevel import Geometry, SystemConfig, check_box
 from .mcsim import MODES, McConfig, estimate
 
 CSV_COLUMNS = ("gamma0_db", "m", "n", "engine", "mode",
@@ -181,9 +181,12 @@ def _parse_values(variable: str, raw: str) -> tuple:
 
 
 def _gamma0(key: str, db) -> float:
-    """``db_to_linear(db)``, its error naming the sweep key the SNR came from."""
+    """``db_to_linear(db)``, checked against the input box.
+
+    Its error names the sweep key the SNR came from.
+    """
     try:
-        return db_to_linear(db)
+        return check_box("gamma0", db_to_linear(db))
     except ValueError as exc:
         raise ValueError(f"{key}={db!r}: {exc}") from None
 
@@ -201,9 +204,9 @@ def load_config(path: str | Path | None) -> ConfigBundle:
 
     ``path=None`` yields the full default scenario.  The config's SNR is
     the first sweep point's.  Unknown sections or keys, unparseable
-    values, an SNR that over- or underflows a float, and invariant
-    violations all raise ValueError naming the offending key; a missing
-    file raises FileNotFoundError.
+    values, an SNR outside the input box, and invariant violations all
+    raise ValueError naming the offending key; a missing file raises
+    FileNotFoundError.
     """
     given = {section: {} for section in _DEFAULTS}
     if path is not None:
@@ -499,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.plot:
             Path(args.plot).write_text(emit_plot_script(args.out, outputs=sweep.outputs))
             print(f"wrote {args.plot}")
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -8,23 +8,72 @@ own.  The strong user also forwards the weak user's signal through an
 amplify-and-forward relay, giving the weak user a second, independently
 faded copy.
 
-This module holds what both engines share: validated configuration,
-the node layout (``Geometry`` derives its two dependent sides from the
-free parameters), the path loss, the SINR seen by each decoding step
-for given arrays of channel gains, and, for each direct-link step, the
-least gain that gets through.  Outage statistics live in ``analytic``
-(closed forms) and ``mcsim`` (simulation).
+This module holds what both engines share: configuration validated
+against one input box (``INPUT_BOX``), the node layout (``Geometry``
+derives its two dependent sides from the free parameters), the path
+loss, the SINR seen by each decoding step for given arrays of channel
+gains, and, for each direct-link step, the least gain that gets
+through.  Outage statistics live in ``analytic`` (closed forms) and
+``mcsim`` (simulation).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .orderstat import MAX_RANKED_USERS, _reject_bools
+
+
+# The input box: the least and greatest value of each input that the
+# constructors and the engine entries accept.  Distances are in metres;
+# gamma0 spans -300 to +300 dB.
+INPUT_BOX = {
+    "gamma0": (1e-30, 1e30),
+    "theta": (0.0, 8.0),
+    "a_n": (1e-15, 1.0),
+    **dict.fromkeys(("lambda_sd", "lambda_dnr", "lambda_rdm", "gamma_thm", "gamma_thn"),
+                    (1e-30, 1e30)),
+    **dict.fromkeys(("d_sdn", "d_sdm", "d_dnr", "d_dndm", "d_rdm"), (1e-4, 1e5)),
+}
+
+
+def check_box(name: str, value, key: str | None = None):
+    """``value``, or ValueError naming ``name`` where it leaves ``INPUT_BOX[key or name]``.
+
+    ``value`` is a number or an array, whose every entry must lie in the
+    box; nan never does.  Inside the box every quantity either engine
+    forms is a normal float:
+
+    - a path loss d**theta lies in [1e-32, 1e40], and the noise term
+      d**theta / gamma0 in [1e-62, 1e70];
+    - a least passing gain lies in [1e-92, 1e115]: the strong user's own
+      level gamma_thn d**theta / (a_n gamma0) has a_n gamma0 >= 1e-45,
+      and the weak-signal level gamma_thm d**theta / ((a_m - a_n
+      gamma_thm) gamma0) is inf (SIC infeasible) unless gamma_thm <
+      a_m/a_n <= 1e15, where its spare a_m - a_n gamma_thm is at least
+      2**-56 (a_m > 1/2 - 1e-9);
+    - a drawn rank gain lies in [1e-83, 42] lambda_sd and a hop gain is 0
+      or lies in [1e-16, 37] lambda, so every SINR is 0 or lies in
+      [1e-232, 1e94], and every product it forms in [1e-232, 1e188];
+    - the relay's t = 2 sqrt(pl_a pl_b gamma_th (gamma_th + 1) /
+      (gamma0**2 lambda_a lambda_b)) lies in [1e-107, 1e131], and each
+      partial product of its numerator and denominator in [1e-120, 1e140];
+    - with x = d_dnr**theta / g_dnr and y = d_rdm**theta / g_rdm in
+      [1e-64, 1e86] for hop gains above 0, the critical SNR gamma* lies
+      in [1e-94, 1e117].
+    """
+    lo, hi = INPUT_BOX[key or name]
+    if isinstance(value, np.ndarray):
+        bad = ~((value >= lo) & (value <= hi))
+        if not bad.any():
+            return value
+        value = value[bad].flat[0]
+    elif lo <= value <= hi:
+        return value
+    raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -71,14 +120,8 @@ class SystemConfig:
                 f"power shares must satisfy a_m > a_n > 0, got a_m={self.a_m}, a_n={self.a_n}")
         if abs(self.a_m + self.a_n - 1.0) > 1e-9:
             raise ValueError(f"power shares a_m + a_n must sum to 1, got {self.a_m + self.a_n}")
-        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
-            raise ValueError(f"gamma0 must be finite and > 0, got {self.gamma0}")
-        if not (self.theta >= 0):
-            raise ValueError(f"path-loss exponent theta must be >= 0, got {self.theta}")
-        for name in ("lambda_sd", "lambda_dnr", "lambda_rdm"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        for name in ("a_n", "gamma0", "theta", "lambda_sd", "lambda_dnr", "lambda_rdm"):
+            check_box(name, getattr(self, name))
         for name in ("R_m", "R_n"):
             v = getattr(self, name)
             if not (v > 0):
@@ -86,30 +129,26 @@ class SystemConfig:
         for th, rate in (("gamma_thm", "R_m"), ("gamma_thn", "R_n")):
             if getattr(self, th) is None:
                 r = getattr(self, rate)
-                try:
-                    value = 2.0 ** r - 1.0  # reliable decoding at r bit/s/Hz
-                except OverflowError:
-                    value = math.inf
-                if not 0.0 < value < math.inf:
+                # reliable decoding at r bit/s/Hz; past 2**128 the box refuses it anyway
+                value = 2.0 ** min(r, 128.0) - 1.0
+                lo, hi = INPUT_BOX[th]
+                if not lo <= value <= hi:
                     raise ValueError(f"{rate} must give a threshold 2**{rate} - 1 in "
-                                     f"(0, inf) in floats, got {rate}={r}")
+                                     f"[{lo:g}, {hi:g}], got {rate}={r}")
                 object.__setattr__(self, th, value)
-        if not (self.gamma_thm > 0):
-            raise ValueError(f"gamma_thm must be > 0, got {self.gamma_thm}")
-        if not (self.gamma_thn > 0):
-            raise ValueError(f"gamma_thn must be > 0, got {self.gamma_thn}")
+            check_box(th, getattr(self, th))
 
 
 def _law_of_cosines(a: float, b: float, angle: float) -> float:
     """Third side of a triangle with sides a, b at ``angle``.
 
-    Where the textbook form's square leaves the normal floats (a*a
-    overflows or underflows, or the difference cancels to 0 or below),
-    the side is taken as s*sqrt(((a-b)/s)**2 + 4 (a/s) (b/s)
-    sin(angle/2)**2) with s = max(a, b), which has neither problem.
+    Where the textbook form's square cancels to 0 or below (nearly equal
+    sides at a small angle), the side is taken as s*sqrt(((a-b)/s)**2 +
+    4 (a/s) (b/s) sin(angle/2)**2) with s = max(a, b), which does not
+    cancel.
     """
     c2 = a * a + b * b - 2.0 * a * b * math.cos(angle)
-    if sys.float_info.min <= c2 < math.inf:
+    if c2 > 0.0:
         return math.sqrt(c2)
     s = max(a, b)
     x, y = a / s, b / s
@@ -137,9 +176,7 @@ class Geometry:
     def __post_init__(self) -> None:
         _reject_bools(self)
         for name in ("d_sdn", "d_sdm", "d_dnr"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"distance {name} must be finite and > 0, got {v}")
+            check_box(name, getattr(self, name))
         for name in ("alpha1", "alpha2"):
             v = getattr(self, name)
             if not (0 < v < math.pi):
@@ -148,43 +185,20 @@ class Geometry:
         d_rdm = _law_of_cosines(d_dndm, self.d_dnr, self.alpha1)
         for name, v, free in (("d_dndm", d_dndm, "d_sdm, d_sdn and alpha2"),
                               ("d_rdm", d_rdm, "d_sdm, d_sdn, d_dnr, alpha1 and alpha2")):
-            if not (0.0 < v < math.inf):
-                raise ValueError(f"{free} give {name}={v}, outside the positive floats")
+            lo, hi = INPUT_BOX[name]
+            if not lo <= v <= hi:
+                raise ValueError(f"{free} give {name}={v}, outside [{lo:g}, {hi:g}]")
             object.__setattr__(self, name, v)
 
 
 def path_loss(d: float, theta: float) -> float:
-    """d**theta at its float limits.
-
-    Where it overflows it is inf: a link so lossy always fails.  Where it
-    underflows it is 0: a noise-free link, on which every gain above 0
-    gets through and a zero gain does not.  Both engines take every path
-    loss from here, so they share both limits.
-    """
-    try:
-        return float(d) ** float(theta)
-    except OverflowError:
-        return math.inf
-
-
-def _snr(scale: float, g: np.ndarray, pl: float) -> np.ndarray:
-    """scale * g / pl, inf where it overflows and on a noise-free link (pl = 0), 0 at g = 0."""
-    if pl == 0.0:
-        return np.where(g > 0, math.inf, 0.0)
-    with np.errstate(over="ignore"):  # inf passes every threshold, as it should
-        return scale * g / pl
+    """d**theta.  Both engines take every path loss from here."""
+    return float(d) ** float(theta)
 
 
 def _weak_signal_sinr(cfg: SystemConfig, g: np.ndarray, pl: float) -> np.ndarray:
-    """a_m g / (a_n g + pl/gamma0), the SINR of the weak user's signal.
-
-    Where pl/gamma0 is 0 (a noise-free link) it is a_m/a_n for every g > 0
-    and 0 at g = 0.
-    """
-    noise = pl / cfg.gamma0
-    if noise == 0.0:
-        return np.where(g > 0, cfg.a_m / cfg.a_n, 0.0)
-    return cfg.a_m * g / (cfg.a_n * g + noise)
+    """a_m g / (a_n g + pl/gamma0), the SINR of the weak user's signal."""
+    return cfg.a_m * g / (cfg.a_n * g + pl / cfg.gamma0)
 
 
 def sinr_direct_weak(cfg: SystemConfig, geo: Geometry, g):
@@ -207,8 +221,7 @@ def sinr_strong_decodes_weak(cfg: SystemConfig, geo: Geometry, g):
 
 def snr_strong_own(cfg: SystemConfig, geo: Geometry, g):
     """Post-cancellation SNR of the strong user decoding its own signal."""
-    g = np.asarray(g, dtype=float)
-    out = _snr(cfg.gamma0 * cfg.a_n, g, path_loss(geo.d_sdn, cfg.theta))
+    out = cfg.gamma0 * cfg.a_n * np.asarray(g, dtype=float) / path_loss(geo.d_sdn, cfg.theta)
     return out if out.ndim else float(out)
 
 
@@ -217,41 +230,25 @@ def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
 
     With per-hop SNRs g1 = gamma0 * g_dnr / d_dnr**theta and
     g2 = gamma0 * g_rdm / d_rdm**theta, the variable-gain AF relay yields
-    g1 g2 / (g1 + g2 + 1), which never exceeds min(g1, g2).  Where a hop
-    SNR or their product overflows, the quotient is its finite limit
-    1 / (1/g1 + 1/g2): the other hop's SNR when one hop is inf.
+    g1 g2 / (g1 + g2 + 1), which never exceeds min(g1, g2) and is 0
+    where a hop gain is 0.
     """
-    g1 = _snr(cfg.gamma0, np.asarray(g_dnr, dtype=float), path_loss(geo.d_dnr, cfg.theta))
-    g2 = _snr(cfg.gamma0, np.asarray(g_rdm, dtype=float), path_loss(geo.d_rdm, cfg.theta))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are replaced below
-        out = g1 * g2 / (g1 + g2 + 1.0)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        # a zero-gain hop: 1/0 = inf gives the limit 0, as does 1/g past the floats
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(bad, 1.0 / (1.0 / g1 + 1.0 / g2), out)
+    g1 = cfg.gamma0 * np.asarray(g_dnr, dtype=float) / path_loss(geo.d_dnr, cfg.theta)
+    g2 = cfg.gamma0 * np.asarray(g_rdm, dtype=float) / path_loss(geo.d_rdm, cfg.theta)
+    out = g1 * g2 / (g1 + g2 + 1.0)
     return out if out.ndim else float(out)
 
 
 # The least gain that passes each direct-link decoding stage, at cfg.gamma0
 # or at each SNR of an array ``gamma0``.  Each SINR above increases with
 # the gain, so a stage fails exactly where the gain lies below its level;
-# the levels invert those expressions and take the same path-loss limits.
-# A level is inf where no gain passes (also where it overflows) and 0 on a
-# noise-free link, where every gain above 0 passes and a zero gain fails.
+# the levels invert those expressions.  A level is inf where no gain passes.
 
 
-def _least_gain(cfg: SystemConfig, gamma0, pl: float, never: bool, level):
-    """``level(gamma0)``, or inf where ``never`` or pl is inf, then 0 where pl is 0."""
-    g = np.asarray(cfg.gamma0 if gamma0 is None else gamma0, dtype=float)
-    if never or math.isinf(pl):
-        out = np.full_like(g, math.inf)
-    elif pl == 0.0:
-        out = np.zeros_like(g)
-    else:
-        # overflow gives inf: no gain passes (gain_strong_own maps its 0/0 to inf)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = level(g)
+def _least_gain(cfg: SystemConfig, gamma0, never: bool, level):
+    """``level(gamma0)``, or inf where ``never``."""
+    g = check_box("gamma0", np.asarray(cfg.gamma0 if gamma0 is None else gamma0, dtype=float))
+    out = np.full_like(g, math.inf) if never else level(g)
     return out if out.ndim else float(out)
 
 
@@ -263,8 +260,7 @@ def _weak_signal_gain(cfg: SystemConfig, pl: float, gamma0):
     gamma_thm.
     """
     spare = cfg.a_m - cfg.a_n * cfg.gamma_thm
-    return _least_gain(cfg, gamma0, pl, spare <= 0.0,
-                       lambda g: cfg.gamma_thm / (spare * g) * pl)
+    return _least_gain(cfg, gamma0, spare <= 0.0, lambda g: cfg.gamma_thm / (spare * g) * pl)
 
 
 def gain_direct_weak(cfg: SystemConfig, geo: Geometry, gamma0=None):
@@ -280,9 +276,7 @@ def gain_strong_decodes_weak(cfg: SystemConfig, geo: Geometry, gamma0=None):
 def gain_strong_own(cfg: SystemConfig, geo: Geometry, gamma0=None):
     """Least gain at which ``snr_strong_own`` reaches gamma_thn.
 
-    gamma_thn d_sdn**theta / (a_n gamma0); inf where a_n gamma0 underflows
-    to 0, as the SNR is then 0 at every gain.
+    gamma_thn d_sdn**theta / (a_n gamma0).
     """
     pl = path_loss(geo.d_sdn, cfg.theta)
-    return _least_gain(cfg, gamma0, pl, False, lambda g: np.where(
-        cfg.a_n * g > 0.0, cfg.gamma_thn * pl / (cfg.a_n * g), math.inf))
+    return _least_gain(cfg, gamma0, False, lambda g: cfg.gamma_thn * pl / (cfg.a_n * g))

@@ -14,26 +14,27 @@ chain levels once, and a chunk decides each stage with one comparison of
 a chain row against a scalar: no gain transform and no SINR per trial.
 Trials within a relative 1e-9 of a level (the guard band, wider where
 the SINR is ill-conditioned) are decided by the SINR expressions on
-their gains.  A degenerate stage (SIC infeasible, an infinite or zero
-path loss, inputs near the ends of the floats) has a band spanning the
-whole chain, so all its trials are decided that way.  Every decision
-thus equals the SINR path's bit for bit.
+their gains.  A degenerate stage (SIC infeasible, or so nearly that the
+band would be wider than 1e-3) has a band spanning the whole chain, so
+all its trials are decided that way.  Every decision thus equals the
+SINR path's bit for bit.  Inside the input box of ``linklevel`` every
+gain level, band edge and SINR is a normal float, so nothing else makes
+a stage degenerate.
 
 The relayed stage gets the same treatment with the roles swapped.  With
 x = pl_dnr/g_dnr and y = pl_rdm/g_rdm, the AF SINR is
 gamma0**2 / (gamma0 s + x y) with s = x + y, which increases with
 gamma0, so a trial's relay fails exactly where gamma0 lies below its
 critical SNR gamma* = (th/2) s (1 + sqrt(1 + 4r/th)), r = x (y/s) / s in
-[0, 1/4].  Every term is positive, so nothing cancels, and nothing
-overflows while the inputs stay inside ``_ORDINARY``, so gamma* is good
-to a few ulps.  A chunk computes one gamma* row per relay group (the two
+[0, 1/4].  Every term is positive, so nothing cancels, and inside the
+input box nothing leaves the normal floats, so gamma* is good to a few
+ulps.  A chunk computes one gamma* row per relay group (the two
 hop path losses and gamma_thm) and decides each relay variant by one
 comparison of that row with the variant's gamma0.  d log SINR / d log
 gamma0 lies in [1, 2], so a relative 1e-9 of gamma0 is again a safe
 guard band.  Only the trials left to the relay (SIC kept, direct copy
 lost) whose gamma* lies in the band or is nan (a zero hop gain) go
-through the relayed SINR; a degenerate group or SNR sends every such
-trial that way.
+through the relayed SINR.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
@@ -86,8 +87,8 @@ _SEGMENT = 2 ** 64
 # Half-width of a stage's guard band, relative in gain, before the
 # widening for the SINR's conditioning (see _stage).
 _BAND = 1e-9
-# Magnitudes between which a stage's inputs keep every SINR a normal float.
-_ORDINARY = (2.0 ** -300, 2.0 ** 300)
+# Most trials one chunk may hold: 16 times the default chunk_size.
+MAX_CHUNK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,10 @@ class McConfig:
                              f"got {self.trials!r}")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.chunk_size, (int, np.integer)) and self.chunk_size >= 1):
-            raise ValueError(f"chunk_size must be a positive integer, got {self.chunk_size!r}")
+        if not (isinstance(self.chunk_size, (int, np.integer))
+                and 1 <= self.chunk_size <= MAX_CHUNK):
+            raise ValueError(f"chunk_size must be an integer in [1, {MAX_CHUNK}], "
+                             f"got {self.chunk_size!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -209,68 +212,42 @@ class _Plan(NamedTuple):
     """The stages of one (cfg, geo): SIC and strong-own on rank n, direct on m, and the relay.
 
     ``hops`` names the relay group, (d_dnr**theta, d_rdm**theta,
-    gamma_thm), or is None where the group is degenerate; ``relay`` is
-    the band of cfg.gamma0 on that group's gamma* row.
+    gamma_thm); ``relay`` is the band of cfg.gamma0 on that group's
+    gamma* row.
     """
 
     sic: _Stage
     own: _Stage
     direct: _Stage
-    hops: tuple[float, float, float] | None
+    hops: tuple[float, float, float]
     relay: _Stage
 
 
-def _ordinary(*values: float) -> bool:
-    """Whether every value lies in ``_ORDINARY``."""
-    return all(_ORDINARY[0] <= v <= _ORDINARY[1] for v in values)
-
-
-def _stage(gain: float, lam: float, cond: float, *factors: float) -> _Stage:
+def _stage(gain: float, lam: float, cond: float) -> _Stage:
     """Chain band of a stage whose least passing gain is ``gain``.
 
-    ``cond`` is d log SINR / d log g at that gain, ``factors`` the
-    stage's other inputs.  The SINR expression, the level and the gain
-    transform each err by a few ulps relative, and an error e in the SINR
-    moves the crossing by e/cond in gain, so the band spans a relative
-    ``_BAND``/cond of the gain on each side.  The stage is degenerate
-    (its band spans the chain, so every trial goes through its SINR)
-    where the band would be wider than about 1e-3, or where the gain,
-    its band or an input leaves ``_ORDINARY``: inside it every product
-    of a gain (between 2**-276 lam and 42 lam) and an input is a normal
-    float, so every SINR keeps its relative accuracy.
+    ``cond`` is d log SINR / d log g at that gain.  The SINR expression,
+    the level and the gain transform each err by a few ulps relative,
+    and an error e in the SINR moves the crossing by e/cond in gain, so
+    the band spans a relative ``_BAND``/cond of the gain on each side.
+    The stage is degenerate (its band spans the chain, so every trial
+    goes through its SINR) where the band would be wider than about 1e-3.
     """
     if not cond > _BAND * 1e3:  # a band wider than 1e-3, or SIC infeasible
         return _WHOLE_CHAIN
     edges = (gain * (1.0 - _BAND / cond), gain * (1.0 + _BAND / cond))
-    if not _ordinary(*edges, lam, *factors):
-        return _WHOLE_CHAIN
     return _Stage(*(chain_at_gain(e, lam) for e in edges))
 
 
 def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan:
-    """The chain bands of cfg's direct-link stages and the gamma* band of its relay.
-
-    SIC infeasible, an infinite or zero path loss, and inputs near the
-    ends of the floats make a stage degenerate.  The relay group is
-    degenerate where a hop's path loss or mean gain, or gamma_thm, leaves
-    ``_ORDINARY``: inside it every hop gain is 0 or lies between
-    2**-53 lam and 37 lam, so x, y, s and gamma* stay normal floats, and
-    so do the relayed SINR's terms near gamma_thm.  The relayed stage is
-    degenerate in a degenerate group or where a band edge leaves
-    ``_ORDINARY``.
-    """
+    """The chain bands of cfg's direct-link stages and the gamma* band of its relay."""
     lam = cfg.lambda_sd
     cond = 1.0 - cfg.a_n * cfg.gamma_thm / cfg.a_m  # of a_m g / (a_n g + noise) at its level
-    pl_n, pl_m = path_loss(geo.d_sdn, cfg.theta), path_loss(geo.d_sdm, cfg.theta)
-    stages = (
-        _stage(gain_strong_decodes_weak(cfg, geo), lam, cond, cfg.gamma_thm, pl_n / cfg.gamma0),
-        _stage(gain_strong_own(cfg, geo), lam, 1.0, cfg.gamma_thn, pl_n, cfg.gamma0 * cfg.a_n),
-        _stage(gain_direct_weak(cfg, geo), lam, cond, cfg.gamma_thm, pl_m / cfg.gamma0))
+    stages = (_stage(gain_strong_decodes_weak(cfg, geo), lam, cond),
+              _stage(gain_strong_own(cfg, geo), lam, 1.0),
+              _stage(gain_direct_weak(cfg, geo), lam, cond))
     hops = (path_loss(geo.d_dnr, cfg.theta), path_loss(geo.d_rdm, cfg.theta), cfg.gamma_thm)
-    if not _ordinary(*hops, cfg.lambda_dnr, cfg.lambda_rdm):
-        return _Plan(*stages, None, _WHOLE_CHAIN)
-    edges = (cfg.gamma0 * (1.0 - _BAND), cfg.gamma0 * (1.0 + _BAND))
-    return _Plan(*stages, hops, _Stage(*edges) if _ordinary(*edges) else _WHOLE_CHAIN)
+    return _Plan(*stages, hops, _Stage(cfg.gamma0 * (1.0 - _BAND), cfg.gamma0 * (1.0 + _BAND)))
 
 
 def _in_band(y: np.ndarray, stage: _Stage, below: np.ndarray) -> bool:
@@ -316,19 +293,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _critical_snr(hops: tuple[float, float, float] | None, g_dnr: np.ndarray,
+def _critical_snr(hops: tuple[float, float, float], g_dnr: np.ndarray,
                   g_rdm: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The relay group's per-trial critical SNR gamma*, in ``rows[0]``.
 
     gamma* = (th/2) s (1 + sqrt(1 + 4r/th)) with x = pl_dnr/g_dnr,
     y = pl_rdm/g_rdm, s = x + y and r = x (y/s) / s (see the module
     notes).  ``rows[1:]`` are scratch.  gamma* is nan where a hop gain is
-    0, and on every trial of a degenerate group (``hops`` None).
+    0.
     """
     star, x, s = rows
-    if hops is None:
-        star.fill(math.nan)
-        return star
     pl_dnr, pl_rdm, th = hops
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero hop gain gives nan
         np.divide(pl_dnr, g_dnr, out=x)
@@ -375,7 +349,7 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
         n_out_n, n_sic, left, n_left = decided[cfg, geo]
         n_lost = n_left  # trials left to the relay that it does not rescue
         if relay:
-            if star is None or plan.hops != star_hops:
+            if plan.hops != star_hops:
                 star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, scratch), plan.hops
             fails = left & (star > plan.relay.hi)
             passes = left & (star < plan.relay.lo)

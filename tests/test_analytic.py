@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import pathlib
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,7 +13,8 @@ from scipy import integrate
 from scipy.special import betainc, k1
 
 from coopnoma.analytic import OutagePoint, bessel_k1, evaluate, throughput, two_hop_outage
-from coopnoma.linklevel import Geometry, SystemConfig, gain_direct_weak, gain_strong_decodes_weak
+from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, gain_direct_weak,
+                                gain_strong_decodes_weak)
 from coopnoma.orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -106,10 +109,11 @@ class TestOutageStrong:
         assert pt.p_out_n == pt.p_out_m == 1.0
 
     def test_vanishing_snr_scale_forces_outage(self):
-        # a_n gamma0 and gamma_thn d_sdn**theta both underflow to 0: the strong
-        # user's SNR is 0 at every gain, so its level is inf, not 0/0
-        cfg = default_config(gamma0=5e-324, gamma_thn=1e-300)
-        assert evaluate(cfg, Geometry(1e-20, 6.0, 4.0, 0.7, 1.0)).p_out_n == 1.0
+        # the box's least SNR scale a_n gamma0 = 1e-45, its greatest path loss
+        # and threshold: the strong user's level is 1e115, far past every gain
+        cfg = default_config(gamma0=1e-30, a_m=1.0 - 1e-15, a_n=1e-15, gamma_thn=1e30,
+                             theta=8.0)
+        assert evaluate(cfg, Geometry(1e5, 6.0, 4.0, 0.7, 1.0)).p_out_n == 1.0
 
     def test_vanishes_at_high_snr(self):
         cfg = default_config(gamma0=1e12)
@@ -148,78 +152,17 @@ class TestTwoHopOutage:
         assert two_hop_outage(1.0, 1e12, 4.0, 3.4, 2.0, 1.0, 1.0)[0] < 1e-10
         assert two_hop_outage(1e9, 1.0, 4.0, 3.4, 2.0, 1.0, 1.0)[0] == pytest.approx(1.0)
 
-    def test_snr_past_float_square_uses_small_t_limit(self):
-        # gamma0**2 overflows, so t comes from logs: about 4e-154, where
-        # t*K1(t) rounds to 1 and the outage to 0
-        assert two_hop_outage(1.0, 1e155, 4.0, 3.4, 2.0, 1.0, 1.0)[0] == 0.0
-        assert two_hop_outage(1.0, math.inf, 4.0, 3.4, 2.0, 1.0, 1.0)[0] == 0.0
-        # just below the overflow t is tiny but positive and K1 still evaluates
-        assert 0.0 <= two_hop_outage(1.0, 1e150, 4.0, 3.4, 2.0, 1.0, 1.0)[0] < 1e-12
-
-    def test_snr_past_float_square_takes_t_from_logs(self):
-        # gamma0 = 1e155 overflows gamma0**2, but path losses near 1e154 keep t
-        # at 0.0707, where t*K1(t) is about 0.99, not its t -> 0 limit 1
-        with mpmath.workdps(40):
-            da, g0 = mpmath.mpf(5e76) ** 2, mpmath.mpf(1e155)
-            t = 2 * mpmath.sqrt(da * da * 2) / g0
-            want = float(1 - mpmath.exp(-2 * da / g0) * t * mpmath.besselk(1, t))
-        got, _ = two_hop_outage(1.0, 1e155, 5e76, 5e76, 2.0, 1.0, 1.0)
-        assert got == pytest.approx(want, rel=1e-9)
-
-    def test_subnormal_snr_square_takes_t_from_logs(self):
-        # gamma0**2 = 1e-320 is subnormal (about 11 significant bits), but
-        # lambdas of 1e160 bring the denominator back to 1: t = 2 sqrt(2)
-        with mpmath.workdps(40):
-            g0, lam = mpmath.mpf(1e-160), mpmath.mpf(1e160)
-            t = 2 * mpmath.sqrt(2 / (g0 * g0 * lam * lam))
-            want = float(1 - mpmath.exp(-2 / (g0 * lam)) * t * mpmath.besselk(1, t))
-        got, _ = two_hop_outage(1.0, 1e-160, 1.0, 1.0, 2.0, 1e160, 1e160)
-        assert got == pytest.approx(want, rel=1e-9)
-
-    def test_infinite_path_loss_is_certain_outage(self):
-        # 1e200**2 and 5.3**1000 overflow a float, so that hop is dead at every
-        # SNR (1e155 also overflows gamma0**2), whatever the other hop's loss
-        # (0.09**1000 underflows to 0)
-        snrs = np.array([1e-3, 1.0, 1e10, 1e155])
-        for args in ((1e200, 4.0, 2.0), (4.0, 1e200, 2.0), (5.3, 0.09, 1000.0)):
-            outage, surv = two_hop_outage(1.0, snrs, *args, 1.0, 1.0)
-            np.testing.assert_array_equal(outage, 1.0)
-            np.testing.assert_array_equal(surv, 0.0)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_cross_term_past_the_floats_takes_t_from_logs(self):
-        # d = 1e100 at theta = 2: da*db = 1e400 overflows, and so does
-        # gamma0**2 from about 1541 dB, where t was inf/inf
-        snrs = 10.0 ** np.array([150.0, 155.0, 160.0])
-        outage, surv = two_hop_outage(1.0, snrs, 1e100, 1e100, 2.0, 1.0, 1.0)
-        np.testing.assert_array_equal(outage, 1.0)
-        np.testing.assert_array_equal(surv, 0.0)
-        # t depends on da*db/gamma0**2 and the decay on da/gamma0 and db/gamma0,
-        # so scaling both path losses and gamma0 by 1e200 leaves the link as it is
-        big = two_hop_outage(1.0, 1e200, 1e200, 1e200, 1.0, 1.0, 1.0)
-        unit = two_hop_outage(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        assert big == pytest.approx(unit, rel=1e-12)
-
     def test_finite_cross_term_keeps_the_closed_form_bits(self):
         g = 10.0 ** np.linspace(-2.0, 16.0, 37)
         for gamma_th, d_a, d_b, theta, lam_a, lam_b in ((1.0, 4.0, 3.4, 2.0, 1.0, 1.0),
                                                         (3.0, 1e-3, 70.0, 3.5, 0.5, 2.0),
-                                                        (0.2, 1e30, 1e30, 4.0, 1.0, 1.0)):
+                                                        (0.2, 1e5, 1e5, 8.0, 1.0, 1.0)):
             da, db = d_a ** theta, d_b ** theta
             t = 2.0 * np.sqrt(da * db * gamma_th * (gamma_th + 1.0) / (g * g * lam_a * lam_b))
             decay = np.exp(-(gamma_th / g) * (db / lam_b + da / lam_a))
             want = np.minimum(decay * (t * bessel_k1(t)), 1.0)
             _, surv = two_hop_outage(gamma_th, g, d_a, d_b, theta, lam_a, lam_b)
             np.testing.assert_array_equal(surv, want)
-
-    def test_noise_free_hop_leaves_the_other_hop(self):
-        # 0.09**1000 underflows to 0: that hop's SNR is inf, so the link fails
-        # only when the other hop does, and never when both are noise-free
-        snrs = np.array([0.1, 1.0, 10.0])
-        _, surv = two_hop_outage(1.0, snrs, 0.09, 1.001, 1000.0, 1.0, 2.0)
-        np.testing.assert_allclose(surv, np.exp(-1.001 ** 1000.0 / (2.0 * snrs)), rtol=1e-14)
-        _, surv = two_hop_outage(1.0, 1e-320, 0.09, 0.09, 1000.0, 1.0, 1.0)
-        assert surv == 1.0
 
     def test_monotone_in_snr(self):
         vals = [two_hop_outage(1.0, 10 ** (db / 10), 4.0, 3.4, 2.0, 1.0, 1.0)[0]
@@ -237,6 +180,35 @@ class TestTwoHopOutage:
             two_hop_outage(0.0, 10.0, 1.0, 1.0, 2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             two_hop_outage(1.0, 10.0, -1.0, 1.0, 2.0, 1.0, 1.0)
+
+    def test_box_corners_match_mpmath(self):
+        # every corner of the box, where t runs from about 1e-107 to 1e131;
+        # RuntimeWarnings fail the suite, so no corner may raise one either
+        for args in itertools.product((1e-30, 1e30), (1e-30, 1e30), (1e-4, 1e5), (1e-4, 1e5),
+                                      (0.0, 8.0), (1e-30, 1e30), (1e-30, 1e30)):
+            outage, surv = two_hop_outage(*args)
+            with mpmath.workdps(60):
+                th, g0, d_a, d_b, theta, lam_a, lam_b = map(mpmath.mpf, args)
+                da, db = d_a ** theta, d_b ** theta
+                t = 2 * mpmath.sqrt(da * db * th * (th + 1) / (g0 * g0 * lam_a * lam_b))
+                want = mpmath.exp(-(th / g0) * (db / lam_b + da / lam_a)) * t * mpmath.besselk(1, t)
+            assert surv == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+            assert outage == pytest.approx(float(1 - want), abs=1e-15)
+
+    @pytest.mark.parametrize("index, name", [(0, "gamma_th"), (1, "gamma0"), (2, "d_a"),
+                                             (3, "d_b"), (4, "theta"), (5, "lambda_a"),
+                                             (6, "lambda_b")])
+    def test_rejects_each_argument_outside_the_box_naming_it(self, index, name):
+        inside = [1.0, 10.0, 4.0, 3.4, 2.0, 1.0, 1.0]
+        lo, hi = INPUT_BOX[("gamma_thm", "gamma0", "d_dnr", "d_rdm", "theta", "lambda_dnr",
+                            "lambda_rdm")[index]]
+        for edge, outside in ((lo, np.nextafter(lo, -np.inf)), (hi, np.nextafter(hi, np.inf))):
+            args = list(inside)
+            args[index] = edge
+            assert 0.0 <= two_hop_outage(*args)[0] <= 1.0
+            args[index] = outside
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \["):
+                two_hop_outage(*args)
 
     def test_relay_link_outage_uses_geometry(self):
         # evaluate's relay factor C is this link over d_dnr and the derived
@@ -272,24 +244,10 @@ class TestOutageWeak:
 
     def test_distant_relay_degenerates_to_direct_only(self):
         cfg = default_config(gamma0=100.0)
-        geo = Geometry(4.0, 6.0, 1e8, math.radians(40.0), math.radians(60.0))
+        geo = Geometry(4.0, 6.0, 1e5, math.radians(40.0), math.radians(60.0))
         with_dead_relay = evaluate(cfg, geo, relay=True).p_out_m
         without = evaluate(cfg, geo, relay=False).p_out_m
         assert with_dead_relay == pytest.approx(without, rel=1e-9)
-
-    def test_overflowing_path_loss_takes_the_limit(self):
-        # d_dnr = 1e200 overflows d_dnr**2: the relay adds nothing, to the bit
-        grid = 10.0 ** (np.arange(0, 41, 5) / 10)
-        far = Geometry(4.0, 6.0, 1e200, math.radians(40.0), math.radians(60.0))
-        relayed, direct = (evaluate(default_config(), far, relay=r, gamma0=grid)
-                           for r in (True, False))
-        for name in ("p_out_n", "p_out_m", "throughput"):
-            np.testing.assert_array_equal(getattr(relayed, name), getattr(direct, name))
-        # theta = 400 overflows d_sdm**theta (6**400): certain outage for both
-        point = evaluate(default_config(theta=400.0), default_geometry(), gamma0=grid)
-        np.testing.assert_array_equal(point.p_out_m, 1.0)
-        np.testing.assert_array_equal(point.p_out_n, 1.0)
-        np.testing.assert_array_equal(point.throughput, 0.0)
 
     def test_probability_range_fuzz(self):
         rng = np.random.default_rng(11)
@@ -351,8 +309,8 @@ class TestEvaluate:
 class TestSnrGrid:
     """The closed forms over an array of SNRs, one entry per SNR."""
 
-    GRID_DB = (-3200.0, -1700.0, -20.0, 0.0, 0.005, 3.98, 10.0, 17.5, 25.0, 40.0, 90.0,
-               1540.0, 1600.0, 3000.0)
+    GRID_DB = (-299.99, -170.0, -20.0, 0.0, 0.005, 3.98, 10.0, 17.5, 25.0, 40.0, 90.0,
+               154.0, 160.0, 300.0)
 
     @pytest.mark.parametrize("overrides", [
         dict(), dict(M=20, m=10, n=20), dict(m=1, n=2, R_m=0.5, R_n=2.0), dict(R_m=2.0)])
@@ -379,38 +337,67 @@ class TestSnrGrid:
         assert type(evaluate(default_config(), default_geometry(), gamma0=50.0).p_out_m) is float
 
     def test_extreme_snrs_evaluate_without_warnings(self):
-        # gamma0**2 underflows below about -1541 dB and overflows above +1541 dB;
-        # the limits are certain outage and certain success, with no warning
+        # the box's ends, -300 and +300 dB: certain outage, and outages far
+        # below any float's resolution of 1 - p, with no warning
         cfg = default_config()
         geo = default_geometry()
-        grid = 10.0 ** (np.array([-3200.0, -1700.0, 1600.0, 3000.0]) / 10.0)
+        grid = np.array([1e-30, 1e-25, 1e25, 1e30])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pt = evaluate(cfg, geo, gamma0=grid)
-        assert pt.p_out_n.tolist() == pt.p_out_m.tolist() == [1.0, 1.0, 0.0, 0.0]
+        for p in (pt.p_out_n, pt.p_out_m):
+            assert p[:2].tolist() == [1.0, 1.0]
+            assert 0.0 < p[2] < 1e-60 and 0.0 < p[3] < 1e-80
         assert pt.throughput.tolist() == [0.0, 0.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_snr_in_grid(self, bad):
-        with pytest.raises(ValueError, match="gamma0 must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"^gamma0 must lie in \[1e-30, 1e\+30\]"):
             evaluate(default_config(), default_geometry(), gamma0=np.array([10.0, bad]))
 
-
-class TestGainLevelOverMeanPastTheFloats:
-    """Where a gain level over lambda_sd overflows, its rank CDF takes the limit 1."""
-
-    @pytest.mark.parametrize("lambda_sd, gamma0", [(1e-300, 1e-10), (1e-320, 100.0)])
-    def test_certain_outage_without_warnings(self, lambda_sd, gamma0):
-        cfg = default_config(lambda_sd=lambda_sd, gamma0=gamma0)
+    @pytest.mark.parametrize("edge, outside", [(1e-30, np.nextafter(1e-30, 0.0)),
+                                               (1e30, np.nextafter(1e30, np.inf))])
+    def test_box_ends_evaluate_and_one_ulp_past_is_refused(self, edge, outside):
         geo = default_geometry()
+        assert evaluate(default_config(), geo, gamma0=np.array([10.0, edge])).p_out_n.size == 2
+        got = re.escape(repr(float(outside)))
+        with pytest.raises(ValueError, match=rf"^gamma0 must lie in .*, got {got}$"):
+            evaluate(default_config(), geo, gamma0=np.array([10.0, outside]))
+
+
+class TestBoxCorners:
+    """Every corner of the input box evaluates without warnings and to mpmath's throughput."""
+
+    def test_greatest_level_over_least_mean_is_certain_outage(self):
+        # levels over lambda_sd reach about 1e146 here: every rank CDF is 1
+        cfg = default_config(lambda_sd=1e-30, gamma0=1e-30, theta=8.0)
+        geo = Geometry(1e5, 1e5, 4.0, 0.7, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for rank, x in ((cfg.n, gain_strong_decodes_weak(cfg, geo)),
                             (cfg.m, gain_direct_weak(cfg, geo))):
-                spec = OrderStatSpec(cfg.M, rank, lambda_sd)
+                spec = OrderStatSpec(cfg.M, rank, cfg.lambda_sd)
                 assert (ordered_cdf(spec, x), ordered_sf(spec, x)) == (1.0, 0.0)
             pt = evaluate(cfg, geo)
         assert (pt.p_out_n, pt.p_out_m, pt.throughput) == (1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("layout", [(1e-4, 2e-4, 1e-4, math.pi / 2, math.pi / 2),
+                                        (1e5, 5e4, 1e5, math.pi / 3, math.pi / 3)])
+    def test_corners_match_mpmath(self, layout):
+        geo = Geometry(*layout)
+        keys = ("gamma0", "theta", "lambda_sd", "lambda_dnr", "lambda_rdm", "gamma_thm",
+                "gamma_thn", "a_n")
+        box = [(1e-30, 1e30), (0.0, 8.0), *[(1e-30, 1e30)] * 5, (1e-15, 0.45)]
+        for values in itertools.product(*box):
+            kw = dict(zip(keys, values))
+            cfg = default_config(**kw, a_m=1.0 - kw["a_n"])
+            for relay in (True, False):
+                got = evaluate(cfg, geo, relay=relay).throughput
+                if cfg.a_m <= cfg.a_n * cfg.gamma_thm:  # SIC infeasible: both users fail
+                    assert got == 0.0
+                else:
+                    assert got == pytest.approx(_mp_throughput(cfg, geo, relay), rel=1e-12,
+                                                abs=1e-300)
 
 
 def _mp_throughput(cfg, geo, relay):

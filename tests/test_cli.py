@@ -392,6 +392,26 @@ class TestRunSweep:
             run_sweep(cfg, geo, mc, replace(sweep, engines=("analytic",)))
         assert len(streams) == 0
 
+    @pytest.mark.parametrize("variable, values", [("gamma0_db", (0.0, 350.0, 10.0)),
+                                                  ("pair", ((1, 2), (3, 6)))])
+    def test_snr_outside_the_box_is_refused_before_any_engine(self, monkeypatch, variable,
+                                                               values):
+        # 350 dB is a float, but it lies past the box's 300 dB: the sweep key
+        # is named before any evaluate call or trial
+        from dataclasses import replace
+        import coopnoma.cli as cli
+        import coopnoma.mcsim as mcsim
+        calls = []
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(mcsim, "trial_stream", lambda *a, **k: calls.append(a))
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, variable=variable, values=values, gamma0_db=350.0)
+        key = "sweep point gamma0_db" if variable == "gamma0_db" else "sweep gamma0_db"
+        with pytest.raises(ValueError, match=rf"^{key}=350\.0: gamma0 must lie in "
+                                             rf"\[1e-30, 1e\+30\], got 1e\+35$"):
+            run_sweep(cfg, geo, mc, sweep)
+        assert calls == []
+
     @pytest.mark.parametrize("bad", [4000.0, -4000.0])
     def test_fixed_snr_out_of_range_names_its_key(self, bad):
         # the fixed SNR is at fault, not the first pair
@@ -410,7 +430,7 @@ class TestRunSweep:
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, variable=variable, values=values, baseline=True)
         rows = run_sweep(cfg, geo, mc, sweep)
-        assert run_sweep(replace(cfg, gamma0=1e-300), geo, mc, sweep) == rows
+        assert run_sweep(replace(cfg, gamma0=1e-30), geo, mc, sweep) == rows
 
     def test_grid_makes_one_evaluate_call_per_relay_flag(self, monkeypatch):
         from dataclasses import replace
@@ -677,97 +697,67 @@ class TestMain:
         with pytest.raises(ValueError, match=f"gives {MAX_GRID_POINTS + 1} grid points"):
             _parse_sweep_range(f"0:{MAX_GRID_POINTS}:1")
 
-    @pytest.mark.parametrize("config", ["[system]\ntheta = 400\n", "[geometry]\nd_dnr = 1e200\n"],
-                             ids=["theta", "d_dnr"])
-    def test_overflowing_path_loss_runs_both_engines(self, tmp_path, config):
-        # theta = 400 overflows d_sdm**theta, d_dnr = 1e200 overflows
-        # d_dnr**2: such a link always fails, in both engines alike
-        scen = tmp_path / "far.ini"
-        scen.write_text(config)
-        out = tmp_path / "cli.csv"
-        rc = main(["--config", str(scen), "--sweep-gamma0-db", "0:40:20", "--engine", "both",
-                   "--trials", "20000", "--baseline", "--out", str(out)])
-        assert rc == 0
-        with out.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["engine"] for r in rows] == ["analytic", "analytic-norelay", "mc",
-                                               "mc-norelay"] * 3
-        cols = ("p_out_n", "p_out_m", "throughput")
-        for point in (rows[k:k + 4] for k in range(0, 12, 4)):
-            analytic, analytic_norelay, mc_row, mc_norelay = point
-            for row in point:
-                assert all(0.0 <= float(row[c]) <= 1.0 for c in ("p_out_n", "p_out_m"))
-            for c, se in (("p_out_n", "stderr_n"), ("p_out_m", "stderr_m")):
-                tol = max(5.0 * float(mc_row[se]), 1e-4)
-                assert abs(float(analytic[c]) - float(mc_row[c])) <= tol
-            # the relayed copy is dead, so relaying changes no row
-            assert [analytic[c] for c in cols] == [analytic_norelay[c] for c in cols]
-            assert [mc_row[c] for c in cols] == [mc_norelay[c] for c in cols]
-            if "theta" in config:  # every link is dead: certain outage
-                assert {analytic[c] for c in cols[:2]} | {mc_row[c] for c in cols[:2]} == {"1"}
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("config", [
-        "[geometry]\nd_sdn = 1e-200\n",
-        "[geometry]\nd_dnr = 1e-200\n",
-        "[system]\ntheta = 2000\n[geometry]\nd_sdn = 0.5\nd_sdm = 0.5\nd_dnr = 0.5\n",
-    ], ids=["d_sdn", "d_dnr", "every-link"])
-    def test_underflowing_path_loss_runs_both_engines(self, tmp_path, config):
-        # the path loss underflows to 0: a noise-free link, on which every
-        # gain above 0 gets through, in both engines alike
-        scen = tmp_path / "near.ini"
+        "[system]\ntheta = 8\n[geometry]\nd_dnr = 1e5\n",
+        "[system]\ntheta = 8\nlambda_sd = 1e30\n[geometry]\nd_sdn = 1e-4\nd_dnr = 1e-4\n",
+        "[system]\na_m = 0.999999999999999\na_n = 1e-15\nlambda_dnr = 1e-30\n",
+    ], ids=["far-relay", "near-links", "least-a_n"])
+    def test_box_corner_configs_run_both_engines(self, tmp_path, config):
+        # the box's ends: both engines evaluate every point from -300 to
+        # +300 dB and agree
+        scen = tmp_path / "corner.ini"
         scen.write_text(config)
         out = tmp_path / "cli.csv"
-        # -3200 dB is a subnormal gamma0, where the gain levels are inf
-        rc = main(["--config", str(scen), "--sweep-gamma0-db=-3200:40:1620", "--engine", "both",
+        rc = main(["--config", str(scen), "--sweep-gamma0-db=-300:300:150", "--engine", "both",
                    "--trials", "20000", "--baseline", "--out", str(out)])
         assert rc == 0
         with out.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["engine"] for r in rows] == ["analytic", "analytic-norelay", "mc",
-                                               "mc-norelay"] * 3
+                                               "mc-norelay"] * 5
         for analytic, analytic_norelay, mc_row, mc_norelay in (rows[k:k + 4]
-                                                               for k in range(0, 12, 4)):
+                                                               for k in range(0, 20, 4)):
             for exact, est in ((analytic, mc_row), (analytic_norelay, mc_norelay)):
                 for c, se in (("p_out_n", "stderr_n"), ("p_out_m", "stderr_m")):
                     assert abs(float(exact[c]) - float(est[c])) <= max(5.0 * float(est[se]),
                                                                        1e-4)
-            if "d_sdn" in config or "theta" in config:  # the strong user never fails
-                assert analytic["p_out_n"] == mc_row["p_out_n"] == "0"
-            if "theta" in config:  # and neither does the weak user
-                assert analytic["p_out_m"] == mc_row["p_out_m"] == "0"
+        # -300 dB: the weak user is certainly in outage in both engines
+        assert {r["p_out_m"] for r in rows[:4]} == {"1"}
 
-    def test_snr_past_float_square_runs_both_engines(self, tmp_path):
-        # gamma0**2 overflows above about 1541 dB; both engines must still agree
+    @pytest.mark.parametrize("config, key", [
+        ("[system]\ntheta = 400\n", "theta"), ("[geometry]\nd_dnr = 1e200\n", "d_dnr"),
+        ("[geometry]\nd_sdn = 1e-200\n", "d_sdn"), ("[system]\nlambda_sd = 1e31\n", "lambda_sd"),
+        ("[system]\nR_m = 100\n", "R_m"),
+    ], ids=["theta", "d_dnr", "d_sdn", "lambda_sd", "R_m"])
+    def test_config_outside_the_box_is_reported_by_key(self, tmp_path, capsys, config, key):
+        scen = tmp_path / "far.ini"
+        scen.write_text(config)
+        rc = main(["--config", str(scen), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_path_that_is_a_directory_is_reported(self, tmp_path, capsys):
+        rc = main(["--sweep-gamma0-db", "0:10:10", "--engine", "analytic",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_plot_path_that_is_a_directory_is_reported(self, tmp_path, capsys):
         out = tmp_path / "cli.csv"
-        rc = main(["--sweep-gamma0-db", "1500:1600:50", "--engine", "both",
-                   "--trials", "1000", "--out", str(out)])
-        assert rc == 0
-        with out.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["gamma0_db"], r["engine"]) for r in rows] == [
-            (db, e) for db in ("1500", "1550", "1600") for e in ("analytic", "mc")]
-        for analytic, mc_row in zip(rows[::2], rows[1::2]):
-            for col in ("p_out_n", "p_out_m", "throughput"):
-                assert abs(float(analytic[col]) - float(mc_row[col])) <= 1e-4
+        rc = main(["--sweep-gamma0-db", "0:10:10", "--engine", "analytic",
+                   "--out", str(out), "--plot", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert len(out.read_text().splitlines()) == 3  # the CSV was written first
 
     def test_snr_overflowing_a_float_is_reported(self, tmp_path, capsys):
         rc = main(["--sweep-gamma0-db", "4000:4000:1", "--engine", "analytic",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "4000.0 dB overflows a float" in capsys.readouterr().err
-
-    def test_snr_below_float_square_runs_both_engines(self, tmp_path):
-        # gamma0**2 underflows below about -1541 dB; outage is certain for both
-        out = tmp_path / "cli.csv"
-        rc = main(["--sweep-gamma0-db=-3200:-1600:800", "--engine", "both",
-                   "--trials", "1000", "--out", str(out)])
-        assert rc == 0
-        with out.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["gamma0_db"] for r in rows] == ["-3200", "-3200", "-2400", "-2400",
-                                                  "-1600", "-1600"]
-        assert {(r["p_out_n"], r["p_out_m"], r["throughput"]) for r in rows} == {("1", "1", "0")}
 
     def test_snr_underflowing_a_float_is_reported(self, tmp_path, capsys):
         rc = main(["--sweep-gamma0-db=-4000:-4000:1", "--engine", "analytic",

@@ -82,7 +82,7 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("gamma0", [math.inf, math.nan])
     def test_rejects_nonfinite_snr_naming_key(self, gamma0):
-        with pytest.raises(ValueError, match="gamma0 must be finite"):
+        with pytest.raises(ValueError, match=r"^gamma0 must lie in \[1e-30, 1e\+30\]"):
             default_config(gamma0=gamma0)
 
     @pytest.mark.parametrize("key", ["R_m", "R_n"])
@@ -144,9 +144,10 @@ class TestGeometry:
             Geometry(**free)
 
     def test_extreme_layouts_keep_accurate_derived_distances(self):
-        # the textbook square overflows, underflows or cancels to 0 here
-        for free in ((1e-160, 1e-160, 1e-160, 0.7, 1.0), (1e200, 1e-200, 1e200, 0.7, 1.0),
-                     (4.0, 4.0, 4.0, 1e-10, 1e-10)):
+        # the textbook square cancels to 0 at these small angles between
+        # nearly equal sides; the box's least and greatest distances
+        for free in ((1e5, 1e5, 1e5, 0.7, 2e-9), (3e4, 3e4, 1e-4, 1.0, 1e-8),
+                     (1e-4, 1e5, 1e-4, 0.7, 1.0)):
             geo = Geometry(*free)
             with mpmath.workdps(50):
                 def side(a, b, angle):
@@ -156,8 +157,12 @@ class TestGeometry:
                 want_rdm = side(geo.d_dndm, free[2], free[3])
             assert geo.d_dndm == pytest.approx(float(want_dndm), rel=1e-12)
             assert geo.d_rdm == pytest.approx(float(want_rdm), rel=1e-12)
-        with pytest.raises(ValueError, match="give d_dndm=inf"):
-            Geometry(1e308, 1e308, 1.0, 1.0, 3.1)
+        for free in ((4.0, 4.0, 4.0, 1e-10, 1e-10), (1e5, 1e5, 1.0, 1.0, 3.1)):
+            with pytest.raises(ValueError, match=r"^d_sdm, d_sdn and alpha2 give d_dndm=.*, "
+                                                 r"outside \[0.0001, 100000\]$"):
+                Geometry(*free)
+        with pytest.raises(ValueError, match=r"alpha2 give d_rdm="):
+            Geometry(1e5, 1e5, 1e5, 3.0, 1.0)
 
     def test_replace_derives_the_sides_again(self):
         geo = default_geometry()
@@ -190,21 +195,10 @@ class TestPathLoss:
         assert path_loss(6.0, 2.5) == 6.0 ** 2.5
         assert path_loss(7.0, 0.0) == 1.0
 
-    @pytest.mark.parametrize("d, theta", [(6.0, 400.0), (1e200, 2.0), (math.inf, 2.0)])
-    def test_overflow_is_an_infinite_loss(self, d, theta):
-        assert path_loss(d, theta) == math.inf
-
-    def test_infinite_loss_kills_every_link(self):
-        # theta = 400 overflows d_sdm**theta (6**400) and d_dnr = 1e200
-        # overflows d_dnr**2; the SINRs take their limit 0 without warnings
-        g = np.array([0.0, 1.0, 1e30])
-        cfg = default_config(theta=400.0)
-        assert np.all(sinr_direct_weak(cfg, default_geometry(), g) == 0.0)
-        far = Geometry(4.0, 6.0, 1e200, math.radians(40.0), math.radians(60.0))
-        assert np.all(sinr_relayed(default_config(), far, g, g[::-1]) == 0.0)
-        cfg = default_config(theta=600.0)  # 4**600 overflows too
-        assert np.all(sinr_strong_decodes_weak(cfg, default_geometry(), g) == 0.0)
-        assert np.all(snr_strong_own(cfg, default_geometry(), g) == 0.0)
+    def test_box_spans_thirty_two_to_forty_decades(self):
+        assert path_loss(1e-4, 8.0) == pytest.approx(1e-32, rel=1e-15)
+        assert path_loss(1e5, 8.0) == 1e40
+        assert path_loss(1e-4, 0.0) == path_loss(1e5, 0.0) == 1.0
 
 
 class TestSinrExpressions:
@@ -271,41 +265,38 @@ class TestLeastPassingGains:
         # SIC infeasible: no gain passes the weak-signal stages
         cfg = default_config(gamma_thm=0.7 / 0.3)
         assert gain_direct_weak(cfg, geo) == gain_strong_decodes_weak(cfg, geo) == math.inf
-        # an infinite path loss (4**600): no gain passes; a noise-free link:
-        # every gain above 0
-        cfg = default_config(theta=600.0)
-        assert [gain(cfg, geo) for gain, _, _ in self.STAGES] == [math.inf] * 3
-        near = Geometry(1e-200, 1e-200, 4.0, 0.7, 1.0)
-        assert [gain(default_config(), near) for gain, _, _ in self.STAGES] == [0.0] * 3
-        # the noise-free limit comes first, also where a_n gamma0 underflows to 0
-        # or gamma_thn is inf: snr_strong_own passes every gain above 0
-        for cfg in (default_config(gamma0=5e-324), default_config(gamma_thn=math.inf)):
-            assert gain_strong_own(cfg, near) == 0.0
-            assert snr_strong_own(cfg, near, 5e-324) >= cfg.gamma_thn
-        # a_n gamma0 underflows to 0 on a lossy link: the SNR is 0 at every gain,
-        # also where gamma_thn d_sdn**theta underflows to 0 as well
-        faint = Geometry(1e-20, 6.0, 4.0, 0.7, 1.0)
-        cfg = default_config(gamma0=5e-324, gamma_thn=1e-300)
-        assert gain_strong_own(cfg, faint) == math.inf
-        assert snr_strong_own(cfg, faint, 1e300) < cfg.gamma_thn
+        # the box's corners: the least and greatest levels, and a spare of
+        # one ulp just short of SIC infeasible, are normal floats that invert
+        # the SINR expressions
+        faint = default_config(gamma0=1e-30, a_m=1.0 - 1e-15, a_n=1e-15, theta=8.0,
+                               gamma_thm=(1.0 - 1e-15) / 1e-15 * (1 - 2e-16), gamma_thn=1e30)
+        loud = default_config(gamma0=1e30, theta=8.0, gamma_thm=1e-30, gamma_thn=1e-30)
+        far, near = Geometry(1e5, 1e5, 4.0, 0.7, 1.0), Geometry(1e-4, 1e-4, 4.0, 0.7, 1.5)
+        levels = []
+        for cfg, geo in ((faint, far), (loud, near)):
+            for gain, sinr, th in self.STAGES:
+                x = gain(cfg, geo)
+                levels.append(x)
+                assert sinr(cfg, geo, x) == pytest.approx(getattr(cfg, th), rel=1e-12)
+        assert max(levels) == pytest.approx(1e115) and 1e-92 < min(levels) < 1e-91
 
-    @pytest.mark.parametrize("layout", [(4.0, 6.0, 4.0, 2.0), (1e-80, 3e60, 1e-30, 3.7),
-                                        (1e-200, 6.0, 4.0, 2.0), (4.0, 6.0, 4.0, 600.0)])
+    @pytest.mark.parametrize("layout", [(4.0, 6.0, 4.0, 2.0), (1e-4, 1e5, 1e-4, 3.7),
+                                        (1e-4, 6.0, 4.0, 8.0), (1e5, 5e4, 4.0, 8.0)])
     def test_snr_array_matches_scalar_calls(self, layout):
         # RuntimeWarnings fail the suite, so no entry may raise one either
         *dists, theta = layout
         geo = Geometry(*dists, 0.7, 1.0)
-        gamma0 = 10.0 ** (np.arange(-1600.0, 1600.5, 2.5) / 10.0)
+        gamma0 = np.concatenate([[1e-30], 10.0 ** (np.arange(-297.5, 300.5, 2.5) / 10.0)])
         for cfg in (default_config(theta=theta), default_config(theta=theta, gamma_thm=0.7 / 0.3)):
             for gain, _, _ in self.STAGES:
                 got = gain(cfg, geo, gamma0)
                 want = [gain(cfg, geo, float(g)) for g in gamma0]
                 assert all(isinstance(w, float) for w in want)
                 assert got.tobytes() == np.array(want).tobytes()
-        # the extreme layout holds levels that overflow and levels that do not
-        got = gain_direct_weak(default_config(theta=3.7), Geometry(1e-80, 3e60, 1e-30,
-                                                                          0.7, 1.0), gamma0)
-        assert np.isinf(got).any() and np.isfinite(got).any()
+        # the box's greatest loss over its whole SNR range: levels across 128 decades
+        got = gain_direct_weak(default_config(theta=8.0), Geometry(1e-4, 1e5, 1e-4, 0.7, 1.0),
+                               gamma0)
+        assert got.max() / got.min() > 1e59 and np.isfinite(got).all()
 
 
 class TestRelayedSinr:
@@ -346,24 +337,15 @@ class TestRelayedSinr:
         assert np.array_equal(sinr_relayed(cfg, geo, g_dnr, g_rdm),
                               hop1 * hop2 / (hop1 + hop2 + 1.0))
 
-    def test_overflowing_hop_leaves_the_other_hops_snr(self):
-        # gamma0 * g_dnr overflows to inf; the second hop misses the threshold,
-        # so the relayed copy must fail (inf/inf = nan never compared below it)
-        cfg = default_config(gamma0=1e308)
-        geo = default_geometry()
-        hop2 = cfg.gamma0 * 1e-310 / geo.d_rdm ** cfg.theta
-        for g_dnr, g_rdm in ((100.0, 1e-310), (np.array([100.0, 1.0]), np.array([1e-310, 0.0]))):
-            got = np.atleast_1d(sinr_relayed(cfg, geo, g_dnr, g_rdm))
-            assert got[0] == pytest.approx(hop2, rel=1e-15, abs=0)
-            assert got[0] < cfg.gamma_thm
-        assert sinr_relayed(cfg, geo, 100.0, 0.0) == 0.0
-        assert sinr_relayed(cfg, geo, 100.0, 100.0) == math.inf
-
-    def test_overflowing_product_gives_finite_limit(self):
-        cfg = default_config(gamma0=1e160)
-        geo = default_geometry()
-        hop1 = cfg.gamma0 / geo.d_dnr ** cfg.theta
-        hop2 = cfg.gamma0 / geo.d_rdm ** cfg.theta
-        got = sinr_relayed(cfg, geo, 1.0, 1.0)
-        assert got == pytest.approx(1.0 / (1.0 / hop1 + 1.0 / hop2), rel=1e-15)
-        assert got <= min(hop1, hop2)
+    def test_box_corners_keep_the_plain_quotient(self):
+        # hop SNRs from the least (gain 1e-16 lam, greatest loss, least SNR)
+        # to the greatest (gain 37 lam, least loss, greatest SNR) the box gives
+        for gamma0, d, lam in ((1e-30, 1e5, 1e-30), (1e30, 1e-4, 1e30)):
+            cfg = default_config(gamma0=gamma0, theta=8.0, lambda_dnr=lam, lambda_rdm=lam)
+            geo = Geometry(1e5, 1e5, d, 0.7, 1.0) if d < 1 else Geometry(4.0, 6.0, d, 0.7, 1.0)
+            g = lam * np.array([1e-16, 1.0, 37.0])
+            hop1 = gamma0 * g / geo.d_dnr ** 8.0
+            hop2 = gamma0 * g[::-1] / geo.d_rdm ** 8.0
+            got = sinr_relayed(cfg, geo, g, g[::-1])
+            assert np.array_equal(got, hop1 * hop2 / (hop1 + hop2 + 1.0))
+            assert np.all(got > 0.0) and np.all(got <= np.minimum(hop1, hop2))

@@ -8,7 +8,7 @@ import pytest
 
 from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
-from coopnoma.linklevel import (Geometry, SystemConfig, gain_direct_weak,
+from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, gain_direct_weak,
                                 gain_strong_decodes_weak, gain_strong_own)
 from coopnoma.mcsim import (MODES, McConfig, McEstimate, _direct_stages, draws_per_trial,
                             estimate, trial_stream)
@@ -71,6 +71,14 @@ class TestConfigs:
         kwargs.update(bad)
         with pytest.raises(ValueError):
             McConfig(**kwargs)
+
+    def test_chunk_size_bound_names_key(self):
+        # a chunk holds about 8 rows of min(chunk_size, trials) doubles, so
+        # the bound caps a worker's memory; no chunk is allocated here
+        assert McConfig(trials=1, seed=1, chunk_size=2 ** 20).chunk_size == mcsim.MAX_CHUNK
+        with pytest.raises(ValueError, match=r"^chunk_size must be an integer in "
+                                             r"\[1, 1048576\], got 1048577$"):
+            McConfig(trials=1, seed=1, chunk_size=2 ** 20 + 1)
 
     @pytest.mark.parametrize("key", ["trials", "seed", "chunk_size"])
     def test_rejects_bool_naming_key(self, key):
@@ -291,12 +299,6 @@ class TestOutageEvents:
     def test_both_copies_failing_is_outage(self):
         assert events(default_config(), default_geometry(), 0.0, 1e30, 0.0, 0.0) == (False, True)
 
-    def test_overflowing_relay_hop_cannot_rescue_with_a_failing_one(self):
-        # at gamma0 = 1e308 the first relay hop's SNR overflows; the second hop
-        # still misses the threshold, so the weak user has no copy left
-        cfg = default_config(gamma0=1e308)
-        assert events(cfg, default_geometry(), 0.0, 1.0, 100.0, 1e-310) == (False, True)
-
 
 class TestEstimate:
     def test_chunking_does_not_change_results(self):
@@ -479,15 +481,14 @@ def relay_edge_points(cfg, geo):
     """Hop gains (g_dnr's, g_rdm's) whose gamma* sits at and around the relay's gamma0 and band.
 
     For each target (gamma0 and the two edges of the relayed stage's band)
-    and two g_dnr, g_rdm is solved from SINR = gamma_thm at the target,
-    moved to the float whose computed gamma* lies nearest the target, and
-    taken with its neighbours one ulp either side.  Zero gains on one hop
-    and on both come first; a degenerate group gets only those.
+    and three g_dnr, the last giving both hops one SNR whatever the path
+    losses, g_rdm is solved from SINR = gamma_thm at the target, moved to
+    the float whose computed gamma* lies nearest the target, and taken
+    with its neighbours one ulp and a relative 1e-6 either side.  Zero
+    gains on one hop and on both come first.
     """
     plan = mcsim._plan(cfg, geo)
     pairs = [(0.0, 0.8), (0.8, 0.0), (0.0, 0.0)]
-    if plan.hops is None:
-        return [list(p) for p in zip(*pairs)]
     pl_dnr, pl_rdm, th = plan.hops
 
     def star(g_dnr, g_rdm):
@@ -495,7 +496,7 @@ def relay_edge_points(cfg, geo):
                                    np.empty((3, 1)))[0]
 
     for target in (cfg.gamma0, *plan.relay):
-        for g_dnr in (0.5, 2.0):
+        for g_dnr in (0.5, 2.0, pl_dnr * th * (math.sqrt(1.0 + 1.0 / th) + 1.0) / target):
             x = pl_dnr / g_dnr
             y = target * (target - th * x) / (th * (target + x))  # SINR(target) = th
             if not (0.0 < y < math.inf and 0.0 < pl_rdm / y < math.inf):
@@ -506,7 +507,8 @@ def relay_edge_points(cfg, geo):
                 if abs(star(g_dnr, step) - target) >= abs(star(g_dnr, g) - target):
                     break
                 g = step
-            pairs += [(g_dnr, h) for h in (np.nextafter(g, 0.0), g, np.nextafter(g, math.inf))]
+            pairs += [(g_dnr, h) for h in (g * (1.0 - 1e-6), np.nextafter(g, 0.0), g,
+                                           np.nextafter(g, math.inf), g * (1.0 + 1e-6))]
     return [list(p) for p in zip(*pairs)]
 
 
@@ -531,26 +533,28 @@ class TestThresholdPath:
         yield default_config(gamma0=1e8, a_m=0.8, a_n=0.2), geo
         for lam in (1e-3, level, level * (1 + 1e-12), level * (1 - 1e-6)):
             yield default_config(lambda_sd=lam), geo
-        # a noise-free link, an overflowing path loss, SIC infeasible, and
-        # gain levels / lam that underflow
-        yield default_config(), Geometry(1e-200, 6.0, 4.0, 0.7, 1.0)
-        yield default_config(theta=400.0), geo
+        # the box's corners: its least path loss, its greatest, SIC
+        # infeasible, its greatest SNR and mean gain, and its least a_n
+        # with its greatest threshold
+        yield default_config(theta=8.0), Geometry(1e-4, 6.0, 4.0, 0.7, 1.0)
+        yield default_config(theta=8.0), Geometry(1e5, 1e5, 4.0, 0.7, 1.0)
         yield default_config(gamma_thm=0.7 / 0.3), geo
-        yield default_config(gamma0=1e300, lambda_sd=1e300), geo
-        # degenerate relay groups: a noise-free hop, hop means and a
-        # threshold past the floats (theta = 400 and gamma0 = 1e300 above
-        # make the relay degenerate too)
-        yield default_config(), Geometry(4.0, 6.0, 1e-200, 0.7, 1.0)
-        yield default_config(lambda_dnr=1e-300), geo
-        yield default_config(lambda_rdm=1e300), geo
-        yield default_config(gamma_thm=1e-95, gamma0=1e-90), geo
+        yield default_config(gamma0=1e30, lambda_sd=1e30), geo
+        yield default_config(a_m=1.0 - 1e-15, a_n=1e-15, gamma_thn=1e30, gamma0=1e-30), geo
+        # relay groups at the box's corners: its least hop path loss, its
+        # least and greatest hop means, and its least threshold and SNR
+        yield default_config(theta=8.0), Geometry(4.0, 6.0, 1e-4, 0.7, 1.0)
+        yield default_config(lambda_dnr=1e-30), geo
+        yield default_config(lambda_rdm=1e30), geo
+        yield default_config(gamma_thm=1e-30, gamma0=1e-30), geo
 
     def test_degenerate_levels_span_the_chain(self):
+        # only SIC infeasible (both weak-signal stages) leaves the threshold path
         whole = mcsim._WHOLE_CHAIN
         plans = [mcsim._plan(c, g) for c, g in self.cases()]
-        assert [whole in p[:3] for p in plans] == [False] * 6 + [True] * 4 + [False] * 3 + [True]
-        assert [p.relay == whole for p in plans] == [False] * 7 + [True, False] + [True] * 5
-        assert [p.hops is None for p in plans] == [False] * 7 + [True] + [False] * 2 + [True] * 4
+        assert [[s == whole for s in p[:3]] for p in plans] == (
+            [[False] * 3] * 8 + [[True, False, True]] + [[False] * 3] * 6)
+        assert all(p.relay != whole for p in plans)
 
     @pytest.mark.parametrize("relay", [True, False])
     def test_edges_give_the_sinr_path_events(self, relay):
@@ -588,14 +592,11 @@ class TestThresholdPath:
             fail_sic, _, fail_direct = _direct_stages(cfg, geo, gains_from_chain(y_m, lam),
                                                       gains_from_chain(y_n, lam))
             n_left = np.count_nonzero(fail_direct & ~fail_sic)
-            if mcsim._plan(cfg, geo).relay == mcsim._WHOLE_CHAIN:
-                # a degenerate relay sends every trial left to it through the SINR
-                assert sum(seen) == n_left
-            elif n_left:
+            if n_left:
                 # the edges straddle the band: the SINR decides some trials, gamma* the rest
                 assert 0 < sum(seen) < n_left
                 straddled += 1
-        assert straddled == 4
+        assert straddled == 7
 
     def test_all_zero_slots_meet_the_cap(self):
         # a draw whose slots from rank 3 up are all 0 has chain value 0 and
@@ -652,7 +653,9 @@ class TestInputBoxFuzz:
         """One seeded point of the input box: (SystemConfig kwargs, Geometry kwargs).
 
         Each field is drawn from its usual range, or with probability 0.07
-        from its extremes, invalid values included.
+        from its extremes: invalid values, values past the ends of the
+        floats, and each end of ``INPUT_BOX`` with the float just outside
+        it.
         """
         def pick(usual, extremes):
             return extremes[rng.integers(len(extremes))] if rng.random() < 0.07 else usual
@@ -660,22 +663,32 @@ class TestInputBoxFuzz:
         def log_uniform(lo, hi):
             return float(10.0 ** rng.uniform(lo, hi))
 
+        def box_ends(key):
+            lo, hi = INPUT_BOX[key]
+            return [lo, hi, float(np.nextafter(lo, -math.inf)), float(np.nextafter(hi, math.inf))]
+
         M = int(pick(rng.integers(2, 101), [0, 1, 2, 100, 101]))
         m = int(pick(rng.integers(1, max(M, 2)), [0, 1, M]))
         n = int(pick(rng.integers(m + 1, max(M, m + 1) + 1), [m, M, M + 1]))
-        a_m = float(pick(rng.uniform(0.5, 1.0), [0.5, 1.0 - 1e-12, 0.5 + 1e-12, 1.0]))
-        cfg = dict(M=M, m=m, n=n, a_m=a_m, a_n=float(pick(1.0 - a_m, [0.3, 0.0, -0.1])),
+        a_m = float(pick(rng.uniform(0.5, 1.0), [0.5, 1.0 - 1e-12, 0.5 + 1e-12, 1.0, 1.0 - 1e-15]))
+        cfg = dict(M=M, m=m, n=n, a_m=a_m,
+                   a_n=float(pick(1.0 - a_m, [0.3, 0.0, -0.1, *box_ends("a_n")[::2]])),
                    gamma0=pick(log_uniform(-5.0, 8.0),
-                               [1e-300, 1e300, 5e-324, 0.0, -1.0, math.inf, math.nan]),
-                   theta=pick(rng.uniform(0.0, 6.0), [0.0, 400.0, -1.0, math.nan]))
+                               [1e-300, 1e300, 5e-324, 0.0, -1.0, math.inf, math.nan,
+                                *box_ends("gamma0")]),
+                   theta=pick(rng.uniform(0.0, 6.0),
+                              [0.0, 400.0, -1.0, math.nan, *box_ends("theta")]))
         for key in ("lambda_sd", "lambda_dnr", "lambda_rdm"):
-            cfg[key] = pick(log_uniform(-2.0, 2.0), [1e-300, 1e300, 0.0, -1.0])
+            cfg[key] = pick(log_uniform(-2.0, 2.0), [1e-300, 1e300, 0.0, -1.0, *box_ends(key)])
         for key in ("R_m", "R_n"):
-            cfg[key] = pick(log_uniform(-2.0, 0.7), [1e-300, 50.0, 2000.0, 0.0, -1.0])
+            # 2**99 - 1 lies in the box and 2**100 - 1 past it
+            cfg[key] = pick(log_uniform(-2.0, 0.7), [1e-300, 50.0, 2000.0, 0.0, -1.0, 99.0, 100.0])
         for key in ("gamma_thm", "gamma_thn"):
             if rng.random() < 0.2:
-                cfg[key] = pick(log_uniform(-3.0, 2.0), [1e-300, 1e300, 0.0, math.inf])
-        geo = {key: pick(log_uniform(-3.0, 3.0), [1e-200, 1e200, 0.0, math.inf, math.nan])
+                cfg[key] = pick(log_uniform(-3.0, 2.0),
+                                [1e-300, 1e300, 0.0, math.inf, *box_ends(key)])
+        geo = {key: pick(log_uniform(-3.0, 3.0),
+                         [1e-200, 1e200, 0.0, math.inf, math.nan, *box_ends(key)])
                for key in self.GEOMETRY_KEYS[:3]}
         for key in self.GEOMETRY_KEYS[3:]:
             geo[key] = pick(rng.uniform(0.01, math.pi - 0.01), [0.0, math.pi, 1e-10])
@@ -704,3 +717,32 @@ class TestInputBoxFuzz:
                 for (est_n, est_m, _), relay in zip(results, (True, False)):
                     assert (est_n.events, est_m.events) == sinr_replay(cfg, geo, mc, relay)
         assert evaluated >= 100
+
+
+class TestInputBoxEnds:
+    @pytest.mark.parametrize("key", ["gamma0", "theta", "a_n", "lambda_sd", "lambda_dnr",
+                                     "lambda_rdm", "gamma_thm", "gamma_thn", "d_sdn", "d_sdm",
+                                     "d_dnr"])
+    def test_each_end_evaluates_and_one_ulp_past_is_refused_by_key(self, key):
+        lo, hi = INPUT_BOX[key]
+        # a_n's upper end lies past a_m > a_n, which refuses it first
+        ends = [(lo, np.nextafter(lo, -math.inf))] + (
+            [] if key == "a_n" else [(hi, np.nextafter(hi, math.inf))])
+
+        def build(value):
+            cfg_kw = {key: float(value)} if key in SystemConfig.__dataclass_fields__ else {}
+            if key == "a_n":
+                cfg_kw["a_m"] = 1.0 - float(value)
+            geo_kw = dict(d_sdn=4.0, d_sdm=6.0, d_dnr=4.0, alpha1=0.7, alpha2=1.0)
+            geo_kw.update({} if cfg_kw else {key: float(value)})
+            return default_config(**cfg_kw), Geometry(**geo_kw)
+
+        for end, past in ends:
+            cfg, geo = build(end)
+            assert 0.0 <= evaluate(cfg, geo).p_out_m <= 1.0
+            mc = McConfig(trials=300, seed=3, chunk_size=200)
+            est_n, est_m, _ = estimate(cfg, geo, mc)
+            assert (est_n.events, est_m.events) == sinr_replay(cfg, geo, mc, True)
+            with pytest.raises(ValueError, match=rf"^{key} must lie in \["):
+                build(past)
+
