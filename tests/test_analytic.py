@@ -400,6 +400,29 @@ class TestBoxCorners:
                                                 abs=1e-300)
 
 
+class TestGainLevelOverMeanPastTheFloats:
+    """Where a gain level over a mean overflows, its rank CDF takes the limit 1.
+
+    Such a mean lies outside the input box, so a config holding it is refused by key.
+    """
+
+    @pytest.mark.parametrize("lambda_sd, gamma0", [(1e-300, 1e-10), (1e-320, 100.0)])
+    def test_certain_outage_without_warnings(self, lambda_sd, gamma0):
+        cfg = default_config(gamma0=gamma0)
+        geo = default_geometry()
+        levels = ((cfg.n, gain_strong_decodes_weak(cfg, geo)),
+                  (cfg.m, gain_direct_weak(cfg, geo)))
+        with np.errstate(over="ignore"):
+            assert all(np.isinf(x / lambda_sd) for _, x in levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rank, x in levels:
+                spec = OrderStatSpec(cfg.M, rank, lambda_sd)
+                assert (ordered_cdf(spec, x), ordered_sf(spec, x)) == (1.0, 0.0)
+        with pytest.raises(ValueError, match=r"^lambda_sd must lie in "):
+            default_config(lambda_sd=lambda_sd, gamma0=gamma0)
+
+
 def _mp_throughput(cfg, geo, relay):
     """Sum throughput of the closed forms at 50 digits, from the float inputs."""
     with mpmath.workdps(50):
