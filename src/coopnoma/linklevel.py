@@ -29,9 +29,10 @@ from .orderstat import MAX_RANKED_USERS, _reject_bools
 
 # The input box: the least and greatest value of each input that the
 # constructors and the engine entries accept.  Distances are in metres;
-# gamma0 spans -300 to +300 dB.
+# gamma0 spans -300 to +300 dB.  Its lower end is 1e-30 less one ulp,
+# which is what numpy's 10.0 ** (np.array([-300.0]) / 10) rounds to.
 INPUT_BOX = {
-    "gamma0": (1e-30, 1e30),
+    "gamma0": (float(np.nextafter(1e-30, 0.0)), 1e30),
     "theta": (0.0, 8.0),
     "a_n": (1e-15, 1.0),
     **dict.fromkeys(("lambda_sd", "lambda_dnr", "lambda_rdm", "gamma_thm", "gamma_thn"),

@@ -309,7 +309,8 @@ class TestEvaluate:
 class TestSnrGrid:
     """The closed forms over an array of SNRs, one entry per SNR."""
 
-    GRID_DB = (-299.99, -170.0, -20.0, 0.0, 0.005, 3.98, 10.0, 17.5, 25.0, 40.0, 90.0,
+    # numpy takes -300 dB to 1e-30 less one ulp, the box's lower end
+    GRID_DB = (-300.0, -170.0, -20.0, 0.0, 0.005, 3.98, 10.0, 17.5, 25.0, 40.0, 90.0,
                154.0, 160.0, 300.0)
 
     @pytest.mark.parametrize("overrides", [
@@ -355,8 +356,9 @@ class TestSnrGrid:
         with pytest.raises(ValueError, match=r"^gamma0 must lie in \[1e-30, 1e\+30\]"):
             evaluate(default_config(), default_geometry(), gamma0=np.array([10.0, bad]))
 
-    @pytest.mark.parametrize("edge, outside", [(1e-30, np.nextafter(1e-30, 0.0)),
-                                               (1e30, np.nextafter(1e30, np.inf))])
+    @pytest.mark.parametrize("edge, outside", [
+        (INPUT_BOX["gamma0"][0], np.nextafter(INPUT_BOX["gamma0"][0], 0.0)),
+        (INPUT_BOX["gamma0"][1], np.nextafter(INPUT_BOX["gamma0"][1], np.inf))])
     def test_box_ends_evaluate_and_one_ulp_past_is_refused(self, edge, outside):
         geo = default_geometry()
         assert evaluate(default_config(), geo, gamma0=np.array([10.0, edge])).p_out_n.size == 2

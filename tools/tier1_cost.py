@@ -2,12 +2,11 @@
 """Wall time and peak RSS of one tier-1 test run.
 
     python3 tools/tier1_cost.py
-    python3 tools/tier1_cost.py -- -k acceptance
 
 Runs the tier-1 command, ``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` first on PYTHONPATH, from
-the repository root in a child process, with any arguments after ``--``
-appended.  Prints the child's wall time, its peak resident set size
+the repository root in a child process.  Prints the child's wall time,
+its peak resident set size
 (``resource.getrusage(RUSAGE_CHILDREN).ru_maxrss``, KiB on Linux) and
 pytest's last output line.  One run per call, so the peak belongs to
 that run.  This is a measurement, not a gate: it exits with pytest's
@@ -16,7 +15,6 @@ code.
 
 from __future__ import annotations
 
-import argparse
 import os
 import pathlib
 import resource
@@ -28,15 +26,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("pytest_args", nargs="*", help="extra pytest arguments, after --")
-    args = ap.parse_args(argv)
+def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1, *args.pytest_args], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True,
+                          text=True)
     wall = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     lines = proc.stdout.strip().splitlines()
