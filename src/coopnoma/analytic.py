@@ -38,8 +38,18 @@ def _k1_series_tables(last: int):
     return np.array([k * (k + 1) for k in range(1, last + 1)], dtype=float), np.array(psi)
 
 
-# Below x = 2 the series has converged to 1e-18 long before its 65th term.
-_K1_LAST_TERM = 65
+# Terms k = 0..20.  An entry x <= 2 stops at the first k whose psi-term
+# is at most 1e-18 of the psi-weighted partial sum s_k.  At k = 20 that
+# term is below psi_20 / (20! 21!) < 1e-37, so the stop comes by k = 20
+# unless |s_20| < 1e-19.  s converges to a sum that increases on (0, 2]
+# from -0.15 and crosses 0 once, near x = 0.93; only the few floats next
+# to the crossing, within float error (~1e-15) of it, can have an |s_20|
+# that small, and each of them stops by k = 16 (test_analytic checks
+# those floats one by one, and a dense grid elsewhere stops by k = 13).
+# So no entry reaches the forced stop at the last term, and each keeps the
+# partial sums, bit for bit, that any longer table would give: the
+# cumulative products and sums are sequential.
+_K1_LAST_TERM = 20
 _K1_DIVISORS, _K1_PSI = _k1_series_tables(_K1_LAST_TERM)
 _K1_BLOCK = 128
 

@@ -14,9 +14,10 @@ before anything is computed, so a bad point is reported before any trial
 is drawn.  Each group then takes one ``evaluate`` call per relay flag
 over the array of its SNRs, and one ``estimate`` call draws the fading
 gains once and evaluates every Monte-Carlo row on them.  Each column is
-formatted once, from Python floats, and each row is built once, its
-keys in CSV order.  ``write_csv`` streams the rows to the file one line
-at a time; no field needs quoting, so the bytes are those of
+formatted by one ``"%.10g"`` pass over its Python floats, and the rows
+are tuples of strings in CSV_COLUMNS order, zipped from the columns.
+``write_csv`` joins them a block of rows at a time and writes each block
+at once; no field needs quoting, so the bytes are those of
 ``csv.writer``.
 """
 
@@ -26,9 +27,9 @@ import argparse
 import configparser
 import csv
 import math
-import operator
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -238,8 +239,14 @@ def load_config(path: str | Path | None) -> ConfigBundle:
     return cfg, geo, McConfig(**mc), sweep
 
 
-# Every number in the CSV: 10 significant digits, so output files diff cleanly.
-_fmt = "{:.10g}".format
+# Rows per write_csv write: about 200 kB of text.
+_CSV_BLOCK_ROWS = 2048
+
+
+def _format(values) -> list[str]:
+    """Each number as ``"{:.10g}".format`` gives it (10 significant digits, so
+    output files diff cleanly), the whole column formatted by one ``%``."""
+    return ("%.10g\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
 def _groups(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec) -> list[tuple]:
@@ -265,10 +272,10 @@ def _groups(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec) -> list[tuple]:
     return groups
 
 
-def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> list[dict]:
+def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> list[tuple]:
     """Evaluate every sweep point with every requested engine.
 
-    Returns CSV-ready rows (string values, CSV_COLUMNS keys in order),
+    Returns CSV-ready rows, tuples of strings in CSV_COLUMNS order,
     ordered by sweep index then engine.  The SNRs come from the sweep,
     never from ``cfg.gamma0``.  An error in building a point propagates
     annotated with the offending sweep point, before any Monte-Carlo
@@ -280,11 +287,11 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
     # engine, mode, then the p_out_n, p_out_m, stderr_n, stderr_m, throughput columns
     variants = []
     if "analytic" in sweep.engines:
-        blank = [""] * len(sweep.values)
+        blank = repeat("")
         for relay in relays:
             curves = [evaluate(cfg_g, geo_g, relay=relay, gamma0=np.array(gamma0s))
                       for cfg_g, geo_g, _, gamma0s in groups]
-            p_n, p_m, tau = (list(map(_fmt, np.concatenate(column).tolist())) for column in
+            p_n, p_m, tau = (_format(np.concatenate(column).tolist()) for column in
                              zip(*((c.p_out_n, c.p_out_m, c.throughput) for c in curves)))
             variants.append(("analytic" if relay else "analytic-norelay", "", p_n, p_m,
                              blank, blank, tau))
@@ -297,30 +304,32 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
         for j, relay in enumerate(relays):
             columns = zip(*((est_n.p_hat, est_m.p_hat, est_n.stderr, est_m.stderr, tau)
                             for est_n, est_m, tau in results[j::len(relays)]))
-            variants.append(("mc" if relay else "mc-norelay", mc.mode,
-                             *(list(map(_fmt, column)) for column in columns)))
+            variants.append(("mc" if relay else "mc-norelay", mc.mode, *map(_format, columns)))
 
-    rows = []
-    points = ((_fmt(db), str(cfg_g.m), str(cfg_g.n)) for cfg_g, _, dbs, _ in groups for db in dbs)
-    for i, (db_s, m_s, n_s) in enumerate(points):
-        for engine, mode, p_n, p_m, se_n, se_m, tau in variants:
-            rows.append({"gamma0_db": db_s, "m": m_s, "n": n_s, "engine": engine,
-                         "mode": mode, "p_out_n": p_n[i], "p_out_m": p_m[i],
-                         "stderr_n": se_n[i], "stderr_m": se_m[i], "throughput": tau[i]})
-    return rows
+    db_s, m_s, n_s = [], [], []
+    for cfg_g, _, dbs, _ in groups:
+        db_s += dbs
+        m_s += [str(cfg_g.m)] * len(dbs)
+        n_s += [str(cfg_g.n)] * len(dbs)
+    db_s = _format(db_s)
+    # one row iterator per variant, interleaved so each point's rows come together
+    by_variant = [zip(db_s, m_s, n_s, repeat(engine), repeat(mode), *columns)
+                  for engine, mode, *columns in variants]
+    return list(chain.from_iterable(zip(*by_variant)))
 
 
-def write_csv(rows: list[dict], path: str | Path) -> None:
-    """Write sweep rows under the fixed header, streamed one line per row.
+def write_csv(rows: list[tuple], path: str | Path) -> None:
+    """Write sweep rows under the fixed header, one joined block of rows per write.
 
-    Every field is a ``%.10g`` number, a decimal integer, a fixed engine
-    or mode name, or empty, so none needs quoting: the bytes are those
-    ``csv.writer`` writes with ``lineterminator="\\n"``.
+    A block costs few Python steps per row, and the file is never held in
+    memory whole.  Every field is a ``%.10g`` number, a decimal integer,
+    a fixed engine or mode name, or empty, so none needs quoting: the
+    bytes are those ``csv.writer`` writes with ``lineterminator="\\n"``.
     """
-    get = operator.itemgetter(*CSV_COLUMNS)
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(",".join(get(row)) + "\n" for row in rows)
+        for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
+            fh.write("\n".join(map(",".join, rows[lo:lo + _CSV_BLOCK_ROWS])) + "\n")
 
 
 def _read_rows(csv_path: Path) -> list[dict]:

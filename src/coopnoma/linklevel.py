@@ -83,8 +83,9 @@ class SystemConfig:
 
     Power shares follow the NOMA convention a_m > a_n (weak user gets
     more power) with a_m + a_n = 1.  ``gamma0`` is the transmit SNR in
-    linear scale.  Decoding thresholds default to 2**rate - 1 and may be
-    pinned explicitly for what-if studies.
+    linear scale.  Decoding thresholds default to 2**rate - 1, accurate
+    to an ulp or two at any rate, and may be pinned explicitly for
+    what-if studies.
     """
 
     M: int
@@ -130,8 +131,12 @@ class SystemConfig:
         for th, rate in (("gamma_thm", "R_m"), ("gamma_thn", "R_n")):
             if getattr(self, th) is None:
                 r = getattr(self, rate)
-                # reliable decoding at r bit/s/Hz; past 2**128 the box refuses it anyway
-                value = 2.0 ** min(r, 128.0) - 1.0
+                # reliable decoding at r bit/s/Hz.  Below r = 1, expm1 keeps
+                # the relative accuracy that 2**r - 1 loses as r falls; from
+                # r = 1 on, 2**r - 1 is exact at integers, where expm1 is not
+                # (6.999999999999998 at r = 3).  Past 2**128 the box refuses it.
+                value = (math.expm1(r * math.log(2.0)) if r < 1.0
+                         else 2.0 ** min(r, 128.0) - 1.0)
                 lo, hi = INPUT_BOX[th]
                 if not lo <= value <= hi:
                     raise ValueError(f"{rate} must give a threshold 2**{rate} - 1 in "
@@ -143,14 +148,11 @@ class SystemConfig:
 def _law_of_cosines(a: float, b: float, angle: float) -> float:
     """Third side of a triangle with sides a, b at ``angle``.
 
-    Where the textbook form's square cancels to 0 or below (nearly equal
-    sides at a small angle), the side is taken as s*sqrt(((a-b)/s)**2 +
-    4 (a/s) (b/s) sin(angle/2)**2) with s = max(a, b), which does not
-    cancel.
+    Taken as s*sqrt(((a-b)/s)**2 + 4 (a/s) (b/s) sin(angle/2)**2) with
+    s = max(a, b): a sum of two nonnegative terms, so unlike the textbook
+    a**2 + b**2 - 2ab cos(angle) it does not cancel for nearly equal
+    sides at a small angle.
     """
-    c2 = a * a + b * b - 2.0 * a * b * math.cos(angle)
-    if c2 > 0.0:
-        return math.sqrt(c2)
     s = max(a, b)
     x, y = a / s, b / s
     return s * math.sqrt((x - y) ** 2 + 4.0 * x * y * math.sin(0.5 * angle) ** 2)

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.special import betainc, k1
 
+from coopnoma import analytic
 from coopnoma.analytic import OutagePoint, bessel_k1, evaluate, throughput, two_hop_outage
 from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, gain_direct_weak,
                                 gain_strong_decodes_weak)
@@ -87,6 +88,65 @@ class TestBesselK1:
     def test_scalar_argument_returns_float(self):
         for x in (0.5, 2.0, 5.0, np.float64(0.5), np.array(5.0)):
             assert type(bessel_k1(x)) is float
+
+
+def k1_series_stops(x, last):
+    """Per entry of ``x`` (<= 2), the term ``_k1_series`` stops at with terms 0..last,
+    and the psi-weighted sum at the last term."""
+    divisors, psi = analytic._k1_series_tables(last)
+    term = np.concatenate([np.ones((x.size, 1)),
+                           np.cumprod((0.25 * x * x)[:, None] / divisors, axis=1)], axis=1)
+    delta = psi * term
+    s_psi = np.cumsum(delta, axis=1)
+    done = np.abs(delta) <= 1e-18 * np.abs(s_psi)
+    done[:, 0] = False
+    done[:, -1] = True
+    return np.argmax(done, axis=1), s_psi[:, -1]
+
+
+class TestK1SeriesTable:
+    """The series table is cut to its convergence: no entry reaches its forced last term."""
+
+    LONG = 65  # the table's former size, far past where any entry stops
+
+    def psi_sum_crossing(self):
+        """The two adjacent floats around the zero of the psi-weighted sum, by bisection."""
+        lo, hi = 0.5, 1.5
+        s_lo, s_hi = k1_series_stops(np.array([lo, hi]), self.LONG)[1]
+        assert s_lo < 0.0 < s_hi
+        while math.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            if k1_series_stops(np.array([mid]), self.LONG)[1][0] < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    def crossing_window(self):
+        lo, _ = self.psi_sum_crossing()
+        assert 0.9 < lo < 0.96
+        return lo + np.arange(-2 ** 14, 2 ** 14 + 1) * math.ulp(lo)
+
+    def test_dense_grid_stops_before_the_last_term(self):
+        x = np.linspace(0.0, 2.0, 200_001)[1:]
+        stops = np.concatenate([k1_series_stops(block, self.LONG)[0]
+                                for block in np.array_split(x, 20)])
+        assert stops.max() <= 13 < analytic._K1_LAST_TERM
+
+    def test_floats_next_to_the_psi_sum_crossing_stop_before_the_last_term(self):
+        # where the psi-weighted sum is near 0 its stop test passes late
+        stops = np.concatenate([k1_series_stops(block, self.LONG)[0]
+                                for block in np.array_split(self.crossing_window(), 8)])
+        assert stops.max() <= 16 < analytic._K1_LAST_TERM
+
+    def test_equals_the_long_table_bit_for_bit(self, monkeypatch):
+        x = np.concatenate([np.linspace(0.0, 2.0, 40_001)[1:], self.crossing_window(),
+                            np.geomspace(1e-107, 2.0, 2_000), [2.0, 2.5, 10.0]])
+        got = bessel_k1(x)
+        monkeypatch.setattr(analytic, "_K1_DIVISORS", analytic._k1_series_tables(self.LONG)[0])
+        monkeypatch.setattr(analytic, "_K1_PSI", analytic._k1_series_tables(self.LONG)[1])
+        assert analytic._K1_PSI.size == self.LONG + 1
+        assert got.tobytes() == bessel_k1(x).tobytes()
 
 
 class TestOutageStrong:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from coopnoma.cli import (CSV_COLUMNS, MAX_GRID_POINTS, SweepSpec, _parse_sweep_range,
+from coopnoma.cli import (CSV_COLUMNS, MAX_GRID_POINTS, SweepSpec, _format, _parse_sweep_range,
                           db_to_linear, emit_plot_script, load_config, main, run_sweep,
                           write_csv)
 from coopnoma.linklevel import Geometry
@@ -22,6 +22,11 @@ def small_bundle(**mc_overrides):
     mc_kwargs = dict(trials=2_000, seed=11, chunk_size=512, mode="independent")
     mc_kwargs.update(mc_overrides)
     return cfg, geo, McConfig(**mc_kwargs), sweep
+
+
+def sweep_dicts(*bundle):
+    """``run_sweep``'s rows, each as a dict keyed by CSV column."""
+    return [dict(zip(CSV_COLUMNS, row)) for row in run_sweep(*bundle)]
 
 
 # Recording test double of the matplotlib surface that emitted plot
@@ -280,10 +285,10 @@ class TestSweepSpec:
         cfg, geo, mc, _ = small_bundle()
         sweep = SweepSpec(variable="gamma0_db", values=(np.int64(3), np.float64(4.5)),
                           engines=("analytic",))
-        assert [r["gamma0_db"] for r in run_sweep(cfg, geo, mc, sweep)] == ["3", "4.5"]
+        assert [r["gamma0_db"] for r in sweep_dicts(cfg, geo, mc, sweep)] == ["3", "4.5"]
         sweep = SweepSpec(variable="pair", values=((np.int64(2), np.int64(5)),),
                           engines=("analytic",))
-        assert [(r["m"], r["n"]) for r in run_sweep(cfg, geo, mc, sweep)] == [("2", "5")]
+        assert [(r["m"], r["n"]) for r in sweep_dicts(cfg, geo, mc, sweep)] == [("2", "5")]
 
     def test_canonicalizes_order(self):
         s = SweepSpec(variable="gamma0_db", values=[0.0, 5.0],
@@ -299,13 +304,20 @@ class TestRunSweep:
         rows = run_sweep(cfg, geo, mc, sweep)
         assert len(rows) == 2 * len(sweep.values)  # both engines, no baseline
         for row in rows:
-            assert tuple(row) == CSV_COLUMNS
+            # a tuple of strings in CSV_COLUMNS order
+            assert type(row) is tuple and len(row) == len(CSV_COLUMNS)
+            assert all(type(field) is str for field in row)
+            fields = dict(zip(CSV_COLUMNS, row))
+            assert fields["engine"] in ("analytic", "mc")
+            assert fields["mode"] == ("" if fields["engine"] == "analytic" else mc.mode)
+            assert (int(fields["m"]), int(fields["n"])) == (cfg.m, cfg.n)
+            assert float(fields["gamma0_db"]) in sweep.values
 
     def test_baseline_doubles_rows(self):
         from dataclasses import replace
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, values=(10.0, 20.0), baseline=True)
-        rows = run_sweep(cfg, geo, mc, sweep)
+        rows = sweep_dicts(cfg, geo, mc, sweep)
         assert len(rows) == 8
         assert [r["engine"] for r in rows[:4]] == [
             "analytic", "analytic-norelay", "mc", "mc-norelay"]
@@ -314,7 +326,7 @@ class TestRunSweep:
         from dataclasses import replace
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, values=(20.0,))
-        rows = run_sweep(cfg, geo, mc, sweep)
+        rows = sweep_dicts(cfg, geo, mc, sweep)
         analytic = [r for r in rows if r["engine"] == "analytic"][0]
         mc_row = [r for r in rows if r["engine"] == "mc"][0]
         assert analytic["stderr_n"] == analytic["stderr_m"] == analytic["mode"] == ""
@@ -327,7 +339,7 @@ class TestRunSweep:
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, variable="pair", values=((1, 2), (2, 4), (3, 6)),
                         engines=("analytic",), gamma0_db=20.0)
-        rows = run_sweep(cfg, geo, mc, sweep)
+        rows = sweep_dicts(cfg, geo, mc, sweep)
         p_n = [float(r["p_out_n"]) for r in rows]
         p_m = [float(r["p_out_m"]) for r in rows]
         tau = [float(r["throughput"]) for r in rows]
@@ -341,7 +353,7 @@ class TestRunSweep:
         sweep = replace(sweep, variable="distance-set",
                         values=((4.0, 6.0, 4.0), (6.0, 9.0, 6.0)),
                         engines=("analytic",))
-        rows = run_sweep(cfg, geo, mc, sweep)
+        rows = sweep_dicts(cfg, geo, mc, sweep)
         assert len(rows) == 2
         # farther nodes, worse outage
         assert float(rows[1]["p_out_m"]) >= float(rows[0]["p_out_m"])
@@ -473,7 +485,7 @@ class TestFusedSweep:
         cfg, geo, mc, sweep = small_bundle(mode=mode, trials=3_000, chunk_size=1_024)
         sweep = replace(sweep, variable=variable, values=self.SWEEPS[variable],
                         engines=("analytic", "mc"), baseline=True, gamma0_db=12.0)
-        rows = iter(run_sweep(cfg, geo, mc, sweep))
+        rows = iter(sweep_dicts(cfg, geo, mc, sweep))
         for value in sweep.values:
             cfg_i, geo_i = self.scenario(cfg, geo, sweep, value)
             point = [next(rows) for _ in range(4)]
@@ -496,7 +508,7 @@ class TestFusedSweep:
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, variable=variable, values=self.SWEEPS[variable],
                         engines=("analytic",), baseline=True, gamma0_db=12.0)
-        rows = iter(run_sweep(cfg, geo, mc, sweep))
+        rows = iter(sweep_dicts(cfg, geo, mc, sweep))
         for value in sweep.values:
             cfg_i, geo_i = self.scenario(cfg, geo, sweep, value)
             for relay in (True, False):
@@ -525,19 +537,38 @@ class TestCsvAndPlots:
         ("distance-set", ((4.0, 6.0, 4.0), (2.0, 9.0, 7.0))),
     ])
     def test_bytes_equal_the_csv_module(self, tmp_path, variable, values):
-        # write_csv joins fields without quoting; csv.DictWriter is the reference
+        # write_csv joins fields without quoting; csv.writer is the reference
         from dataclasses import replace
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, variable=variable, values=values, engines=("analytic", "mc"),
                         baseline=True)
         rows = run_sweep(cfg, geo, mc, sweep)
         assert len(rows) == 4 * len(values)
-        assert all(tuple(row) == CSV_COLUMNS for row in rows)
+        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
         out = tmp_path / "sweep.csv"
         write_csv(rows, out)
         want = io.StringIO()
-        writer = csv.DictWriter(want, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows)
+        assert out.read_bytes() == want.getvalue().encode()
+
+    def test_column_format_equals_str_format(self):
+        values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3, 1.5, 1e10,
+                  12345678901.0, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                  np.float64(0.25), 3]
+        assert _format(values) == list(map("{:.10g}".format, values))
+        assert _format([]) == []
+
+    @pytest.mark.parametrize("count", [0, 1, 2048, 4097])
+    def test_bytes_equal_the_csv_module_across_write_blocks(self, tmp_path, count):
+        rows = [(f"{k * 0.005:.10g}", "10", "20", "analytic", "", f"{1 / (k + 1):.10g}",
+                 f"{k:.10g}", "", "", "1.5") for k in range(count)]
+        out = tmp_path / "sweep.csv"
+        write_csv(rows, out)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
         assert out.read_bytes() == want.getvalue().encode()
 

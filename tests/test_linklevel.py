@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from coopnoma.linklevel import (Geometry, SystemConfig, gain_direct_weak,
+from coopnoma.linklevel import (Geometry, SystemConfig, _law_of_cosines, gain_direct_weak,
                                 gain_strong_decodes_weak, gain_strong_own, path_loss,
                                 sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
                                 snr_strong_own)
@@ -88,7 +88,7 @@ class TestSystemConfig:
     @pytest.mark.parametrize("key", ["R_m", "R_n"])
     @pytest.mark.parametrize("rate", [1e-300, 2000.0])
     def test_rate_whose_threshold_leaves_the_floats_names_key(self, key, rate):
-        # 2**1e-300 - 1 rounds to 0 and 2**2000 overflows
+        # 2**1e-300 - 1 lies far below the box and 2**2000 overflows
         with pytest.raises(ValueError, match=f"^{key} must give a threshold"):
             default_config(**{key: rate})
 
@@ -98,7 +98,21 @@ class TestThresholdFromRate:
         # 2**R - 1; a zero rate is rejected with the negative ones below
         assert default_config(R_m=1.0).gamma_thm == 1.0
         assert default_config(R_m=2.0).gamma_thm == 3.0
-        assert default_config(R_m=0.5).gamma_thm == 2.0 ** 0.5 - 1.0
+        # sqrt(2) - 1 to the nearest float; 2.0 ** 0.5 - 1.0 is two ulps above it
+        assert default_config(R_m=0.5).gamma_thm == 0.41421356237309503
+
+    @pytest.mark.parametrize("rate", range(1, 17))
+    def test_integer_rates_give_exact_thresholds(self, rate):
+        cfg = default_config(R_m=float(rate), R_n=rate)
+        assert cfg.gamma_thm == cfg.gamma_thn == float(2 ** rate - 1)
+
+    @pytest.mark.parametrize("rate", [1e-10, 1e-6, 1e-3, 0.5])
+    def test_small_rates_match_mpmath(self, rate):
+        # 2.0**R - 1.0 cancels as R falls (8.4e-7 relative error at 1e-10)
+        with mpmath.workdps(50):
+            want = float(mpmath.power(2, mpmath.mpf(rate)) - 1)
+        cfg = default_config(R_m=rate, R_n=rate)
+        assert cfg.gamma_thm == cfg.gamma_thn == pytest.approx(want, rel=2e-16, abs=0.0)
 
     def test_negative_rate_rejected(self):
         for rate in (0.0, -0.5):
@@ -163,6 +177,31 @@ class TestGeometry:
                 Geometry(*free)
         with pytest.raises(ValueError, match=r"alpha2 give d_rdm="):
             Geometry(1e5, 1e5, 1e5, 3.0, 1.0)
+
+    @pytest.mark.parametrize("a, b, angle", [
+        (100.0, 100.0, 1e-6), (100.0, 100.0, 1e-4), (1.0, 1.0 + 2e-16, 1e-12),
+        (6.0, 4.0, math.radians(60.0)), (3.0, 4.0, math.pi / 2), (1e-4, 1e5, 3.0),
+        (5.0, 5.0, math.pi - 1e-9), (7.0, 2.0, 1e-8)])
+    def test_law_of_cosines_matches_mpmath(self, a, b, angle):
+        # the textbook a**2 + b**2 - 2ab cos(angle) gave 1.00004e-4 for the
+        # first triangle, against 1.0000e-4
+        with mpmath.workdps(50):
+            a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+            cos = mpmath.cos(mpmath.mpf(angle))
+            want = float(mpmath.sqrt(a_ * a_ + b_ * b_ - 2 * a_ * b_ * cos))
+        assert _law_of_cosines(a, b, angle) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert _law_of_cosines(b, a, angle) == _law_of_cosines(a, b, angle)
+
+    def test_small_angle_between_equal_sides_keeps_its_derived_distance(self):
+        geo = Geometry(100.0, 100.0, 4.0, 0.7, 1.5e-6)
+        with mpmath.workdps(50):
+            want = float(200 * mpmath.sin(mpmath.mpf(1.5e-6) / 2))
+        assert geo.d_dndm == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_reference_layout_sides_are_unchanged(self):
+        # the bits every CSV of the default layout rests on
+        geo = default_geometry()
+        assert (geo.d_dndm, geo.d_rdm) == (5.2915026221291805, 3.401733464654089)
 
     def test_replace_derives_the_sides_again(self):
         geo = default_geometry()
