@@ -16,9 +16,8 @@ over the array of its SNRs, and one ``estimate`` call draws the fading
 gains once and evaluates every Monte-Carlo row on them.  Each column is
 formatted by one ``"%.10g"`` pass over its Python floats, and the rows
 are tuples of strings in CSV_COLUMNS order, zipped from the columns.
-``write_csv`` joins them a block of rows at a time and writes each block
-at once; no field needs quoting, so the bytes are those of
-``csv.writer``.
+``write_csv`` streams them to the file one joined line per row; no
+field needs quoting, so the bytes are those of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -239,10 +238,6 @@ def load_config(path: str | Path | None) -> ConfigBundle:
     return cfg, geo, McConfig(**mc), sweep
 
 
-# Rows per write_csv write: about 200 kB of text.
-_CSV_BLOCK_ROWS = 2048
-
-
 def _format(values) -> list[str]:
     """Each number as ``"{:.10g}".format`` gives it (10 significant digits, so
     output files diff cleanly), the whole column formatted by one ``%``."""
@@ -319,17 +314,15 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
 
 
 def write_csv(rows: list[tuple], path: str | Path) -> None:
-    """Write sweep rows under the fixed header, one joined block of rows per write.
+    """Write sweep rows under the fixed header, streamed one line per row.
 
-    A block costs few Python steps per row, and the file is never held in
-    memory whole.  Every field is a ``%.10g`` number, a decimal integer,
-    a fixed engine or mode name, or empty, so none needs quoting: the
-    bytes are those ``csv.writer`` writes with ``lineterminator="\\n"``.
+    Every field is a ``%.10g`` number, a decimal integer, a fixed engine
+    or mode name, or empty, so none needs quoting: the bytes are those
+    ``csv.writer`` writes with ``lineterminator="\\n"``.
     """
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
-            fh.write("\n".join(map(",".join, rows[lo:lo + _CSV_BLOCK_ROWS])) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _read_rows(csv_path: Path) -> list[dict]:

@@ -333,10 +333,8 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
     gamma* row stays in cache across the relay variants.  A relay variant
     fails the trials left to it (SIC kept, direct copy lost) whose gamma*
     lies above its band; those in the band or with a nan gamma* go
-    through the relayed SINR.  A relay variant with no trial left to it
-    makes no comparison, and a gamma* row is made only for a variant
-    that needs it.  Variants come in point order, so only the latest
-    relay group's gamma* row is kept.
+    through the relayed SINR.  Variants come in point order, so only the
+    latest relay group's gamma* row is kept.
     """
     decided = {}  # (cfg, geo) -> (strong-user outages, SIC failures, trials left to the relay)
     for (cfg, geo, _), plan in zip(variants, plans):
@@ -350,7 +348,7 @@ def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
     for (cfg, geo, relay), plan in zip(variants, plans):
         n_out_n, n_sic, left, n_left = decided[cfg, geo]
         n_lost = n_left  # trials left to the relay that it does not rescue
-        if relay and n_left:
+        if relay:
             if plan.hops != star_hops:
                 star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, scratch), plan.hops
             fails = left & (star > plan.relay.hi)

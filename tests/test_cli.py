@@ -560,18 +560,6 @@ class TestCsvAndPlots:
         assert _format(values) == list(map("{:.10g}".format, values))
         assert _format([]) == []
 
-    @pytest.mark.parametrize("count", [0, 1, 2048, 4097])
-    def test_bytes_equal_the_csv_module_across_write_blocks(self, tmp_path, count):
-        rows = [(f"{k * 0.005:.10g}", "10", "20", "analytic", "", f"{1 / (k + 1):.10g}",
-                 f"{k:.10g}", "", "", "1.5") for k in range(count)]
-        out = tmp_path / "sweep.csv"
-        write_csv(rows, out)
-        want = io.StringIO()
-        writer = csv.writer(want, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-        assert out.read_bytes() == want.getvalue().encode()
-
     def test_header_line(self, tmp_path):
         out = self.run_small_sweep(tmp_path)
         first = out.read_text().splitlines()[0]

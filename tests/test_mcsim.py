@@ -637,24 +637,6 @@ class TestThresholdMechanism:
             out_n, out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)
             assert (n, m) == (out_n.sum(), out_m.sum())
 
-    def test_relay_variant_with_no_trial_left_makes_no_gamma_star_row(self, monkeypatch):
-        # at -300 dB every trial fails SIC and at +300 dB none loses the
-        # direct copy, so no trial is left to the relay there; of the two
-        # relay groups only the far layout's, at 20 dB, needs a gamma* row
-        geo = default_geometry()
-        far = Geometry(6.0, 9.0, 6.0, math.radians(40.0), math.radians(60.0))
-        mc = McConfig(trials=4_000, seed=5, chunk_size=4_000)
-        variants = [(default_config(gamma0=10.0 ** (db / 10)), g, True)
-                    for db, g in ((-300, geo), (300, geo), (20, far))]
-        made = []
-        real = mcsim._critical_snr
-        monkeypatch.setattr(mcsim, "_critical_snr", lambda *a: made.append(a[0]) or real(*a))
-        (cfg, _, relay), *rest = variants
-        results = estimate(cfg, geo, mc, relay=relay, also=rest)
-        assert made == [mcsim._plan(variants[2][0], far).hops]
-        for (cfg, geo, relay), (est_n, est_m, _) in zip(variants, results):
-            assert (est_n.events, est_m.events) == sinr_replay(cfg, geo, mc, relay)
-
 
 def sinr_replay(cfg, geo, mc, relay):
     """Outage counts (strong, weak) of every trial through the gain transform and every SINR."""

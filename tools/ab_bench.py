@@ -4,17 +4,19 @@
     python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --workload analytic_dense --pairs 10
 
 Runs ``python3 perfbench/run.py --workload W --seed N --seconds S`` in
-each checkout in turn, ``--pairs`` times, pair k at seed ``--seed`` + k
-and S the benchmark's ``run_seconds`` unless ``--seconds`` is given.
-The tree that goes first alternates from pair to pair, so neither always
+each checkout in turn, ``--pairs`` times, pair k (from 0) at seed
+11 + k and S the ``run_seconds`` of this repository's
+``BENCHMARK.json``, so both trees run as the benchmark runs them.  The
+tree that goes first alternates from pair to pair, so neither always
 runs on a warmer or a quieter host.  Then prints, for every end-to-end
-metric named in this repository's ``BENCHMARK.json``: the median of
-each tree, the change in percent, the interquartile range of the
-parent's runs, and how many pairs each tree won (a tie counts for
-neither).  Last, it prints in how many pairs the two trees wrote CSVs
-with the same sha256 (the seed changes the Monte-Carlo rows, so only
-the two runs of one pair compare).  ``--json PATH`` also writes every
-run's metrics and CSV digest there.
+metric that ``BENCHMARK.json`` names: the median of each tree, the
+change in percent, the interquartile range of the parent's runs
+(quartiles by ``statistics.quantiles``' inclusive method), and how many
+pairs each tree won (a tie counts for neither).  Last, it prints in how
+many pairs the two trees wrote CSVs with the same sha256 (the seed
+changes the Monte-Carlo rows, so only the two runs of one pair
+compare).  ``--json PATH`` also writes every run's metrics and CSV
+digest there.
 
 This is a measurement, not a gate: it exits 0 whenever every run
 completed, whatever the numbers say.
@@ -31,6 +33,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TREES = ("parent", "change")
+FIRST_SEED = 11
 
 
 def bench_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
@@ -54,35 +57,34 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=pathlib.Path, help="checkout of the change")
     ap.add_argument("--workload", default="analytic_dense", help="perfbench workload name")
     ap.add_argument("--pairs", type=int, default=10, help="runs per tree")
-    ap.add_argument("--seed", type=int, default=11, help="benchmark seed of the first pair")
-    ap.add_argument("--seconds", type=float, help="--seconds of each run")
     ap.add_argument("--json", type=pathlib.Path, metavar="PATH", help="also write the raw runs")
     args = ap.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = benchmark["end_to_end"]
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     values = {tree: {m["name"]: [] for m in metrics} for tree in TREES}
     digests = {tree: [] for tree in TREES}
     for k in range(args.pairs):
         order = TREES if k % 2 == 0 else TREES[::-1]
         for tree in order:
-            got, digest = bench_once(getattr(args, tree), args.workload, args.seed + k, seconds)
+            got, digest = bench_once(getattr(args, tree), args.workload, FIRST_SEED + k, seconds)
             digests[tree].append(digest)
             for m in metrics:
                 values[tree][m["name"]].append(got[m["name"]])
         print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
             f"{tree} wall_s {values[tree]['wall_s'][-1]:.4g}" for tree in TREES), flush=True)
 
-    print(f"\n{args.workload}, {args.pairs} interleaved pairs, seeds {args.seed}-"
-          f"{args.seed + args.pairs - 1}, --seconds {seconds:g}")
+    print(f"\n{args.workload}, {args.pairs} interleaved pairs, seeds {FIRST_SEED}-"
+          f"{FIRST_SEED + args.pairs - 1}, --seconds {seconds:g}")
     print(f"{'metric':<14} {'parent':>11} {'change':>11} {'change %':>9} {'parent IQR':>11} "
           f"{'wins (change/parent)':>21}")
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
         parent, change = values["parent"][name], values["change"][name]
         p_med, c_med = statistics.median(parent), statistics.median(change)
-        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (p_med,) * 3
+        q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1
+                     else (p_med,) * 3)
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         print(f"{name:<14} {p_med:>11.4g} {c_med:>11.4g} {100 * (c_med / p_med - 1):>+8.1f}% "
@@ -91,7 +93,7 @@ def main(argv=None) -> int:
     print(f"CSV sha256: parent and change agree in {same}/{args.pairs} pairs")
     if args.json:
         args.json.write_text(json.dumps({
-            "workload": args.workload, "seeds": [args.seed, args.seed + args.pairs - 1],
+            "workload": args.workload, "seeds": [FIRST_SEED, FIRST_SEED + args.pairs - 1],
             "seconds": seconds, "first": "parent on even pairs (from 0), change on odd",
             "runs": values, "csv_sha256": digests}, indent=1) + "\n")
     return 0
