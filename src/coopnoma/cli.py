@@ -180,23 +180,24 @@ def _parse_values(variable: str, raw: str) -> tuple:
                          f"for variable {variable!r} ({exc})") from None
 
 
-def _gamma0(key: str, db) -> float:
-    """``db_to_linear(db)``, checked against the input box.
+def _checked(key: str, value, name: str, convert) -> float:
+    """``convert(value)``, checked against the input box as ``name``.
 
-    Its error names the sweep key the SNR came from.
+    Its error names the key and the value as the user wrote them.
     """
     try:
-        return check_box("gamma0", db_to_linear(db))
+        return check_box(name, convert(value))
     except ValueError as exc:
-        raise ValueError(f"{key}={db!r}: {exc}") from None
+        raise ValueError(f"{key}={value!r}: {exc}") from None
 
 
 def _snrs(sweep: SweepSpec) -> tuple[list, list[float]]:
     """The dB and linear SNRs of an SNR grid, or the fixed SNR of any other sweep."""
     if sweep.variable == "gamma0_db":
         dbs = [float(v) for v in sweep.values]
-        return dbs, [_gamma0("sweep point gamma0_db", db) for db in dbs]
-    return [sweep.gamma0_db], [_gamma0("sweep gamma0_db", sweep.gamma0_db)]
+        return dbs, [_checked("sweep point gamma0_db", db, "gamma0", db_to_linear) for db in dbs]
+    return [sweep.gamma0_db], [_checked("sweep gamma0_db", sweep.gamma0_db, "gamma0",
+                                        db_to_linear)]
 
 
 def load_config(path: str | Path | None) -> ConfigBundle:
@@ -233,8 +234,10 @@ def load_config(path: str | Path | None) -> ConfigBundle:
         for section, keys in _DEFAULTS.items())
     sweep = SweepSpec(**sweep | {"values": _parse_values(sweep["variable"], sweep["values"])})
     cfg = SystemConfig(**system, gamma0=_snrs(sweep)[1][0])
-    geo = Geometry(**{key.removesuffix("_deg"): math.radians(v) if key.endswith("_deg") else v
-                      for key, v in geometry.items()})
+    for key in ("alpha1_deg", "alpha2_deg"):
+        geometry[key[:-4]] = _checked(f"config key [geometry] {key}", geometry.pop(key),
+                                      key[:-4], math.radians)
+    geo = Geometry(**geometry)
     return cfg, geo, McConfig(**mc), sweep
 
 

@@ -31,6 +31,7 @@ from .orderstat import MAX_RANKED_USERS, _reject_bools
 # constructors and the engine entries accept.  Distances are in metres;
 # gamma0 spans -300 to +300 dB.  Its lower end is 1e-30 less one ulp,
 # which is what numpy's 10.0 ** (np.array([-300.0]) / 10) rounds to.
+# The angles, in radians, take every float in the open interval (0, pi).
 INPUT_BOX = {
     "gamma0": (float(np.nextafter(1e-30, 0.0)), 1e30),
     "theta": (0.0, 8.0),
@@ -38,6 +39,7 @@ INPUT_BOX = {
     **dict.fromkeys(("lambda_sd", "lambda_dnr", "lambda_rdm", "gamma_thm", "gamma_thn"),
                     (1e-30, 1e30)),
     **dict.fromkeys(("d_sdn", "d_sdm", "d_dnr", "d_dndm", "d_rdm"), (1e-4, 1e5)),
+    **dict.fromkeys(("alpha1", "alpha2"), (5e-324, float(np.nextafter(math.pi, 0.0)))),
 }
 
 
@@ -178,12 +180,8 @@ class Geometry:
 
     def __post_init__(self) -> None:
         _reject_bools(self)
-        for name in ("d_sdn", "d_sdm", "d_dnr"):
+        for name in ("d_sdn", "d_sdm", "d_dnr", "alpha1", "alpha2"):
             check_box(name, getattr(self, name))
-        for name in ("alpha1", "alpha2"):
-            v = getattr(self, name)
-            if not (0 < v < math.pi):
-                raise ValueError(f"angle {name} must lie in (0, pi), got {v}")
         d_dndm = _law_of_cosines(self.d_sdm, self.d_sdn, self.alpha2)
         d_rdm = _law_of_cosines(d_dndm, self.d_dnr, self.alpha1)
         for name, v, free in (("d_dndm", d_dndm, "d_sdm, d_sdn and alpha2"),

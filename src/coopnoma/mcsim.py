@@ -9,7 +9,7 @@ own stages on rank n, the weak user's direct copy on rank m) fails
 exactly where its rank's gain lies below the least gain that passes it,
 which ``linklevel`` gives by inverting its own SINR expressions.  The
 gain is an increasing function of the chain value log U_(i) that
-``orderstat`` builds, so ``estimate`` maps each variant's least gains to
+``orderstat`` builds, so ``estimate`` maps each scenario's least gains to
 chain levels once, and a chunk decides each stage with one comparison of
 a chain row against a scalar: no gain transform and no SINR per trial.
 Trials within a relative 1e-9 of a level (the guard band, wider where
@@ -29,8 +29,8 @@ critical SNR gamma* = (th/2) s (1 + sqrt(1 + 4r/th)), r = x (y/s) / s in
 [0, 1/4].  Every term is positive, so nothing cancels, and inside the
 input box nothing leaves the normal floats, so gamma* is good to a few
 ulps.  A chunk computes one gamma* row per relay group (the two
-hop path losses and gamma_thm) and decides each relay variant by one
-comparison of that row with the variant's gamma0.  d log SINR / d log
+hop path losses and gamma_thm) and decides each scenario's relay by one
+comparison of that row with the scenario's gamma0.  d log SINR / d log
 gamma0 lies in [1, 2], so a relative 1e-9 of gamma0 is again a safe
 guard band.  Only the trials left to the relay (SIC kept, direct copy
 lost) whose gamma* lies in the band or is nan (a zero hop gain) go
@@ -39,9 +39,9 @@ through the relayed SINR.
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
 the distances or the relay flag.  ``estimate`` therefore draws each
-chunk of trials once and evaluates every requested (scenario,
-relay) variant on it, so a whole sweep costs one draw.  Chunks run on
-one thread pool sized to the CPUs this process may use.
+chunk of trials once and counts each distinct scenario (cfg, geo) on it
+once, as one row of stage counts from which both its relay and its
+no-relay outcomes follow, so a whole sweep costs one draw.
 
 Determinism contract: (seed, trials) fix every estimate; chunk_size,
 worker count and which variants share the draw do not.  Trials are
@@ -49,17 +49,17 @@ numbered globally and the stream is slot-major: the uniform in column k
 of trial t (see ``draws_per_trial``) is step k*2**64 + t of one
 PCG64DXSM stream seeded with the seed, so every column owns a segment
 of 2**64 steps and trials are consecutive within it.  A chunk streams
-only the columns its variants read, one contiguous row per column, with
-one ``advance`` of the stream between rows: each vector's slots from M
-down to its lowest read rank, each turned at once into a chain term by
-``orderstat.log_uniform_chain``, and then the two hops.  So a chunk
-holds the slot row, one chain row per rank read, the two hop rows and
-two rows that, with the slot row, make the gamma* row, whatever M is.
-Each rank depends only on the trial's own uniforms in the slots from
-that rank up, never on which other ranks the variants read.  So any
-partition of the trial range into chunks, and any set of variants,
-replays bit-identical chains, and chunk results are integer counts
-reduced in chunk order, which is exact arithmetic.
+only the columns its scenarios read, one contiguous row per column,
+with one ``advance`` of the stream between rows: each vector's slots
+from M down to its lowest read rank, each turned at once into a chain
+term by ``orderstat.log_uniform_chain``, and then the two hops.  Each
+rank depends only on the trial's own uniforms in the slots from that
+rank up, never on which other ranks the scenarios read.  So any
+partition of the trial range into chunks, and any set of scenarios,
+replays bit-identical chains.  One thread per usable CPU takes chunk
+starts in turn from one shared iterator and sums its chunks' integer
+counts; integer sums are exact in any order, so neither the worker
+count nor which worker ran a chunk moves a bit.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def draws_per_trial(M: int, mode: str) -> int:
     independent mode needs a second M-slot vector.  Column k of a trial
     is: slot k+1 for k < M, in independent mode slot k-M+1 of the
     strong-read vector for M <= k < 2M, then the hops S->D_n->R and
-    R->D_m.  A chunk draws only the columns its variants read.
+    R->D_m.  A chunk draws only the columns its scenarios read.
     """
     return (M + 2) if mode == "joint" else (2 * M + 2)
 
@@ -196,7 +196,7 @@ class _Stage(NamedTuple):
 
     On the chain (direct-link stages) values below lo fail and values at
     or above hi pass.  On the gamma* row (the relayed stage) it is the
-    band of the variant's gamma0: values above hi fail, values below lo
+    band of the scenario's gamma0: values above hi fail, values below lo
     pass.  Inside the band the SINR decides; a degenerate stage's band
     (-inf, inf) spans the whole row.
     """
@@ -279,7 +279,8 @@ def _decide(cfg: SystemConfig, geo: Geometry, plan: _Plan, y_m: np.ndarray, y_n:
     return fail_sic, out_n, fail_direct
 
 
-# One scenario evaluated on a shared draw: (cfg, geo, relay).
+# One scenario, (cfg, geo), and one row of an estimate: (cfg, geo, relay).
+_Point = tuple[SystemConfig, Geometry]
 _Variant = tuple[SystemConfig, Geometry, bool]
 
 # SystemConfig fields that fix the fading draw; variants must agree on them.
@@ -320,51 +321,41 @@ def _critical_snr(hops: tuple[float, float, float], g_dnr: np.ndarray,
     return star
 
 
-def _count(variants: Sequence[_Variant], plans: Sequence[_Plan], weak, strong,
-           g_dnr: np.ndarray, g_rdm: np.ndarray, scratch: np.ndarray) -> list[tuple[int, int]]:
-    """Outage counts (strong, weak) of every variant on a chunk's chain rows.
+def _count(points: Sequence[_Point], plans: Sequence[_Plan], weak, strong,
+           g_dnr: np.ndarray, g_rdm: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Stage counts of every point on a chunk's chain rows, one int64 row per point.
 
-    ``weak`` and ``strong`` map the ranks read by the weak and the strong
-    user to chain rows (one map over the one vector in joint mode),
-    ``g_dnr`` and ``g_rdm`` are the hop gains, ``scratch`` is three rows
-    that ``_critical_snr`` may overwrite, and ``plans[k]`` is ``_plan`` of
-    variant k.  Variants that share (cfg, geo) share their direct-stage
-    decisions, which are all made before any relay is counted, so the
-    gamma* row stays in cache across the relay variants.  A relay variant
-    fails the trials left to it (SIC kept, direct copy lost) whose gamma*
-    lies above its band; those in the band or with a nan gamma* go
-    through the relayed SINR.  Variants come in point order, so only the
-    latest relay group's gamma* row is kept.
+    A row is (out_n, sic, left, lost): strong-user outages, SIC failures,
+    trials left to the relay (SIC kept, direct copy lost) and those the
+    relay also loses.  ``weak`` and ``strong`` map the ranks each user
+    reads to chain rows, ``scratch`` is three rows for ``_critical_snr``
+    and ``plans[k]`` is ``_plan`` of point k.  All direct decisions come
+    first, so a relay group's gamma* row stays in cache; only trials left
+    to the relay whose gamma* is in the band or nan take the relayed SINR.
     """
-    decided = {}  # (cfg, geo) -> (strong-user outages, SIC failures, trials left to the relay)
-    for (cfg, geo, _), plan in zip(variants, plans):
-        if (cfg, geo) not in decided:
-            fail_sic, out_n, fail_direct = _decide(cfg, geo, plan, weak[cfg.m], strong[cfg.n])
-            left = fail_direct & ~fail_sic
-            decided[cfg, geo] = (np.count_nonzero(out_n), np.count_nonzero(fail_sic), left,
-                                 np.count_nonzero(left))
-    counts = []
+    counts = np.empty((len(points), 4), dtype=np.int64)
+    lefts = []
+    for row, (cfg, geo), plan in zip(counts, points, plans):
+        fail_sic, out_n, fail_direct = _decide(cfg, geo, plan, weak[cfg.m], strong[cfg.n])
+        lefts.append(fail_direct & ~fail_sic)
+        row[:3] = [np.count_nonzero(a) for a in (out_n, fail_sic, lefts[-1])]
     star, star_hops = None, None  # the gamma* row and the relay group it belongs to
-    for (cfg, geo, relay), plan in zip(variants, plans):
-        n_out_n, n_sic, left, n_left = decided[cfg, geo]
-        n_lost = n_left  # trials left to the relay that it does not rescue
-        if relay:
-            if plan.hops != star_hops:
-                star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, scratch), plan.hops
-            fails = left & (star > plan.relay.hi)
-            passes = left & (star < plan.relay.lo)
-            n_lost = np.count_nonzero(fails)
-            if n_lost + np.count_nonzero(passes) != n_left:  # some in the band, or nan
-                band = np.flatnonzero(left & ~(fails | passes))
-                n_lost += np.count_nonzero(
-                    sinr_relayed(cfg, geo, g_dnr[band], g_rdm[band]) < cfg.gamma_thm)
-        counts.append((int(n_out_n), int(n_sic + n_lost)))
+    for row, (cfg, geo), plan, left in zip(counts, points, plans, lefts):
+        if plan.hops != star_hops:
+            star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, scratch), plan.hops
+        fails = left & (star > plan.relay.hi)
+        passes = left & (star < plan.relay.lo)
+        row[3] = np.count_nonzero(fails)
+        if row[3] + np.count_nonzero(passes) != row[2]:  # some in the band, or nan
+            band = np.flatnonzero(left & ~(fails | passes))
+            row[3] += np.count_nonzero(
+                sinr_relayed(cfg, geo, g_dnr[band], g_rdm[band]) < cfg.gamma_thm)
     return counts
 
 
-def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence[_Plan],
-               mc: McConfig, start: int, count: int) -> list[tuple[int, int]]:
-    """Stream one chunk of trials column by column and count both outages for every variant.
+def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Plan],
+               mc: McConfig, start: int, count: int) -> np.ndarray:
+    """Stream one chunk of trials column by column and count every point's stages.
 
     One (rows, count) block holds the slot row and two scratch rows, the
     chain row of every requested rank and the two hop rows, so a chunk's
@@ -374,8 +365,8 @@ def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence
     then free, and ``_count`` makes its gamma* rows in them.
     """
     M = draw.M
-    weak_ranks = {c.m for c, _, _ in variants}
-    strong_ranks = {c.n for c, _, _ in variants}
+    weak_ranks = {c.m for c, _ in points}
+    strong_ranks = {c.n for c, _ in points}
     vectors = ([(0, weak_ranks | strong_ranks)] if mc.mode == "joint"
                else [(0, weak_ranks), (M, strong_ranks)])  # (column of slot 1, ranks read)
     block = np.empty((3 + sum(len(r) for _, r in vectors) + 2, count))
@@ -400,7 +391,7 @@ def _run_chunk(draw: SystemConfig, variants: Sequence[_Variant], plans: Sequence
         np.negative(hop, out=hop)  # the inverse CDF -lam*log1p(-u), in place
         np.log1p(hop, out=hop)
         hop *= -lam
-    return _count(variants, plans, weak, strong, *hops, block[:3])
+    return _count(points, plans, weak, strong, *hops, block[:3])
 
 
 def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, relay: bool = True,
@@ -408,14 +399,14 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, relay: bool = Tr
     """Estimate both outage probabilities and the throughput they imply.
 
     Returns (strong-user estimate, weak-user estimate, throughput) for
-    (cfg, geo, relay).  ``also`` lists more (cfg, geo, relay) variants to
-    evaluate on the same fading draws; when it is given, the result is a
-    list of such triples, the first for (cfg, geo, relay) and then one
-    per entry of ``also``.  Every variant must share cfg's M and
-    lambda_*, which fix the draw.  One thread per CPU this process may
-    use shares the chunks, never more than there are chunks.  Results are
-    bit-identical for fixed (seed, trials) whatever ``chunk_size``, the
-    CPU count and ``also`` are; see the module docstring for why.
+    (cfg, geo, relay).  ``also`` lists more (cfg, geo, relay) variants,
+    which must share cfg's M and lambda_*, to evaluate on the same fading
+    draws; then the result is a list of such triples, the first for
+    (cfg, geo, relay).  Each distinct (cfg, geo) is counted once; a
+    variant's weak-user events are its SIC failures plus the trials the
+    relay loses, or without the relay all trials left to it.  Worker
+    threads sum their own chunks; see the module notes for why results
+    are bit-identical for fixed (seed, trials).
     """
     variants = [(cfg, geo, relay), *(also or ())]
     for other, _, _ in variants[1:]:
@@ -423,18 +414,26 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, relay: bool = Tr
             if getattr(other, name) != getattr(cfg, name):
                 raise ValueError(f"variant {name}={getattr(other, name)!r} differs from the "
                                  f"draw's {name}={getattr(cfg, name)!r}")
-    chunks = [(start, min(mc.chunk_size, mc.trials - start))
-              for start in range(0, mc.trials, mc.chunk_size)]
-    workers = min(_usable_cpus(), len(chunks))
-    plans = [_plan(c, g) for c, g, _ in variants]
-    if workers == 1:
-        counts = [_run_chunk(cfg, variants, plans, mc, s, c) for s, c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda sc: _run_chunk(cfg, variants, plans, mc, *sc), chunks))
+    points = [*dict.fromkeys((c, g) for c, g, _ in variants)]
+    plans = [_plan(c, g) for c, g in points]
+    # The workers share one iterator of chunk starts: a range iterator's
+    # __next__ is atomic under the GIL, so each start goes to one worker.
+    starts = iter(range(0, mc.trials, mc.chunk_size))
+
+    def work() -> np.ndarray:
+        total = np.zeros((len(points), 4), dtype=np.int64)
+        for s in starts:
+            total += _run_chunk(cfg, points, plans, mc, s, min(mc.chunk_size, mc.trials - s))
+        return total
+
+    workers = min(_usable_cpus(), -(-mc.trials // mc.chunk_size))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = [pool.submit(work) for _ in range(workers)]
+    rows = dict(zip(points, sum(t.result() for t in tasks).tolist()))
     results = []
-    for k, (v_cfg, _, _) in enumerate(variants):
-        est_n = McEstimate(sum(c[k][0] for c in counts), mc.trials)
-        est_m = McEstimate(sum(c[k][1] for c in counts), mc.trials)
+    for v_cfg, v_geo, v_relay in variants:
+        out_n, sic, left, lost = rows[v_cfg, v_geo]
+        est_n = McEstimate(out_n, mc.trials)
+        est_m = McEstimate(sic + (lost if v_relay else left), mc.trials)
         results.append((est_n, est_m, throughput(v_cfg, est_n.p_hat, est_m.p_hat)))
     return results[0] if also is None else results

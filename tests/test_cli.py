@@ -236,6 +236,15 @@ class TestLoadConfig:
         assert main(["--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"error: sweep gamma0_db={bad}.0: ")
 
+    @pytest.mark.parametrize("key", ["alpha1_deg", "alpha2_deg"])
+    @pytest.mark.parametrize("deg", ["0", "200"])
+    def test_bad_angle_names_its_key_and_degrees(self, tmp_path, key, deg):
+        path = tmp_path / "angle.ini"
+        path.write_text(f"[geometry]\n{key} = {deg}\n")
+        with pytest.raises(ValueError, match=rf"^config key \[geometry\] {key}={deg}\.0: "
+                                             rf"{key[:-4]} must lie in "):
+            load_config(path)
+
     def test_pair_sweep_values(self, tmp_path):
         path = tmp_path / "pairs.ini"
         path.write_text("[sweep]\nvariable = pair\nvalues = 1:2, 2:4, 3:6\n"

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
 from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, gain_direct_weak,
-                                gain_strong_decodes_weak, gain_strong_own)
+                                gain_strong_decodes_weak, gain_strong_own, sinr_relayed)
 from coopnoma.mcsim import (MODES, McConfig, McEstimate, _direct_stages, draws_per_trial,
                             estimate, trial_stream)
 from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
@@ -184,13 +185,13 @@ class TestDrawBudget:
         count = 4_096
         for M in (20, 100):
             cfg = default_config(M=M, m=M - 1, n=M, a_m=0.8, a_n=0.2)
-            variants = [(cfg, default_geometry(), True)]
+            points = [(cfg, default_geometry())]
             plans = [mcsim._plan(cfg, default_geometry())]
             mc = McConfig(trials=count, seed=5, mode=mode)
-            mcsim._run_chunk(cfg, variants, plans, mc, 0, count)  # warm-up
+            mcsim._run_chunk(cfg, points, plans, mc, 0, count)  # warm-up
             tracemalloc.start()
             try:
-                mcsim._run_chunk(cfg, variants, plans, mc, 0, count)
+                mcsim._run_chunk(cfg, points, plans, mc, 0, count)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -427,11 +428,89 @@ class TestSharedDraw:
         monkeypatch.setattr(mcsim, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 8)
         cfg, geo = default_config(), default_geometry()
-        estimate(cfg, geo, McConfig(trials=10, seed=1))  # one chunk runs without a pool
+        estimate(cfg, geo, McConfig(trials=10, seed=1))  # one chunk, one thread
         estimate(cfg, geo, McConfig(trials=300, seed=1, chunk_size=100))
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
         estimate(cfg, geo, McConfig(trials=300, seed=1, chunk_size=100))
-        assert sizes == [3, 2]
+        assert sizes == [1, 3, 2]
+
+    @pytest.mark.parametrize("mode", ["joint", "independent"])
+    def test_stage_counts_match_the_sinr_path(self, mode):
+        # each point's four count columns, against per-trial stage
+        # indicators from the gain transform and every SINR, on a chunk
+        # that starts mid-stream
+        geo = default_geometry()
+        far = Geometry(6.0, 9.0, 6.0, math.radians(40.0), math.radians(60.0))
+        points = [(default_config(gamma0=30.0), geo), (default_config(gamma0=100.0), geo),
+                  (default_config(m=1, n=2, gamma0=30.0), geo),
+                  (default_config(m=2, n=5, gamma0=100.0), far)]
+        start, count = 3_000, 20_000
+        mc = McConfig(trials=start + count, seed=29, mode=mode)
+        counts = mcsim._run_chunk(points[0][0], points, [mcsim._plan(c, g) for c, g in points],
+                                  mc, start, count)
+        weak, strong, g_dnr, g_rdm = gains_from_uniforms(
+            points[0][0], mode, draw_columns(mc, 6, range(draws_per_trial(6, mode)), start,
+                                             count), [1, 2, 3], [2, 5, 6])
+        for (cfg, g), row in zip(points, counts):
+            fail_sic, out_n, fail_direct = _direct_stages(cfg, g, weak[cfg.m], strong[cfg.n])
+            left = fail_direct & ~fail_sic
+            lost = left & (sinr_relayed(cfg, g, g_dnr, g_rdm) < cfg.gamma_thm)
+            assert row.tolist() == [np.count_nonzero(a) for a in (out_n, fail_sic, left, lost)]
+            assert 0 < np.count_nonzero(lost) < np.count_nonzero(left)
+
+    def test_bookkeeping_does_not_grow_with_trials(self, monkeypatch):
+        # 1e9 trials are 15,259 chunks: the workers take them from one
+        # iterator, so no task, future or list entry is kept per chunk
+        submitted = []
+
+        class Pool(mcsim.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(mcsim, "_run_chunk", lambda draw, points, plans, mc, start, count:
+                            np.zeros((len(points), 4), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            estimate(default_config(), default_geometry(), McConfig(trials=10 ** 9, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(submitted) <= 4
+        assert peak < 2 ** 20, peak
+
+    def test_each_chunk_runs_exactly_once(self, monkeypatch):
+        # more workers than cores, switching threads often, share one
+        # iterator of chunk starts; the last chunk is short
+        ran = []
+        real_run_chunk = mcsim._run_chunk
+
+        def recording(draw, points, plans, mc, start, count):
+            ran.append((start, count))
+            return real_run_chunk(draw, points, plans, mc, start, count)
+
+        cfg, geo = default_config(), default_geometry()
+        mc = McConfig(trials=1_000, seed=3, chunk_size=7)
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 1)
+        lone = estimate(cfg, geo, mc)
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(mcsim, "_run_chunk", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = estimate(cfg, geo, mc)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == [(s, min(7, 1_000 - s)) for s in range(0, 1_000, 7)]
+        assert shared == lone
+
+
+def outages(row, relay):
+    """(strong, weak) outage counts from a ``_count`` row (out_n, sic, left, lost)."""
+    out_n, sic, left, lost = row.tolist()
+    return out_n, sic + (lost if relay else left)
 
 
 def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
@@ -440,9 +519,9 @@ def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
     out = []
     for ym, yn, dnr, rdm in zip(*(np.asarray(a, dtype=float)[:, None]
                                   for a in (y_m, y_n, g_dnr, g_rdm))):
-        (n, m), = mcsim._count([(cfg, geo, relay)], plans, {cfg.m: ym}, {cfg.n: yn},
-                               dnr, rdm, np.empty((3, 1)))
-        out.append((bool(n), bool(m)))
+        row, = mcsim._count([(cfg, geo)], plans, {cfg.m: ym}, {cfg.n: yn}, dnr, rdm,
+                            np.empty((3, 1)))
+        out.append(tuple(map(bool, outages(row, relay))))
     return out
 
 
@@ -566,9 +645,9 @@ class TestThresholdPath:
             want = sinr_events(cfg, geo, y_m, y_n, *hops, relay)
             assert chain_events(cfg, geo, y_m, y_n, *hops, relay) == want
             # all trials in one chunk: the band's trials are patched into the masks
-            counts, = mcsim._count([(cfg, geo, relay)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                   {cfg.n: y_n}, *hops, np.empty((3, y_n.size)))
-            assert counts == tuple(map(sum, zip(*want)))
+            row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
+                                {cfg.n: y_n}, *hops, np.empty((3, y_n.size)))
+            assert outages(row, relay) == tuple(map(sum, zip(*want)))
 
     def test_relay_edges_give_the_sinr_path_events(self, monkeypatch):
         seen = []
@@ -585,9 +664,9 @@ class TestThresholdPath:
             want = sinr_events(cfg, geo, y_m, y_n, g_dnr, g_rdm)
             assert chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm) == want
             seen.clear()
-            counts, = mcsim._count([(cfg, geo, True)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                   {cfg.n: y_n}, g_dnr, g_rdm, np.empty((3, y_n.size)))
-            assert counts == tuple(map(sum, zip(*want)))
+            row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
+                                {cfg.n: y_n}, g_dnr, g_rdm, np.empty((3, y_n.size)))
+            assert outages(row, True) == tuple(map(sum, zip(*want)))
             lam = cfg.lambda_sd
             fail_sic, _, fail_direct = _direct_stages(cfg, geo, gains_from_chain(y_m, lam),
                                                       gains_from_chain(y_n, lam))
@@ -612,16 +691,15 @@ class TestThresholdPath:
 
 class TestThresholdMechanism:
     def test_reference_chunk_decides_by_threshold(self, monkeypatch):
-        # the reference sweep's 18 variants on one chunk: the gain transform
+        # the reference sweep's 9 scenarios on one chunk: the gain transform
         # and every SINR, the relayed one included, see only trials in a
         # guard band (none here)
         geo = default_geometry()
-        variants = [(default_config(gamma0=10.0 ** (db / 10)), geo, relay)
-                    for db in range(0, 41, 5) for relay in (True, False)]
-        plans = [mcsim._plan(c, g) for c, g, _ in variants]
+        points = [(default_config(gamma0=10.0 ** (db / 10)), geo) for db in range(0, 41, 5)]
+        plans = [mcsim._plan(c, g) for c, g in points]
         mc = McConfig(trials=65_536, seed=20180415)
         weak, strong, g_dnr, g_rdm = gains_from_uniforms(
-            variants[0][0], mc.mode, draw_columns(mc, 6, range(draws_per_trial(6, mc.mode)), 0,
+            points[0][0], mc.mode, draw_columns(mc, 6, range(draws_per_trial(6, mc.mode)), 0,
                                                   65_536), [3], [6])
         seen = []
 
@@ -631,11 +709,12 @@ class TestThresholdMechanism:
         for name in ("gains_from_chain", "sinr_direct_weak", "sinr_strong_decodes_weak",
                      "snr_strong_own", "sinr_relayed"):
             monkeypatch.setattr(mcsim, name, counting(getattr(mcsim, name)))
-        counts = mcsim._run_chunk(variants[0][0], variants, plans, mc, 0, 65_536)
+        counts = mcsim._run_chunk(points[0][0], points, plans, mc, 0, 65_536)
         assert sum(seen) == 0
-        for (cfg, _, relay), (n, m) in zip(variants, counts):
-            out_n, out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)
-            assert (n, m) == (out_n.sum(), out_m.sum())
+        for (cfg, _), row in zip(points, counts):
+            for relay in (True, False):
+                out_n, out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)
+                assert outages(row, relay) == (out_n.sum(), out_m.sum())
 
 
 def sinr_replay(cfg, geo, mc, relay):

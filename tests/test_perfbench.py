@@ -27,10 +27,11 @@ def child_record(*args) -> dict:
 def test_traced_run_counts_one_estimate_and_two_evaluates(tmp_path):
     record = child_record("run", str(SCENARIO), str(tmp_path / "spans.json"),
                           "--config", str(SCENARIO), "--sweep-gamma0-db", "0:10:5",
-                          "--engine", "both", "--trials", "2000", "--baseline",
+                          "--engine", "both", "--trials", "200000", "--baseline",
                           "--out", str(tmp_path / "sweep.csv"))
     assert record["exit"] == 0
     assert record["metrics"]["mcsim.estimate_calls"] == 1
+    assert record["metrics"]["mcsim.chunks"] == 4  # 200,000 trials of 65,536
     assert record["metrics"]["analytic.evaluate_calls"] == 2
 
 
