@@ -1,7 +1,7 @@
 """Closed-form outage probabilities and throughput.
 
 Outage events reduce to threshold crossings on order-statistic gains at
-the least passing gain of each decoding stage (``linklevel.gain_*``),
+the least passing gain of each decoding stage (``linklevel.stage_gains``),
 which the coefficient expansion in ``orderstat`` turns into finite sums;
 the two-hop relay link adds a Bessel-K1 factor.  A purpose-built K1
 evaluator keeps the package dependency-light while holding ~1e-13
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linklevel import (Geometry, SystemConfig, check_box, gain_direct_weak,
-                        gain_strong_decodes_weak, gain_strong_own, path_loss)
+from .linklevel import Geometry, SystemConfig, check_box, path_loss, stage_gains
 from .orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -38,17 +37,17 @@ def _k1_series_tables(last: int):
     return np.array([k * (k + 1) for k in range(1, last + 1)], dtype=float), np.array(psi)
 
 
-# Terms k = 0..20.  An entry x <= 2 stops at the first k whose psi-term
-# is at most 1e-18 of the psi-weighted partial sum s_k.  At k = 20 that
-# term is below psi_20 / (20! 21!) < 1e-37, so the stop comes by k = 20
-# unless |s_20| < 1e-19.  s converges to a sum that increases on (0, 2]
-# from -0.15 and crosses 0 once, near x = 0.93; only the few floats next
-# to the crossing, within float error (~1e-15) of it, can have an |s_20|
-# that small, and each of them stops by k = 16 (test_analytic checks
-# those floats one by one, and a dense grid elsewhere stops by k = 13).
-# So no entry reaches the forced stop at the last term, and each keeps the
-# partial sums, bit for bit, that any longer table would give: the
-# cumulative products and sums are sequential.
+# Terms k = 0..20, each entry x <= 2 summing all of them in order.  By
+# k = 16 every entry's psi-term is at most 1e-18 of its psi-weighted
+# partial sum s_k, and its plain term of its plain sum (at least 1).  s
+# converges to a sum that increases on (0, 2] from -0.15 and crosses 0
+# once, near x = 0.93; the floats next to the crossing, where |s| is
+# least, are the last to get there (test_analytic checks them one by
+# one, and a dense grid elsewhere gets there by k = 13).  A term below
+# 1e-18 of a sum is under half its ulp, and the terms fall from there
+# on, so adding them leaves both sums unchanged: the whole table gives,
+# bit for bit, the sums of a loop that stops at convergence and of any
+# longer table, as the cumulative products and sums are sequential.
 _K1_LAST_TERM = 20
 _K1_DIVISORS, _K1_PSI = _k1_series_tables(_K1_LAST_TERM)
 _K1_BLOCK = 128
@@ -85,21 +84,13 @@ def bessel_k1(x):
 
 
 def _k1_series(x: np.ndarray) -> np.ndarray:
-    # I1-style series and its digamma-weighted twin, summed together.  All
-    # terms up to k = _K1_LAST_TERM are formed at once; each entry takes
-    # its partial sums at the first term that is below 1e-18 of its own
-    # sum (or at the last term), as a term-by-term loop would stop there.
+    # I1-style series and its digamma-weighted twin, summed together over
+    # terms k = 0.._K1_LAST_TERM.  cumsum adds in order, where .sum's
+    # pairwise order would move the last bit.
     r = (0.25 * x * x)[:, None] / _K1_DIVISORS
     term = np.concatenate([np.ones((x.size, 1)), np.cumprod(r, axis=1)], axis=1)
-    delta = _K1_PSI * term
-    s_bess = np.cumsum(term, axis=1)
-    s_psi = np.cumsum(delta, axis=1)
-    done = np.abs(delta) <= 1e-18 * np.abs(s_psi)
-    done[:, 0] = False
-    done[:, -1] = True
-    stop = np.argmax(done, axis=1)[:, None]
-    s_bess = np.take_along_axis(s_bess, stop, axis=1)[:, 0]
-    s_psi = np.take_along_axis(s_psi, stop, axis=1)[:, 0]
+    s_bess = np.cumsum(term, axis=1)[:, -1]
+    s_psi = np.cumsum(_K1_PSI * term, axis=1)[:, -1]
     i1 = 0.5 * x * s_bess
     return 1.0 / x + np.log(0.5 * x) * i1 - 0.25 * x * s_psi
 
@@ -112,13 +103,12 @@ def _k1_integral(x: np.ndarray) -> np.ndarray:
     return 2.0 * np.exp(-x) * (w * integrand).sum(axis=1)
 
 
-def _snr_grid(cfg: SystemConfig, gamma0):
-    """``gamma0`` (default cfg.gamma0) as a checked float array of ndim >= 1.
+def _snr_grid(gamma0):
+    """``gamma0`` as a float array of ndim >= 1, and whether a scalar was given.
 
-    Returns (array, scalar) where ``scalar`` says a scalar was given, so
-    that the caller hands back floats for it.
+    The caller hands back floats for a scalar (see ``_as_given``).
     """
-    g = check_box("gamma0", np.asarray(cfg.gamma0 if gamma0 is None else gamma0, dtype=float))
+    g = np.asarray(gamma0, dtype=float)
     return np.atleast_1d(g), g.ndim == 0
 
 
@@ -144,8 +134,7 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
                          ("lambda_a", lambda_a, "lambda_dnr"),
                          ("lambda_b", lambda_b, "lambda_rdm")):
         check_box(name, np.asarray(v, dtype=float), key)
-    scalar = np.ndim(gamma0) == 0
-    g = np.atleast_1d(np.asarray(gamma0, dtype=float))
+    g, scalar = _snr_grid(gamma0)
     da = path_loss(d_a, theta)
     db = path_loss(d_b, theta)
     # t*K1(t) tends to 1 as t -> 0 and to 0 as t -> inf; inside the input box
@@ -210,10 +199,9 @@ def evaluate(cfg: SystemConfig, geo: Geometry, relay: bool = True, gamma0=None) 
     probabilities, each computed directly rather than as 1 - outage, so
     it keeps its relative accuracy where both outages are close to 1.
     """
-    g, scalar = _snr_grid(cfg, gamma0)
-    x_n = gain_strong_decodes_weak(cfg, geo, g)
-    x_m = gain_direct_weak(cfg, geo, g)
-    beta = np.maximum(x_n, gain_strong_own(cfg, geo, g))
+    g, scalar = _snr_grid(cfg.gamma0 if gamma0 is None else gamma0)
+    x_n, x_own, x_m = stage_gains(cfg, geo, g)
+    beta = np.maximum(x_n, x_own)
     spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
     spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
     p_n, s_n = ordered_cdf(spec_n, beta), ordered_sf(spec_n, beta)

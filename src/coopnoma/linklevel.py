@@ -29,8 +29,9 @@ from .orderstat import MAX_RANKED_USERS, _reject_bools
 
 # The input box: the least and greatest value of each input that the
 # constructors and the engine entries accept.  Distances are in metres;
-# gamma0 spans -300 to +300 dB.  Its lower end is 1e-30 less one ulp,
-# which is what numpy's 10.0 ** (np.array([-300.0]) / 10) rounds to.
+# gamma0 spans -300 to +300 dB.  Its lower end is 1e-30 less one ulp:
+# numpy's array power 10.0 ** (np.array([-300.0]) / 10) rounds to that,
+# while its scalar power 10.0 ** np.float64(-30.0) gives 1e-30.
 # The angles, in radians, take every float in the open interval (0, pi).
 INPUT_BOX = {
     "gamma0": (float(np.nextafter(1e-30, 0.0)), 1e30),
@@ -76,7 +77,7 @@ def check_box(name: str, value, key: str | None = None):
         value = value[bad].flat[0]
     elif lo <= value <= hi:
         return value
-    raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {float(value)!r}")
+    raise ValueError(f"{name} must lie in [{lo!r}, {hi!r}], got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,8 @@ class SystemConfig:
             if not (v > 0):
                 raise ValueError(f"{name} must be > 0, got {v}")
         for th, rate in (("gamma_thm", "R_m"), ("gamma_thn", "R_n")):
-            if getattr(self, th) is None:
+            name, value = th, getattr(self, th)
+            if value is None:
                 r = getattr(self, rate)
                 # reliable decoding at r bit/s/Hz.  Below r = 1, expm1 keeps
                 # the relative accuracy that 2**r - 1 loses as r falls; from
@@ -139,12 +141,8 @@ class SystemConfig:
                 # (6.999999999999998 at r = 3).  Past 2**128 the box refuses it.
                 value = (math.expm1(r * math.log(2.0)) if r < 1.0
                          else 2.0 ** min(r, 128.0) - 1.0)
-                lo, hi = INPUT_BOX[th]
-                if not lo <= value <= hi:
-                    raise ValueError(f"{rate} must give a threshold 2**{rate} - 1 in "
-                                     f"[{lo:g}, {hi:g}], got {rate}={r}")
-                object.__setattr__(self, th, value)
-            check_box(th, getattr(self, th))
+                name = f"{rate}={r!r} gives {th} = 2**{rate} - 1, which"
+            object.__setattr__(self, th, check_box(name, value, th))
 
 
 def _law_of_cosines(a: float, b: float, angle: float) -> float:
@@ -186,10 +184,7 @@ class Geometry:
         d_rdm = _law_of_cosines(d_dndm, self.d_dnr, self.alpha1)
         for name, v, free in (("d_dndm", d_dndm, "d_sdm, d_sdn and alpha2"),
                               ("d_rdm", d_rdm, "d_sdm, d_sdn, d_dnr, alpha1 and alpha2")):
-            lo, hi = INPUT_BOX[name]
-            if not lo <= v <= hi:
-                raise ValueError(f"{free} give {name}={v}, outside [{lo:g}, {hi:g}]")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, check_box(f"{free} give {name}, which", v, name))
 
 
 def path_loss(d: float, theta: float) -> float:
@@ -240,44 +235,23 @@ def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
     return out if out.ndim else float(out)
 
 
-# The least gain that passes each direct-link decoding stage, at cfg.gamma0
-# or at each SNR of an array ``gamma0``.  Each SINR above increases with
-# the gain, so a stage fails exactly where the gain lies below its level;
-# the levels invert those expressions.  A level is inf where no gain passes.
+def stage_gains(cfg: SystemConfig, geo: Geometry, gamma0):
+    """Least gains passing the direct-link stages at SNR ``gamma0``: (sic, own, direct).
 
-
-def _least_gain(cfg: SystemConfig, gamma0, never: bool, level):
-    """``level(gamma0)``, or inf where ``never``."""
-    g = check_box("gamma0", np.asarray(cfg.gamma0 if gamma0 is None else gamma0, dtype=float))
-    out = np.full_like(g, math.inf) if never else level(g)
-    return out if out.ndim else float(out)
-
-
-def _weak_signal_gain(cfg: SystemConfig, pl: float, gamma0):
-    """Least g with a_m g / (a_n g + pl/gamma0) >= gamma_thm: inverts ``_weak_signal_sinr``.
-
-    gamma_thm / (spare gamma0) pl with spare = a_m - a_n gamma_thm; inf
-    where spare <= 0, as the SINR's ceiling a_m/a_n then does not exceed
-    gamma_thm.
+    Each SINR above increases with the gain, so a stage fails exactly
+    where the gain lies below its level; the levels invert those
+    expressions.  The weak-signal stages, the strong user's SIC (over
+    d_sdn) and the weak user's direct copy (over d_sdm), pass from
+    gamma_thm / (spare gamma0) pl with spare = a_m - a_n gamma_thm; they
+    are inf where spare <= 0, as the SINR's ceiling a_m/a_n then does
+    not exceed gamma_thm.  The strong user's own stage passes from
+    gamma_thn d_sdn**theta / (a_n gamma0).  An array ``gamma0`` gives
+    arrays of its shape, a scalar floats.
     """
+    g = check_box("gamma0", np.asarray(gamma0, dtype=float))
     spare = cfg.a_m - cfg.a_n * cfg.gamma_thm
-    return _least_gain(cfg, gamma0, spare <= 0.0, lambda g: cfg.gamma_thm / (spare * g) * pl)
-
-
-def gain_direct_weak(cfg: SystemConfig, geo: Geometry, gamma0=None):
-    """Least gain at which ``sinr_direct_weak`` reaches gamma_thm."""
-    return _weak_signal_gain(cfg, path_loss(geo.d_sdm, cfg.theta), gamma0)
-
-
-def gain_strong_decodes_weak(cfg: SystemConfig, geo: Geometry, gamma0=None):
-    """Least gain at which ``sinr_strong_decodes_weak`` reaches gamma_thm."""
-    return _weak_signal_gain(cfg, path_loss(geo.d_sdn, cfg.theta), gamma0)
-
-
-def gain_strong_own(cfg: SystemConfig, geo: Geometry, gamma0=None):
-    """Least gain at which ``snr_strong_own`` reaches gamma_thn.
-
-    gamma_thn d_sdn**theta / (a_n gamma0).
-    """
-    pl = path_loss(geo.d_sdn, cfg.theta)
-    return _least_gain(cfg, gamma0, False, lambda g: cfg.gamma_thn * pl / (cfg.a_n * g))
+    weak = np.full_like(g, math.inf) if spare <= 0.0 else cfg.gamma_thm / (spare * g)
+    pl_n = path_loss(geo.d_sdn, cfg.theta)
+    levels = (weak * pl_n, cfg.gamma_thn * pl_n / (cfg.a_n * g),
+              weak * path_loss(geo.d_sdm, cfg.theta))
+    return levels if g.ndim else tuple(map(float, levels))

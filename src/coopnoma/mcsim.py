@@ -74,9 +74,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import throughput
-from .linklevel import (Geometry, SystemConfig, gain_direct_weak, gain_strong_decodes_weak,
-                        gain_strong_own, path_loss, sinr_direct_weak, sinr_relayed,
-                        sinr_strong_decodes_weak, snr_strong_own)
+from .linklevel import (Geometry, SystemConfig, path_loss, sinr_direct_weak, sinr_relayed,
+                        sinr_strong_decodes_weak, snr_strong_own, stage_gains)
 from .orderstat import _reject_bools, chain_at_gain, gains_from_chain, log_uniform_chain
 
 MODES = ("joint", "independent")
@@ -243,9 +242,8 @@ def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan:
     """The chain bands of cfg's direct-link stages and the gamma* band of its relay."""
     lam = cfg.lambda_sd
     cond = 1.0 - cfg.a_n * cfg.gamma_thm / cfg.a_m  # of a_m g / (a_n g + noise) at its level
-    stages = (_stage(gain_strong_decodes_weak(cfg, geo), lam, cond),
-              _stage(gain_strong_own(cfg, geo), lam, 1.0),
-              _stage(gain_direct_weak(cfg, geo), lam, cond))
+    sic, own, direct = stage_gains(cfg, geo, cfg.gamma0)
+    stages = (_stage(sic, lam, cond), _stage(own, lam, 1.0), _stage(direct, lam, cond))
     hops = (path_loss(geo.d_dnr, cfg.theta), path_loss(geo.d_rdm, cfg.theta), cfg.gamma_thm)
     return _Plan(*stages, hops, _Stage(cfg.gamma0 * (1.0 - _BAND), cfg.gamma0 * (1.0 + _BAND)))
 

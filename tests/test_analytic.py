@@ -14,8 +14,7 @@ from scipy.special import betainc, k1
 
 from coopnoma import analytic
 from coopnoma.analytic import OutagePoint, bessel_k1, evaluate, throughput, two_hop_outage
-from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, gain_direct_weak,
-                                gain_strong_decodes_weak)
+from coopnoma.linklevel import INPUT_BOX, Geometry, SystemConfig, stage_gains
 from coopnoma.orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -91,8 +90,10 @@ class TestBesselK1:
 
 
 def k1_series_stops(x, last):
-    """Per entry of ``x`` (<= 2), the term ``_k1_series`` stops at with terms 0..last,
-    and the psi-weighted sum at the last term."""
+    """Per entry of ``x`` (<= 2), with terms 0..last: the first term k >= 1 whose
+    psi-term is at most 1e-18 of its psi-weighted sum (where a term-by-term loop
+    would stop), the psi-weighted sum at the last term, and the plain and
+    psi-weighted sums at the stop."""
     divisors, psi = analytic._k1_series_tables(last)
     term = np.concatenate([np.ones((x.size, 1)),
                            np.cumprod((0.25 * x * x)[:, None] / divisors, axis=1)], axis=1)
@@ -101,11 +102,19 @@ def k1_series_stops(x, last):
     done = np.abs(delta) <= 1e-18 * np.abs(s_psi)
     done[:, 0] = False
     done[:, -1] = True
-    return np.argmax(done, axis=1), s_psi[:, -1]
+    stop = np.argmax(done, axis=1)
+    rows = np.arange(x.size)
+    return stop, s_psi[:, -1], np.cumsum(term, axis=1)[rows, stop], s_psi[rows, stop]
 
 
 class TestK1SeriesTable:
-    """The series table is cut to its convergence: no entry reaches its forced last term."""
+    """Every entry converges before the table's last term, so its whole sum is exact.
+
+    A helper replays the stop test a term-by-term loop would make (a term
+    at most 1e-18 of its sum); each entry passes it well before the last
+    term, and the fixed-length sum equals, bit for bit, both the sum
+    stopped there and a much longer table's.
+    """
 
     LONG = 65  # the table's former size, far past where any entry stops
 
@@ -139,6 +148,15 @@ class TestK1SeriesTable:
                                 for block in np.array_split(self.crossing_window(), 8)])
         assert stops.max() <= 16 < analytic._K1_LAST_TERM
 
+    def test_equals_the_series_stopped_at_convergence(self):
+        # terms past the stop add nothing when summed in order; a pairwise
+        # sum (ndarray.sum) would move bits here
+        x = np.concatenate([np.linspace(0.0, 2.0, 40_001)[1:], self.crossing_window(),
+                            np.geomspace(1e-107, 2.0, 2_000)])
+        _, _, s_bess, s_psi = k1_series_stops(x, analytic._K1_LAST_TERM)
+        want = 1.0 / x + np.log(0.5 * x) * (0.5 * x * s_bess) - 0.25 * x * s_psi
+        assert bessel_k1(x).tobytes() == want.tobytes()
+
     def test_equals_the_long_table_bit_for_bit(self, monkeypatch):
         x = np.concatenate([np.linspace(0.0, 2.0, 40_001)[1:], self.crossing_window(),
                             np.geomspace(1e-107, 2.0, 2_000), [2.0, 2.5, 10.0]])
@@ -164,7 +182,7 @@ class TestOutageStrong:
     def test_sic_infeasible_threshold_forces_outage(self):
         # a_m/a_n = 7/3; rate 2 gives threshold 3 above the ceiling
         cfg = default_config(R_m=2.0)
-        assert gain_direct_weak(cfg, default_geometry()) == math.inf
+        assert stage_gains(cfg, default_geometry(), cfg.gamma0)[2] == math.inf
         pt = evaluate(cfg, default_geometry())
         assert pt.p_out_n == pt.p_out_m == 1.0
 
@@ -278,7 +296,7 @@ class TestTwoHopOutage:
         for geo in (default_geometry(), replace(default_geometry(), d_dnr=7.0)):
             c, _ = two_hop_outage(cfg.gamma_thm, cfg.gamma0, geo.d_dnr, geo.d_rdm,
                                   cfg.theta, cfg.lambda_dnr, cfg.lambda_rdm)
-            a = ordered_cdf(OrderStatSpec(6, 6, 1.0), gain_strong_decodes_weak(cfg, geo))
+            a = ordered_cdf(OrderStatSpec(6, 6, 1.0), stage_gains(cfg, geo, cfg.gamma0)[0])
             direct = evaluate(cfg, geo, relay=False).p_out_m
             assert evaluate(cfg, geo).p_out_m == pytest.approx(a + (direct - a) * c, rel=1e-12)
 
@@ -413,7 +431,8 @@ class TestSnrGrid:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_snr_in_grid(self, bad):
-        with pytest.raises(ValueError, match=r"^gamma0 must lie in \[1e-30, 1e\+30\]"):
+        with pytest.raises(ValueError,
+                           match=r"^gamma0 must lie in \[9\.999999999999999e-31, 1e\+30\]"):
             evaluate(default_config(), default_geometry(), gamma0=np.array([10.0, bad]))
 
     @pytest.mark.parametrize("edge, outside", [
@@ -436,8 +455,8 @@ class TestBoxCorners:
         geo = Geometry(1e5, 1e5, 4.0, 0.7, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for rank, x in ((cfg.n, gain_strong_decodes_weak(cfg, geo)),
-                            (cfg.m, gain_direct_weak(cfg, geo))):
+            sic, _, direct = stage_gains(cfg, geo, cfg.gamma0)
+            for rank, x in ((cfg.n, sic), (cfg.m, direct)):
                 spec = OrderStatSpec(cfg.M, rank, cfg.lambda_sd)
                 assert (ordered_cdf(spec, x), ordered_sf(spec, x)) == (1.0, 0.0)
             pt = evaluate(cfg, geo)
@@ -472,8 +491,8 @@ class TestGainLevelOverMeanPastTheFloats:
     def test_certain_outage_without_warnings(self, lambda_sd, gamma0):
         cfg = default_config(gamma0=gamma0)
         geo = default_geometry()
-        levels = ((cfg.n, gain_strong_decodes_weak(cfg, geo)),
-                  (cfg.m, gain_direct_weak(cfg, geo)))
+        sic, _, direct = stage_gains(cfg, geo, cfg.gamma0)
+        levels = ((cfg.n, sic), (cfg.m, direct))
         with np.errstate(over="ignore"):
             assert all(np.isinf(x / lambda_sd) for _, x in levels)
         with warnings.catch_warnings():

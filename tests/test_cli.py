@@ -429,7 +429,7 @@ class TestRunSweep:
         sweep = replace(sweep, variable=variable, values=values, gamma0_db=350.0)
         key = "sweep point gamma0_db" if variable == "gamma0_db" else "sweep gamma0_db"
         with pytest.raises(ValueError, match=rf"^{key}=350\.0: gamma0 must lie in "
-                                             rf"\[1e-30, 1e\+30\], got 1e\+35$"):
+                                             rf"\[9\.999999999999999e-31, 1e\+30\], got 1e\+35$"):
             run_sweep(cfg, geo, mc, sweep)
         assert calls == []
 
@@ -755,14 +755,14 @@ class TestMain:
     @pytest.mark.parametrize("config, key", [
         ("[system]\ntheta = 400\n", "theta"), ("[geometry]\nd_dnr = 1e200\n", "d_dnr"),
         ("[geometry]\nd_sdn = 1e-200\n", "d_sdn"), ("[system]\nlambda_sd = 1e31\n", "lambda_sd"),
-        ("[system]\nR_m = 100\n", "R_m"),
+        ("[system]\nR_m = 100\n", "R_m=100.0 gives gamma_thm = 2**R_m - 1, which"),
     ], ids=["theta", "d_dnr", "d_sdn", "lambda_sd", "R_m"])
     def test_config_outside_the_box_is_reported_by_key(self, tmp_path, capsys, config, key):
         scen = tmp_path / "far.ini"
         scen.write_text(config)
         rc = main(["--config", str(scen), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {key} must ")
+        assert capsys.readouterr().err.startswith(f"error: {key} must lie in [")
         assert not (tmp_path / "x.csv").exists()
 
     def test_out_path_that_is_a_directory_is_reported(self, tmp_path, capsys):

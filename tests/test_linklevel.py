@@ -1,14 +1,14 @@
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from coopnoma.linklevel import (Geometry, SystemConfig, _law_of_cosines, gain_direct_weak,
-                                gain_strong_decodes_weak, gain_strong_own, path_loss,
-                                sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
-                                snr_strong_own)
+from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, _law_of_cosines, check_box,
+                                path_loss, sinr_direct_weak, sinr_relayed,
+                                sinr_strong_decodes_weak, snr_strong_own, stage_gains)
 from coopnoma.orderstat import MAX_RANKED_USERS
 
 
@@ -82,15 +82,28 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("gamma0", [math.inf, math.nan])
     def test_rejects_nonfinite_snr_naming_key(self, gamma0):
-        with pytest.raises(ValueError, match=r"^gamma0 must lie in \[1e-30, 1e\+30\]"):
+        with pytest.raises(ValueError,
+                           match=r"^gamma0 must lie in \[9\.999999999999999e-31, 1e\+30\]"):
             default_config(gamma0=gamma0)
 
     @pytest.mark.parametrize("key", ["R_m", "R_n"])
     @pytest.mark.parametrize("rate", [1e-300, 2000.0])
     def test_rate_whose_threshold_leaves_the_floats_names_key(self, key, rate):
         # 2**1e-300 - 1 lies far below the box and 2**2000 overflows
-        with pytest.raises(ValueError, match=f"^{key} must give a threshold"):
+        th = {"R_m": "gamma_thm", "R_n": "gamma_thn"}[key]
+        message = f"{key}={rate!r} gives {th} = 2**{key} - 1, which must lie in [1e-30, 1e+30]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got "):
             default_config(**{key: rate})
+
+
+class TestBoxRefusals:
+    @pytest.mark.parametrize("key", sorted(INPUT_BOX))
+    def test_states_the_ends_exactly(self, key):
+        # each end reads back as the very float the box holds
+        with pytest.raises(ValueError) as err:
+            check_box(key, math.nan)
+        ends = re.fullmatch(rf"{key} must lie in \[(.+), (.+)\], got nan", str(err.value))
+        assert tuple(map(float, ends.groups())) == INPUT_BOX[key]
 
 
 class TestThresholdFromRate:
@@ -172,10 +185,10 @@ class TestGeometry:
             assert geo.d_dndm == pytest.approx(float(want_dndm), rel=1e-12)
             assert geo.d_rdm == pytest.approx(float(want_rdm), rel=1e-12)
         for free in ((4.0, 4.0, 4.0, 1e-10, 1e-10), (1e5, 1e5, 1.0, 1.0, 3.1)):
-            with pytest.raises(ValueError, match=r"^d_sdm, d_sdn and alpha2 give d_dndm=.*, "
-                                                 r"outside \[0.0001, 100000\]$"):
+            with pytest.raises(ValueError, match=r"^d_sdm, d_sdn and alpha2 give d_dndm, which "
+                                                 r"must lie in \[0\.0001, 100000\.0\], got "):
                 Geometry(*free)
-        with pytest.raises(ValueError, match=r"alpha2 give d_rdm="):
+        with pytest.raises(ValueError, match=r"alpha2 give d_rdm, which must lie in "):
             Geometry(1e5, 1e5, 1e5, 3.0, 1.0)
 
     @pytest.mark.parametrize("a, b, angle", [
@@ -285,16 +298,15 @@ class TestSinrExpressions:
 
 
 class TestLeastPassingGains:
-    STAGES = ((gain_direct_weak, sinr_direct_weak, "gamma_thm"),
-              (gain_strong_decodes_weak, sinr_strong_decodes_weak, "gamma_thm"),
-              (gain_strong_own, snr_strong_own, "gamma_thn"))
+    # the SINR and threshold of each level stage_gains gives, in its order
+    STAGES = ((sinr_strong_decodes_weak, "gamma_thm"), (snr_strong_own, "gamma_thn"),
+              (sinr_direct_weak, "gamma_thm"))
 
     @pytest.mark.parametrize("overrides", [{}, dict(gamma0=1e-4, theta=3.5, R_n=2.0),
                                            dict(a_m=0.8, a_n=0.2, gamma_thm=3.9)])
     def test_invert_the_sinr_expressions(self, overrides):
         cfg, geo = default_config(**overrides), default_geometry()
-        for gain, sinr, th in self.STAGES:
-            x = gain(cfg, geo)
+        for x, (sinr, th) in zip(stage_gains(cfg, geo, cfg.gamma0), self.STAGES):
             assert sinr(cfg, geo, x) == pytest.approx(getattr(cfg, th), rel=1e-12)
             assert sinr(cfg, geo, x * (1 - 1e-9)) < getattr(cfg, th) <= sinr(cfg, geo,
                                                                             x * (1 + 1e-9))
@@ -303,7 +315,8 @@ class TestLeastPassingGains:
         geo = default_geometry()
         # SIC infeasible: no gain passes the weak-signal stages
         cfg = default_config(gamma_thm=0.7 / 0.3)
-        assert gain_direct_weak(cfg, geo) == gain_strong_decodes_weak(cfg, geo) == math.inf
+        sic, _, direct = stage_gains(cfg, geo, cfg.gamma0)
+        assert sic == direct == math.inf
         # the box's corners: the least and greatest levels, and a spare of
         # one ulp just short of SIC infeasible, are normal floats that invert
         # the SINR expressions
@@ -313,8 +326,7 @@ class TestLeastPassingGains:
         far, near = Geometry(1e5, 1e5, 4.0, 0.7, 1.0), Geometry(1e-4, 1e-4, 4.0, 0.7, 1.5)
         levels = []
         for cfg, geo in ((faint, far), (loud, near)):
-            for gain, sinr, th in self.STAGES:
-                x = gain(cfg, geo)
+            for x, (sinr, th) in zip(stage_gains(cfg, geo, cfg.gamma0), self.STAGES):
                 levels.append(x)
                 assert sinr(cfg, geo, x) == pytest.approx(getattr(cfg, th), rel=1e-12)
         assert max(levels) == pytest.approx(1e115) and 1e-92 < min(levels) < 1e-91
@@ -327,14 +339,15 @@ class TestLeastPassingGains:
         geo = Geometry(*dists, 0.7, 1.0)
         gamma0 = 10.0 ** (np.arange(-300.0, 300.5, 2.5) / 10.0)
         for cfg in (default_config(theta=theta), default_config(theta=theta, gamma_thm=0.7 / 0.3)):
-            for gain, _, _ in self.STAGES:
-                got = gain(cfg, geo, gamma0)
-                want = [gain(cfg, geo, float(g)) for g in gamma0]
-                assert all(isinstance(w, float) for w in want)
-                assert got.tobytes() == np.array(want).tobytes()
+            got = stage_gains(cfg, geo, gamma0)
+            want = [stage_gains(cfg, geo, float(g)) for g in gamma0]
+            assert all(isinstance(w, float) for levels in want for w in levels)
+            for stage, levels in enumerate(got):
+                assert levels.shape == gamma0.shape
+                assert levels.tobytes() == np.array([w[stage] for w in want]).tobytes()
         # the box's greatest loss over its whole SNR range: levels across 128 decades
-        got = gain_direct_weak(default_config(theta=8.0), Geometry(1e-4, 1e5, 1e-4, 0.7, 1.0),
-                               gamma0)
+        _, _, got = stage_gains(default_config(theta=8.0), Geometry(1e-4, 1e5, 1e-4, 0.7, 1.0),
+                                gamma0)
         assert got.max() / got.min() > 1e59 and np.isfinite(got).all()
 
 

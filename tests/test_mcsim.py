@@ -9,8 +9,7 @@ import pytest
 
 from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
-from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, gain_direct_weak,
-                                gain_strong_decodes_weak, gain_strong_own, sinr_relayed)
+from coopnoma.linklevel import INPUT_BOX, Geometry, SystemConfig, sinr_relayed, stage_gains
 from coopnoma.mcsim import (MODES, McConfig, McEstimate, _direct_stages, draws_per_trial,
                             estimate, trial_stream)
 from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
@@ -540,9 +539,8 @@ def edge_points(cfg, geo):
     lam = cfg.lambda_sd
     plan = mcsim._plan(cfg, geo)
     points = []
-    for gains, stages in zip(((gain_strong_decodes_weak(cfg, geo), gain_strong_own(cfg, geo)),
-                              (gain_direct_weak(cfg, geo),)),
-                             ([plan.sic, plan.own], [plan.direct])):
+    sic, own, direct = stage_gains(cfg, geo, cfg.gamma0)
+    for gains, stages in zip(((sic, own), (direct,)), ([plan.sic, plan.own], [plan.direct])):
         pts = [0.0, -2.0 ** -60, -0.7, -3.0]  # all-zero slots, the cap, either transform branch
         for g in gains:
             if 0.0 < g / lam < math.inf:
@@ -607,7 +605,7 @@ class TestThresholdPath:
     def cases(self):
         geo = default_geometry()
         ref = default_config()
-        level = gain_strong_decodes_weak(ref, geo) / (60.0 * math.log(2.0))  # lam at the cap
+        level = stage_gains(ref, geo, ref.gamma0)[0] / (60.0 * math.log(2.0))  # lam at the cap
         yield ref, geo
         yield default_config(gamma0=1e8, a_m=0.8, a_n=0.2), geo
         for lam in (1e-3, level, level * (1 + 1e-12), level * (1 - 1e-6)):
