@@ -160,17 +160,25 @@ def throughput(cfg: SystemConfig, p_out_n, p_out_m):
 
 @dataclass(frozen=True)
 class OutagePoint:
-    """Analytic results at one transmit SNR (floats) or over an SNR grid (arrays)."""
+    """Analytic results at one transmit SNR (floats) or over an SNR grid (arrays).
+
+    ``p_out_m_norelay`` and ``throughput_norelay`` are the non-cooperative
+    baseline's (relay factor C = 1), formed from the same relay-independent
+    factors as the relayed curve; the strong user's outage is the same in
+    both.
+    """
 
     gamma0: float | np.ndarray
     p_out_n: float | np.ndarray
     p_out_m: float | np.ndarray
     throughput: float | np.ndarray
+    p_out_m_norelay: float | np.ndarray
+    throughput_norelay: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not np.all(np.asarray(self.gamma0) > 0):
             raise ValueError(f"gamma0 must be > 0, got {self.gamma0}")
-        for name in ("p_out_n", "p_out_m"):
+        for name in ("p_out_n", "p_out_m", "p_out_m_norelay"):
             p = np.asarray(getattr(self, name))
             if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
@@ -190,8 +198,14 @@ def evaluate(cfg: SystemConfig, geo: Geometry, relay: bool = True, gamma0=None) 
     forwarded and the weak user is in outage; otherwise it fails only if
     both the direct copy (prob B, a rank-m threshold) and the relayed
     copy (prob C, ``two_hop_outage``) fail, with selection combining.
-    ``relay=False`` drops the relayed copy (C = 1), giving the
-    non-cooperative baseline.
+
+    Every call also gives the non-cooperative baseline (C = 1) in
+    ``p_out_m_norelay`` and ``throughput_norelay``, formed as
+    ``A + (1 - A) B`` and ``s_n R_n + s_A s_B R_m`` from the factors the
+    relayed curve uses, so a sweep with a baseline needs one call.
+    ``relay=False`` skips C and returns the baseline in the main fields
+    too; its ``p_out_m`` and ``throughput`` are bit for bit the
+    ``p_out_m_norelay`` and ``throughput_norelay`` of any call.
 
     At cfg.gamma0 by default, giving floats; an array ``gamma0`` of SNRs
     gives arrays of its shape, each entry equal to what a lone call at
@@ -205,16 +219,19 @@ def evaluate(cfg: SystemConfig, geo: Geometry, relay: bool = True, gamma0=None) 
     spec_n = OrderStatSpec(cfg.M, cfg.n, cfg.lambda_sd)
     spec_m = OrderStatSpec(cfg.M, cfg.m, cfg.lambda_sd)
     p_n, s_n = ordered_cdf(spec_n, beta), ordered_sf(spec_n, beta)
-    a = ordered_cdf(spec_n, x_n)
-    b = ordered_cdf(spec_m, x_m)
+    a, s_a = ordered_cdf(spec_n, x_n), ordered_sf(spec_n, x_n)
+    b, s_b = ordered_cdf(spec_m, x_m), ordered_sf(spec_m, x_m)
+    p_m0 = a + (1.0 - a) * b
+    tau0 = s_n * cfg.R_n + s_a * s_b * cfg.R_m
     if relay:
         c, s_c = two_hop_outage(cfg.gamma_thm, g, geo.d_dnr, geo.d_rdm, cfg.theta,
                                 cfg.lambda_dnr, cfg.lambda_rdm)
+        # 1 - (a + (1-a) b c) = (1-a) ((1-b) + b (1-c)), each factor summed directly
+        p_m = a + (1.0 - a) * b * c
+        tau = s_n * cfg.R_n + s_a * (s_b + b * s_c) * cfg.R_m
     else:
-        c, s_c = 1.0, 0.0
-    # 1 - (a + (1-a) b c) = (1-a) ((1-b) + b (1-c)), each factor summed directly
-    p_m = a + (1.0 - a) * b * c
-    s_m = ordered_sf(spec_n, x_n) * (ordered_sf(spec_m, x_m) + b * s_c)
+        p_m, tau = p_m0, tau0
     return OutagePoint(gamma0=_as_given(g, scalar), p_out_n=_as_given(p_n, scalar),
-                       p_out_m=_as_given(p_m, scalar),
-                       throughput=_as_given(s_n * cfg.R_n + s_m * cfg.R_m, scalar))
+                       p_out_m=_as_given(p_m, scalar), throughput=_as_given(tau, scalar),
+                       p_out_m_norelay=_as_given(p_m0, scalar),
+                       throughput_norelay=_as_given(tau0, scalar))

@@ -11,13 +11,15 @@ A sweep is a list of groups, each a run of points that differ only in
 their SNR: an SNR grid is one group, a pair or distance-set sweep one
 group per point at the fixed SNR.  Every group is built and checked
 before anything is computed, so a bad point is reported before any trial
-is drawn.  Each group then takes one ``evaluate`` call per relay flag
-over the array of its SNRs, and one ``estimate`` call draws the fading
-gains once and evaluates every Monte-Carlo row on them.  Each column is
-formatted by one ``"%.10g"`` pass over its Python floats, and the rows
-are tuples of strings in CSV_COLUMNS order, zipped from the columns.
-``write_csv`` streams them to the file one joined line per row; no
-field needs quoting, so the bytes are those of ``csv.writer``.
+is drawn; an SNR grid is checked as one array, and only a grid that
+fails is walked point by point to name its first bad point.  Each group
+then takes one ``evaluate`` call over the array of its SNRs, whose
+no-relay fields give the baseline rows, and one ``estimate`` call draws
+the fading gains once and evaluates every Monte-Carlo row on them.  Each
+column is formatted by one ``"%.10g"`` pass over its Python floats, and
+the rows are tuples of strings in CSV_COLUMNS order, zipped from the
+columns.  ``write_csv`` streams them to the file one joined line per
+row; no field needs quoting, so the bytes are those of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ CSV_COLUMNS = ("gamma0_db", "m", "n", "engine", "mode",
 ENGINES = ("analytic", "mc")
 OUTPUTS = ("p_out_n", "p_out_m", "throughput")
 
-# Most points a --sweep-gamma0-db range may give.  A range of this many
-# steps or more is refused before any list of it is built.
+# Most points a --sweep-gamma0-db range may give, the points its 1e-9 slack
+# past STOP admits included.  No list of more than one point past it is built.
 MAX_GRID_POINTS = 100_000
 
 # Scenario defaults, which also name every key a config file may set and
@@ -122,9 +124,13 @@ class SweepSpec:
             raise ValueError("sweep values must be non-empty")
         object.__setattr__(self, "values", tuple(self.values))
         want, valid = _SWEEP_VALUES[self.variable]
-        for v in self.values:
-            if not valid(v):
-                raise ValueError(f"{self.variable} sweep values must be {want}, got {v!r}")
+        # An SNR grid of finite Python ints and floats passes in one pass; any
+        # other grid (a bad value, or a numpy number) is tested value by value.
+        if not (self.variable == "gamma0_db" and set(map(type, self.values)) <= {int, float}
+                and all(map(math.isfinite, self.values))):
+            for v in self.values:
+                if not valid(v):
+                    raise ValueError(f"{self.variable} sweep values must be {want}, got {v!r}")
         engines = tuple(e for e in ENGINES if e in self.engines)
         if len(set(self.engines)) != len(engines) or not engines:
             bad = set(self.engines) - set(ENGINES) or "empty set"
@@ -195,7 +201,12 @@ def _snrs(sweep: SweepSpec) -> tuple[list, list[float]]:
     """The dB and linear SNRs of an SNR grid, or the fixed SNR of any other sweep."""
     if sweep.variable == "gamma0_db":
         dbs = [float(v) for v in sweep.values]
-        return dbs, [_checked("sweep point gamma0_db", db, "gamma0", db_to_linear) for db in dbs]
+        try:
+            gamma0s = list(map(db_to_linear, dbs))
+            check_box("gamma0", np.array(gamma0s))
+        except ValueError:  # name the first bad point
+            gamma0s = [_checked("sweep point gamma0_db", db, "gamma0", db_to_linear) for db in dbs]
+        return dbs, gamma0s
     return [sweep.gamma0_db], [_checked("sweep gamma0_db", sweep.gamma0_db, "gamma0",
                                         db_to_linear)]
 
@@ -286,13 +297,18 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
     variants = []
     if "analytic" in sweep.engines:
         blank = repeat("")
-        for relay in relays:
-            curves = [evaluate(cfg_g, geo_g, relay=relay, gamma0=np.array(gamma0s))
-                      for cfg_g, geo_g, _, gamma0s in groups]
-            p_n, p_m, tau = (_format(np.concatenate(column).tolist()) for column in
-                             zip(*((c.p_out_n, c.p_out_m, c.throughput) for c in curves)))
-            variants.append(("analytic" if relay else "analytic-norelay", "", p_n, p_m,
-                             blank, blank, tau))
+        curves = [evaluate(cfg_g, geo_g, gamma0=np.array(gamma0s))
+                  for cfg_g, geo_g, _, gamma0s in groups]
+
+        def column(name):
+            return _format(np.concatenate([getattr(c, name) for c in curves]).tolist())
+
+        p_n = column("p_out_n")  # the strong user's outage, the same with the relay and without
+        variants.append(("analytic", "", p_n, column("p_out_m"), blank, blank,
+                         column("throughput")))
+        if sweep.baseline:
+            variants.append(("analytic-norelay", "", p_n, column("p_out_m_norelay"), blank, blank,
+                             column("throughput_norelay")))
     if "mc" in sweep.engines:
         scenarios = [(replace(cfg_g, gamma0=gamma0), geo_g)
                      for cfg_g, geo_g, _, gamma0s in groups for gamma0 in gamma0s]
@@ -448,18 +464,22 @@ def _parse_sweep_range(text: str) -> tuple[float, ...]:
     if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
         raise ValueError(f"--sweep-gamma0-db needs finite values with step > 0 and "
                          f"stop >= start, got {text!r}")
-    span = (stop - start) / step  # the grid has floor(span) + 1 points; inf on overflow
-    if span >= MAX_GRID_POINTS:
-        raise ValueError(f"--sweep-gamma0-db {text!r} gives {span + 1:.6g} grid points, "
-                         f"more than {MAX_GRID_POINTS}")
+    # The grid takes every start + k*step up to stop + 1e-9, the slack included.
+    # A grid past the cap by this estimate (inf on overflow) is refused before
+    # any list of it is built; below that the points themselves are counted,
+    # one past the cap at most.
+    reach = (stop + 1e-9 - start) / step
     values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9:
-            break
-        values.append(v)
-        k += 1
+    if reach < MAX_GRID_POINTS + 1:
+        for k in range(MAX_GRID_POINTS + 1):
+            v = start + k * step
+            if v > stop + 1e-9:
+                break
+            values.append(v)
+    count = len(values) or reach + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"--sweep-gamma0-db {text!r} gives {count:.6g} grid points, "
+                         f"more than {MAX_GRID_POINTS}")
     return tuple(values)
 
 

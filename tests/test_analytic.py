@@ -378,10 +378,11 @@ class TestEvaluate:
                                               rel=1e-14)
 
     def test_outage_point_validates(self):
-        with pytest.raises(ValueError):
-            OutagePoint(gamma0=1.0, p_out_n=1.5, p_out_m=0.0, throughput=0.0)
-        with pytest.raises(ValueError):
-            OutagePoint(gamma0=-1.0, p_out_n=0.5, p_out_m=0.5, throughput=1.0)
+        good = dict(gamma0=1.0, p_out_n=0.5, p_out_m=0.5, throughput=1.0,
+                    p_out_m_norelay=0.5, throughput_norelay=1.0)
+        for bad in (dict(p_out_n=1.5), dict(gamma0=-1.0), dict(p_out_m_norelay=-0.5)):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
+                OutagePoint(**good | bad)
 
 
 class TestSnrGrid:
@@ -409,6 +410,36 @@ class TestSnrGrid:
         relay_c, relay_s = two_hop_outage(cfg.gamma_thm, grid, *hops)
         assert list(zip(relay_c.tolist(), relay_s.tolist())) == [
             two_hop_outage(cfg.gamma_thm, g, *hops) for g in grid.tolist()]
+
+    @pytest.mark.parametrize("cfg, geo", [
+        (default_config(), default_geometry()),
+        (default_config(M=20, m=10, n=20, R_m=0.7, R_n=1.3),
+         Geometry(6.0, 4.0, 5.0, math.radians(40.0), math.radians(60.0))),
+        (default_config(gamma_thm=10.0), default_geometry()),  # SIC infeasible: x_n = inf
+    ], ids=["reference", "M20-pair-10-20", "sic-infeasible"])
+    @pytest.mark.parametrize("gamma0", [10.0 ** (np.arange(-300.0, 300.5, 2.5) / 10.0), 37.0],
+                             ids=["grid", "scalar"])
+    def test_baseline_fields_equal_the_no_relay_call(self, cfg, geo, gamma0):
+        # one call gives the baseline bit for bit as relay=False does, and as
+        # the relayed form A + (1-A) B C with C = 1 and its survival 0 does
+        pt = evaluate(cfg, geo, gamma0=gamma0)
+        direct = evaluate(cfg, geo, relay=False, gamma0=gamma0)
+        x_n, x_own, x_m = stage_gains(cfg, geo, gamma0)
+        spec_n, spec_m = (OrderStatSpec(cfg.M, i, cfg.lambda_sd) for i in (cfg.n, cfg.m))
+        a, b = ordered_cdf(spec_n, x_n), ordered_cdf(spec_m, x_m)
+        c, s_c = 1.0, 0.0
+        p_m = a + (1.0 - a) * b * c
+        tau = (ordered_sf(spec_n, np.maximum(x_n, x_own)) * cfg.R_n
+               + ordered_sf(spec_n, x_n) * (ordered_sf(spec_m, x_m) + b * s_c) * cfg.R_m)
+        for shared, baseline, formed in (("p_out_m_norelay", "p_out_m", p_m),
+                                         ("throughput_norelay", "throughput", tau)):
+            got, want = getattr(pt, shared), getattr(direct, baseline)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.asarray(got).tobytes() == np.asarray(formed).tobytes()
+        assert np.asarray(pt.p_out_n).tobytes() == np.asarray(direct.p_out_n).tobytes()
+        if cfg.gamma_thm == 10.0:
+            assert np.all(np.asarray(pt.p_out_m_norelay) == 1.0)
 
     def test_scalar_snr_gives_floats(self):
         pt = evaluate(default_config(), default_geometry())

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -299,6 +300,16 @@ class TestSweepSpec:
                           engines=("analytic",))
         assert [(r["m"], r["n"]) for r in sweep_dicts(cfg, geo, mc, sweep)] == [("2", "5")]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "5"])
+    def test_long_grid_names_its_bad_value(self, bad):
+        grid = tuple(0.005 * k for k in range(8_000))
+        with pytest.raises(ValueError, match=rf"^gamma0_db sweep values must be finite reals, "
+                                             rf"got {re.escape(repr(bad))}$"):
+            SweepSpec(variable="gamma0_db", values=grid + (bad,))
+        # with two bad values, the first is named
+        with pytest.raises(ValueError, match=rf"got {re.escape(repr(bad))}$"):
+            SweepSpec(variable="gamma0_db", values=grid[:3] + (bad,) + grid[3:] + (-math.inf,))
+
     def test_canonicalizes_order(self):
         s = SweepSpec(variable="gamma0_db", values=[0.0, 5.0],
                       engines=("mc", "analytic"), outputs=("throughput", "p_out_n"))
@@ -453,7 +464,8 @@ class TestRunSweep:
         rows = run_sweep(cfg, geo, mc, sweep)
         assert run_sweep(replace(cfg, gamma0=1e-30), geo, mc, sweep) == rows
 
-    def test_grid_makes_one_evaluate_call_per_relay_flag(self, monkeypatch):
+    def test_grid_makes_one_evaluate_call_per_group(self, monkeypatch):
+        # the baseline rows come from the relayed call's no-relay fields
         from dataclasses import replace
         import coopnoma.cli as cli
         calls = []
@@ -465,7 +477,23 @@ class TestRunSweep:
                         engines=("analytic",), baseline=True)
         rows = run_sweep(cfg, geo, mc, sweep)
         assert len(rows) == 162
-        assert [(k["relay"], len(k["gamma0"])) for k in calls] == [(True, 81), (False, 81)]
+        assert [(k.get("relay", True), len(k["gamma0"])) for k in calls] == [(True, 81)]
+
+    def test_long_grid_names_its_first_bad_point(self, monkeypatch):
+        # the grid is checked in one pass; the first bad point is still named
+        from dataclasses import replace
+        import coopnoma.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **k: calls.append(a))
+        cfg, geo, mc, sweep = small_bundle()
+        grid = tuple(0.005 * k for k in range(8_000))
+        sweep = replace(sweep, engines=("analytic",))
+        for values, named in ((grid + (301.0,), r"301\.0: gamma0 must lie in "),
+                              (grid[:5] + (302.0,) + grid[5:] + (301.0,), r"302\.0: gamma0 must"),
+                              (grid + (4000.0, 301.0), r"4000\.0: 4000\.0 dB overflows")):
+            with pytest.raises(ValueError, match=rf"^sweep point gamma0_db={named}"):
+                run_sweep(cfg, geo, mc, replace(sweep, values=values))
+        assert calls == []
 
 
 class TestFusedSweep:
@@ -724,6 +752,12 @@ class TestMain:
         assert len(_parse_sweep_range(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match=f"gives {MAX_GRID_POINTS + 1} grid points"):
             _parse_sweep_range(f"0:{MAX_GRID_POINTS}:1")
+        # the points admitted by the 1e-9 slack past STOP count against the cap too
+        assert len(_parse_sweep_range("0:99999.99999:1")) == MAX_GRID_POINTS
+        for grid, count in (("0:99999.9999999999:1", "100001"), ("0:0:1e-15", "1e+06")):
+            message = f"--sweep-gamma0-db '{grid}' gives {count} grid points, more than 100000"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _parse_sweep_range(grid)
 
     @pytest.mark.parametrize("config", [
         "[system]\ntheta = 8\n[geometry]\nd_dnr = 1e5\n",

@@ -24,7 +24,8 @@ def child_record(*args) -> dict:
     return json.loads(last.removeprefix("PERFBENCH "))
 
 
-def test_traced_run_counts_one_estimate_and_two_evaluates(tmp_path):
+def test_traced_run_counts_one_estimate_and_one_evaluate(tmp_path):
+    # the baseline rows reuse the relayed evaluate call; its three rank CDFs are counted
     record = child_record("run", str(SCENARIO), str(tmp_path / "spans.json"),
                           "--config", str(SCENARIO), "--sweep-gamma0-db", "0:10:5",
                           "--engine", "both", "--trials", "200000", "--baseline",
@@ -32,7 +33,8 @@ def test_traced_run_counts_one_estimate_and_two_evaluates(tmp_path):
     assert record["exit"] == 0
     assert record["metrics"]["mcsim.estimate_calls"] == 1
     assert record["metrics"]["mcsim.chunks"] == 4  # 200,000 trials of 65,536
-    assert record["metrics"]["analytic.evaluate_calls"] == 2
+    assert record["metrics"]["analytic.evaluate_calls"] == 1
+    assert record["metrics"]["orderstat.ordered_cdf_calls"] == 3
 
 
 def test_micro_kernels_run():
