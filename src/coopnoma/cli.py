@@ -13,13 +13,14 @@ group per point at the fixed SNR.  Every group is built and checked
 before anything is computed, so a bad point is reported before any trial
 is drawn; an SNR grid is checked as one array, and only a grid that
 fails is walked point by point to name its first bad point.  Each group
-then takes one ``evaluate`` call over the array of its SNRs, whose
-no-relay fields give the baseline rows, and one ``estimate`` call draws
-the fading gains once and evaluates every Monte-Carlo row on them.  Each
-column is formatted by one ``"%.10g"`` pass over its Python floats, and
-the rows are tuples of strings in CSV_COLUMNS order, zipped from the
-columns.  ``write_csv`` streams them to the file one joined line per
-row; no field needs quoting, so the bytes are those of ``csv.writer``.
+then takes one ``evaluate`` call over the array of its SNRs, and one
+``estimate`` call draws the fading gains once and counts every
+Monte-Carlo scenario on them.  Each engine's baseline rows read the
+no-relay fields of the results its relay rows read.  Each column is
+formatted by one ``"%.10g"`` pass over its Python floats, and the rows
+are tuples of strings in CSV_COLUMNS order, zipped from the columns.
+``write_csv`` streams them to the file one joined line per row; no field
+needs quoting, so the bytes are those of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -290,7 +292,6 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
     annotated with the offending sweep point, before any Monte-Carlo
     trial is drawn.
     """
-    relays = (True, False) if sweep.baseline else (True,)
     groups = _groups(cfg, geo, sweep)
 
     # engine, mode, then the p_out_n, p_out_m, stderr_n, stderr_m, throughput columns
@@ -312,13 +313,17 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
     if "mc" in sweep.engines:
         scenarios = [(replace(cfg_g, gamma0=gamma0), geo_g)
                      for cfg_g, geo_g, _, gamma0s in groups for gamma0 in gamma0s]
-        (cfg_0, geo_0, relay_0), *rest = [(*scenario, relay) for scenario in scenarios
-                                          for relay in relays]
-        results = estimate(cfg_0, geo_0, mc, relay=relay_0, also=rest)
-        for j, relay in enumerate(relays):
-            columns = zip(*((est_n.p_hat, est_m.p_hat, est_n.stderr, est_m.stderr, tau)
-                            for est_n, est_m, tau in results[j::len(relays)]))
-            variants.append(("mc" if relay else "mc-norelay", mc.mode, *map(_format, columns)))
+        results = estimate(*scenarios[0], mc, also=scenarios[1:])
+
+        def column(name):  # an McPoint field, or a dotted property of one such as "p_out_m.p_hat"
+            return _format(list(map(attrgetter(name), results)))
+
+        p_n, s_n = column("p_out_n.p_hat"), column("p_out_n.stderr")  # shared, as above
+        variants.append(("mc", mc.mode, p_n, column("p_out_m.p_hat"), s_n,
+                         column("p_out_m.stderr"), column("throughput")))
+        if sweep.baseline:
+            variants.append(("mc-norelay", mc.mode, p_n, column("p_out_m_norelay.p_hat"), s_n,
+                             column("p_out_m_norelay.stderr"), column("throughput_norelay")))
 
     db_s, m_s, n_s = [], [], []
     for cfg_g, _, dbs, _ in groups:

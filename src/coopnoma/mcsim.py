@@ -38,13 +38,13 @@ through the relayed SINR.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
-the distances or the relay flag.  ``estimate`` therefore draws each
-chunk of trials once and counts each distinct scenario (cfg, geo) on it
-once, as one row of stage counts from which both its relay and its
+the distances or whether the relay takes part.  ``estimate`` therefore
+draws each chunk of trials once and counts each scenario (cfg, geo) on
+it as one row of stage counts, from which both its relay and its
 no-relay outcomes follow, so a whole sweep costs one draw.
 
 Determinism contract: (seed, trials) fix every estimate; chunk_size,
-worker count and which variants share the draw do not.  Trials are
+worker count and which scenarios share the draw do not.  Trials are
 numbered globally and the stream is slot-major: the uniform in column k
 of trial t (see ``draws_per_trial``) is step k*2**64 + t of one
 PCG64DXSM stream seeded with the seed, so every column owns a segment
@@ -147,6 +147,22 @@ class McEstimate:
         """Plug-in standard error sqrt(p_hat (1 - p_hat) / trials)."""
         p = self.p_hat
         return math.sqrt(p * (1.0 - p) / self.trials)
+
+
+@dataclass(frozen=True)
+class McPoint:
+    """Monte-Carlo results of one scenario, named as ``analytic.OutagePoint``'s.
+
+    ``p_out_m_norelay`` and ``throughput_norelay`` are the
+    non-cooperative baseline's, read from the same count row as the
+    relayed fields; the strong user's outage is the same in both.
+    """
+
+    p_out_n: McEstimate
+    p_out_m: McEstimate
+    throughput: float
+    p_out_m_norelay: McEstimate
+    throughput_norelay: float
 
 
 def draws_per_trial(M: int, mode: str) -> int:
@@ -277,11 +293,9 @@ def _decide(cfg: SystemConfig, geo: Geometry, plan: _Plan, y_m: np.ndarray, y_n:
     return fail_sic, out_n, fail_direct
 
 
-# One scenario, (cfg, geo), and one row of an estimate: (cfg, geo, relay).
-_Point = tuple[SystemConfig, Geometry]
-_Variant = tuple[SystemConfig, Geometry, bool]
+_Point = tuple[SystemConfig, Geometry]  # one scenario, (cfg, geo)
 
-# SystemConfig fields that fix the fading draw; variants must agree on them.
+# SystemConfig fields that fix the fading draw; scenarios must agree on them.
 _DRAW_FIELDS = ("M", "lambda_sd", "lambda_dnr", "lambda_rdm")
 
 
@@ -392,27 +406,26 @@ def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Pl
     return _count(points, plans, weak, strong, *hops, block[:3])
 
 
-def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, relay: bool = True,
-             also: Sequence[_Variant] | None = None):
-    """Estimate both outage probabilities and the throughput they imply.
+def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *,
+             also: Sequence[_Point] = ()) -> list[McPoint]:
+    """Both outage probabilities and the throughput, with the relay and without, per scenario.
 
-    Returns (strong-user estimate, weak-user estimate, throughput) for
-    (cfg, geo, relay).  ``also`` lists more (cfg, geo, relay) variants,
-    which must share cfg's M and lambda_*, to evaluate on the same fading
-    draws; then the result is a list of such triples, the first for
-    (cfg, geo, relay).  Each distinct (cfg, geo) is counted once; a
-    variant's weak-user events are its SIC failures plus the trials the
-    relay loses, or without the relay all trials left to it.  Worker
-    threads sum their own chunks; see the module notes for why results
-    are bit-identical for fixed (seed, trials).
+    Returns one ``McPoint`` per scenario: (cfg, geo) first, then each
+    (cfg, geo) of ``also`` in order.  Every scenario must share cfg's M
+    and lambda_*, and all are evaluated on the same fading draws; one
+    given twice is counted twice, with identical results.  Each scenario
+    is counted as one row (out_n, sic, left, lost): its weak-user events
+    are its SIC failures plus the trials the relay loses, or without the
+    relay all trials left to it.  Worker threads sum their own chunks;
+    see the module notes for why results are bit-identical for fixed
+    (seed, trials).
     """
-    variants = [(cfg, geo, relay), *(also or ())]
-    for other, _, _ in variants[1:]:
+    points = [(cfg, geo), *also]
+    for other, _ in points[1:]:
         for name in _DRAW_FIELDS:
             if getattr(other, name) != getattr(cfg, name):
-                raise ValueError(f"variant {name}={getattr(other, name)!r} differs from the "
+                raise ValueError(f"scenario {name}={getattr(other, name)!r} differs from the "
                                  f"draw's {name}={getattr(cfg, name)!r}")
-    points = [*dict.fromkeys((c, g) for c, g, _ in variants)]
     plans = [_plan(c, g) for c, g in points]
     # The workers share one iterator of chunk starts: a range iterator's
     # __next__ is atomic under the GIL, so each start goes to one worker.
@@ -427,11 +440,9 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *, relay: bool = Tr
     workers = min(_usable_cpus(), -(-mc.trials // mc.chunk_size))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tasks = [pool.submit(work) for _ in range(workers)]
-    rows = dict(zip(points, sum(t.result() for t in tasks).tolist()))
     results = []
-    for v_cfg, v_geo, v_relay in variants:
-        out_n, sic, left, lost = rows[v_cfg, v_geo]
-        est_n = McEstimate(out_n, mc.trials)
-        est_m = McEstimate(sic + (lost if v_relay else left), mc.trials)
-        results.append((est_n, est_m, throughput(v_cfg, est_n.p_hat, est_m.p_hat)))
-    return results[0] if also is None else results
+    for (c, _), (out_n, sic, left, lost) in zip(points, sum(t.result() for t in tasks).tolist()):
+        est_n, est_m, est_m0 = (McEstimate(e, mc.trials) for e in (out_n, sic + lost, sic + left))
+        results.append(McPoint(est_n, est_m, throughput(c, est_n.p_hat, est_m.p_hat),
+                               est_m0, throughput(c, est_n.p_hat, est_m0.p_hat)))
+    return results

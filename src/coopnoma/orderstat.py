@@ -212,7 +212,7 @@ def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int
     ``size`` is None, else (size, M).  The vectors map an (M, size)
     slot-major block of ``rng``'s uniforms, row j-1 holding slot j,
     through ``log_uniform_chain`` in place and then ``gains_from_chain``
-    rank by rank, the sampler the Monte-Carlo oracle uses.  Consumes
+    (elementwise, so in blocks), the sampler the Monte-Carlo oracle uses.  Consumes
     ``rng`` state; callers that need reproducibility seed the generator
     themselves.
     """
@@ -225,6 +225,6 @@ def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int
         raise ValueError(f"size must be a positive integer, got {size!r}")
     g = rng.random((M, 1 if size is None else int(size)))
     log_uniform_chain(lambda j: g[j - 1], M, range(1, M + 1), g)
-    for k in range(M):  # row by row, so the transform's temporaries stay in cache
-        g[k] = gains_from_chain(g[k], lam)
+    for block in np.split(g.reshape(-1), range(65_536, g.size, 65_536)):  # views of g
+        block[:] = gains_from_chain(block, lam)  # its temporaries are a block's size
     return g.T[0] if size is None else g.T

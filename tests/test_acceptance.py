@@ -63,8 +63,9 @@ def mc_cache():
             cfg = reference_config(db)
             mc = McConfig(trials=MC_TRIALS, seed=MC_SEED, mode=mode, chunk_size=65536)
             t0 = time.perf_counter()
-            est_n, est_m, tau = estimate(cfg, geo, mc)
-            cache[key] = (est_n, est_m, tau, time.perf_counter() - t0)
+            point, = estimate(cfg, geo, mc)
+            cache[key] = (point.p_out_n, point.p_out_m, point.throughput,
+                          time.perf_counter() - t0)
         return cache[key]
 
     return run

@@ -528,8 +528,10 @@ class TestFusedSweep:
             point = [next(rows) for _ in range(4)]
             assert [r["engine"] for r in point] == [
                 "analytic", "analytic-norelay", "mc", "mc-norelay"]
-            for row, relay in zip(point[2:], (True, False)):
-                est_n, est_m, tau = estimate(cfg_i, geo_i, mc, relay=relay)
+            mc_point, = estimate(cfg_i, geo_i, mc)
+            est_n = mc_point.p_out_n
+            for row, est_m, tau in zip(point[2:], (mc_point.p_out_m, mc_point.p_out_m_norelay),
+                                       (mc_point.throughput, mc_point.throughput_norelay)):
                 assert (row["m"], row["n"]) == (str(cfg_i.m), str(cfg_i.n))
                 assert row["mode"] == mode
                 assert [row[k] for k in ("p_out_n", "p_out_m", "stderr_n", "stderr_m",

@@ -10,8 +10,8 @@ import pytest
 from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
 from coopnoma.linklevel import INPUT_BOX, Geometry, SystemConfig, sinr_relayed, stage_gains
-from coopnoma.mcsim import (MODES, McConfig, McEstimate, _direct_stages, draws_per_trial,
-                            estimate, trial_stream)
+from coopnoma.mcsim import (MODES, McConfig, McEstimate, McPoint, _direct_stages,
+                            draws_per_trial, estimate, trial_stream)
 from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
 from sinr_reference import draw_columns, event_arrays, gains_from_uniforms
 
@@ -306,8 +306,7 @@ class TestEstimate:
         geo = default_geometry()
         runs = [estimate(cfg, geo, McConfig(trials=30_000, seed=5, chunk_size=cs))
                 for cs in (1_000, 10_000, 7_777)]
-        ps = [(en.p_hat, em.p_hat) for en, em, _ in runs]
-        assert ps[0] == ps[1] == ps[2]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = default_config()
@@ -317,9 +316,7 @@ class TestEstimate:
         serial = estimate(cfg, geo, mc)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 8)
         threaded = estimate(cfg, geo, mc)
-        assert serial[0] == threaded[0]
-        assert serial[1] == threaded[1]
-        assert serial[2] == threaded[2]
+        assert serial == threaded
 
     def test_matches_per_trial_replay(self):
         # the vectorized estimator is exactly the mean of per-trial replays
@@ -327,10 +324,10 @@ class TestEstimate:
         geo = default_geometry()
         mc = McConfig(trials=257, seed=3, chunk_size=64, mode="independent")
         hits_n, hits_m = replay(cfg, geo, mc)
-        est_n, est_m, _ = estimate(cfg, geo, mc)
-        assert (est_n.events, est_m.events) == (hits_n, hits_m)
-        assert est_n.p_hat == hits_n / mc.trials
-        assert est_m.p_hat == hits_m / mc.trials
+        point, = estimate(cfg, geo, mc)
+        assert (point.p_out_n.events, point.p_out_m.events) == (hits_n, hits_m)
+        assert point.p_out_n.p_hat == hits_n / mc.trials
+        assert point.p_out_m.p_hat == hits_m / mc.trials
 
     def test_joint_m20_replay_and_chunking(self):
         # the benchmark's pair (10, 20): lone trials and any chunking replay
@@ -340,26 +337,26 @@ class TestEstimate:
         mc = McConfig(trials=300, seed=11, chunk_size=64, mode="joint")
         hits = replay(cfg, geo, mc)
         for chunk_size in (1, 64, 300):
-            est_n, est_m, _ = estimate(cfg, geo, replace(mc, chunk_size=chunk_size))
-            assert (est_n.p_hat, est_m.p_hat) == (hits[0] / 300, hits[1] / 300)
+            point, = estimate(cfg, geo, replace(mc, chunk_size=chunk_size))
+            assert (point.p_out_n.p_hat, point.p_out_m.p_hat) == (hits[0] / 300, hits[1] / 300)
 
     def test_certain_outage_when_threshold_unreachable(self):
         cfg = default_config(gamma_thm=1e6, gamma_thn=1e6)
-        est_n, est_m, tau = estimate(cfg, default_geometry(),
-                                     McConfig(trials=5_000, seed=2))
-        assert est_n.p_hat == 1.0
-        assert est_m.p_hat == 1.0
-        assert tau == 0.0
+        point, = estimate(cfg, default_geometry(), McConfig(trials=5_000, seed=2))
+        assert point.p_out_n.p_hat == 1.0
+        assert point.p_out_m.p_hat == point.p_out_m_norelay.p_hat == 1.0
+        assert point.throughput == point.throughput_norelay == 0.0
 
     def test_throughput_consistent_with_estimates(self):
         cfg = default_config()
-        est_n, est_m, tau = estimate(cfg, default_geometry(),
-                                     McConfig(trials=20_000, seed=6))
-        assert tau == throughput(cfg, est_n.p_hat, est_m.p_hat)
+        point, = estimate(cfg, default_geometry(), McConfig(trials=20_000, seed=6))
+        p_n = point.p_out_n.p_hat
+        assert point.throughput == throughput(cfg, p_n, point.p_out_m.p_hat)
+        assert point.throughput_norelay == throughput(cfg, p_n, point.p_out_m_norelay.p_hat)
 
     def test_stderr_formula(self):
         cfg = default_config()
-        est_n, _, _ = estimate(cfg, default_geometry(), McConfig(trials=20_000, seed=6))
+        est_n = estimate(cfg, default_geometry(), McConfig(trials=20_000, seed=6))[0].p_out_n
         want = math.sqrt(est_n.p_hat * (1 - est_n.p_hat) / 20_000)
         assert est_n.stderr == want
 
@@ -367,42 +364,53 @@ class TestEstimate:
         # M = 25 > MAX_USERS: both engines evaluate it and agree
         cfg = default_config(M=25, m=12, n=25, gamma0=10.0 ** 1.5)
         geo = default_geometry()
-        est_n, est_m, _ = estimate(cfg, geo, McConfig(trials=100_000, seed=3))
+        mc_point, = estimate(cfg, geo, McConfig(trials=100_000, seed=3))
         point = evaluate(cfg, geo)
-        for est, exact in ((est_n, point.p_out_n), (est_m, point.p_out_m)):
+        for est, exact in ((mc_point.p_out_n, point.p_out_n), (mc_point.p_out_m, point.p_out_m)):
             assert abs(est.p_hat - exact) <= max(5.0 * est.stderr, 1e-4)
 
     def test_weak_user_fares_worse(self):
         geo = default_geometry()
         for db in (10, 20, 30):
             cfg = default_config(gamma0=10 ** (db / 10))
-            est_n, est_m, _ = estimate(cfg, geo, McConfig(trials=50_000, seed=4))
-            assert est_m.p_hat >= est_n.p_hat
+            point, = estimate(cfg, geo, McConfig(trials=50_000, seed=4))
+            assert point.p_out_m.p_hat >= point.p_out_n.p_hat
 
 
 class TestSharedDraw:
-    def variants(self):
+    def scenarios(self):
         geo = default_geometry()
         far = Geometry(6.0, 9.0, 6.0, math.radians(40.0), math.radians(60.0))
-        return [(default_config(gamma0=10.0), geo, True),
-                (default_config(m=1, n=2), geo, False),
-                (default_config(m=2, n=5, gamma0=1000.0), far, True)]
+        return [(default_config(gamma0=10.0), geo),
+                (default_config(m=1, n=2), geo),
+                (default_config(m=2, n=5, gamma0=1000.0), far)]
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     def test_each_variant_equals_its_lone_estimate(self, mode):
         # fused, the chunks also draw the slots below rank 3 (and, in
-        # independent mode, below strong rank 6) that the first variant's
+        # independent mode, below strong rank 6) that the first scenario's
         # lone draw skips; its counts must not move
         mc = McConfig(trials=5_000, seed=13, chunk_size=1_500, mode=mode)
-        (cfg, geo, relay), *rest = self.variants()
-        fused = estimate(cfg, geo, mc, relay=relay, also=rest)
-        alone = [estimate(c, g, mc, relay=r) for c, g, r in self.variants()]
+        (cfg, geo), *rest = self.scenarios()
+        fused = estimate(cfg, geo, mc, also=rest)
+        alone = [point for c, g in self.scenarios() for point in estimate(c, g, mc)]
         assert fused == alone
 
     def test_empty_also_returns_one_element_list(self):
+        # a lone call is a one-element list, whether ``also`` is given or not
         cfg, geo = default_config(), default_geometry()
         mc = McConfig(trials=1_000, seed=2)
-        assert estimate(cfg, geo, mc, also=()) == [estimate(cfg, geo, mc)]
+        lone = estimate(cfg, geo, mc)
+        assert len(lone) == 1 and isinstance(lone[0], McPoint)
+        assert estimate(cfg, geo, mc, also=()) == lone
+
+    def test_one_point_per_scenario_in_order_a_repeat_counted_again(self):
+        # a scenario given twice gives two equal points in its places
+        (cfg, geo), (other, _), _ = self.scenarios()
+        mc = McConfig(trials=1_000, seed=2)
+        lone, = estimate(cfg, geo, mc)
+        second, = estimate(other, geo, mc)
+        assert estimate(cfg, geo, mc, also=[(other, geo), (cfg, geo)]) == [lone, second, lone]
 
     @pytest.mark.parametrize("field, other", [
         ("M", dict(M=7, n=7)),
@@ -413,8 +421,8 @@ class TestSharedDraw:
     def test_variant_with_other_draw_rejected(self, field, other):
         geo = default_geometry()
         mc = McConfig(trials=1_000, seed=2)
-        with pytest.raises(ValueError, match=f"variant {field}="):
-            estimate(default_config(), geo, mc, also=[(default_config(**other), geo, True)])
+        with pytest.raises(ValueError, match=f"^scenario {field}="):
+            estimate(default_config(), geo, mc, also=[(default_config(**other), geo)])
 
     def test_pool_takes_one_thread_per_usable_cpu_up_to_the_chunks(self, monkeypatch):
         sizes = []
@@ -790,9 +798,9 @@ class TestInputBoxFuzz:
             for mode in MODES:
                 mc = McConfig(trials=300, seed=int(rng.integers(2 ** 63)), mode=mode,
                               chunk_size=200)
-                results = estimate(cfg, geo, mc, also=[(cfg, geo, False)])
-                for (est_n, est_m, _), relay in zip(results, (True, False)):
-                    assert (est_n.events, est_m.events) == sinr_replay(cfg, geo, mc, relay)
+                point, = estimate(cfg, geo, mc)
+                for est_m, relay in ((point.p_out_m, True), (point.p_out_m_norelay, False)):
+                    assert (point.p_out_n.events, est_m.events) == sinr_replay(cfg, geo, mc, relay)
         assert evaluated >= 100
 
 
@@ -818,8 +826,8 @@ class TestInputBoxEnds:
             cfg, geo = build(end)
             assert 0.0 <= evaluate(cfg, geo).p_out_m <= 1.0
             mc = McConfig(trials=300, seed=3, chunk_size=200)
-            est_n, est_m, _ = estimate(cfg, geo, mc)
-            assert (est_n.events, est_m.events) == sinr_replay(cfg, geo, mc, True)
+            point, = estimate(cfg, geo, mc)
+            assert (point.p_out_n.events, point.p_out_m.events) == sinr_replay(cfg, geo, mc, True)
             with pytest.raises(ValueError, match=rf"^{key} must lie in \["):
                 build(past)
 

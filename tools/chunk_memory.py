@@ -54,13 +54,13 @@ def main(argv=None) -> None:
     mc = McConfig(trials=args.trials, seed=20180415, mode=args.mode)
     before = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
-    est_n, est_m, _ = estimate(cfg, geo, mc)
+    point, = estimate(cfg, geo, mc)
     wall = time.perf_counter() - t0
     after = resource.getrusage(resource.RUSAGE_SELF)
     print(json.dumps({
         "M": args.M, "pair": list(args.pair), "mode": args.mode, "trials": args.trials,
         "workers": args.workers,
-        "events": [est_n.events, est_m.events],
+        "events": [point.p_out_n.events, point.p_out_m.events],
         "peak_rss_mb": round(after.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
         "import_rss_mb": round(before.ru_maxrss / 1024, 1),
         "minor_faults": after.ru_minflt - before.ru_minflt,
