@@ -25,8 +25,34 @@ from .linklevel import Geometry, SystemConfig, check_box, path_loss, stage_gains
 from .orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 _EULER_GAMMA = 0.5772156649015328606
-# 64-node Gauss-Legendre rule, reused by every large-argument K1 call.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# 64-node Gauss-Legendre rule, reused by every large-argument K1 call:
+# the positive nodes and their weights, each the shortest repr of what
+# np.polynomial.legendre.leggauss(64) gives.  leggauss makes the nodes
+# exactly antisymmetric and the weights exactly symmetric, so mirroring
+# these rebuilds its arrays bit for bit without importing numpy.polynomial
+# or running its eigenvalue solve in every process.
+_GL_HALF_NODES = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+    0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+    0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+    0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+    0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+    0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+)
+_GL_HALF_WEIGHTS = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+    0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+    0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+    0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+    0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+    0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414,
+)
+_GL_NODES = np.array([-x for x in _GL_HALF_NODES[::-1]] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
 
 
 def _k1_series_tables(last: int):

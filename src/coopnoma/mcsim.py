@@ -56,10 +56,14 @@ term by ``orderstat.log_uniform_chain``, and then the two hops.  Each
 rank depends only on the trial's own uniforms in the slots from that
 rank up, never on which other ranks the scenarios read.  So any
 partition of the trial range into chunks, and any set of scenarios,
-replays bit-identical chains.  One thread per usable CPU takes chunk
-starts in turn from one shared iterator and sums its chunks' integer
-counts; integer sums are exact in any order, so neither the worker
-count nor which worker ran a chunk moves a bit.
+replays bit-identical chains.  One ``threading.Thread`` per usable CPU,
+never more than there are chunks, takes chunk starts in turn from one
+shared iterator and sums its chunks' integer counts; integer sums are
+exact in any order, so neither the worker count nor which worker ran a
+chunk moves a bit.  A worker's exception is raised in the caller once
+every worker has been joined.  Plain threads, not a
+``concurrent.futures`` pool, keep that package, ``logging`` and ``queue``
+out of every process that imports the simulator.
 """
 
 from __future__ import annotations
@@ -67,8 +71,8 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Thread
 from typing import NamedTuple
 
 import numpy as np
@@ -312,8 +316,8 @@ def _critical_snr(hops: tuple[float, float, float], g_dnr: np.ndarray,
 
     gamma* = (th/2) s (1 + sqrt(1 + 4r/th)) with x = pl_dnr/g_dnr,
     y = pl_rdm/g_rdm, s = x + y and r = x (y/s) / s (see the module
-    notes).  ``rows[1:]`` are scratch.  gamma* is nan where a hop gain is
-    0.
+    notes).  All three ``rows`` are overwritten; ``rows[1:]`` are
+    scratch.  gamma* is nan where a hop gain is 0.
     """
     star, x, s = rows
     pl_dnr, pl_rdm, th = hops
@@ -341,9 +345,12 @@ def _count(points: Sequence[_Point], plans: Sequence[_Plan], weak, strong,
     trials left to the relay (SIC kept, direct copy lost) and those the
     relay also loses.  ``weak`` and ``strong`` map the ranks each user
     reads to chain rows, ``scratch`` is three rows for ``_critical_snr``
-    and ``plans[k]`` is ``_plan`` of point k.  All direct decisions come
-    first, so a relay group's gamma* row stays in cache; only trials left
-    to the relay whose gamma* is in the band or nan take the relayed SINR.
+    and ``plans[k]`` is ``_plan`` of point k.  Every direct decision is
+    made before the first gamma* row is written, and no chain row is read
+    after that, so ``scratch`` may be chain rows (``_run_chunk`` passes the
+    slot row and the first two chain rows).  A relay group's gamma* row
+    stays in cache across its points; only trials left to the relay whose
+    gamma* is in the band or nan take the relayed SINR.
     """
     counts = np.empty((len(points), 4), dtype=np.int64)
     lefts = []
@@ -369,19 +376,22 @@ def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Pl
                mc: McConfig, start: int, count: int) -> np.ndarray:
     """Stream one chunk of trials column by column and count every point's stages.
 
-    One (rows, count) block holds the slot row and two scratch rows, the
-    chain row of every requested rank and the two hop rows, so a chunk's
-    memory does not grow with M.  Each vector's slots are drawn from M
-    down and chained at once by ``log_uniform_chain``; the hops come last
-    and become gains in place.  The slot row and the scratch rows are
-    then free, and ``_count`` makes its gamma* rows in them.
+    One (rows, count) block holds the slot row, the chain row of every
+    requested rank and the two hop rows, so a chunk's memory does not
+    grow with M: 5 rows for one pair.  Each vector's slots are drawn from
+    M down and chained at once by ``log_uniform_chain``; the hops come
+    last and become gains in place.  ``_count`` then builds its gamma*
+    rows in the slot row and the first two chain rows, which it reads no
+    more once every direct decision is made.  There are always at least
+    two chain rows: m < n in joint mode, one rank per vector in
+    independent mode.
     """
     M = draw.M
     weak_ranks = {c.m for c, _ in points}
     strong_ranks = {c.n for c, _ in points}
     vectors = ([(0, weak_ranks | strong_ranks)] if mc.mode == "joint"
                else [(0, weak_ranks), (M, strong_ranks)])  # (column of slot 1, ranks read)
-    block = np.empty((3 + sum(len(r) for _, r in vectors) + 2, count))
+    block = np.empty((1 + sum(len(r) for _, r in vectors) + 2, count))
     slot_row, hops = block[0], block[-2:]
     rng = trial_stream(mc, M, start, M - 1)
     here = (M - 1) * _SEGMENT  # stream step of the next draw, less start
@@ -392,7 +402,7 @@ def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Pl
         here = k * _SEGMENT + count
         return rng.random(out=row)
 
-    chains, top = [], 3
+    chains, top = [], 1
     for first, ranks in vectors:
         chains.append(log_uniform_chain(lambda j, first=first: column(first + j - 1, slot_row),
                                         M, ranks, block[top:top + len(ranks)]))
@@ -430,18 +440,26 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *,
     # The workers share one iterator of chunk starts: a range iterator's
     # __next__ is atomic under the GIL, so each start goes to one worker.
     starts = iter(range(0, mc.trials, mc.chunk_size))
-
-    def work() -> np.ndarray:
-        total = np.zeros((len(points), 4), dtype=np.int64)
-        for s in starts:
-            total += _run_chunk(cfg, points, plans, mc, s, min(mc.chunk_size, mc.trials - s))
-        return total
-
     workers = min(_usable_cpus(), -(-mc.trials // mc.chunk_size))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = [pool.submit(work) for _ in range(workers)]
+    totals = [np.zeros((len(points), 4), dtype=np.int64) for _ in range(workers)]
+    errors = []
+
+    def work(total: np.ndarray) -> None:
+        try:
+            for s in starts:
+                total += _run_chunk(cfg, points, plans, mc, s, min(mc.chunk_size, mc.trials - s))
+        except BaseException as exc:  # raised in the caller once every worker is joined
+            errors.append(exc)
+
+    threads = [Thread(target=work, args=(total,)) for total in totals]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     results = []
-    for (c, _), (out_n, sic, left, lost) in zip(points, sum(t.result() for t in tasks).tolist()):
+    for (c, _), (out_n, sic, left, lost) in zip(points, sum(totals).tolist()):
         est_n, est_m, est_m0 = (McEstimate(e, mc.trials) for e in (out_n, sic + lost, sic + left))
         results.append(McPoint(est_n, est_m, throughput(c, est_n.p_hat, est_m.p_hat),
                                est_m0, throughput(c, est_n.p_hat, est_m0.p_hat)))

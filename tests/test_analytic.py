@@ -88,6 +88,11 @@ class TestBesselK1:
         for x in (0.5, 2.0, 5.0, np.float64(0.5), np.array(5.0)):
             assert type(bessel_k1(x)) is float
 
+    def test_gauss_legendre_rule_is_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        assert analytic._GL_NODES.tobytes() == nodes.tobytes()
+        assert analytic._GL_WEIGHTS.tobytes() == weights.tobytes()
+
 
 def k1_series_stops(x, last):
     """Per entry of ``x`` (<= 2), with terms 0..last: the first term k >= 1 whose

@@ -18,6 +18,21 @@ from coopnoma.linklevel import Geometry
 from coopnoma.mcsim import McConfig, estimate
 
 
+def test_import_leaves_out_modules_no_run_needs():
+    # numpy.polynomial (the K1 rule is literal constants), concurrent.futures
+    # and logging (the MC starts plain threads) and numpy.random (loaded at
+    # the first draw) cost memory and set-up time in every process
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src,
+                                                                  os.environ.get("PYTHONPATH")])))
+    unwanted = ("numpy.polynomial", "concurrent.futures", "logging", "numpy.random")
+    proc = subprocess.run([sys.executable, "-c", "import sys, coopnoma.cli; "
+                           f"print(*[m for m in {unwanted!r} if m in sys.modules])"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def small_bundle(**mc_overrides):
     cfg, geo, mc, sweep = load_config(None)
     mc_kwargs = dict(trials=2_000, seed=11, chunk_size=512, mode="independent")

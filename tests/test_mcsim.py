@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -73,8 +74,9 @@ class TestConfigs:
             McConfig(**kwargs)
 
     def test_chunk_size_bound_names_key(self):
-        # a chunk holds about 8 rows of min(chunk_size, trials) doubles, so
-        # the bound caps a worker's memory; no chunk is allocated here
+        # a chunk holds a few rows of min(chunk_size, trials) doubles (5
+        # for one pair), so the bound caps a worker's memory; no chunk is
+        # allocated here
         assert McConfig(trials=1, seed=1, chunk_size=2 ** 20).chunk_size == mcsim.MAX_CHUNK
         with pytest.raises(ValueError, match=r"^chunk_size must be an integer in "
                                              r"\[1, 1048576\], got 1048577$"):
@@ -177,10 +179,10 @@ class TestDrawBudget:
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     def test_chunk_memory_does_not_grow_with_M(self, mode):
-        # a chunk holds the slot row, the requested ranks' rows, the two hops
-        # and the relay's two gather rows, plus _count's temporaries: a few
-        # rows whatever M is, where a (draws_per_trial, chunk) block would
-        # need M + 2 or 2M + 2
+        # a chunk holds the slot row, the requested ranks' rows and the two
+        # hops (gamma* reuses the slot row and two chain rows), plus
+        # _count's temporaries: a few rows whatever M is, where a
+        # (draws_per_trial, chunk) block would need M + 2 or 2M + 2
         count = 4_096
         for M in (20, 100):
             cfg = default_config(M=M, m=M - 1, n=M, a_m=0.8, a_n=0.2)
@@ -194,7 +196,7 @@ class TestDrawBudget:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 12 * count * 8, (M, peak / (count * 8))
+            assert peak < 7 * count * 8, (M, peak / (count * 8))
 
 
 class TestDrawRealization:
@@ -425,20 +427,20 @@ class TestSharedDraw:
             estimate(default_config(), geo, mc, also=[(default_config(**other), geo)])
 
     def test_pool_takes_one_thread_per_usable_cpu_up_to_the_chunks(self, monkeypatch):
+        started = counting_workers(monkeypatch)
         sizes = []
 
-        class Pool(mcsim.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def workers_of(mc):
+            before = len(started)
+            estimate(cfg, geo, mc)
+            sizes.append(len(started) - before)
 
-        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 8)
         cfg, geo = default_config(), default_geometry()
-        estimate(cfg, geo, McConfig(trials=10, seed=1))  # one chunk, one thread
-        estimate(cfg, geo, McConfig(trials=300, seed=1, chunk_size=100))
+        workers_of(McConfig(trials=10, seed=1))  # one chunk, one thread
+        workers_of(McConfig(trials=300, seed=1, chunk_size=100))
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
-        estimate(cfg, geo, McConfig(trials=300, seed=1, chunk_size=100))
+        workers_of(McConfig(trials=300, seed=1, chunk_size=100))
         assert sizes == [1, 3, 2]
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
@@ -467,15 +469,8 @@ class TestSharedDraw:
 
     def test_bookkeeping_does_not_grow_with_trials(self, monkeypatch):
         # 1e9 trials are 15,259 chunks: the workers take them from one
-        # iterator, so no task, future or list entry is kept per chunk
-        submitted = []
-
-        class Pool(mcsim.ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(fn)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", Pool)
+        # iterator, so no thread, task or list entry is kept per chunk
+        started = counting_workers(monkeypatch)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(mcsim, "_run_chunk", lambda draw, points, plans, mc, start, count:
                             np.zeros((len(points), 4), dtype=np.int64))
@@ -485,8 +480,31 @@ class TestSharedDraw:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(submitted) <= 4
+        assert len(started) <= 4
         assert peak < 2 ** 20, peak
+
+    def test_worker_error_is_raised_after_every_worker_is_joined(self, monkeypatch):
+        # one chunk of 16 fails; its exception reaches the caller and no
+        # worker is left running
+        boom = RuntimeError("chunk 3 failed")
+        real_run_chunk = mcsim._run_chunk
+
+        def failing(draw, points, plans, mc, start, count):
+            if start == 3 * mc.chunk_size:
+                raise boom
+            return real_run_chunk(draw, points, plans, mc, start, count)
+
+        started = counting_workers(monkeypatch)
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(mcsim, "_run_chunk", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            estimate(default_config(), default_geometry(),
+                     McConfig(trials=1_600, seed=1, chunk_size=100))
+        assert caught.value is boom
+        assert len(started) == 4
+        assert not any(w.is_alive() for w in started)
+        assert threading.active_count() == threads
 
     def test_each_chunk_runs_exactly_once(self, monkeypatch):
         # more workers than cores, switching threads often, share one
@@ -512,6 +530,19 @@ class TestSharedDraw:
             sys.setswitchinterval(interval)
         assert sorted(ran) == [(s, min(7, 1_000 - s)) for s in range(0, 1_000, 7)]
         assert shared == lone
+
+
+def counting_workers(monkeypatch):
+    """Record every worker thread ``estimate`` starts, in the returned list."""
+    started = []
+
+    class Worker(mcsim.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(mcsim, "Thread", Worker)
+    return started
 
 
 def outages(row, relay):
