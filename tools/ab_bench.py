@@ -51,6 +51,24 @@ def bench_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> 
     return {name: m["value"] for name, m in result["metrics"].items()}, digest
 
 
+HEADER = (f"{'metric':<14} {'parent':>11} {'change':>11} {'change %':>9} {'parent IQR':>11} "
+          f"{'wins (change/parent)':>21}")
+
+
+def summary_line(name: str, parent: list[float], change: list[float], better: str) -> str:
+    """One metric's row under ``HEADER``: both medians, the change in percent,
+    the parent's interquartile range and the pairs each tree won (``better`` is
+    "higher" or "lower"; a tie counts for neither)."""
+    sign = 1 if better == "higher" else -1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1
+                 else (p_med,) * 3)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    return (f"{name:<14} {p_med:>11.4g} {c_med:>11.4g} {100 * (c_med / p_med - 1):>+8.1f}% "
+            f"{q3 - q1:>11.3g} {f'{wins}/{losses}':>21}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=pathlib.Path, help="checkout of the parent commit")
@@ -77,18 +95,10 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, {args.pairs} interleaved pairs, seeds {FIRST_SEED}-"
           f"{FIRST_SEED + args.pairs - 1}, --seconds {seconds:g}")
-    print(f"{'metric':<14} {'parent':>11} {'change':>11} {'change %':>9} {'parent IQR':>11} "
-          f"{'wins (change/parent)':>21}")
+    print(HEADER)
     for m in metrics:
-        name, sign = m["name"], (1 if m["better"] == "higher" else -1)
-        parent, change = values["parent"][name], values["change"][name]
-        p_med, c_med = statistics.median(parent), statistics.median(change)
-        q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1
-                     else (p_med,) * 3)
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        print(f"{name:<14} {p_med:>11.4g} {c_med:>11.4g} {100 * (c_med / p_med - 1):>+8.1f}% "
-              f"{q3 - q1:>11.3g} {f'{wins}/{losses}':>21}")
+        name = m["name"]
+        print(summary_line(name, values["parent"][name], values["change"][name], m["better"]))
     same = sum(p == c for p, c in zip(*digests.values()))
     print(f"CSV sha256: parent and change agree in {same}/{args.pairs} pairs")
     if args.json:
