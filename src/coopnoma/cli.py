@@ -61,7 +61,7 @@ _DEFAULTS = {
                "lambda_sd": 1.0, "lambda_dnr": 1.0, "lambda_rdm": 1.0, "R_m": 1.0, "R_n": 1.0},
     "geometry": {"d_sdn": 4.0, "d_sdm": 6.0, "d_dnr": 4.0,
                  "alpha1_deg": 40.0, "alpha2_deg": 60.0},
-    "mc": {"trials": 100_000, "seed": 12345, "chunk_size": 65536, "mode": "independent"},
+    "mc": {"trials": 100_000, "seed": 12345, "mode": "independent"},
     "sweep": {"variable": "gamma0_db", "values": "0,5,10,15,20,25,30,35,40",
               "engines": ENGINES, "baseline": False, "outputs": OUTPUTS, "gamma0_db": 20.0},
 }
@@ -89,15 +89,14 @@ def _is_real(v) -> bool:
             and math.isfinite(v))
 
 
-# What each sweep variable's values must be, and the test of one value.
-_SWEEP_VALUES = {
-    "gamma0_db": ("finite reals", _is_real),
-    "pair": ("(m, n) tuples of integers",
-             lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))),
-    "distance-set": ("(d_sdn, d_sdm, d_dnr) tuples of finite reals",
-                     lambda v: isinstance(v, tuple) and len(v) == 3 and all(map(_is_real, v))),
+# Each sweep variable: what its values must be, the test of one number, and
+# how many numbers one value holds (0 for a bare number, the SNR in dB).
+_SWEEP_VARIABLES = {
+    "gamma0_db": ("finite reals", _is_real, 0),
+    "pair": ("(m, n) tuples of integers", _is_int, 2),
+    "distance-set": ("(d_sdn, d_sdm, d_dnr) tuples of finite reals", _is_real, 3),
 }
-SWEEP_VARIABLES = tuple(_SWEEP_VALUES)
+SWEEP_VARIABLES = tuple(_SWEEP_VARIABLES)
 
 
 @dataclass(frozen=True)
@@ -125,24 +124,22 @@ class SweepSpec:
         if not self.values:
             raise ValueError("sweep values must be non-empty")
         object.__setattr__(self, "values", tuple(self.values))
-        want, valid = _SWEEP_VALUES[self.variable]
+        want, number, width = _SWEEP_VARIABLES[self.variable]
         # An SNR grid of finite Python ints and floats passes in one pass; any
         # other grid (a bad value, or a numpy number) is tested value by value.
         if not (self.variable == "gamma0_db" and set(map(type, self.values)) <= {int, float}
                 and all(map(math.isfinite, self.values))):
             for v in self.values:
-                if not valid(v):
+                if not (isinstance(v, tuple) and len(v) == width and all(map(number, v))
+                        if width else number(v)):
                     raise ValueError(f"{self.variable} sweep values must be {want}, got {v!r}")
-        engines = tuple(e for e in ENGINES if e in self.engines)
-        if len(set(self.engines)) != len(engines) or not engines:
-            bad = set(self.engines) - set(ENGINES) or "empty set"
-            raise ValueError(f"engines must be a non-empty subset of {ENGINES}, got {bad}")
-        object.__setattr__(self, "engines", engines)
-        outputs = tuple(o for o in OUTPUTS if o in self.outputs)
-        if len(set(self.outputs)) != len(outputs) or not outputs:
-            bad = set(self.outputs) - set(OUTPUTS) or "empty set"
-            raise ValueError(f"outputs must be a non-empty subset of {OUTPUTS}, got {bad}")
-        object.__setattr__(self, "outputs", outputs)
+        for name, allowed in (("engines", ENGINES), ("outputs", OUTPUTS)):
+            given = getattr(self, name)
+            kept = tuple(x for x in allowed if x in given)  # in the order of ``allowed``
+            if len(set(given)) != len(kept) or not kept:
+                bad = set(given) - set(allowed) or "empty set"
+                raise ValueError(f"{name} must be a non-empty subset of {allowed}, got {bad}")
+            object.__setattr__(self, name, kept)
         if not _is_real(self.gamma0_db):
             raise ValueError(f"gamma0_db must be a finite real, got {self.gamma0_db!r}")
 
@@ -166,26 +163,26 @@ def _parse_scalar(section: str, key: str, raw: str):
 
 
 def _parse_values(variable: str, raw: str) -> tuple:
+    """Each comma-separated item of ``raw`` as one value of ``variable``, numbers joined by ':'."""
+    if variable not in _SWEEP_VARIABLES:
+        raise ValueError(f"config key [sweep] variable: must be one of {SWEEP_VARIABLES}, "
+                         f"got {variable!r}")
+    _, number, width = _SWEEP_VARIABLES[variable]
+    kind = int if number is _is_int else float
     items = [s.strip() for s in raw.split(",") if s.strip()]
     if not items:
         raise ValueError("config key [sweep] values: empty value list")
-    try:
-        if variable == "gamma0_db":
-            return tuple(float(s) for s in items)
-        if variable == "pair":
-            pairs = []
-            for s in items:
-                m_s, n_s = s.split(":")
-                pairs.append((int(m_s), int(n_s)))
-            return tuple(pairs)
-        triples = []
-        for s in items:
-            a, b, c = s.split(":")
-            triples.append((float(a), float(b), float(c)))
-        return tuple(triples)
-    except ValueError as exc:
-        raise ValueError(f"config key [sweep] values: cannot parse {raw!r} "
-                         f"for variable {variable!r} ({exc})") from None
+    values = []
+    for item in items:
+        numbers = item.split(":")
+        try:
+            if width and len(numbers) != width:
+                raise ValueError(f"expected {width} numbers, got {len(numbers)}")
+            values.append(tuple(map(kind, numbers)) if width else kind(item))
+        except ValueError as exc:
+            raise ValueError(f"config key [sweep] values: cannot parse {item!r} "
+                             f"for variable {variable!r} ({exc})") from None
+    return tuple(values)
 
 
 def _checked(key: str, value, name: str, convert) -> float:
@@ -349,7 +346,8 @@ def write_csv(rows: list[tuple], path: str | Path) -> None:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _read_rows(csv_path: Path) -> list[dict]:
+def _check_csv(csv_path: Path) -> None:
+    """Raise ValueError, naming the line, unless the file is a sweep CSV with data rows."""
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -359,25 +357,22 @@ def _read_rows(csv_path: Path) -> list[dict]:
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"{csv_path} line 1: header {header!r} does not match "
                              f"{list(CSV_COLUMNS)}")
-        rows = []
+        data = False
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
             if len(record) != len(CSV_COLUMNS):
                 raise ValueError(f"{csv_path} line {lineno}: expected "
                                  f"{len(CSV_COLUMNS)} fields, got {len(record)}")
-            row = dict(zip(CSV_COLUMNS, record))
+            gamma0_db, m, n, _, _, p_out_n, p_out_m, _, _, throughput = record
             try:
-                float(row["gamma0_db"]), int(row["m"]), int(row["n"])
-                for col in ("p_out_n", "p_out_m", "throughput"):
-                    float(row[col])
+                float(gamma0_db), int(m), int(n), float(p_out_n), float(p_out_m), float(throughput)
             except ValueError:
                 raise ValueError(f"{csv_path} line {lineno}: non-numeric field "
                                  f"in {record!r}") from None
-            rows.append(row)
-    if not rows:
+            data = True
+    if not data:
         raise ValueError(f"{csv_path}: no data rows")
-    return rows
 
 
 _PLOT_TEMPLATE = '''\
@@ -454,7 +449,7 @@ def emit_plot_script(csv_path: str | Path, outputs: tuple[str, ...] = OUTPUTS) -
     file name yields a valid script and figures named after its stem.
     """
     csv_path = Path(csv_path)
-    _read_rows(csv_path)
+    _check_csv(csv_path)
     return _PLOT_TEMPLATE.format(csv_path=str(csv_path), outputs=tuple(outputs),
                                  stem=csv_path.stem)
 
@@ -519,12 +514,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.baseline:
             overrides["baseline"] = True
         sweep = replace(sweep, **overrides)
-        if args.trials is not None:
-            mc = replace(mc, trials=args.trials)
-        if args.seed is not None:
-            mc = replace(mc, seed=args.seed)
-        if args.mode is not None:
-            mc = replace(mc, mode=args.mode)
+        mc = replace(mc, **{key: getattr(args, key) for key in ("trials", "seed", "mode")
+                            if getattr(args, key) is not None})
 
         rows = run_sweep(cfg, geo, mc, sweep)
         write_csv(rows, args.out)

@@ -43,9 +43,10 @@ draws each chunk of trials once and counts each scenario (cfg, geo) on
 it as one row of stage counts, from which both its relay and its
 no-relay outcomes follow, so a whole sweep costs one draw.
 
-Determinism contract: (seed, trials) fix every estimate; chunk_size,
-worker count and which scenarios share the draw do not.  Trials are
-numbered globally and the stream is slot-major: the uniform in column k
+Determinism contract: (seed, trials) fix every estimate; the chunk size
+(the constant ``McConfig.chunk_size``), the worker count and which
+scenarios share the draw do not.  Trials are numbered globally and the
+stream is slot-major: the uniform in column k
 of trial t (see ``draws_per_trial``) is step k*2**64 + t of one
 PCG64DXSM stream seeded with the seed, so every column owns a segment
 of 2**64 steps and trials are consecutive within it.  A chunk streams
@@ -73,7 +74,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from threading import Thread
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,6 @@ _SEGMENT = 2 ** 64
 # Half-width of a stage's guard band, relative in gain, before the
 # widening for the SINR's conditioning (see _stage).
 _BAND = 1e-9
-# Most trials one chunk may hold: 16 times the default chunk_size.
-MAX_CHUNK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -102,13 +101,14 @@ class McConfig:
     "joint" reads both ranks from one ordered vector (the physical
     channel), "independent" draws a second vector for the strong user so
     the two ranks are statistically independent — the assumption baked
-    into the weak-user closed form.
+    into the weak-user closed form.  ``chunk_size``, the most trials one
+    chunk holds, is a constant, not a field: no estimate depends on it.
     """
 
     trials: int
     seed: int
     mode: str = "independent"
-    chunk_size: int = 65536
+    chunk_size: ClassVar[int] = 65536
 
     def __post_init__(self) -> None:
         _reject_bools(self)
@@ -119,10 +119,6 @@ class McConfig:
                              f"got {self.trials!r}")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.chunk_size, (int, np.integer))
-                and 1 <= self.chunk_size <= MAX_CHUNK):
-            raise ValueError(f"chunk_size must be an integer in [1, {MAX_CHUNK}], "
-                             f"got {self.chunk_size!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -61,7 +61,7 @@ def mc_cache():
         key = (db, mode)
         if key not in cache:
             cfg = reference_config(db)
-            mc = McConfig(trials=MC_TRIALS, seed=MC_SEED, mode=mode, chunk_size=65536)
+            mc = McConfig(trials=MC_TRIALS, seed=MC_SEED, mode=mode)
             t0 = time.perf_counter()
             point, = estimate(cfg, geo, mc)
             cache[key] = (point.p_out_n, point.p_out_m, point.throughput,
@@ -251,12 +251,13 @@ def test_c6_qualitative_trends(mc_cache, capsys):
     assert ok, checks
 
 
-def test_c7_sweep_determinism(tmp_path, capsys):
+def test_c7_sweep_determinism(tmp_path, capsys, monkeypatch):
     """Two identical CLI sweep runs emit byte-identical CSV, parallelism on."""
+    monkeypatch.setattr(McConfig, "chunk_size", 4096)  # 49 chunks
     scen = tmp_path / "scenario.ini"
     scen.write_text(
         "[mc]\n"
-        f"trials = 200000\nseed = {MC_SEED}\nchunk_size = 4096\nmode = independent\n"
+        f"trials = 200000\nseed = {MC_SEED}\nmode = independent\n"
         "[sweep]\n"
         "variable = gamma0_db\nvalues = 10,20,30\nengines = analytic,mc\n"
         "baseline = true\n")
@@ -274,10 +275,11 @@ def test_c7_sweep_determinism(tmp_path, capsys):
     body = [t.replace("run_a", "RUN").replace("run_b", "RUN") for _, t in outs]
     same_plot = body[0] == body[1]
     n_rows = outs[0][0].count(b"\n") - 1
+    chunks = -(-200_000 // McConfig.chunk_size)
     ok = same_csv and same_plot
     report(capsys, "criterion 7",
            ok, f"byte-identical CSV across two runs (3 SNRs x 4 engine rows = "
-               f"{n_rows} rows, 2e5 trials, 49 parallel chunks): "
+               f"{n_rows} rows, 2e5 trials, {chunks} parallel chunks): "
                f"csv={'same' if same_csv else 'DIFFERENT'}, "
                f"plot={'same' if same_plot else 'DIFFERENT'}")
     assert ok

@@ -35,7 +35,7 @@ def test_import_leaves_out_modules_no_run_needs():
 
 def small_bundle(**mc_overrides):
     cfg, geo, mc, sweep = load_config(None)
-    mc_kwargs = dict(trials=2_000, seed=11, chunk_size=512, mode="independent")
+    mc_kwargs = dict(trials=2_000, seed=11, mode="independent")
     mc_kwargs.update(mc_overrides)
     return cfg, geo, McConfig(**mc_kwargs), sweep
 
@@ -181,6 +181,38 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="power"):
             load_config(path)
 
+    def test_chunk_size_is_no_longer_a_key(self, tmp_path, capsys):
+        path = tmp_path / "chunked.ini"
+        path.write_text("[mc]\nchunk_size = 4096\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and "unknown key [mc] chunk_size" in err
+
+    @pytest.mark.parametrize("sweep, item", [
+        ("variable = pair\nvalues = 1:2, 3\n", "3"),
+        ("variable = pair\nvalues = 1:2:3\n", "1:2:3"),
+        ("variable = distance-set\nvalues = 2:3:4, 4:6\n", "4:6"),
+        ("variable = distance-set\nvalues = 2:x:4\n", "2:x:4"),
+        ("variable = pair\nvalues = 1:2.5\n", "1:2.5"),
+        ("variable = gamma0_db\nvalues = 10, ten\n", "ten"),
+        ("variable = pair\n", "0"),  # the default SNR list
+    ])
+    def test_unparseable_sweep_value_names_the_item(self, tmp_path, sweep, item):
+        path = tmp_path / "sweep.ini"
+        path.write_text("[sweep]\n" + sweep)
+        variable = sweep.split("\n")[0].split(" = ")[1]
+        with pytest.raises(ValueError, match=rf"^config key \[sweep\] values: cannot parse "
+                                             rf"{re.escape(repr(item))} for variable "
+                                             rf"'{variable}' \("):
+            load_config(path)
+
+    def test_unknown_sweep_variable_named(self, tmp_path):
+        path = tmp_path / "sweep.ini"
+        path.write_text("[sweep]\nvariable = bandwidth\n")
+        with pytest.raises(ValueError, match=r"^config key \[sweep\] variable: must be one of "
+                                             r".*, got 'bandwidth'$"):
+            load_config(path)
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[antenna]\ncount = 3\n")
@@ -208,7 +240,7 @@ class TestLoadConfig:
                    "R_n": "2"},
         "geometry": {"d_sdn": "3", "d_sdm": "7", "d_dnr": "5", "alpha1_deg": "30",
                      "alpha2_deg": "75"},
-        "mc": {"trials": "1234", "seed": "99", "chunk_size": "256", "mode": "joint"},
+        "mc": {"trials": "1234", "seed": "99", "mode": "joint"},
         "sweep": {"variable": "pair", "values": "1:2, 2:5", "engines": "mc", "baseline": "yes",
                   "outputs": "throughput", "gamma0_db": "17.5"},
     }
@@ -227,7 +259,7 @@ class TestLoadConfig:
             SystemConfig(M=8, m=2, n=5, a_m=0.8, a_n=0.2, gamma0=db_to_linear(17.5), theta=3.0,
                          lambda_sd=2.0, lambda_dnr=3.0, lambda_rdm=4.0, R_m=0.5, R_n=2.0),
             Geometry(3.0, 7.0, 5.0, math.radians(30.0), math.radians(75.0)),
-            McConfig(trials=1234, seed=99, chunk_size=256, mode="joint"),
+            McConfig(trials=1234, seed=99, mode="joint"),
             SweepSpec("pair", ((1, 2), (2, 5)), engines=("mc",), outputs=("throughput",),
                       baseline=True, gamma0_db=17.5))
         # and no field kept its default
@@ -412,6 +444,7 @@ class TestRunSweep:
             return real_stream(*args, **kwargs)
 
         monkeypatch.setattr(mcsim, "trial_stream", counting_stream)
+        monkeypatch.setattr(McConfig, "chunk_size", 512)
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, variable="pair", values=((1, 2), (3, 6), (5, 3)),
                         engines=("mc",))
@@ -532,9 +565,10 @@ class TestFusedSweep:
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     @pytest.mark.parametrize("variable", sorted(SWEEPS))
-    def test_rows_equal_lone_estimates(self, variable, mode):
+    def test_rows_equal_lone_estimates(self, monkeypatch, variable, mode):
         from dataclasses import replace
-        cfg, geo, mc, sweep = small_bundle(mode=mode, trials=3_000, chunk_size=1_024)
+        monkeypatch.setattr(McConfig, "chunk_size", 1_024)  # three chunks
+        cfg, geo, mc, sweep = small_bundle(mode=mode, trials=3_000)
         sweep = replace(sweep, variable=variable, values=self.SWEEPS[variable],
                         engines=("analytic", "mc"), baseline=True, gamma0_db=12.0)
         rows = iter(sweep_dicts(cfg, geo, mc, sweep))
@@ -733,6 +767,13 @@ class TestMain:
         row = out.read_text().splitlines()[1].split(",")
         assert row[CSV_COLUMNS.index("engine")] == "mc"
         assert row[CSV_COLUMNS.index("mode")] == "joint"
+        # all three overrides reach the estimate
+        from dataclasses import replace
+        cfg, geo, _, _ = load_config(None)
+        point, = estimate(replace(cfg, gamma0=db_to_linear(20.0)), geo,
+                          McConfig(trials=4000, seed=77, mode="joint"))
+        assert row[CSV_COLUMNS.index("p_out_m")] == _format([point.p_out_m.p_hat])[0]
+        assert row[CSV_COLUMNS.index("stderr_m")] == _format([point.p_out_m.stderr])[0]
 
     def test_baseline_flag(self, tmp_path):
         out = tmp_path / "cli.csv"

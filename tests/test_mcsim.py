@@ -64,27 +64,25 @@ class TestConfigs:
         dict(seed=-1),
         dict(seed=2 ** 64),
         dict(trials=2 ** 64),
-        dict(chunk_size=0),
         dict(mode="stratified"),
     ])
     def test_rejects_bad_values(self, bad):
-        kwargs = dict(trials=100, seed=1, mode="joint", chunk_size=10)
+        kwargs = dict(trials=100, seed=1, mode="joint")
         kwargs.update(bad)
         with pytest.raises(ValueError):
             McConfig(**kwargs)
 
-    def test_chunk_size_bound_names_key(self):
-        # a chunk holds a few rows of min(chunk_size, trials) doubles (5
-        # for one pair), so the bound caps a worker's memory; no chunk is
-        # allocated here
-        assert McConfig(trials=1, seed=1, chunk_size=2 ** 20).chunk_size == mcsim.MAX_CHUNK
-        with pytest.raises(ValueError, match=r"^chunk_size must be an integer in "
-                                             r"\[1, 1048576\], got 1048577$"):
-            McConfig(trials=1, seed=1, chunk_size=2 ** 20 + 1)
+    def test_chunk_size_is_a_constant_not_a_field(self):
+        # a chunk holds a few rows of min(chunk_size, trials) doubles (5 for
+        # one pair), so the fixed chunk size bounds a worker's memory
+        assert McConfig.chunk_size == 65536
+        assert McConfig(trials=1, seed=1).chunk_size == 65536
+        with pytest.raises(TypeError):
+            McConfig(trials=1, seed=1, chunk_size=64)
 
-    @pytest.mark.parametrize("key", ["trials", "seed", "chunk_size"])
+    @pytest.mark.parametrize("key", ["trials", "seed"])
     def test_rejects_bool_naming_key(self, key):
-        kwargs = dict(trials=100, seed=1, mode="joint", chunk_size=10)
+        kwargs = dict(trials=100, seed=1, mode="joint")
         kwargs[key] = True
         with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
             McConfig(**kwargs)
@@ -165,7 +163,8 @@ class TestDrawBudget:
 
         monkeypatch.setattr(mcsim, "trial_stream", Recording)
         cfg = default_config(M=M, m=m, n=n, a_m=0.8, a_n=0.2)
-        mc = McConfig(trials=1_000, seed=7, chunk_size=300, mode=mode)
+        monkeypatch.setattr(McConfig, "chunk_size", 300)
+        mc = McConfig(trials=1_000, seed=7, mode=mode)
         estimate(cfg, default_geometry(), mc)
         slots = [*range(M - 1, m - 2, -1)]
         if mode == "independent":
@@ -182,7 +181,9 @@ class TestDrawBudget:
         # a chunk holds the slot row, the requested ranks' rows and the two
         # hops (gamma* reuses the slot row and two chain rows), plus
         # _count's temporaries: a few rows whatever M is, where a
-        # (draws_per_trial, chunk) block would need M + 2 or 2M + 2
+        # (draws_per_trial, chunk) block would need M + 2 or 2M + 2.  A
+        # full chunk's rows are McConfig.chunk_size doubles; here one chunk
+        # of 4,096 trials is run directly
         count = 4_096
         for M in (20, 100):
             cfg = default_config(M=M, m=M - 1, n=M, a_m=0.8, a_n=0.2)
@@ -303,43 +304,48 @@ class TestOutageEvents:
 
 
 class TestEstimate:
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         cfg = default_config()
         geo = default_geometry()
-        runs = [estimate(cfg, geo, McConfig(trials=30_000, seed=5, chunk_size=cs))
-                for cs in (1_000, 10_000, 7_777)]
+        runs = []
+        for cs in (1_000, 10_000, 7_777):
+            monkeypatch.setattr(McConfig, "chunk_size", cs)
+            runs.append(estimate(cfg, geo, McConfig(trials=30_000, seed=5)))
         assert runs[0] == runs[1] == runs[2]
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = default_config()
         geo = default_geometry()
-        mc = McConfig(trials=50_000, seed=8, chunk_size=4096)
+        monkeypatch.setattr(McConfig, "chunk_size", 4096)
+        mc = McConfig(trials=50_000, seed=8)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 1)
         serial = estimate(cfg, geo, mc)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 8)
         threaded = estimate(cfg, geo, mc)
         assert serial == threaded
 
-    def test_matches_per_trial_replay(self):
+    def test_matches_per_trial_replay(self, monkeypatch):
         # the vectorized estimator is exactly the mean of per-trial replays
         cfg = default_config()
         geo = default_geometry()
-        mc = McConfig(trials=257, seed=3, chunk_size=64, mode="independent")
+        monkeypatch.setattr(McConfig, "chunk_size", 64)
+        mc = McConfig(trials=257, seed=3, mode="independent")
         hits_n, hits_m = replay(cfg, geo, mc)
         point, = estimate(cfg, geo, mc)
         assert (point.p_out_n.events, point.p_out_m.events) == (hits_n, hits_m)
         assert point.p_out_n.p_hat == hits_n / mc.trials
         assert point.p_out_m.p_hat == hits_m / mc.trials
 
-    def test_joint_m20_replay_and_chunking(self):
+    def test_joint_m20_replay_and_chunking(self, monkeypatch):
         # the benchmark's pair (10, 20): lone trials and any chunking replay
         # the same draw
         cfg = default_config(M=20, m=10, n=20, a_m=0.8, a_n=0.2, gamma0=30.0)
         geo = default_geometry()
-        mc = McConfig(trials=300, seed=11, chunk_size=64, mode="joint")
+        mc = McConfig(trials=300, seed=11, mode="joint")
         hits = replay(cfg, geo, mc)
         for chunk_size in (1, 64, 300):
-            point, = estimate(cfg, geo, replace(mc, chunk_size=chunk_size))
+            monkeypatch.setattr(McConfig, "chunk_size", chunk_size)
+            point, = estimate(cfg, geo, mc)
             assert (point.p_out_n.p_hat, point.p_out_m.p_hat) == (hits[0] / 300, hits[1] / 300)
 
     def test_certain_outage_when_threshold_unreachable(self):
@@ -388,11 +394,12 @@ class TestSharedDraw:
                 (default_config(m=2, n=5, gamma0=1000.0), far)]
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
-    def test_each_variant_equals_its_lone_estimate(self, mode):
+    def test_each_variant_equals_its_lone_estimate(self, monkeypatch, mode):
         # fused, the chunks also draw the slots below rank 3 (and, in
         # independent mode, below strong rank 6) that the first scenario's
         # lone draw skips; its counts must not move
-        mc = McConfig(trials=5_000, seed=13, chunk_size=1_500, mode=mode)
+        monkeypatch.setattr(McConfig, "chunk_size", 1_500)
+        mc = McConfig(trials=5_000, seed=13, mode=mode)
         (cfg, geo), *rest = self.scenarios()
         fused = estimate(cfg, geo, mc, also=rest)
         alone = [point for c, g in self.scenarios() for point in estimate(c, g, mc)]
@@ -437,10 +444,11 @@ class TestSharedDraw:
 
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 8)
         cfg, geo = default_config(), default_geometry()
+        monkeypatch.setattr(McConfig, "chunk_size", 100)
         workers_of(McConfig(trials=10, seed=1))  # one chunk, one thread
-        workers_of(McConfig(trials=300, seed=1, chunk_size=100))
+        workers_of(McConfig(trials=300, seed=1))
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
-        workers_of(McConfig(trials=300, seed=1, chunk_size=100))
+        workers_of(McConfig(trials=300, seed=1))
         assert sizes == [1, 3, 2]
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
@@ -497,10 +505,10 @@ class TestSharedDraw:
         started = counting_workers(monkeypatch)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(mcsim, "_run_chunk", failing)
+        monkeypatch.setattr(McConfig, "chunk_size", 100)
         threads = threading.active_count()
         with pytest.raises(RuntimeError) as caught:
-            estimate(default_config(), default_geometry(),
-                     McConfig(trials=1_600, seed=1, chunk_size=100))
+            estimate(default_config(), default_geometry(), McConfig(trials=1_600, seed=1))
         assert caught.value is boom
         assert len(started) == 4
         assert not any(w.is_alive() for w in started)
@@ -517,7 +525,8 @@ class TestSharedDraw:
             return real_run_chunk(draw, points, plans, mc, start, count)
 
         cfg, geo = default_config(), default_geometry()
-        mc = McConfig(trials=1_000, seed=3, chunk_size=7)
+        monkeypatch.setattr(McConfig, "chunk_size", 7)
+        mc = McConfig(trials=1_000, seed=3)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 1)
         lone = estimate(cfg, geo, mc)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 4)
@@ -810,8 +819,10 @@ class TestInputBoxFuzz:
             geo[key] = pick(rng.uniform(0.01, math.pi - 0.01), [0.0, math.pi, 1e-10])
         return cfg, geo
 
-    def test_points_are_rejected_by_key_or_agree_with_the_sinr_path(self):
-        # RuntimeWarnings fail the suite, so no point may raise one either
+    def test_points_are_rejected_by_key_or_agree_with_the_sinr_path(self, monkeypatch):
+        # RuntimeWarnings fail the suite, so no point may raise one either;
+        # each estimate runs two chunks
+        monkeypatch.setattr(McConfig, "chunk_size", 200)
         rng = np.random.default_rng(2018)
         evaluated = 0
         for _ in range(400):
@@ -827,8 +838,7 @@ class TestInputBoxFuzz:
                 point = evaluate(cfg, geo, relay=relay)
                 assert 0.0 <= point.p_out_n <= 1.0 and 0.0 <= point.p_out_m <= 1.0
             for mode in MODES:
-                mc = McConfig(trials=300, seed=int(rng.integers(2 ** 63)), mode=mode,
-                              chunk_size=200)
+                mc = McConfig(trials=300, seed=int(rng.integers(2 ** 63)), mode=mode)
                 point, = estimate(cfg, geo, mc)
                 for est_m, relay in ((point.p_out_m, True), (point.p_out_m_norelay, False)):
                     assert (point.p_out_n.events, est_m.events) == sinr_replay(cfg, geo, mc, relay)
@@ -839,11 +849,12 @@ class TestInputBoxEnds:
     @pytest.mark.parametrize("key", ["gamma0", "theta", "a_n", "lambda_sd", "lambda_dnr",
                                      "lambda_rdm", "gamma_thm", "gamma_thn", "d_sdn", "d_sdm",
                                      "d_dnr"])
-    def test_each_end_evaluates_and_one_ulp_past_is_refused_by_key(self, key):
+    def test_each_end_evaluates_and_one_ulp_past_is_refused_by_key(self, monkeypatch, key):
         lo, hi = INPUT_BOX[key]
         # a_n's upper end lies past a_m > a_n, which refuses it first
         ends = [(lo, np.nextafter(lo, -math.inf))] + (
             [] if key == "a_n" else [(hi, np.nextafter(hi, math.inf))])
+        monkeypatch.setattr(McConfig, "chunk_size", 200)  # two chunks of 300 trials
 
         def build(value):
             cfg_kw = {key: float(value)} if key in SystemConfig.__dataclass_fields__ else {}
@@ -856,7 +867,7 @@ class TestInputBoxEnds:
         for end, past in ends:
             cfg, geo = build(end)
             assert 0.0 <= evaluate(cfg, geo).p_out_m <= 1.0
-            mc = McConfig(trials=300, seed=3, chunk_size=200)
+            mc = McConfig(trials=300, seed=3)
             point, = estimate(cfg, geo, mc)
             assert (point.p_out_n.events, point.p_out_m.events) == sinr_replay(cfg, geo, mc, True)
             with pytest.raises(ValueError, match=rf"^{key} must lie in \["):

@@ -67,7 +67,7 @@ class TestExactScalings:
                          lambda_rdm=cfg.lambda_rdm * k)
         gamma0 = 10.0 ** (DB / 10.0)
         assert curve_bytes(scaled, geo, gamma0 / k) == curve_bytes(cfg, geo, gamma0)
-        mc = McConfig(trials=20_000, seed=17, mode="joint", chunk_size=8_192)
+        mc = McConfig(trials=20_000, seed=17, mode="joint")
         gamma0 = 10.0 ** (MC_DB / 10.0)
         assert mc_points(scaled, geo, mc, gamma0 / k) == mc_points(cfg, geo, mc, gamma0)
 
@@ -78,7 +78,7 @@ class TestExactScalings:
         assert (far.d_dndm, far.d_rdm) == (2.0 * geo.d_dndm, 2.0 * geo.d_rdm)
         gamma0 = 10.0 ** (DB / 10.0)
         assert curve_bytes(cfg, far, gamma0 * 4.0) == curve_bytes(cfg, geo, gamma0)
-        mc = McConfig(trials=20_000, seed=19, mode="independent", chunk_size=8_192)
+        mc = McConfig(trials=20_000, seed=19, mode="independent")
         gamma0 = 10.0 ** (MC_DB / 10.0)
         assert mc_points(cfg, far, mc, gamma0 * 4.0) == mc_points(cfg, geo, mc, gamma0)
 

@@ -15,8 +15,9 @@ itself prints goes to standard error).  The runs are:
   covers, each with ``--engine both --baseline`` at ``SWEEP_TRIALS``
   trials in each MC mode, named ``pair-joint``, ``pair-independent``
   and so on.  Each repeats one sweep point, so a scenario given twice
-  in one ``estimate`` call is covered too.  Their INI files are written
-  in the temporary directory.
+  in one ``estimate`` call is covered too, and ``SWEEP_TRIALS`` is three
+  chunks, so the fused sweep's relay groups are split across chunks and
+  workers.  Their INI files are written in the temporary directory.
 
 Two trees write byte-identical CSVs exactly where their outputs match
 line for line, so the tool run on both sides of a change checks the CSV
@@ -47,7 +48,7 @@ SWEEPS = {
     "distance-set": "[system]\nM = 8\nm = 4\nn = 8\n[sweep]\nvariable = distance-set\n"
                     "values = 2:3:4, 4:6:4, 6:4:3, 9:9:1.5, 4:6:4\ngamma0_db = 25\n",
 }
-SWEEP_TRIALS = 20_000
+SWEEP_TRIALS = 150_000  # three chunks of McConfig.chunk_size
 RUNS = [*WORKLOADS, *(f"{variable}-{mode}" for variable in SWEEPS for mode in MODES)]
 
 
