@@ -64,6 +64,7 @@ class TestConfigs:
         dict(seed=-1),
         dict(seed=2 ** 64),
         dict(trials=2 ** 64),
+        dict(trials=2.5),
         dict(mode="stratified"),
     ])
     def test_rejects_bad_values(self, bad):
