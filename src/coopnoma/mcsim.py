@@ -4,37 +4,41 @@ Each trial replays the three-phase protocol — draw fading gains, decide
 every decoding stage, record the two outage events — and the estimator
 averages over trials.
 
-Threshold decisions: each direct-link stage (the strong user's SIC and
-own stages on rank n, the weak user's direct copy on rank m) fails
-exactly where its rank's gain lies below the least gain that passes it,
-which ``linklevel`` gives by inverting its own SINR expressions.  The
-gain is an increasing function of the chain value log U_(i) that
-``orderstat`` builds, so ``estimate`` maps each scenario's least gains to
-chain levels once, and a chunk decides each stage with one comparison of
-a chain row against a scalar: no gain transform and no SINR per trial.
-Trials within a relative 1e-9 of a level (the guard band, wider where
-the SINR is ill-conditioned) are decided by the SINR expressions on
-their gains.  A degenerate stage (SIC infeasible, or so nearly that the
-band would be wider than 1e-3) has a band spanning the whole chain, so
-all its trials are decided that way.  Every decision thus equals the
-SINR path's bit for bit.  Inside the input box of ``linklevel`` every
-gain level, band edge and SINR is a normal float, so nothing else makes
-a stage degenerate.
+Threshold decisions: one rule decides all four stages (the strong
+user's SIC and own stages on rank n, the weak user's direct copy on
+rank m, and the relay).  A chunk holds a per-trial row that the stage's
+SINR increases with, and each scenario a guard band [lo, hi) on it
+(``_Stage``): values below lo fail, values at or above hi pass, each by
+one comparison, and only the trials in the band, or nan, go through the
+stage's own SINR expression.  Every decision thus equals the SINR
+path's bit for bit, and a chunk with no trial in a band calls no SINR.
 
-The relayed stage gets the same treatment with the roles swapped.  With
-x = pl_dnr/g_dnr and y = pl_rdm/g_rdm, the AF SINR is
-gamma0**2 / (gamma0 s + x y) with s = x + y, which increases with
-gamma0, so a trial's relay fails exactly where gamma0 lies below its
-critical SNR gamma* = (th/2) s (1 + sqrt(1 + 4r/th)), r = x (y/s) / s in
-[0, 1/4].  Every term is positive, so nothing cancels, and inside the
-input box nothing leaves the normal floats, so gamma* is good to a few
-ulps.  A chunk computes one gamma* row per relay group (the two
-hop path losses and gamma_thm) and decides each scenario's relay by one
-comparison of that row with the scenario's gamma0.  d log SINR / d log
-gamma0 lies in [1, 2], so a relative 1e-9 of gamma0 is again a safe
-guard band.  Only the trials left to the relay (SIC kept, direct copy
-lost) whose gamma* lies in the band or is nan (a zero hop gain) go
-through the relayed SINR.
+For a direct-link stage the row is the chain value log U_(i) that
+``orderstat`` builds, which the rank's gain increases with.  The stage
+fails exactly where the gain lies below the least gain that passes it,
+which ``linklevel`` gives by inverting its own SINR expressions, so
+``estimate`` maps each scenario's least gains to chain levels once.  The
+band spans a relative 1e-9 of the level, wider where the SINR is
+ill-conditioned.  A degenerate stage (SIC infeasible, or so nearly that
+the band would be wider than 1e-3) has a band spanning the whole chain,
+so all its trials are decided by the SINR.  Inside the input box of
+``linklevel`` every gain level, band edge and SINR is a normal float, so
+nothing else makes a stage degenerate.
+
+For the relay the row is -gamma*.  With x = pl_dnr/g_dnr and
+y = pl_rdm/g_rdm, the AF SINR is gamma0**2 / (gamma0 s + x y) with
+s = x + y, which increases with gamma0, so a trial's relay fails exactly
+where gamma0 lies below its critical SNR
+gamma* = (th/2) s (1 + sqrt(1 + 4r/th)), r = x (y/s) / s in [0, 1/4],
+that is where -gamma* lies below -gamma0.  Every term is positive, so
+nothing cancels, and inside the input box nothing leaves the normal
+floats, so gamma* is good to a few ulps; a zero hop gain makes it nan.
+A chunk computes one -gamma* row per relay group (the two hop path
+losses and gamma_thm).  d log SINR / d log gamma0 lies in [1, 2], so a
+band from -gamma0 (1 + 1e-9) to -gamma0 (1 - 1e-9) is safe.  Only the
+trials left to the relay (SIC kept, direct copy lost) are decided on
+that row, and only those of them in the band or nan take the relayed
+SINR.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
@@ -194,25 +198,11 @@ def trial_stream(mc: McConfig, M: int, trial: int, column: int = 0) -> np.random
     return np.random.Generator(bg)
 
 
-def _direct_stages(cfg: SystemConfig, geo: Geometry, g_m, g_n):
-    """Per-trial (fail_sic, out_n, fail_direct) from the SINR expressions.
-
-    The strong user fails if either SIC stage misses its threshold;
-    fail_direct is the weak user's direct copy missing its threshold.
-    """
-    fail_sic = sinr_strong_decodes_weak(cfg, geo, g_n) < cfg.gamma_thm
-    out_n = fail_sic | (snr_strong_own(cfg, geo, g_n) < cfg.gamma_thn)
-    fail_direct = sinr_direct_weak(cfg, geo, g_m) < cfg.gamma_thm
-    return fail_sic, out_n, fail_direct
-
-
 class _Stage(NamedTuple):
-    """A stage's guard band, from lo to hi, on a per-trial row.
+    """A stage's guard band [lo, hi) on its per-trial row (see the module notes).
 
-    On the chain (direct-link stages) values below lo fail and values at
-    or above hi pass.  On the gamma* row (the relayed stage) it is the
-    band of the scenario's gamma0: values above hi fail, values below lo
-    pass.  Inside the band the SINR decides; a degenerate stage's band
+    Values below lo fail, values at or above hi pass, and the stage's
+    SINR decides the rest, in the band or nan.  A degenerate stage's band
     (-inf, inf) spans the whole row.
     """
 
@@ -226,9 +216,9 @@ _WHOLE_CHAIN = _Stage(-math.inf, math.inf)
 class _Plan(NamedTuple):
     """The stages of one (cfg, geo): SIC and strong-own on rank n, direct on m, and the relay.
 
-    ``hops`` names the relay group, (d_dnr**theta, d_rdm**theta,
-    gamma_thm); ``relay`` is the band of cfg.gamma0 on that group's
-    gamma* row.
+    The three direct-link bands lie on chain rows.  ``hops`` names the
+    relay group, (d_dnr**theta, d_rdm**theta, gamma_thm), and ``relay``
+    is the band around -cfg.gamma0 on that group's -gamma* row.
     """
 
     sic: _Stage
@@ -255,42 +245,34 @@ def _stage(gain: float, lam: float, cond: float) -> _Stage:
 
 
 def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan:
-    """The chain bands of cfg's direct-link stages and the gamma* band of its relay."""
+    """The chain bands of cfg's direct-link stages and the -gamma* band of its relay."""
     lam = cfg.lambda_sd
     cond = 1.0 - cfg.a_n * cfg.gamma_thm / cfg.a_m  # of a_m g / (a_n g + noise) at its level
     sic, own, direct = stage_gains(cfg, geo, cfg.gamma0)
     stages = (_stage(sic, lam, cond), _stage(own, lam, 1.0), _stage(direct, lam, cond))
     hops = (path_loss(geo.d_dnr, cfg.theta), path_loss(geo.d_rdm, cfg.theta), cfg.gamma_thm)
-    return _Plan(*stages, hops, _Stage(cfg.gamma0 * (1.0 - _BAND), cfg.gamma0 * (1.0 + _BAND)))
+    return _Plan(*stages, hops, _Stage(-cfg.gamma0 * (1.0 + _BAND), -cfg.gamma0 * (1.0 - _BAND)))
 
 
-def _in_band(y: np.ndarray, stage: _Stage, below: np.ndarray) -> bool:
-    """Whether any chain value lies in the stage's band; ``below`` is y < stage.lo."""
-    return np.count_nonzero(y < stage.hi) != np.count_nonzero(below)
+def _fails(y: np.ndarray, stage: _Stage, exact, within: np.ndarray | None = None) -> np.ndarray:
+    """Per-trial failures of one stage, decided on its row ``y`` (see the module notes).
 
-
-def _decide(cfg: SystemConfig, geo: Geometry, plan: _Plan, y_m: np.ndarray, y_n: np.ndarray):
-    """Per-trial (fail_sic, out_n, fail_direct) from the chain rows of ranks m and n.
-
-    Each stage is one comparison of a chain row with its level.  Trials
-    in any guard band are decided by ``_direct_stages`` on their gains
-    instead, so every value equals the SINR path's.
+    Values below stage.lo fail and values at or above stage.hi pass; the
+    rest, in the band or nan, are decided by ``exact(band)``, the stage's
+    SINR test on the trials at indices ``band``.  With a mask ``within``
+    only its trials are decided, and the others read as passing.
     """
-    sic, own, direct = plan.sic, plan.own, plan.direct
-    fail_sic = y_n < sic.lo
-    own_fail = y_n < own.lo
-    out_n = fail_sic | own_fail
-    fail_direct = y_m < direct.lo
-    if (_in_band(y_n, sic, fail_sic) or _in_band(y_n, own, own_fail)
-            or _in_band(y_m, direct, fail_direct)):
-        band = np.flatnonzero(((y_n >= sic.lo) & (y_n < sic.hi))
-                              | ((y_n >= own.lo) & (y_n < own.hi))
-                              | ((y_m >= direct.lo) & (y_m < direct.hi)))
-        exact = _direct_stages(cfg, geo, gains_from_chain(y_m[band], cfg.lambda_sd),
-                                gains_from_chain(y_n[band], cfg.lambda_sd))
-        for mask, value in zip((fail_sic, out_n, fail_direct), exact):
-            mask[band] = value
-    return fail_sic, out_n, fail_direct
+    fail = y < stage.lo
+    passes = y >= stage.hi
+    if np.count_nonzero(fail) + np.count_nonzero(passes) != y.size:  # some in the band, or nan
+        undecided = ~(fail | passes)
+        if within is not None:
+            undecided &= within
+        band = np.flatnonzero(undecided)
+        fail[band] = exact(band)
+    if within is not None:
+        fail &= within
+    return fail
 
 
 _Point = tuple[SystemConfig, Geometry]  # one scenario, (cfg, geo)
@@ -308,12 +290,13 @@ def _usable_cpus() -> int:
 
 def _critical_snr(hops: tuple[float, float, float], g_dnr: np.ndarray,
                   g_rdm: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The relay group's per-trial critical SNR gamma*, in ``rows[0]``.
+    """The relay group's per-trial row -gamma*, in ``rows[0]``.
 
-    gamma* = (th/2) s (1 + sqrt(1 + 4r/th)) with x = pl_dnr/g_dnr,
-    y = pl_rdm/g_rdm, s = x + y and r = x (y/s) / s (see the module
-    notes).  All three ``rows`` are overwritten; ``rows[1:]`` are
-    scratch.  gamma* is nan where a hop gain is 0.
+    gamma* = (th/2) s (1 + sqrt(1 + 4r/th)) is the critical SNR, with
+    x = pl_dnr/g_dnr, y = pl_rdm/g_rdm, s = x + y and r = x (y/s) / s
+    (see the module notes); the last factor, -th/2, negates it exactly.
+    All three ``rows`` are overwritten; ``rows[1:]`` are scratch.  The
+    row is nan where a hop gain is 0.
     """
     star, x, s = rows
     pl_dnr, pl_rdm, th = hops
@@ -329,7 +312,7 @@ def _critical_snr(hops: tuple[float, float, float], g_dnr: np.ndarray,
     np.sqrt(star, out=star)
     star += 1.0
     star *= s
-    star *= 0.5 * th
+    star *= -0.5 * th
     return star
 
 
@@ -342,29 +325,30 @@ def _count(points: Sequence[_Point], plans: Sequence[_Plan], weak, strong,
     relay also loses.  ``weak`` and ``strong`` map the ranks each user
     reads to chain rows, ``scratch`` is three rows for ``_critical_snr``
     and ``plans[k]`` is ``_plan`` of point k.  Every direct decision is
-    made before the first gamma* row is written, and no chain row is read
+    made before the first -gamma* row is written, and no chain row is read
     after that, so ``scratch`` may be chain rows (``_run_chunk`` passes the
-    slot row and the first two chain rows).  A relay group's gamma* row
-    stays in cache across its points; only trials left to the relay whose
-    gamma* is in the band or nan take the relayed SINR.
+    slot row and the first two chain rows).  A relay group's -gamma* row
+    stays in cache across its points, and only trials left to the relay
+    are decided on it.  Each stage is decided by ``_fails``.
     """
     counts = np.empty((len(points), 4), dtype=np.int64)
     lefts = []
     for row, (cfg, geo), plan in zip(counts, points, plans):
-        fail_sic, out_n, fail_direct = _decide(cfg, geo, plan, weak[cfg.m], strong[cfg.n])
+        y_m, y_n, lam = weak[cfg.m], strong[cfg.n], cfg.lambda_sd
+        fail_sic = _fails(y_n, plan.sic, lambda band: sinr_strong_decodes_weak(
+            cfg, geo, gains_from_chain(y_n[band], lam)) < cfg.gamma_thm)
+        out_n = fail_sic | _fails(y_n, plan.own, lambda band: snr_strong_own(
+            cfg, geo, gains_from_chain(y_n[band], lam)) < cfg.gamma_thn)
+        fail_direct = _fails(y_m, plan.direct, lambda band: sinr_direct_weak(
+            cfg, geo, gains_from_chain(y_m[band], lam)) < cfg.gamma_thm)
         lefts.append(fail_direct & ~fail_sic)
         row[:3] = [np.count_nonzero(a) for a in (out_n, fail_sic, lefts[-1])]
-    star, star_hops = None, None  # the gamma* row and the relay group it belongs to
+    star, star_hops = None, None  # the -gamma* row and the relay group it belongs to
     for row, (cfg, geo), plan, left in zip(counts, points, plans, lefts):
         if plan.hops != star_hops:
             star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, scratch), plan.hops
-        fails = left & (star > plan.relay.hi)
-        passes = left & (star < plan.relay.lo)
-        row[3] = np.count_nonzero(fails)
-        if row[3] + np.count_nonzero(passes) != row[2]:  # some in the band, or nan
-            band = np.flatnonzero(left & ~(fails | passes))
-            row[3] += np.count_nonzero(
-                sinr_relayed(cfg, geo, g_dnr[band], g_rdm[band]) < cfg.gamma_thm)
+        row[3] = np.count_nonzero(_fails(star, plan.relay, lambda band: sinr_relayed(
+            cfg, geo, g_dnr[band], g_rdm[band]) < cfg.gamma_thm, left))
     return counts
 
 

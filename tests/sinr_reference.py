@@ -1,7 +1,8 @@
 """Per-trial SINR reference for the Monte-Carlo estimator's threshold decisions.
 
-``mcsim.estimate`` decides every direct-link stage by comparing chain
-rows with per-scenario levels.  The tests hold those decisions to this
+``mcsim.estimate`` decides every stage by comparing a per-trial row
+with a per-scenario guard band, and runs only the trials in the band
+through that stage's SINR.  The tests hold those decisions to this
 path, which maps the same uniforms to gains and runs every stage through
 the ``linklevel`` SINR expressions, trial by trial.
 """
@@ -10,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from coopnoma.linklevel import Geometry, SystemConfig, sinr_relayed
-from coopnoma.mcsim import McConfig, _direct_stages, draws_per_trial, trial_stream
+from coopnoma.linklevel import (Geometry, SystemConfig, sinr_direct_weak, sinr_relayed,
+                                sinr_strong_decodes_weak, snr_strong_own)
+from coopnoma.mcsim import McConfig, draws_per_trial, trial_stream
 from coopnoma.orderstat import gains_from_chain, log_uniform_chain
 
 
@@ -57,6 +59,18 @@ def gains_from_uniforms(cfg: SystemConfig, mode: str, u: np.ndarray, weak, stron
     hop = draws_per_trial(M, mode) - 2
     return (gains1, gains2, -cfg.lambda_dnr * np.log1p(-u[hop]),
             -cfg.lambda_rdm * np.log1p(-u[hop + 1]))
+
+
+def _direct_stages(cfg: SystemConfig, geo: Geometry, g_m, g_n):
+    """Per-trial (fail_sic, out_n, fail_direct) from the SINR expressions.
+
+    The strong user fails if either SIC stage misses its threshold;
+    fail_direct is the weak user's direct copy missing its threshold.
+    """
+    fail_sic = sinr_strong_decodes_weak(cfg, geo, g_n) < cfg.gamma_thm
+    out_n = fail_sic | (snr_strong_own(cfg, geo, g_n) < cfg.gamma_thn)
+    fail_direct = sinr_direct_weak(cfg, geo, g_m) < cfg.gamma_thm
+    return fail_sic, out_n, fail_direct
 
 
 def event_arrays(cfg: SystemConfig, geo: Geometry, g_m, g_n, g_dnr, g_rdm,

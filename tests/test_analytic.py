@@ -252,12 +252,6 @@ class TestTwoHopOutage:
                 for db in range(0, 41, 2)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_hop_symmetry_under_matched_stats(self):
-        # swapping the two hops (distance and fading mean together) is symmetric
-        a = two_hop_outage(1.0, 50.0, 2.0, 7.0, 2.0, 0.5, 1.5)[0]
-        b = two_hop_outage(1.0, 50.0, 7.0, 2.0, 2.0, 1.5, 0.5)[0]
-        assert a == pytest.approx(b, rel=1e-12)
-
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
             two_hop_outage(0.0, 10.0, 1.0, 1.0, 2.0, 1.0, 1.0)

@@ -11,10 +11,10 @@ import pytest
 from coopnoma import mcsim
 from coopnoma.analytic import evaluate, throughput
 from coopnoma.linklevel import INPUT_BOX, Geometry, SystemConfig, sinr_relayed, stage_gains
-from coopnoma.mcsim import (MODES, McConfig, McEstimate, McPoint, _direct_stages,
-                            draws_per_trial, estimate, trial_stream)
+from coopnoma.mcsim import (MODES, McConfig, McEstimate, McPoint, draws_per_trial, estimate,
+                            trial_stream)
 from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
-from sinr_reference import draw_columns, event_arrays, gains_from_uniforms
+from sinr_reference import _direct_stages, draw_columns, event_arrays, gains_from_uniforms
 
 
 def default_config(**overrides):
@@ -606,22 +606,23 @@ def edge_points(cfg, geo):
 def relay_edge_points(cfg, geo):
     """Hop gains (g_dnr's, g_rdm's) whose gamma* sits at and around the relay's gamma0 and band.
 
-    For each target (gamma0 and the two edges of the relayed stage's band)
-    and three g_dnr, the last giving both hops one SNR whatever the path
-    losses, g_rdm is solved from SINR = gamma_thm at the target, moved to
-    the float whose computed gamma* lies nearest the target, and taken
-    with its neighbours one ulp and a relative 1e-6 either side.  Zero
-    gains on one hop and on both come first.
+    For each target (gamma0 and the two edges of the relayed stage's band,
+    negated, since the band lies on the -gamma* row) and three g_dnr, the
+    last giving both hops one SNR whatever the path losses, g_rdm is
+    solved from SINR = gamma_thm at the target, moved to the float whose
+    computed gamma* lies nearest the target, and taken with its
+    neighbours one ulp and a relative 1e-6 either side.  Zero gains on
+    one hop and on both come first.
     """
     plan = mcsim._plan(cfg, geo)
     pairs = [(0.0, 0.8), (0.8, 0.0), (0.0, 0.0)]
     pl_dnr, pl_rdm, th = plan.hops
 
-    def star(g_dnr, g_rdm):
-        return mcsim._critical_snr(plan.hops, np.array([g_dnr]), np.array([g_rdm]),
-                                   np.empty((3, 1)))[0]
+    def star(g_dnr, g_rdm):  # _critical_snr writes -gamma*
+        return -mcsim._critical_snr(plan.hops, np.array([g_dnr]), np.array([g_rdm]),
+                                    np.empty((3, 1)))[0]
 
-    for target in (cfg.gamma0, *plan.relay):
+    for target in (cfg.gamma0, *(-edge for edge in plan.relay)):
         for g_dnr in (0.5, 2.0, pl_dnr * th * (math.sqrt(1.0 + 1.0 / th) + 1.0) / target):
             x = pl_dnr / g_dnr
             y = target * (target - th * x) / (th * (target + x))  # SINR(target) = th
@@ -762,6 +763,39 @@ class TestThresholdMechanism:
             for relay in (True, False):
                 out_n, out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)
                 assert outages(row, relay) == (out_n.sum(), out_m.sum())
+
+    @pytest.mark.parametrize("cfg, want", [
+        # SIC infeasible: both weak-signal stages span the chain; no trial is in the own band
+        (default_config(gamma_thm=0.7 / 0.3),
+         {"sinr_strong_decodes_weak": 65_536, "sinr_direct_weak": 65_536}),
+        # gamma_thm a relative 2e-6 below the ceiling a_m/a_n = 7/3: a band about 5e-4 wide
+        (default_config(M=8, m=4, n=8, R_m=1.736963574, gamma0=10.0 ** 7.4),
+         {"sinr_strong_decodes_weak": 14}),
+    ], ids=["sic-infeasible", "tight-split-74dB"])
+    def test_each_stage_sinr_sees_only_its_own_band(self, monkeypatch, cfg, want):
+        # one chunk at seed 11: each SINR is called on its own stage's band
+        # trials only, and the counts still equal the SINR path's
+        geo = default_geometry()
+        mc = McConfig(trials=65_536, seed=11)
+        seen = {}
+
+        def counting(name, fn):
+            def call(cfg, geo, *gains):
+                seen[name] = seen.get(name, 0) + gains[0].size
+                return fn(cfg, geo, *gains)
+            return call
+
+        for name in ("sinr_direct_weak", "sinr_strong_decodes_weak", "snr_strong_own",
+                     "sinr_relayed"):
+            monkeypatch.setattr(mcsim, name, counting(name, getattr(mcsim, name)))
+        row, = mcsim._run_chunk(cfg, [(cfg, geo)], [mcsim._plan(cfg, geo)], mc, 0, 65_536)
+        assert seen == want
+        weak, strong, g_dnr, g_rdm = gains_from_uniforms(
+            cfg, mc.mode, draw_columns(mc, cfg.M, range(draws_per_trial(cfg.M, mc.mode)), 0,
+                                       65_536), [cfg.m], [cfg.n])
+        for relay in (True, False):
+            out_n, out_m = event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n], g_dnr, g_rdm, relay)
+            assert outages(row, relay) == (out_n.sum(), out_m.sum())
 
 
 def sinr_replay(cfg, geo, mc, relay):

@@ -9,7 +9,12 @@ draw, and asserts a relation that must hold exactly:
   power of two and rounding commutes with that;
 - on one Monte-Carlo draw, the relay never adds an outage, every count
   is nonincreasing in the SNR, and the strong user's count does not
-  depend on the weak user's rank.
+  depend on the weak user's rank;
+- swapping the two relay hops, distance and fading mean together, leaves
+  the closed-form relay factor unchanged.  This one holds to a relative
+  1e-12, not bit for bit: the swap reorders the products
+  d_a**theta d_b**theta and gamma0**2 lambda_a lambda_b and the sum of
+  the two hop terms.
 
 They catch a mis-scaled level, a wrong guard-band side, an off-by-one in
 the count row, or a draw that depends on the SNR or on m: errors of a
@@ -26,7 +31,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from coopnoma.analytic import evaluate
+from coopnoma.analytic import evaluate, two_hop_outage
 from coopnoma.linklevel import Geometry, SystemConfig
 from coopnoma.mcsim import MODES, McConfig, estimate
 
@@ -107,3 +112,10 @@ class TestOneDrawOrderings:
         want = {"joint": 2_019, "independent": 1_986}[mode]
         assert [p.p_out_n.events for p in points] == [want] * 5
         assert all(p.p_out_m.events <= p.p_out_m_norelay.events for p in points)
+
+
+def test_hop_symmetry_under_matched_stats():
+    # swapping the two hops (distance and fading mean together) is symmetric
+    a = two_hop_outage(1.0, 50.0, 2.0, 7.0, 2.0, 0.5, 1.5)[0]
+    b = two_hop_outage(1.0, 50.0, 7.0, 2.0, 2.0, 1.5, 0.5)[0]
+    assert a == pytest.approx(b, rel=1e-12)

@@ -11,13 +11,19 @@ to standard output: run name, seed and the CSV's sha256 (what ``main``
 itself prints goes to standard error).  The runs are:
 
 - each benchmark workload, with ``Workload.argv(seed, out)``;
-- a pair sweep and a distance-set sweep (``SWEEPS``), which no workload
-  covers, each with ``--engine both --baseline`` at ``SWEEP_TRIALS``
-  trials in each MC mode, named ``pair-joint``, ``pair-independent``
-  and so on.  Each repeats one sweep point, so a scenario given twice
-  in one ``estimate`` call is covered too, and ``SWEEP_TRIALS`` is three
-  chunks, so the fused sweep's relay groups are split across chunks and
-  workers.  Their INI files are written in the temporary directory.
+- three fixed sweeps (``SWEEPS``) that no workload covers, each with
+  ``--engine both --baseline`` at ``SWEEP_TRIALS`` trials in each MC
+  mode, named ``pair-joint``, ``pair-independent`` and so on.
+  ``SWEEP_TRIALS`` is three chunks, so a fused sweep's relay groups are
+  split across chunks and workers.  Their INI files are written in the
+  temporary directory.
+  - ``pair`` and ``distance-set`` each repeat one sweep point, so a
+    scenario given twice in one ``estimate`` call is covered too.
+  - ``tight-split`` puts gamma_thm a relative 2e-6 below the SINR
+    ceiling a_m/a_n = 7/3, so the weak-signal stages' guard bands are
+    about 5e-4 wide.  At seed 11 a few hundred trials per mode are
+    decided by the direct-stage SINRs, where every other run decides
+    none that way.
 
 Two trees write byte-identical CSVs exactly where their outputs match
 line for line, so the tool run on both sides of a change checks the CSV
@@ -41,12 +47,14 @@ from coopnoma import cli  # noqa: E402
 from coopnoma.mcsim import MODES  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-# The INI file of each fixed sweep: M = 8, and one sweep point given twice.
+# The INI file of each fixed sweep, all at M = 8 (see the module notes).
 SWEEPS = {
     "pair": "[system]\nM = 8\n[sweep]\nvariable = pair\n"
             "values = 1:8, 2:7, 3:8, 4:6, 7:8, 2:7\ngamma0_db = 15\n",
     "distance-set": "[system]\nM = 8\nm = 4\nn = 8\n[sweep]\nvariable = distance-set\n"
                     "values = 2:3:4, 4:6:4, 6:4:3, 9:9:1.5, 4:6:4\ngamma0_db = 25\n",
+    "tight-split": "[system]\nM = 8\nm = 4\nn = 8\nR_m = 1.736963574\n[sweep]\n"
+                   "values = 66,70,74,78,82\n",
 }
 SWEEP_TRIALS = 150_000  # three chunks of McConfig.chunk_size
 RUNS = [*WORKLOADS, *(f"{variable}-{mode}" for variable in SWEEPS for mode in MODES)]
