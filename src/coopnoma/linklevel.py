@@ -66,8 +66,12 @@ def check_box(name: str, value, key: str | None = None):
       (gamma0**2 lambda_a lambda_b)) lies in [1e-107, 1e131], and each
       partial product of its numerator and denominator in [1e-120, 1e140];
     - with x = d_dnr**theta / g_dnr and y = d_rdm**theta / g_rdm in
-      [1e-64, 1e86] for hop gains above 0, the critical SNR gamma* lies
-      in [1e-94, 1e117].
+      [1e-64, 1e86] for hop gains above 0, the critical SNR's partial
+      products are s = x + y in [1e-64, 1e87], d_rdm**theta / d_dnr**theta
+      in [1e-72, 1e72], g_dnr times that in [1e-118, 1e104] and plus g_rdm
+      in [1e-46, 1e104], h = x y / s in [1e-64, 1e86], r = h / s in
+      [1e-150, 1/4] and 4r / gamma_thm in [1e-180, 1e30]; gamma* lies in
+      [1e-94, 1e117].
     """
     lo, hi = INPUT_BOX[key or name]
     if isinstance(value, np.ndarray):

@@ -29,16 +29,21 @@ For the relay the row is -gamma*.  With x = pl_dnr/g_dnr and
 y = pl_rdm/g_rdm, the AF SINR is gamma0**2 / (gamma0 s + x y) with
 s = x + y, which increases with gamma0, so a trial's relay fails exactly
 where gamma0 lies below its critical SNR
-gamma* = (th/2) s (1 + sqrt(1 + 4r/th)), r = x (y/s) / s in [0, 1/4],
-that is where -gamma* lies below -gamma0.  Every term is positive, so
-nothing cancels, and inside the input box nothing leaves the normal
-floats, so gamma* is good to a few ulps; a zero hop gain makes it nan.
-A chunk computes one -gamma* row per relay group (the two hop path
-losses and gamma_thm).  d log SINR / d log gamma0 lies in [1, 2], so a
-band from -gamma0 (1 + 1e-9) to -gamma0 (1 - 1e-9) is safe.  Only the
-trials left to the relay (SIC kept, direct copy lost) are decided on
-that row, and only those of them in the band or nan take the relayed
-SINR.
+gamma* = (th/2) s (1 + sqrt(1 + 4r/th)), r = h/s in [0, 1/4] with
+h = x y / s = pl_rdm / (g_dnr (pl_rdm/pl_dnr) + g_rdm), that is where
+-gamma* lies below -gamma0.  Every term is positive, so nothing
+cancels, and inside the input box nothing leaves the normal floats, so
+gamma* is good to a few ulps.  One zero hop gain makes -gamma* -inf, a
+failure (the SINR is then 0); two make it nan, which the SINR decides.
+A chunk builds the -gamma* row of a relay group (the two hop path
+losses and gamma_thm) once, in a row that no chain row shares.
+d log SINR / d log gamma0 lies in [1, 2], so a band from
+-gamma0 (1 + 1e-9) to -gamma0 (1 - 1e-9) is safe.  Only the trials left
+to the relay (SIC kept, direct copy lost) are decided on that row, and
+only those of them in the band or nan take the relayed SINR.  Each
+scenario's four stages are decided in one pass, so no per-scenario mask
+outlives its scenario and a chunk's memory does not grow with the
+scenario count.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
@@ -293,19 +298,21 @@ def _critical_snr(hops: tuple[float, float, float], g_dnr: np.ndarray,
     """The relay group's per-trial row -gamma*, in ``rows[0]``.
 
     gamma* = (th/2) s (1 + sqrt(1 + 4r/th)) is the critical SNR, with
-    x = pl_dnr/g_dnr, y = pl_rdm/g_rdm, s = x + y and r = x (y/s) / s
-    (see the module notes); the last factor, -th/2, negates it exactly.
-    All three ``rows`` are overwritten; ``rows[1:]`` are scratch.  The
-    row is nan where a hop gain is 0.
+    x = pl_dnr/g_dnr, y = pl_rdm/g_rdm, s = x + y and r = h/s, where
+    h = x y / s = pl_rdm / (g_dnr (pl_rdm/pl_dnr) + g_rdm) (see the
+    module notes); the last factor, -th/2, negates it exactly.  Both
+    ``rows`` are overwritten; ``rows[1]`` holds s.  The row is -inf where
+    one hop gain is 0 and nan where both are.
     """
-    star, x, s = rows
+    star, s = rows
     pl_dnr, pl_rdm, th = hops
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero hop gain gives nan
-        np.divide(pl_dnr, g_dnr, out=x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero hop gains give inf and nan
+        np.divide(pl_dnr, g_dnr, out=s)
         np.divide(pl_rdm, g_rdm, out=star)
-        np.add(x, star, out=s)
-        star /= s
-        star *= x
+        s += star
+        np.multiply(g_dnr, pl_rdm / pl_dnr, out=star)
+        star += g_rdm
+        np.divide(pl_rdm, star, out=star)
         star /= s
     star *= 4.0 / th
     star += 1.0
@@ -317,22 +324,20 @@ def _critical_snr(hops: tuple[float, float, float], g_dnr: np.ndarray,
 
 
 def _count(points: Sequence[_Point], plans: Sequence[_Plan], weak, strong,
-           g_dnr: np.ndarray, g_rdm: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+           g_dnr: np.ndarray, g_rdm: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Stage counts of every point on a chunk's chain rows, one int64 row per point.
 
     A row is (out_n, sic, left, lost): strong-user outages, SIC failures,
     trials left to the relay (SIC kept, direct copy lost) and those the
     relay also loses.  ``weak`` and ``strong`` map the ranks each user
-    reads to chain rows, ``scratch`` is three rows for ``_critical_snr``
-    and ``plans[k]`` is ``_plan`` of point k.  Every direct decision is
-    made before the first -gamma* row is written, and no chain row is read
-    after that, so ``scratch`` may be chain rows (``_run_chunk`` passes the
-    slot row and the first two chain rows).  A relay group's -gamma* row
-    stays in cache across its points, and only trials left to the relay
-    are decided on it.  Each stage is decided by ``_fails``.
+    reads to chain rows, ``rows`` is the two rows of ``_critical_snr``,
+    which no chain row shares, and ``plans[k]`` is ``_plan`` of point k.
+    Each point's four stages are decided in one pass, each by ``_fails``,
+    and only its trials left to the relay are decided on the -gamma* row,
+    which stays in cache across its relay group's points.
     """
     counts = np.empty((len(points), 4), dtype=np.int64)
-    lefts = []
+    star, star_hops = None, None  # the -gamma* row and the relay group it belongs to
     for row, (cfg, geo), plan in zip(counts, points, plans):
         y_m, y_n, lam = weak[cfg.m], strong[cfg.n], cfg.lambda_sd
         fail_sic = _fails(y_n, plan.sic, lambda band: sinr_strong_decodes_weak(
@@ -341,14 +346,12 @@ def _count(points: Sequence[_Point], plans: Sequence[_Plan], weak, strong,
             cfg, geo, gains_from_chain(y_n[band], lam)) < cfg.gamma_thn)
         fail_direct = _fails(y_m, plan.direct, lambda band: sinr_direct_weak(
             cfg, geo, gains_from_chain(y_m[band], lam)) < cfg.gamma_thm)
-        lefts.append(fail_direct & ~fail_sic)
-        row[:3] = [np.count_nonzero(a) for a in (out_n, fail_sic, lefts[-1])]
-    star, star_hops = None, None  # the -gamma* row and the relay group it belongs to
-    for row, (cfg, geo), plan, left in zip(counts, points, plans, lefts):
+        left = fail_direct & ~fail_sic
         if plan.hops != star_hops:
-            star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, scratch), plan.hops
-        row[3] = np.count_nonzero(_fails(star, plan.relay, lambda band: sinr_relayed(
-            cfg, geo, g_dnr[band], g_rdm[band]) < cfg.gamma_thm, left))
+            star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, rows), plan.hops
+        lost = _fails(star, plan.relay, lambda band: sinr_relayed(
+            cfg, geo, g_dnr[band], g_rdm[band]) < cfg.gamma_thm, left)
+        row[:] = [np.count_nonzero(a) for a in (out_n, fail_sic, left, lost)]
     return counts
 
 
@@ -356,23 +359,21 @@ def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Pl
                mc: McConfig, start: int, count: int) -> np.ndarray:
     """Stream one chunk of trials column by column and count every point's stages.
 
-    One (rows, count) block holds the slot row, the chain row of every
-    requested rank and the two hop rows, so a chunk's memory does not
-    grow with M: 5 rows for one pair.  Each vector's slots are drawn from
-    M down and chained at once by ``log_uniform_chain``; the hops come
-    last and become gains in place.  ``_count`` then builds its gamma*
-    rows in the slot row and the first two chain rows, which it reads no
-    more once every direct decision is made.  There are always at least
-    two chain rows: m < n in joint mode, one rank per vector in
-    independent mode.
+    One (rows, count) block holds the -gamma* row, the slot row, the
+    chain row of every requested rank and the two hop rows, so a chunk's
+    memory grows neither with M nor with the number of points: 6 rows
+    for one pair.  Each vector's slots are drawn from M down and chained
+    at once by ``log_uniform_chain``; the hops come last and become gains
+    in place.  ``_count`` then builds each -gamma* row in the first row,
+    with the slot row, free once the chains are built, as its scratch.
     """
     M = draw.M
     weak_ranks = {c.m for c, _ in points}
     strong_ranks = {c.n for c, _ in points}
     vectors = ([(0, weak_ranks | strong_ranks)] if mc.mode == "joint"
                else [(0, weak_ranks), (M, strong_ranks)])  # (column of slot 1, ranks read)
-    block = np.empty((1 + sum(len(r) for _, r in vectors) + 2, count))
-    slot_row, hops = block[0], block[-2:]
+    block = np.empty((2 + sum(len(r) for _, r in vectors) + 2, count))
+    slot_row, hops = block[1], block[-2:]
     rng = trial_stream(mc, M, start, M - 1)
     here = (M - 1) * _SEGMENT  # stream step of the next draw, less start
 
@@ -382,7 +383,7 @@ def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Pl
         here = k * _SEGMENT + count
         return rng.random(out=row)
 
-    chains, top = [], 1
+    chains, top = [], 2
     for first, ranks in vectors:
         chains.append(log_uniform_chain(lambda j, first=first: column(first + j - 1, slot_row),
                                         M, ranks, block[top:top + len(ranks)]))
@@ -393,7 +394,7 @@ def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Pl
         np.negative(hop, out=hop)  # the inverse CDF -lam*log1p(-u), in place
         np.log1p(hop, out=hop)
         hop *= -lam
-    return _count(points, plans, weak, strong, *hops, block[:3])
+    return _count(points, plans, weak, strong, *hops, block[:2])
 
 
 def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *,

@@ -25,6 +25,12 @@ def test_every_exported_name_resolves():
     assert len(set(coopnoma.__all__)) == len(coopnoma.__all__)
 
 
+def test_readme_lists_the_exported_names():
+    text = re.search(r"The package itself exports(.*?)\. Everything else", README.read_text(),
+                     re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", text)) == sorted(coopnoma.__all__)
+
+
 def test_config_key_listing_matches_the_key_table():
     from coopnoma.cli import _DEFAULTS
     block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)

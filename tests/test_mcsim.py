@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,7 +75,7 @@ class TestConfigs:
             McConfig(**kwargs)
 
     def test_chunk_size_is_a_constant_not_a_field(self):
-        # a chunk holds a few rows of min(chunk_size, trials) doubles (5 for
+        # a chunk holds a few rows of min(chunk_size, trials) doubles (6 for
         # one pair), so the fixed chunk size bounds a worker's memory
         assert McConfig.chunk_size == 65536
         assert McConfig(trials=1, seed=1).chunk_size == 65536
@@ -179,8 +180,8 @@ class TestDrawBudget:
 
     @pytest.mark.parametrize("mode", ["joint", "independent"])
     def test_chunk_memory_does_not_grow_with_M(self, mode):
-        # a chunk holds the slot row, the requested ranks' rows and the two
-        # hops (gamma* reuses the slot row and two chain rows), plus
+        # a chunk holds the -gamma* row, the slot row (also gamma*'s
+        # scratch), the requested ranks' rows and the two hops, plus
         # _count's temporaries: a few rows whatever M is, where a
         # (draws_per_trial, chunk) block would need M + 2 or 2M + 2.  A
         # full chunk's rows are McConfig.chunk_size doubles; here one chunk
@@ -199,6 +200,26 @@ class TestDrawBudget:
             finally:
                 tracemalloc.stop()
             assert peak < 7 * count * 8, (M, peak / (count * 8))
+
+    def test_chunk_memory_does_not_grow_with_the_scenario_count(self):
+        # 1,000 SNRs on one full chunk: each scenario's stages are decided
+        # in one pass, so its masks die with it, where one mask per
+        # scenario kept to the end would weigh 1,000 bytes per trial, about
+        # 125 rows of doubles
+        count = McConfig.chunk_size
+        geo = default_geometry()
+        points = [(default_config(gamma0=10.0 ** (db / 10)), geo)
+                  for db in np.linspace(0.0, 40.0, 1_000)]
+        plans = [mcsim._plan(c, g) for c, g in points]
+        mc = McConfig(trials=count, seed=5)
+        mcsim._run_chunk(points[0][0], points[:1], plans[:1], mc, 0, count)  # warm-up
+        tracemalloc.start()
+        try:
+            mcsim._run_chunk(points[0][0], points, plans, mc, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * count * 8, peak / (count * 8)
 
 
 class TestDrawRealization:
@@ -568,7 +589,7 @@ def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
     for ym, yn, dnr, rdm in zip(*(np.asarray(a, dtype=float)[:, None]
                                   for a in (y_m, y_n, g_dnr, g_rdm))):
         row, = mcsim._count([(cfg, geo)], plans, {cfg.m: ym}, {cfg.n: yn}, dnr, rdm,
-                            np.empty((3, 1)))
+                            np.empty((2, 1)))
         out.append(tuple(map(bool, outages(row, relay))))
     return out
 
@@ -620,7 +641,7 @@ def relay_edge_points(cfg, geo):
 
     def star(g_dnr, g_rdm):  # _critical_snr writes -gamma*
         return -mcsim._critical_snr(plan.hops, np.array([g_dnr]), np.array([g_rdm]),
-                                    np.empty((3, 1)))[0]
+                                    np.empty((2, 1)))[0]
 
     for target in (cfg.gamma0, *(-edge for edge in plan.relay)):
         for g_dnr in (0.5, 2.0, pl_dnr * th * (math.sqrt(1.0 + 1.0 / th) + 1.0) / target):
@@ -694,7 +715,7 @@ class TestThresholdPath:
             assert chain_events(cfg, geo, y_m, y_n, *hops, relay) == want
             # all trials in one chunk: the band's trials are patched into the masks
             row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                {cfg.n: y_n}, *hops, np.empty((3, y_n.size)))
+                                {cfg.n: y_n}, *hops, np.empty((2, y_n.size)))
             assert outages(row, relay) == tuple(map(sum, zip(*want)))
 
     def test_relay_edges_give_the_sinr_path_events(self, monkeypatch):
@@ -713,7 +734,7 @@ class TestThresholdPath:
             assert chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm) == want
             seen.clear()
             row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                {cfg.n: y_n}, g_dnr, g_rdm, np.empty((3, y_n.size)))
+                                {cfg.n: y_n}, g_dnr, g_rdm, np.empty((2, y_n.size)))
             assert outages(row, True) == tuple(map(sum, zip(*want)))
             lam = cfg.lambda_sd
             fail_sic, _, fail_direct = _direct_stages(cfg, geo, gains_from_chain(y_m, lam),
@@ -735,6 +756,41 @@ class TestThresholdPath:
             y = [0.0]
             assert chain_events(cfg, geo, y, y, [0.0], [0.0]) == sinr_events(cfg, geo, y, y,
                                                                           [0.0], [0.0])
+
+
+class TestCriticalSnr:
+    def test_within_eight_ulps_of_mpmath_over_the_box(self):
+        # 100 relay groups of 40 hop-gain pairs, every input log-uniform
+        # over the box (a hop gain is lam e, e an exponential draw's
+        # nonzero range), against gamma* at 60 digits from the same floats
+        rng = np.random.default_rng(2026)
+
+        def box(lo, hi, size=None):
+            return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+        worst = 0.0
+        for _ in range(100):
+            hops = (*(box(*INPUT_BOX["d_dnr"]) ** rng.uniform(*INPUT_BOX["theta"])
+                      for _ in range(2)), box(*INPUT_BOX["gamma_thm"]))
+            g_dnr, g_rdm = (box(*INPUT_BOX["lambda_dnr"], 40) * box(2.0 ** -53, 36.7, 40)
+                            for _ in range(2))
+            got = -mcsim._critical_snr(hops, g_dnr, g_rdm, np.empty((2, 40)))
+            with mpmath.workdps(60):
+                pl_dnr, pl_rdm, th = map(mpmath.mpf, hops)
+                for a, b, star in zip(g_dnr.tolist(), g_rdm.tolist(), got.tolist()):
+                    x, y = pl_dnr / a, pl_rdm / b
+                    s = x + y
+                    want = th / 2 * s * (1 + mpmath.sqrt(1 + 4 * x * y / (s * s * th)))
+                    worst = max(worst, float(abs(star - want) / want))
+        assert worst <= 8 * 2.0 ** -53, worst / 2.0 ** -53
+
+    def test_zero_hop_gains(self):
+        # one zero hop gain fails on the row alone (the SINR is 0); two give
+        # nan, which the relayed SINR decides
+        star = mcsim._critical_snr((16.0, 40.0, 1.0), np.array([0.0, 0.5, 0.0]),
+                                   np.array([0.5, 0.0, 0.0]), np.empty((2, 3)))
+        assert star[:2].tolist() == [-math.inf, -math.inf]
+        assert math.isnan(star[2])
 
 
 class TestThresholdMechanism:

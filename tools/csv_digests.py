@@ -4,6 +4,7 @@
     python3 tools/csv_digests.py --seeds 11-20
     python3 tools/csv_digests.py --seeds 11 12 --workload snr_sweep_ref
     python3 tools/csv_digests.py --seeds 11 --workload pair-joint
+    python3 tools/csv_digests.py --gate > tests/fixtures/csv_digests.json
 
 Runs ``coopnoma.cli.main(argv)`` in this process for every (run, seed),
 with the CSV under a temporary directory, and prints one line per run
@@ -29,6 +30,14 @@ Two trees write byte-identical CSVs exactly where their outputs match
 line for line, so the tool run on both sides of a change checks the CSV
 contract.  It imports ``perfbench/workloads.py`` and writes nothing in
 the checkout.
+
+``--gate`` prints, as JSON, what the tier-1 byte gate
+(``tests/test_csv_bytes.py``) recomputes and compares with its fixture:
+every run at ``GATE_SEED``, ``single_point_m20`` at ``GATE_TRIALS``
+trials instead of its 16e6, the lines of ``tools/evaluate_digests.py``,
+and numpy's version and the SIMD dispatch targets this CPU runs, on
+which the bytes also rest.  A change that moves the bytes on purpose
+rewrites the fixture with it and says why.
 """
 
 from __future__ import annotations
@@ -36,13 +45,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import pathlib
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import evaluate_digests  # noqa: E402
 from coopnoma import cli  # noqa: E402
 from coopnoma.mcsim import MODES  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -58,6 +71,8 @@ SWEEPS = {
 }
 SWEEP_TRIALS = 150_000  # three chunks of McConfig.chunk_size
 RUNS = [*WORKLOADS, *(f"{variable}-{mode}" for variable in SWEEPS for mode in MODES)]
+GATE_SEED = 11
+GATE_TRIALS = {"single_point_m20": 1_000_000}  # 16 chunks, about 0.1 s
 
 
 def run_argv(name: str, seed: int, out: pathlib.Path, tmp: pathlib.Path) -> list[str]:
@@ -69,6 +84,36 @@ def run_argv(name: str, seed: int, out: pathlib.Path, tmp: pathlib.Path) -> list
     ini.write_text(SWEEPS[variable])
     return ["--config", str(ini), "--engine", "both", "--baseline", "--mode", mode,
             "--trials", str(SWEEP_TRIALS), "--seed", str(seed), "--out", str(out)]
+
+
+def digest(name: str, seed: int, tmp: pathlib.Path, trials: int | None = None) -> str:
+    """sha256 of the CSV one run writes under ``tmp``, at ``trials`` trials if given."""
+    out = tmp / f"{name}-{seed}.csv"
+    argv = run_argv(name, seed, out, tmp) + (["--trials", str(trials)] if trials else [])
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(argv)
+    if code:
+        raise RuntimeError(f"{name} seed {seed}: coopnoma exited with {code}")
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def platform() -> dict:
+    """numpy's version and the SIMD dispatch targets it runs on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return {"numpy": np.__version__,
+            "cpu_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
+
+
+def gate() -> dict:
+    """The byte gate's digests and the platform they were made on (see the module notes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = {name: digest(name, GATE_SEED, pathlib.Path(tmp), GATE_TRIALS.get(name))
+               for name in RUNS}
+    return {**platform(), "seed": GATE_SEED, "csv": csv,
+            "evaluate": {f"{name} {relay}": sha for name, relay, sha in evaluate_digests.lines()}}
 
 
 def seeds(specs: list[str]) -> list[int]:
@@ -85,18 +130,17 @@ def main(argv=None) -> None:
     ap.add_argument("--seeds", nargs="+", default=["11-20"], help="seeds or ranges A-B")
     ap.add_argument("--workload", choices=[*RUNS, "all"], default="all",
                     help="one run, a benchmark workload or a fixed sweep")
+    ap.add_argument("--gate", action="store_true", help="print the byte gate's fixture instead")
     args = ap.parse_args(argv)
+    if args.gate:
+        print(json.dumps(gate(), indent=1))
+        return
     names = RUNS if args.workload == "all" else [args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         for name in names:
             for seed in seeds(args.seeds):
-                out = tmp / f"{name}-{seed}.csv"
-                with contextlib.redirect_stdout(sys.stderr):
-                    code = cli.main(run_argv(name, seed, out, tmp))
-                if code:
-                    sys.exit(f"{name} seed {seed}: coopnoma exited with {code}")
-                print(name, seed, hashlib.sha256(out.read_bytes()).hexdigest(), flush=True)
+                print(name, seed, digest(name, seed, tmp), flush=True)
 
 
 if __name__ == "__main__":

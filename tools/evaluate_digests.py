@@ -39,7 +39,8 @@ LAYOUTS = {
 }
 
 
-def main() -> None:
+def lines():
+    """(layout, relay flag, sha256) of every run, in the order printed."""
     gamma0 = 10.0 ** (np.arange(-6000, 6001) / 200.0)
     for name, (system, sides) in LAYOUTS.items():
         cfg = SystemConfig(**system, gamma0=1.0)
@@ -47,8 +48,13 @@ def main() -> None:
         for relay in (True, False):
             pt = evaluate(cfg, geo, relay=relay, gamma0=gamma0)
             floats = np.concatenate([pt.p_out_n, pt.p_out_m, pt.throughput])
-            print(name, "relay" if relay else "no_relay",
-                  hashlib.sha256(floats.tobytes()).hexdigest(), flush=True)
+            yield (name, "relay" if relay else "no_relay",
+                   hashlib.sha256(floats.tobytes()).hexdigest())
+
+
+def main() -> None:
+    for line in lines():
+        print(*line, flush=True)
 
 
 if __name__ == "__main__":
