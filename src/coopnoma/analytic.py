@@ -73,9 +73,11 @@ def _k1_series_tables(last: int):
 # 1e-18 of a sum is under half its ulp, and the terms fall from there
 # on, so adding them leaves both sums unchanged: the whole table gives,
 # bit for bit, the sums of a loop that stops at convergence and of any
-# longer table, as the cumulative products and sums are sequential.
+# longer table, as the sums are added in order.
 _K1_LAST_TERM = 20
 _K1_DIVISORS, _K1_PSI = _k1_series_tables(_K1_LAST_TERM)
+# Entries per block of the quadrature, whose (entries x 64 nodes) arrays
+# it bounds; the series works on (entries,) vectors and needs no block.
 _K1_BLOCK = 128
 
 
@@ -90,35 +92,41 @@ def bessel_k1(x):
     representation K1(x) = 2 e^{-x} \\int_0^U e^{-x u^2} (1+u^2) /
     sqrt(2+u^2) du (exact as U -> inf; tail < 1e-18 once x U^2 > 45)
     is evaluated with a fixed 64-node Gauss-Legendre rule.  Each entry
-    is computed on its own, so it does not depend on the others.
+    is computed on its own, so it does not depend on the others.  The
+    series sums every entry below the split at once, term by term on
+    vectors of the entries; only the quadrature, whose arrays hold one
+    row of nodes per entry, takes the entries in blocks of _K1_BLOCK.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError(f"bessel_k1 requires x > 0, got {x[~(x > 0)].flat[0]}")
     flat = x.ravel()
     out = np.zeros_like(flat)  # x = inf keeps the limit K1 = 0
-    # Both regimes work on (entries x terms) arrays; blocks of entries
-    # bound their size.
-    for lo in range(0, flat.size, _K1_BLOCK):
-        block = flat[lo:lo + _K1_BLOCK]
-        small = block <= 2.0
-        for where, branch in ((small, _k1_series), (~small & (block < np.inf), _k1_integral)):
-            if where.any():
-                out[lo:lo + _K1_BLOCK][where] = branch(block[where])
+    small = flat <= 2.0
+    if small.any():
+        out[small] = _k1_series(flat[small])
+    large = np.flatnonzero(~small & (flat < np.inf))
+    for lo in range(0, large.size, _K1_BLOCK):
+        where = large[lo:lo + _K1_BLOCK]
+        out[where] = _k1_integral(flat[where])
     out = out.reshape(x.shape)
     return out if out.ndim else float(out)
 
 
 def _k1_series(x: np.ndarray) -> np.ndarray:
-    # I1-style series and its digamma-weighted twin, summed together over
-    # terms k = 0.._K1_LAST_TERM.  cumsum adds in order, where .sum's
-    # pairwise order would move the last bit.
-    r = (0.25 * x * x)[:, None] / _K1_DIVISORS
-    term = np.concatenate([np.ones((x.size, 1)), np.cumprod(r, axis=1)], axis=1)
-    s_bess = np.cumsum(term, axis=1)[:, -1]
-    s_psi = np.cumsum(_K1_PSI * term, axis=1)[:, -1]
+    # I1-style series and its digamma-weighted twin, summed together term
+    # by term over k = 0.._K1_DIVISORS.size, each sum in order (a pairwise
+    # .sum would move the last bit), on (entries,) vectors.
+    q = 0.25 * x * x
+    term, s_bess, s_psi = 1.0, 1.0, _K1_PSI[0]
+    for divisor, psi in zip(_K1_DIVISORS.tolist(), _K1_PSI[1:].tolist()):
+        term = term * (q / divisor)  # term_k = term_{k-1} (q / (k (k+1)))
+        s_bess = s_bess + term
+        s_psi = s_psi + psi * term
+    del q, term
     i1 = 0.5 * x * s_bess
-    return 1.0 / x + np.log(0.5 * x) * i1 - 0.25 * x * s_psi
+    # the log product first: a + b is b + a bit for bit, and one row fewer is alive
+    return np.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * s_psi
 
 
 def _k1_integral(x: np.ndarray) -> np.ndarray:

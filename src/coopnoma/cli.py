@@ -16,11 +16,12 @@ fails is walked point by point to name its first bad point.  Each group
 then takes one ``evaluate`` call over the array of its SNRs, and one
 ``estimate`` call draws the fading gains once and counts every
 Monte-Carlo scenario on them.  Each engine's baseline rows read the
-no-relay fields of the results its relay rows read.  Each column is
-formatted by one ``"%.10g"`` pass over its Python floats, and the rows
-are tuples of strings in CSV_COLUMNS order, zipped from the columns.
-``write_csv`` streams them to the file one joined line per row; no field
-needs quoting, so the bytes are those of ``csv.writer``.
+no-relay fields of the results its relay rows read.  The points are
+then taken in blocks: in each, every column is formatted by one
+``"%.10g"`` pass over its Python floats, and the fields are zipped and
+joined into one CSV line (a string) per row.  ``write_csv`` writes the
+lines a block at a time, one ``write`` each; no field needs quoting, so
+the bytes are those of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ CSV_COLUMNS = ("gamma0_db", "m", "n", "engine", "mode",
 
 ENGINES = ("analytic", "mc")
 OUTPUTS = ("p_out_n", "p_out_m", "throughput")
+
+# Points formatted into lines at a time by run_sweep, and lines handed to
+# one write by write_csv: a block's strings, not a whole sweep's or file's,
+# are what either holds beside its result.
+_BLOCK = 1024
 
 # Most points a --sweep-gamma0-db range may give, the points its 1e-9 slack
 # past STOP admits included.  No list of more than one point past it is built.
@@ -280,32 +286,32 @@ def _groups(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec) -> list[tuple]:
     return groups
 
 
-def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> list[tuple]:
+def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> list[str]:
     """Evaluate every sweep point with every requested engine.
 
-    Returns CSV-ready rows, tuples of strings in CSV_COLUMNS order,
-    ordered by sweep index then engine.  The SNRs come from the sweep,
-    never from ``cfg.gamma0``.  An error in building a point propagates
-    annotated with the offending sweep point, before any Monte-Carlo
-    trial is drawn.
+    Returns one CSV line per row, its fields in CSV_COLUMNS order joined
+    by commas (no line terminator), ordered by sweep index then engine.
+    The SNRs come from the sweep, never from ``cfg.gamma0``.  An error in
+    building a point propagates annotated with the offending sweep point,
+    before any Monte-Carlo trial is drawn.
     """
     groups = _groups(cfg, geo, sweep)
 
-    # engine, mode, then the p_out_n, p_out_m, stderr_n, stderr_m, throughput columns
+    # engine, mode, then the p_out_n, p_out_m, stderr_n, stderr_m, throughput
+    # columns, each an array over the points or None for a blank column
     variants = []
     if "analytic" in sweep.engines:
-        blank = repeat("")
         curves = [evaluate(cfg_g, geo_g, gamma0=np.array(gamma0s))
                   for cfg_g, geo_g, _, gamma0s in groups]
 
         def column(name):
-            return _format(np.concatenate([getattr(c, name) for c in curves]).tolist())
+            return np.concatenate([getattr(c, name) for c in curves])
 
         p_n = column("p_out_n")  # the strong user's outage, the same with the relay and without
-        variants.append(("analytic", "", p_n, column("p_out_m"), blank, blank,
+        variants.append(("analytic", "", p_n, column("p_out_m"), None, None,
                          column("throughput")))
         if sweep.baseline:
-            variants.append(("analytic-norelay", "", p_n, column("p_out_m_norelay"), blank, blank,
+            variants.append(("analytic-norelay", "", p_n, column("p_out_m_norelay"), None, None,
                              column("throughput_norelay")))
     if "mc" in sweep.engines:
         scenarios = [(replace(cfg_g, gamma0=gamma0), geo_g)
@@ -313,7 +319,7 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
         results = estimate(*scenarios[0], mc, also=scenarios[1:])
 
         def column(name):  # an McPoint field, or a dotted property of one such as "p_out_m.p_hat"
-            return _format(list(map(attrgetter(name), results)))
+            return np.array(list(map(attrgetter(name), results)), dtype=float)
 
         p_n, s_n = column("p_out_n.p_hat"), column("p_out_n.stderr")  # shared, as above
         variants.append(("mc", mc.mode, p_n, column("p_out_m.p_hat"), s_n,
@@ -327,23 +333,39 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
         db_s += dbs
         m_s += [str(cfg_g.m)] * len(dbs)
         n_s += [str(cfg_g.n)] * len(dbs)
-    db_s = _format(db_s)
-    # one row iterator per variant, interleaved so each point's rows come together
-    by_variant = [zip(db_s, m_s, n_s, repeat(engine), repeat(mode), *columns)
-                  for engine, mode, *columns in variants]
-    return list(chain.from_iterable(zip(*by_variant)))
+    # Each block of points is formatted a column at a time and joined into
+    # lines, so only one block's field strings are alive at once.
+    rows = []
+    for lo in range(0, len(db_s), _BLOCK):
+        hi = lo + _BLOCK
+        # each column's fields in the block by the column's id, a column that
+        # variants share formatted once and a blank one (None) empty
+        text = {id(None): repeat("")}
+        for _, _, *columns in variants:
+            for c in columns:
+                if id(c) not in text:
+                    text[id(c)] = _format(c[lo:hi].tolist())
+        # one line iterator per variant, interleaved so each point's rows come together
+        point_fields = _format(db_s[lo:hi]), m_s[lo:hi], n_s[lo:hi]
+        by_variant = [map(",".join, zip(*point_fields, repeat(engine), repeat(mode),
+                                        *(text[id(c)] for c in columns)))
+                      for engine, mode, *columns in variants]
+        rows += chain.from_iterable(zip(*by_variant))
+    return rows
 
 
-def write_csv(rows: list[tuple], path: str | Path) -> None:
-    """Write sweep rows under the fixed header, streamed one line per row.
+def write_csv(rows: list[str], path: str | Path) -> None:
+    """Write sweep lines under the fixed header, one ``write`` per block of lines.
 
     Every field is a ``%.10g`` number, a decimal integer, a fixed engine
     or mode name, or empty, so none needs quoting: the bytes are those
-    ``csv.writer`` writes with ``lineterminator="\\n"``.
+    ``csv.writer`` writes with ``lineterminator="\\n"``.  No string of the
+    whole file is built.
     """
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        for lo in range(0, len(rows), _BLOCK):
+            fh.write("\n".join(rows[lo:lo + _BLOCK]) + "\n")
 
 
 def _check_csv(csv_path: Path) -> None:

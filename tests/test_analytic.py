@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -170,6 +171,31 @@ class TestK1SeriesTable:
         monkeypatch.setattr(analytic, "_K1_PSI", analytic._k1_series_tables(self.LONG)[1])
         assert analytic._K1_PSI.size == self.LONG + 1
         assert got.tobytes() == bessel_k1(x).tobytes()
+
+    def test_a_shorter_table_moves_bits_where_terms_still_count(self, monkeypatch):
+        # the loop runs over the table it is given: cut to terms 0..6, the
+        # series drops terms near 1e-9 at x near 2, but none that count at
+        # x = 1e-5, and the quadrature regime does not read the table
+        x = np.array([1.9, 1.95, 2.0, 1e-5, 2.5])
+        got = bessel_k1(x)
+        monkeypatch.setattr(analytic, "_K1_DIVISORS", analytic._k1_series_tables(6)[0])
+        monkeypatch.setattr(analytic, "_K1_PSI", analytic._k1_series_tables(6)[1])
+        short = bessel_k1(x)
+        assert (short[:3] != got[:3]).all()
+        assert short[3:].tobytes() == got[3:].tobytes()
+
+    def test_series_memory_is_a_few_rows_of_its_entries(self):
+        # the series keeps (entries,) vectors, where (entries x terms)
+        # arrays of the whole call would weigh 21 rows each
+        x = np.linspace(0.0, 2.0, 100_001)[1:]
+        bessel_k1(x[:10])  # warm-up
+        tracemalloc.start()
+        try:
+            bessel_k1(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.nbytes, peak / x.nbytes
 
 
 class TestOutageStrong:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,8 +42,24 @@ def small_bundle(**mc_overrides):
 
 
 def sweep_dicts(*bundle):
-    """``run_sweep``'s rows, each as a dict keyed by CSV column."""
-    return [dict(zip(CSV_COLUMNS, row)) for row in run_sweep(*bundle)]
+    """``run_sweep``'s lines, each as a dict keyed by CSV column."""
+    return [dict(zip(CSV_COLUMNS, row.split(","), strict=True)) for row in run_sweep(*bundle)]
+
+
+def written_bytes(rows, tmp_path):
+    """The bytes ``write_csv`` writes for ``rows``."""
+    out = tmp_path / "sweep.csv"
+    write_csv(rows, out)
+    return out.read_bytes()
+
+
+def csv_module_bytes(rows):
+    """The bytes ``csv.writer`` writes for the header and ``rows``' fields, the reference."""
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(row.split(",") for row in rows)
+    return want.getvalue().encode()
 
 
 # Recording test double of the matplotlib surface that emitted plot
@@ -371,10 +388,10 @@ class TestRunSweep:
         rows = run_sweep(cfg, geo, mc, sweep)
         assert len(rows) == 2 * len(sweep.values)  # both engines, no baseline
         for row in rows:
-            # a tuple of strings in CSV_COLUMNS order
-            assert type(row) is tuple and len(row) == len(CSV_COLUMNS)
-            assert all(type(field) is str for field in row)
-            fields = dict(zip(CSV_COLUMNS, row))
+            # one CSV line, its fields in CSV_COLUMNS order, with no line terminator
+            assert type(row) is str and "\n" not in row
+            assert row.count(",") == len(CSV_COLUMNS) - 1
+            fields = dict(zip(CSV_COLUMNS, row.split(",")))
             assert fields["engine"] in ("analytic", "mc")
             assert fields["mode"] == ("" if fields["engine"] == "analytic" else mc.mode)
             assert (int(fields["m"]), int(fields["n"])) == (cfg.m, cfg.n)
@@ -632,14 +649,41 @@ class TestCsvAndPlots:
                         baseline=True)
         rows = run_sweep(cfg, geo, mc, sweep)
         assert len(rows) == 4 * len(values)
-        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
-        out = tmp_path / "sweep.csv"
-        write_csv(rows, out)
-        want = io.StringIO()
-        writer = csv.writer(want, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-        assert out.read_bytes() == want.getvalue().encode()
+        assert all(len(row.split(",")) == len(CSV_COLUMNS) for row in rows)
+        assert written_bytes(rows, tmp_path) == csv_module_bytes(rows)
+
+    @pytest.mark.parametrize("variable, values", [
+        ("gamma0_db", tuple(4.0 * k for k in range(10))),
+        ("pair", ((1, 2), (2, 4), (3, 6), (1, 6), (2, 5))),
+        ("distance-set", ((4.0, 6.0, 4.0), (2.0, 9.0, 7.0), (6.0, 3.0, 5.0),
+                          (5.0, 5.0, 5.0))),
+    ])
+    def test_bytes_do_not_depend_on_the_block(self, monkeypatch, tmp_path, variable, values):
+        # blocks of 3 points and 3 lines split every sweep here, mid-point and
+        # mid-group included; the reference is one block written by csv.writer
+        import coopnoma.cli as cli
+        from dataclasses import replace
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, variable=variable, values=values, engines=("analytic", "mc"),
+                        baseline=True)
+        want = csv_module_bytes(run_sweep(cfg, geo, mc, sweep))
+        assert len(values) <= cli._BLOCK
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        assert written_bytes(run_sweep(cfg, geo, mc, sweep), tmp_path) == want
+
+    def test_write_memory_does_not_grow_with_the_rows(self):
+        # 200,000 lines are about 20 MB of text; the file is written a block
+        # of lines at a time, never joined whole
+        line = "12.345,3,6,analytic-norelay,,0.1234567891,0.1234567891,,,1.234567891"
+        rows = [line] * 200_000
+        write_csv(rows[:10], os.devnull)  # warm-up
+        tracemalloc.start()
+        try:
+            write_csv(rows, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
 
     def test_column_format_equals_str_format(self):
         values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3, 1.5, 1e10,

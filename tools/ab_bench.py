@@ -11,12 +11,23 @@ tree that goes first alternates from pair to pair, so neither always
 runs on a warmer or a quieter host.  Then prints, for every end-to-end
 metric that ``BENCHMARK.json`` names: the median of each tree, the
 change in percent, the interquartile range of the parent's runs
-(quartiles by ``statistics.quantiles``' inclusive method), and how many
-pairs each tree won (a tie counts for neither).  Last, it prints in how
-many pairs the two trees wrote CSVs with the same sha256 (the seed
-changes the Monte-Carlo rows, so only the two runs of one pair
-compare).  ``--json PATH`` also writes every run's metrics and CSV
-digest there.
+(quartiles by ``statistics.quantiles``' inclusive method), how many
+pairs each tree won (a tie counts for neither) and a verdict:
+
+- ``gain``: the change won at least 9 in 10 pairs and its median beats
+  the parent's by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+  parent's median;
+- ``unresolved``: the parent's interquartile range is wider than that
+  bound, so these runs cannot tell a move of the bound's size (for
+  ``setup_s``, ``tools/import_cost.py`` can);
+- ``flat``: anything else.
+
+Last, it prints in how many pairs the two trees wrote CSVs with the
+same sha256 (the seed changes the Monte-Carlo rows, so only the two runs
+of one pair compare).  ``--json PATH`` also writes every run's metrics
+and CSV digest there.
 
 This is a measurement, not a gate: it exits 0 whenever every run
 completed, whatever the numbers say.
@@ -52,21 +63,32 @@ def bench_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> 
 
 
 HEADER = (f"{'metric':<14} {'parent':>11} {'change':>11} {'change %':>9} {'parent IQR':>11} "
-          f"{'wins (change/parent)':>21}")
+          f"{'wins (change/parent)':>21} {'verdict':>10}")
 
 
-def summary_line(name: str, parent: list[float], change: list[float], better: str) -> str:
+def summary_line(name: str, parent: list[float], change: list[float], better: str,
+                 bound: float | None = None) -> str:
     """One metric's row under ``HEADER``: both medians, the change in percent,
-    the parent's interquartile range and the pairs each tree won (``better`` is
-    "higher" or "lower"; a tie counts for neither)."""
+    the parent's interquartile range, the pairs each tree won (``better`` is
+    "higher" or "lower"; a tie counts for neither) and the verdict (see the
+    module notes; with no ``bound``, only ``gain`` or ``flat``)."""
     sign = 1 if better == "higher" else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1
                  else (p_med,) * 3)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    gained = sign * (c_med - p_med)
+    if 10 * wins >= 9 * len(parent) and gained > q3 - q1:
+        verdict = "gain"
+    elif bound is not None and -gained > bound * abs(p_med):
+        verdict = "worse"
+    elif bound is not None and q3 - q1 > bound * abs(p_med):
+        verdict = "unresolved"
+    else:
+        verdict = "flat"
     return (f"{name:<14} {p_med:>11.4g} {c_med:>11.4g} {100 * (c_med / p_med - 1):>+8.1f}% "
-            f"{q3 - q1:>11.3g} {f'{wins}/{losses}':>21}")
+            f"{q3 - q1:>11.3g} {f'{wins}/{losses}':>21} {verdict:>10}")
 
 
 def main(argv=None) -> int:
@@ -98,7 +120,11 @@ def main(argv=None) -> int:
     print(HEADER)
     for m in metrics:
         name = m["name"]
-        print(summary_line(name, values["parent"][name], values["change"][name], m["better"]))
+        line = summary_line(name, values["parent"][name], values["change"][name], m["better"],
+                            m.get("bound"))
+        print(line)
+        if name == "setup_s" and line.endswith("unresolved"):
+            print("  setup_s: compare set-up alone with tools/import_cost.py")
     same = sum(p == c for p, c in zip(*digests.values()))
     print(f"CSV sha256: parent and change agree in {same}/{args.pairs} pairs")
     if args.json:
