@@ -16,12 +16,15 @@ fails is walked point by point to name its first bad point.  Each group
 then takes one ``evaluate`` call over the array of its SNRs, and one
 ``estimate`` call draws the fading gains once and counts every
 Monte-Carlo scenario on them.  Each engine's baseline rows read the
-no-relay fields of the results its relay rows read.  The points are
-then taken in blocks: in each, every column is formatted by one
-``"%.10g"`` pass over its Python floats, and the fields are zipped and
-joined into one CSV line (a string) per row.  ``write_csv`` writes the
-lines a block at a time, one ``write`` each; no field needs quoting, so
-the bytes are those of ``csv.writer``.
+no-relay fields of the results its relay rows read.  ``run_sweep``
+returns a sized view of the CSV lines that holds only the result
+columns.  Reading it takes the points in blocks: in each, every column
+is formatted by one ``"%.10g"`` pass over its Python floats, and the
+fields are zipped and joined into one CSV line (a string) per row.
+``write_csv`` reads and writes the lines a block at a time, one
+``write`` each, so a sweep's lines are formatted as they are written and
+never all held at once; no field needs quoting, so the bytes are those
+of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ import configparser
 import csv
 import math
 import sys
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from operator import attrgetter
+from itertools import accumulate, chain, islice, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +53,9 @@ CSV_COLUMNS = ("gamma0_db", "m", "n", "engine", "mode",
 ENGINES = ("analytic", "mc")
 OUTPUTS = ("p_out_n", "p_out_m", "throughput")
 
-# Points formatted into lines at a time by run_sweep, and lines handed to
-# one write by write_csv: a block's strings, not a whole sweep's or file's,
-# are what either holds beside its result.
+# Points formatted into lines at a time by a pass over run_sweep's view, and
+# lines handed to one write by write_csv: a block's strings, not a whole
+# sweep's or file's, are what either holds beside the result columns.
 _BLOCK = 1024
 
 # Most points a --sweep-gamma0-db range may give, the points its 1e-9 slack
@@ -286,14 +291,71 @@ def _groups(cfg: SystemConfig, geo: Geometry, sweep: SweepSpec) -> list[tuple]:
     return groups
 
 
-def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> list[str]:
+class SweepLines:
+    """A sweep's CSV lines, formatted a block of points at a time when read.
+
+    Holds the SNR of every point (``gamma0_db``, an array), the ranks of
+    each group of points (``ranks``: the index past the group's last
+    point and its m and n as text) and, per row variant, its engine, mode
+    and result columns (arrays over the points, or None for a blank
+    column).  ``len()`` is the number of
+    lines; each pass over the view formats them afresh, each a string of
+    the fields in CSV_COLUMNS order joined by commas (no line
+    terminator), so it can be read any number of times and holds no
+    more than one block's strings at once.
+    """
+
+    def __init__(self, gamma0_db: np.ndarray, ranks: list[tuple[int, str, str]],
+                 variants: list):
+        self.gamma0_db, self.ranks, self.variants = gamma0_db, ranks, variants
+
+    def __len__(self) -> int:
+        return len(self.gamma0_db) * len(self.variants)
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(map(self._block, range(0, len(self.gamma0_db), _BLOCK)))
+
+    def _block(self, lo: int) -> list[str]:
+        """The lines of points lo to lo + _BLOCK, each point's rows together."""
+        hi = min(lo + _BLOCK, len(self.gamma0_db))
+        # Every column of the block is formatted in one pass, by the column's
+        # id: a column that variants share is formatted once, a blank one
+        # (None) is empty.
+        text = {id(None): repeat("")}
+        for _, _, *columns in self.variants:
+            for c in columns:
+                if id(c) not in text:
+                    text[id(c)] = _format(c[lo:hi].tolist())
+        point_fields = _format(self.gamma0_db[lo:hi].tolist()), *self._ranks(lo, hi)
+        # one line iterator per variant, interleaved so each point's rows come together
+        by_variant = [map(",".join, zip(*point_fields, repeat(engine), repeat(mode),
+                                        *(text[id(c)] for c in columns)))
+                      for engine, mode, *columns in self.variants]
+        return list(chain.from_iterable(zip(*by_variant)))
+
+    def _ranks(self, lo: int, hi: int) -> tuple[list[str], list[str]]:
+        """The m and n fields of points lo to hi - 1, each group's over all its points."""
+        m, n = [], []
+        g = bisect_right(self.ranks, lo, key=itemgetter(0))  # the group of point lo
+        while lo < hi:
+            stop, m_text, n_text = self.ranks[g]
+            count = min(stop, hi) - lo
+            m += [m_text] * count
+            n += [n_text] * count
+            lo, g = lo + count, g + 1
+        return m, n
+
+
+def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) -> SweepLines:
     """Evaluate every sweep point with every requested engine.
 
-    Returns one CSV line per row, its fields in CSV_COLUMNS order joined
-    by commas (no line terminator), ordered by sweep index then engine.
-    The SNRs come from the sweep, never from ``cfg.gamma0``.  An error in
-    building a point propagates annotated with the offending sweep point,
-    before any Monte-Carlo trial is drawn.
+    Every engine runs here, so an error in building a point propagates,
+    annotated with the offending sweep point, before any Monte-Carlo
+    trial is drawn and before any file is written.  Returns a sized view
+    of the CSV lines, one per row, ordered by sweep index then engine
+    (see ``SweepLines``): it holds the result columns, and a pass over
+    it formats the lines a block of points at a time.  The SNRs come
+    from the sweep, never from ``cfg.gamma0``.
     """
     groups = _groups(cfg, geo, sweep)
 
@@ -328,44 +390,26 @@ def run_sweep(cfg: SystemConfig, geo: Geometry, mc: McConfig, sweep: SweepSpec) 
             variants.append(("mc-norelay", mc.mode, p_n, column("p_out_m_norelay.p_hat"), s_n,
                              column("p_out_m_norelay.stderr"), column("throughput_norelay")))
 
-    db_s, m_s, n_s = [], [], []
-    for cfg_g, _, dbs, _ in groups:
-        db_s += dbs
-        m_s += [str(cfg_g.m)] * len(dbs)
-        n_s += [str(cfg_g.n)] * len(dbs)
-    # Each block of points is formatted a column at a time and joined into
-    # lines, so only one block's field strings are alive at once.
-    rows = []
-    for lo in range(0, len(db_s), _BLOCK):
-        hi = lo + _BLOCK
-        # each column's fields in the block by the column's id, a column that
-        # variants share formatted once and a blank one (None) empty
-        text = {id(None): repeat("")}
-        for _, _, *columns in variants:
-            for c in columns:
-                if id(c) not in text:
-                    text[id(c)] = _format(c[lo:hi].tolist())
-        # one line iterator per variant, interleaved so each point's rows come together
-        point_fields = _format(db_s[lo:hi]), m_s[lo:hi], n_s[lo:hi]
-        by_variant = [map(",".join, zip(*point_fields, repeat(engine), repeat(mode),
-                                        *(text[id(c)] for c in columns)))
-                      for engine, mode, *columns in variants]
-        rows += chain.from_iterable(zip(*by_variant))
-    return rows
+    stops = accumulate(len(dbs) for *_, dbs, _ in groups)
+    ranks = [(stop, str(cfg_g.m), str(cfg_g.n)) for stop, (cfg_g, *_) in zip(stops, groups)]
+    return SweepLines(np.concatenate([dbs for *_, dbs, _ in groups]), ranks, variants)
 
 
-def write_csv(rows: list[str], path: str | Path) -> None:
+def write_csv(rows: Iterable[str], path: str | Path) -> None:
     """Write sweep lines under the fixed header, one ``write`` per block of lines.
 
-    Every field is a ``%.10g`` number, a decimal integer, a fixed engine
-    or mode name, or empty, so none needs quoting: the bytes are those
-    ``csv.writer`` writes with ``lineterminator="\\n"``.  No string of the
-    whole file is built.
+    ``rows`` is ``run_sweep``'s view or any other iterable of lines; it is
+    read a block at a time, so a view's lines are formatted as they are
+    written and no string of the whole file is built.  Every field is a
+    ``%.10g`` number, a decimal integer, a fixed engine or mode name, or
+    empty, so none needs quoting: the bytes are those ``csv.writer``
+    writes with ``lineterminator="\\n"``.
     """
+    lines = iter(rows)
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for lo in range(0, len(rows), _BLOCK):
-            fh.write("\n".join(rows[lo:lo + _BLOCK]) + "\n")
+        while block := list(islice(lines, _BLOCK)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _check_csv(csv_path: Path) -> None:

@@ -526,8 +526,8 @@ class TestRunSweep:
         from dataclasses import replace
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, variable=variable, values=values, baseline=True)
-        rows = run_sweep(cfg, geo, mc, sweep)
-        assert run_sweep(replace(cfg, gamma0=1e-30), geo, mc, sweep) == rows
+        rows = list(run_sweep(cfg, geo, mc, sweep))
+        assert list(run_sweep(replace(cfg, gamma0=1e-30), geo, mc, sweep)) == rows
 
     def test_grid_makes_one_evaluate_call_per_group(self, monkeypatch):
         # the baseline rows come from the relayed call's no-relay fields
@@ -684,6 +684,33 @@ class TestCsvAndPlots:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20, peak
+
+    def test_sweep_memory_is_a_few_blocks_beyond_its_columns(self):
+        # A 100,000-point grid with its baseline is 200,000 lines, about 26 MB
+        # of text.  The result holds only its columns (numpy arrays), and
+        # writing it formats a block of points at a time: past the arrays, a
+        # block's strings (about 0.6 MB) are all either may add.
+        from dataclasses import replace
+        cfg, geo, mc, sweep = small_bundle()
+        sweep = replace(sweep, values=tuple(0.002 * k - 100.0 for k in range(100_000)),
+                        engines=("analytic",), baseline=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = run_sweep(cfg, geo, mc, sweep)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            write_csv(rows, os.devnull)
+            write_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = {id(a): a.nbytes for a in (rows.gamma0_db,
+                                            *(c for _, _, *cs in rows.variants for c in cs
+                                              if c is not None))}
+        assert len(rows) == 200_000
+        assert held - sum(arrays.values()) < 2 * 2 ** 20, (held, arrays)
+        assert write_peak < 2 * 2 ** 20, write_peak
 
     def test_column_format_equals_str_format(self):
         values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3, 1.5, 1e10,
@@ -899,6 +926,21 @@ class TestMain:
         rc = main(["--config", str(scen), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must lie in [")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, config, error", [
+        ([], "[sweep]\nvariable = pair\nvalues = 1:2, 5:3\n", "sweep point pair=(5, 3): "),
+        (["--sweep-gamma0-db", "260:320:20"], "",
+         "sweep point gamma0_db=320.0: gamma0 must lie in ["),
+    ], ids=["pair", "gamma0_db"])
+    def test_bad_sweep_point_leaves_no_csv(self, tmp_path, capsys, argv, config, error):
+        # every engine runs before the CSV is opened, so a bad point writes nothing
+        scen = tmp_path / "bad.ini"
+        scen.write_text(config)
+        rc = main(["--config", str(scen), *argv, "--engine", "both", "--trials", "1000",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
         assert not (tmp_path / "x.csv").exists()
 
     def test_out_path_that_is_a_directory_is_reported(self, tmp_path, capsys):

@@ -159,6 +159,26 @@ class TestOrderedSf:
         with pytest.raises(ValueError):
             ordered_sf(OrderStatSpec(M=6, i=3, lam=1.0), [0.5, -0.1])
 
+    @pytest.mark.parametrize("M", [2, 6, 13, 20])
+    def test_equals_the_papers_phi_expansion(self, M):
+        # The paper states the rank-i law as the signed sum
+        # sf(x) = sum_{k<i} phi(k, i, M) exp(-(M - i + 1 + k) x / lam), whose
+        # terms cancel; at 60 digits the cancellation costs nothing, so it is
+        # an exact reference for the engine's nonnegative binomial tail.  The
+        # least reference here is exp(-20 * 12), far above the subnormals.
+        lam = 1.0
+        xs = np.logspace(-3, math.log10(12.0), 25)
+        worst = 0.0
+        for i in range(1, M + 1):
+            got = ordered_sf(OrderStatSpec(M=M, i=i, lam=lam), xs)
+            with mpmath.workdps(60):
+                for x, sf in zip(xs.tolist(), got.tolist()):
+                    ref = mpmath.fsum(phi_coefficient(k, i, M)
+                                      * mpmath.exp(-(M - i + 1 + k) * mpmath.mpf(x) / lam)
+                                      for k in range(i))
+                    worst = max(worst, float(abs(sf - ref) / ref))
+        assert worst < 1e-13, worst
+
 
 class TestPopulationsPastExactCoefficients:
     """Both binomial tails past MAX_USERS, up to MAX_RANKED_USERS, against mpmath."""

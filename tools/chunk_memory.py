@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Peak memory and CPU cost of one Monte-Carlo ``estimate`` in a fresh process.
+"""Peak memory and CPU cost of one Monte-Carlo ``estimate``, or of the CLI's
+analytic sweep path, in a fresh process.
 
     python3 tools/chunk_memory.py --M 20 --pair 10 20 --mode joint --trials 16000000
     python3 tools/chunk_memory.py --M 100 --pair 1 100 --mode independent --workers 1
+    python3 tools/chunk_memory.py --cli-grid 0:40:0.005
+    python3 tools/chunk_memory.py --cli-grid 0:39.9996:0.0004
 
 Run it once per measurement: the process imports coopnoma, pins itself
 to ``--workers`` of the CPUs it may use (so ``estimate`` starts that many
@@ -14,6 +17,21 @@ other parameters (20 dB, seed 20180415) and prints one JSON object:
 - ``minor_faults``, ``user_s`` and ``sys_s``: ``getrusage`` deltas over
   the call;
 - ``wall_s``: the call's wall time.
+
+``--cli-grid START:STOP:STEP`` measures the CLI path instead: the
+``analytic_dense`` benchmark scenario over that ``--sweep-gamma0-db``
+grid, analytic engine with the baseline, through ``cli.run_sweep`` and
+``cli.write_csv`` (to the null device) under ``tracemalloc``.  It prints
+the grid's ``points`` and ``rows`` and, in MB:
+
+- ``sweep_peak_mb``: the traced peak while ``run_sweep`` runs;
+- ``held_mb``: what its result holds once it returns;
+- ``write_peak_mb``: the traced peak that ``write_csv`` adds to that;
+- ``peak_rss_mb`` and ``import_rss_mb`` as above (tracing adds its own
+  bookkeeping to both).
+
+The two examples are 8,001 points (the ``analytic_dense`` workload) and
+100,000 points (the CLI's cap).
 
 Only this process is measured; nothing about the machine is changed.
 """
@@ -28,11 +46,37 @@ import pathlib
 import resource
 import sys
 import time
+import tracemalloc
+from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from coopnoma import cli  # noqa: E402
 from coopnoma.linklevel import Geometry, SystemConfig  # noqa: E402
 from coopnoma.mcsim import McConfig, estimate  # noqa: E402
+
+
+def cli_path(grid: str) -> dict:
+    """Traced memory of ``run_sweep`` and ``write_csv`` on the ``analytic_dense`` scenario."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cfg, geo, mc, sweep = cli.load_config(root / "perfbench" / "scenarios" / "analytic_dense.ini")
+    sweep = replace(sweep, variable="gamma0_db", values=cli._parse_sweep_range(grid),
+                    engines=("analytic",), baseline=True)
+    import_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    rows = cli.run_sweep(cfg, geo, mc, sweep)
+    held, sweep_peak = (m - before for m in tracemalloc.get_traced_memory())
+    tracemalloc.reset_peak()
+    cli.write_csv(rows, os.devnull)
+    write_peak = tracemalloc.get_traced_memory()[1] - before - held
+    tracemalloc.stop()
+    mb = 2 ** 20
+    return {"grid": grid, "points": len(sweep.values), "rows": len(rows),
+            "sweep_peak_mb": round(sweep_peak / mb, 2), "held_mb": round(held / mb, 2),
+            "write_peak_mb": round(write_peak / mb, 2),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "import_rss_mb": round(import_rss / 1024, 1)}
 
 
 def main(argv=None) -> None:
@@ -42,7 +86,12 @@ def main(argv=None) -> None:
     ap.add_argument("--mode", choices=("joint", "independent"), default="joint")
     ap.add_argument("--trials", type=int, default=16_000_000)
     ap.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)))
+    ap.add_argument("--cli-grid", metavar="START:STOP:STEP",
+                    help="measure run_sweep and write_csv on this analytic SNR grid instead")
     args = ap.parse_args(argv)
+    if args.cli_grid is not None:
+        print(json.dumps(cli_path(args.cli_grid)))
+        return
     cpus = sorted(os.sched_getaffinity(0))
     if not 1 <= args.workers <= len(cpus):
         ap.error(f"--workers must lie in 1..{len(cpus)}, the CPUs this process may use")
