@@ -113,20 +113,39 @@ def bessel_k1(x):
     return out if out.ndim else float(out)
 
 
-def _k1_series(x: np.ndarray) -> np.ndarray:
-    # I1-style series and its digamma-weighted twin, summed together term
-    # by term over k = 0.._K1_DIVISORS.size, each sum in order (a pairwise
-    # .sum would move the last bit), on (entries,) vectors.
+def _k1_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The I1-style series sum and its digamma-weighted twin at x <= 2.
+
+    K1(x) = ln(x/2) I1(x) + 1/x - (x/4) s_psi, with I1(x) = (x/2) s_bess.
+    Both are summed together term by term over k = 0.._K1_DIVISORS.size,
+    each in order (a pairwise .sum would move the last bit), on (entries,)
+    vectors.
+    """
     q = 0.25 * x * x
     term, s_bess, s_psi = 1.0, 1.0, _K1_PSI[0]
     for divisor, psi in zip(_K1_DIVISORS.tolist(), _K1_PSI[1:].tolist()):
         term = term * (q / divisor)  # term_k = term_{k-1} (q / (k (k+1)))
         s_bess = s_bess + term
         s_psi = s_psi + psi * term
-    del q, term
+    return s_bess, s_psi
+
+
+def _k1_series(x: np.ndarray) -> np.ndarray:
+    s_bess, s_psi = _k1_sums(x)
     i1 = 0.5 * x * s_bess
     # the log product first: a + b is b + a bit for bit, and one row fewer is alive
     return np.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * s_psi
+
+
+def _one_minus_t_k1(t: np.ndarray) -> np.ndarray:
+    """1 - t K1(t) for t < 0.5, from the series sums with the 1 taken out.
+
+    1 - t K1(t) = -t ln(t/2) I1(t) + (t^2/4) s_psi: the log term is
+    positive and dominates, so the two hardly cancel, where 1 - t K1(t)
+    formed from K1 would lose every digit as t -> 0.
+    """
+    s_bess, s_psi = _k1_sums(t)
+    return 0.25 * t * t * s_psi - np.log(0.5 * t) * (0.5 * t * s_bess) * t
 
 
 def _k1_integral(x: np.ndarray) -> np.ndarray:
@@ -159,9 +178,10 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
     probability 1 - exp(-gamma_th (d_b**theta/lambda_b + d_a**theta/
     lambda_a) / gamma0) * t * K1(t), where t**2 collects the cross term
     gamma_th (gamma_th + 1) of both hops.  ``gamma0`` may be an array,
-    and both results then have its shape.  The survival is computed
-    directly rather than as 1 - outage, so that it keeps its relative
-    accuracy where the outage is close to 1.
+    and both results then have its shape.  Each result is computed
+    directly, neither as 1 minus the other, so the survival keeps its
+    relative accuracy where the outage is close to 1 and the outage where
+    it is close to 0, up to the box's 300 dB.
     """
     for name, v, key in (("gamma_th", gamma_th, "gamma_thm"), ("gamma0", gamma0, "gamma0"),
                          ("d_a", d_a, "d_dnr"), ("d_b", d_b, "d_rdm"), ("theta", theta, "theta"),
@@ -174,10 +194,28 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
     # t*K1(t) tends to 1 as t -> 0 and to 0 as t -> inf; inside the input box
     # t and every partial product below are normal floats (see check_box).
     t = 2.0 * np.sqrt(da * db * gamma_th * (gamma_th + 1.0) / (g * g * lambda_a * lambda_b))
-    decay = np.exp(-(gamma_th / g) * (db / lambda_b + da / lambda_a))
+    t_k1 = t * bessel_k1(t)
+    # The outage 1 - e^-u t K1(t) is formed as (1 - e^-u) + e^-u (1 - t K1(t)),
+    # both parts nonnegative and summed directly: 1 - surv would round to 0
+    # once surv is within an ulp of 1 (from about 180 dB at the reference
+    # layout).  1 - t K1(t) is at least 0.17 from t = 0.5 up; below, it comes
+    # from the series sums.  Those are taken before the other rows exist,
+    # and the later rows are reused in place, so few rows are alive at once
+    # beside the arrays evaluate holds around this call.
+    small = t < 0.5
+    rest_small = _one_minus_t_k1(t[small])
+    del t
+    u = (gamma_th / g) * (db / lambda_b + da / lambda_a)
+    decay = np.exp(-u)
     # t*K1(t) <= 1 analytically; clip the last-ulp overshoot as t -> 0.
-    surv = np.minimum(decay * (t * bessel_k1(t)), 1.0)
-    return _as_given(1.0 - surv, scalar), _as_given(surv, scalar)
+    surv = np.minimum(decay * t_k1, 1.0)
+    rest = np.subtract(1.0, t_k1, out=t_k1)
+    rest[small] = rest_small
+    rest *= decay
+    outage = np.expm1(np.negative(u, out=u), out=u)
+    np.subtract(rest, outage, out=outage)
+    np.minimum(outage, 1.0, out=outage)  # the last-ulp overshoot again
+    return _as_given(outage, scalar), _as_given(surv, scalar)
 
 
 def throughput(cfg: SystemConfig, p_out_n, p_out_m):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -298,6 +299,17 @@ class TestTwoHopOutage:
             assert surv == pytest.approx(float(want), rel=1e-12, abs=1e-300)
             assert outage == pytest.approx(float(1 - want), abs=1e-15)
 
+    def test_keeps_its_relative_accuracy_up_to_300_db(self):
+        # C = 1 - e^-u t K1(t) tends to 0 like u as the SNR grows; formed as
+        # 1 - survival it rounded to 0 from about 180 dB at the reference layout
+        cfg, geo = default_config(), default_geometry()
+        hops = (geo.d_dnr, geo.d_rdm, cfg.theta, cfg.lambda_dnr, cfg.lambda_rdm)
+        grid = 10.0 ** (np.arange(20, 301, 10) / 10.0)
+        got, _ = two_hop_outage(cfg.gamma_thm, grid, *hops)
+        want = [_mp_relay_outage(cfg.gamma_thm, g, *hops, digits=80) for g in grid.tolist()]
+        worst = max(abs(c - w) / w for c, w in zip(got.tolist(), want))
+        assert worst < 1e-15, worst
+
     @pytest.mark.parametrize("index, name", [(0, "gamma_th"), (1, "gamma0"), (2, "d_a"),
                                              (3, "d_b"), (4, "theta"), (5, "lambda_a"),
                                              (6, "lambda_b")])
@@ -503,7 +515,8 @@ class TestSnrGrid:
 
 
 class TestBoxCorners:
-    """Every corner of the input box evaluates without warnings and to mpmath's throughput."""
+    """Every corner of the input box evaluates without warnings and to mpmath's
+    weak-user outage and throughput."""
 
     def test_greatest_level_over_least_mean_is_certain_outage(self):
         # levels over lambda_sd reach about 1e146 here: every rank CDF is 1
@@ -529,11 +542,12 @@ class TestBoxCorners:
             kw = dict(zip(keys, values))
             cfg = default_config(**kw, a_m=1.0 - kw["a_n"])
             for relay in (True, False):
-                got = evaluate(cfg, geo, relay=relay).throughput
+                pt = evaluate(cfg, geo, relay=relay)
+                got = pt.p_out_m, pt.throughput
                 if cfg.a_m <= cfg.a_n * cfg.gamma_thm:  # SIC infeasible: both users fail
-                    assert got == 0.0
+                    assert got == (1.0, 0.0)
                 else:
-                    assert got == pytest.approx(_mp_throughput(cfg, geo, relay), rel=1e-12,
+                    assert got == pytest.approx(_mp_point(cfg, geo, relay), rel=1e-12,
                                                 abs=1e-300)
 
 
@@ -560,30 +574,58 @@ class TestGainLevelOverMeanPastTheFloats:
             default_config(lambda_sd=lambda_sd, gamma0=gamma0)
 
 
-def _mp_throughput(cfg, geo, relay):
-    """Sum throughput of the closed forms at 50 digits, from the float inputs."""
+@functools.cache  # the box corners repeat each relay link for every other key
+def _mp_relay_outage(gamma_th, gamma0, d_a, d_b, theta, lam_a, lam_b, digits=50):
+    """The relay factor C = 1 - e^-u t K1(t) from the float inputs, to ``digits``.
+
+    1 - t K1(t) is about (t^2/2) ln(2/t) as t -> 0, so the subtraction is
+    carried out with at least 2 log10(1/t) digits more, in steps of 50 (each
+    new precision costs mpmath a warm-up).
+    """
+    f = mpmath.mpf
+    dps = digits
+    while True:
+        with mpmath.workdps(dps):
+            th, g0, la, lb = f(gamma_th), f(gamma0), f(lam_a), f(lam_b)
+            da, db = f(d_a) ** f(theta), f(d_b) ** f(theta)
+            t = 2 * mpmath.sqrt(da * db * th * (th + 1) / (g0 * g0 * la * lb))
+            need = digits + 50 * max(0, int(mpmath.ceil(-2 * mpmath.log10(t) / 50)))
+            if dps >= need:
+                return float(1 - mpmath.exp(-(th / g0) * (db / lb + da / la))
+                             * t * mpmath.besselk(1, t))
+        dps = need
+
+
+def _mp_point(cfg, geo, relay):
+    """Weak-user outage and sum throughput of the closed forms at 50 digits, from the
+    float inputs."""
     with mpmath.workdps(50):
         f = mpmath.mpf
         g0, gm, gn = f(cfg.gamma0), f(cfg.gamma_thm), f(cfg.gamma_thn)
 
-        def survival(i, x):  # P(rank-i gain > x): the binomial lower tail
+        def tails(i, x):  # P(rank-i gain <= x) and P(rank-i gain > x): the binomial tails
             F = -mpmath.expm1(-x / f(cfg.lambda_sd))
-            return mpmath.fsum(mpmath.binomial(cfg.M, j) * F ** j * (1 - F) ** (cfg.M - j)
-                           for j in range(i))
+            terms = [mpmath.binomial(cfg.M, j) * F ** j * (1 - F) ** (cfg.M - j)
+                     for j in range(cfg.M + 1)]
+            return mpmath.fsum(terms[i:]), mpmath.fsum(terms[:i])
 
         alpha = gm / ((f(cfg.a_m) - f(cfg.a_n) * gm) * g0)
         dn, dm = f(geo.d_sdn) ** cfg.theta, f(geo.d_sdm) ** cfg.theta
-        s_n = survival(cfg.n, max(alpha * dn, gn * dn / (f(cfg.a_n) * g0)))
-        s_a, s_b = survival(cfg.n, alpha * dn), survival(cfg.m, alpha * dm)
-        s_c = 0
+        s_n = tails(cfg.n, max(alpha * dn, gn * dn / (f(cfg.a_n) * g0)))[1]
+        (a, s_a), (b, s_b) = tails(cfg.n, alpha * dn), tails(cfg.m, alpha * dm)
+        c = 1
         if relay:
+            c = f(_mp_relay_outage(cfg.gamma_thm, cfg.gamma0, geo.d_dnr, geo.d_rdm, cfg.theta,
+                                   cfg.lambda_dnr, cfg.lambda_rdm))
             da, db = f(geo.d_dnr) ** cfg.theta, f(geo.d_rdm) ** cfg.theta
             t = 2 * mpmath.sqrt(da * db * gm * (gm + 1) / (g0 * g0 * f(cfg.lambda_dnr)
                                                             * f(cfg.lambda_rdm)))
             s_c = (mpmath.exp(-(gm / g0) * (db / f(cfg.lambda_rdm) + da / f(cfg.lambda_dnr)))
                    * t * mpmath.besselk(1, t))
+        else:
+            s_c = 0
         s_m = s_a * (s_b + (1 - s_b) * s_c)
-        return float(s_n * f(cfg.R_n) + s_m * f(cfg.R_m))
+        return float(a + (1 - a) * b * c), float(s_n * f(cfg.R_n) + s_m * f(cfg.R_m))
 
 
 class TestThroughputNearCertainOutage:
@@ -595,7 +637,7 @@ class TestThroughputNearCertainOutage:
     def test_matches_mpmath(self, gamma0_db, want, relay):
         cfg = default_config(M=20, m=10, n=20, gamma0=10.0 ** (gamma0_db / 10.0))
         geo = default_geometry()
-        ref = _mp_throughput(cfg, geo, relay)
+        ref = _mp_point(cfg, geo, relay)[1]
         if relay:
             assert ref == pytest.approx(want, rel=1e-3, abs=0)
         pt = evaluate(cfg, geo, relay=relay)
