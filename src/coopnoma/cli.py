@@ -18,13 +18,13 @@ then takes one ``evaluate`` call over the array of its SNRs, and one
 Monte-Carlo scenario on them.  Each engine's baseline rows read the
 no-relay fields of the results its relay rows read.  ``run_sweep``
 returns a sized view of the CSV lines that holds only the result
-columns.  Reading it takes the points in blocks: in each, every column
-is formatted by one ``"%.10g"`` pass over its Python floats, and the
-fields are zipped and joined into one CSV line (a string) per row.
-``write_csv`` reads and writes the lines a block at a time, one
-``write`` each, so a sweep's lines are formatted as they are written and
-never all held at once; no field needs quoting, so the bytes are those
-of ``csv.writer``.
+columns and each group's ranks.  Reading it takes the points in blocks:
+in each, every column is formatted by one ``"%.10g"`` pass over its
+Python floats, and the fields are zipped and joined into one CSV line (a
+string) per row.  ``write_csv`` reads and writes the lines a block at a
+time, one ``write`` each, so a sweep's lines are formatted as they are
+written and never all held at once; no field needs quoting, so the bytes
+are those of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -298,11 +298,10 @@ class SweepLines:
     each group of points (``ranks``: the index past the group's last
     point and its m and n as text) and, per row variant, its engine, mode
     and result columns (arrays over the points, or None for a blank
-    column).  ``len()`` is the number of
-    lines; each pass over the view formats them afresh, each a string of
-    the fields in CSV_COLUMNS order joined by commas (no line
-    terminator), so it can be read any number of times and holds no
-    more than one block's strings at once.
+    column).  ``len()`` is the number of lines.  Each pass over the view
+    formats them afresh, each a string of the fields in CSV_COLUMNS order
+    joined by commas (no line terminator), so it can be read any number
+    of times and holds no more than one block's strings at once.
     """
 
     def __init__(self, gamma0_db: np.ndarray, ranks: list[tuple[int, str, str]],

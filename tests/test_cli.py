@@ -686,10 +686,11 @@ class TestCsvAndPlots:
         assert peak < 2 * 2 ** 20, peak
 
     def test_sweep_memory_is_a_few_blocks_beyond_its_columns(self):
-        # A 100,000-point grid with its baseline is 200,000 lines, about 26 MB
-        # of text.  The result holds only its columns (numpy arrays), and
-        # writing it formats a block of points at a time: past the arrays, a
-        # block's strings (about 0.6 MB) are all either may add.
+        # A 100,000-point grid with its baseline is 200,000 lines, about 20 MiB
+        # held as strings.  The result holds only its columns (numpy arrays)
+        # and its one group's ranks, and writing it formats a block of points
+        # at a time: past the arrays, a block's strings (about 0.6 MB) are all
+        # either may add.
         from dataclasses import replace
         cfg, geo, mc, sweep = small_bundle()
         sweep = replace(sweep, values=tuple(0.002 * k - 100.0 for k in range(100_000)),
