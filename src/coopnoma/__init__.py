@@ -1,14 +1,15 @@
 """Outage and throughput analysis for a relay-assisted NOMA user pairing.
 
-Layers, bottom to top:
+Layers, bottom to top; each imports only from those listed before it:
 
+- ``linklevel``: the input rules, configuration, the node layout (which
+  derives its dependent sides), instantaneous SINRs and the least gain
+  that passes each decoding stage
 - ``orderstat``: distributions and sampling of ranked exponential gains
-- ``linklevel``: configuration, the node layout (which derives its
-  dependent sides), instantaneous SINRs and the least gain that passes
-  each decoding stage
 - ``analytic``: closed-form outage probabilities and throughput, all
   through ``evaluate``
-- ``mcsim``: deterministic Monte-Carlo oracle for the closed forms
+- ``mcsim``: deterministic Monte-Carlo oracle for the closed forms, and
+  the throughput of its estimates
 - ``cli``: config files, sweeps, CSV output, plot-script emission
 """
 

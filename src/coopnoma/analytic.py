@@ -218,18 +218,6 @@ def two_hop_outage(gamma_th: float, gamma0, d_a: float, d_b: float,
     return _as_given(outage, scalar), _as_given(surv, scalar)
 
 
-def throughput(cfg: SystemConfig, p_out_n, p_out_m):
-    """Delay-limited sum throughput: each user delivers its rate unless in outage.
-
-    Elementwise over arrays of outage probabilities.
-    """
-    for name, p in (("p_out_n", p_out_n), ("p_out_m", p_out_m)):
-        a = np.asarray(p)
-        if not np.all((a >= 0.0) & (a <= 1.0)):
-            raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    return (1.0 - p_out_n) * cfg.R_n + (1.0 - p_out_m) * cfg.R_m
-
-
 @dataclass(frozen=True)
 class OutagePoint:
     """Analytic results at one transmit SNR (floats) or over an SNR grid (arrays).

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import evaluate
-from .linklevel import Geometry, SystemConfig, check_box
+from .linklevel import Geometry, SystemConfig, check_box, is_int
 from .mcsim import MODES, McConfig, estimate
 
 CSV_COLUMNS = ("gamma0_db", "m", "n", "engine", "mode",
@@ -89,11 +89,6 @@ def db_to_linear(db: float) -> float:
     return ratio
 
 
-def _is_int(v) -> bool:
-    """An int, numpy's included, and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _is_real(v) -> bool:
     """A finite int or float, numpy's included, and not a bool."""
     return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
@@ -104,7 +99,7 @@ def _is_real(v) -> bool:
 # how many numbers one value holds (0 for a bare number, the SNR in dB).
 _SWEEP_VARIABLES = {
     "gamma0_db": ("finite reals", _is_real, 0),
-    "pair": ("(m, n) tuples of integers", _is_int, 2),
+    "pair": ("(m, n) tuples of integers", is_int, 2),
     "distance-set": ("(d_sdn, d_sdm, d_dnr) tuples of finite reals", _is_real, 3),
 }
 SWEEP_VARIABLES = tuple(_SWEEP_VARIABLES)
@@ -179,7 +174,7 @@ def _parse_values(variable: str, raw: str) -> tuple:
         raise ValueError(f"config key [sweep] variable: must be one of {SWEEP_VARIABLES}, "
                          f"got {variable!r}")
     _, number, width = _SWEEP_VARIABLES[variable]
-    kind = int if number is _is_int else float
+    kind = int if number is is_int else float
     items = [s.strip() for s in raw.split(",") if s.strip()]
     if not items:
         raise ValueError("config key [sweep] values: empty value list")

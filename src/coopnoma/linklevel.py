@@ -8,24 +8,26 @@ own.  The strong user also forwards the weak user's signal through an
 amplify-and-forward relay, giving the weak user a second, independently
 faded copy.
 
-This module holds what both engines share: configuration validated
-against one input box (``INPUT_BOX``), the node layout (``Geometry``
-derives its two dependent sides from the free parameters), the path
-loss, the SINR seen by each decoding step for given arrays of channel
-gains, and, for each direct-link step, the least gain that gets
-through.  Outage statistics live in ``analytic`` (closed forms) and
-``mcsim`` (simulation).
+This module, the package's bottom layer, holds what both engines share:
+the rules every input passes (the input box ``INPUT_BOX`` for floats,
+``check_int`` for integers and ``_reject_bools`` for bools);
+configuration validated by them; the node layout (``Geometry`` derives
+its two dependent sides from the free parameters); the path loss; the
+SINR seen by each decoding step for given arrays of channel gains; and,
+for each direct-link step, the least gain that gets through.  Outage
+statistics live in ``analytic`` (closed forms) and ``mcsim``
+(simulation).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .orderstat import MAX_RANKED_USERS, _reject_bools
-
+# The largest population M any entry point accepts.
+MAX_RANKED_USERS = 100
 
 # The input box: the least and greatest value of each input that the
 # constructors and the engine entries accept.  Distances are in metres;
@@ -84,6 +86,32 @@ def check_box(name: str, value, key: str | None = None):
     raise ValueError(f"{name} must lie in [{lo!r}, {hi!r}], got {float(value)!r}")
 
 
+def _reject_bool(name: str, value) -> None:
+    """Refuse a bool for ``name``, which would otherwise pass as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+
+
+def _reject_bools(config) -> None:
+    """Name the first constructor field of the dataclass ``config`` given a bool."""
+    for f in fields(config):
+        if f.init:
+            _reject_bool(f.name, getattr(config, f.name))
+
+
+def is_int(value) -> bool:
+    """An int, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, lo, hi):
+    """``value``, or ValueError naming ``name`` unless it is an integer in [lo, hi]."""
+    _reject_bool(name, value)
+    if is_int(value) and lo <= value <= hi:
+        return value
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of one pairing scenario.
@@ -112,18 +140,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         _reject_bools(self)
-        if not isinstance(self.M, (int, np.integer)) or self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        if self.M > MAX_RANKED_USERS:
-            raise ValueError(f"M must be <= {MAX_RANKED_USERS}, the largest population whose "
-                             f"rank distributions are checked, got {self.M}")
-        for name in ("m", "n"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if not 1 <= self.m < self.n <= self.M:
-            raise ValueError(
-                f"user ranks must satisfy 1 <= m < n <= M, got m={self.m}, n={self.n}, M={self.M}")
+        check_int("M", self.M, 2, MAX_RANKED_USERS)  # a pair needs two users
+        check_int("m", self.m, 1, self.M - 1)
+        check_int("n", self.n, self.m + 1, self.M)
         if not (0 < self.a_n < self.a_m):
             raise ValueError(
                 f"power shares must satisfy a_m > a_n > 0, got a_m={self.a_m}, a_n={self.a_n}")

@@ -87,10 +87,10 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .analytic import throughput
-from .linklevel import (Geometry, SystemConfig, path_loss, sinr_direct_weak, sinr_relayed,
-                        sinr_strong_decodes_weak, snr_strong_own, stage_gains)
-from .orderstat import _reject_bools, chain_at_gain, gains_from_chain, log_uniform_chain
+from .linklevel import (Geometry, SystemConfig, _reject_bools, check_int, path_loss,
+                        sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak, snr_strong_own,
+                        stage_gains)
+from .orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
 
 MODES = ("joint", "independent")
 
@@ -121,13 +121,8 @@ class McConfig:
 
     def __post_init__(self) -> None:
         _reject_bools(self)
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if self.trials >= _SEGMENT:
-            raise ValueError(f"trials must be < 2**64, the stream steps of one column, "
-                             f"got {self.trials!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_int("trials", self.trials, 1, _SEGMENT - 1)  # the stream steps of one column
+        check_int("seed", self.seed, 0, 2 ** 64 - 1)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -141,11 +136,8 @@ class McEstimate:
 
     def __post_init__(self) -> None:
         _reject_bools(self)
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (isinstance(self.events, (int, np.integer)) and 0 <= self.events <= self.trials):
-            raise ValueError(f"events must be an integer in [0, trials={self.trials}], "
-                             f"got {self.events!r}")
+        check_int("trials", self.trials, 1, math.inf)
+        check_int("events", self.events, 0, self.trials)
 
     @property
     def p_hat(self) -> float:
@@ -174,6 +166,15 @@ class McPoint:
     throughput_norelay: float
 
 
+def throughput(cfg: SystemConfig, p_out_n, p_out_m):
+    """Delay-limited sum throughput, elementwise: each user delivers its rate unless in outage."""
+    for name, p in (("p_out_n", p_out_n), ("p_out_m", p_out_m)):
+        a = np.asarray(p)
+        if not np.all((a >= 0.0) & (a <= 1.0)):
+            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    return (1.0 - p_out_n) * cfg.R_n + (1.0 - p_out_m) * cfg.R_m
+
+
 def draws_per_trial(M: int, mode: str) -> int:
     """Uniform columns of one trial (see the module notes).
 
@@ -194,12 +195,10 @@ def trial_stream(mc: McConfig, M: int, trial: int, column: int = 0) -> np.random
     k * 2**64 + t, so drawing from here gives that column for trials
     ``trial``, ``trial`` + 1, and so on.
     """
-    if not 0 <= trial < _SEGMENT:
-        raise ValueError(f"trial index must lie in [0, 2**64), got {trial}")
-    if not 0 <= column < draws_per_trial(M, mc.mode):
-        raise ValueError(f"column must lie in [0, {draws_per_trial(M, mc.mode)}), got {column}")
+    check_int("trial", trial, 0, _SEGMENT - 1)
+    check_int("column", column, 0, draws_per_trial(M, mc.mode) - 1)
     bg = np.random.PCG64DXSM(mc.seed)
-    bg.advance(column * _SEGMENT + trial)
+    bg.advance(int(column) * _SEGMENT + int(trial))  # a numpy int would overflow here
     return np.random.Generator(bg)
 
 

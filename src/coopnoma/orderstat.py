@@ -14,19 +14,23 @@ increasing, a threshold on a gain is a threshold on the chain
 The signed expansion coefficients are exact in float64 only up to
 M = 20 (``MAX_USERS``); the CDF and survival sums have only nonnegative
 terms and are checked against mpmath up to M = 100 (``MAX_RANKED_USERS``),
-the largest population the other entry points accept.
+the largest population the other entry points accept.  That bound and
+the integer and bool rules every entry point applies come from
+``linklevel``, the one home of the input rules.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .linklevel import MAX_RANKED_USERS, _reject_bool, _reject_bools, check_int
+
 MAX_USERS = 20
-MAX_RANKED_USERS = 100
 
 _LN2 = math.log(2.0)
 # Cap on the chain's log U_(i) in gains_from_chain.  Only a draw whose slots
@@ -34,29 +38,6 @@ _LN2 = math.log(2.0)
 # other draw lies at or below -2**-53/M < -2**-60 (M <= MAX_RANKED_USERS),
 # so the cap changes no other value and keeps the order.
 _LOG_U_CAP = -2.0 ** -60
-
-
-def _reject_bool(name: str, value) -> None:
-    """Refuse a bool for ``name``, which would otherwise pass as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-
-
-def _reject_bools(config) -> None:
-    """Name the first constructor field of the dataclass ``config`` given a bool."""
-    for f in fields(config):
-        if f.init:
-            _reject_bool(f.name, getattr(config, f.name))
-
-
-def _check_population(M: int, limit: int = MAX_RANKED_USERS) -> None:
-    _reject_bool("M", M)
-    if not isinstance(M, (int, np.integer)):
-        raise ValueError(f"M must be an integer, got {M!r}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if M > limit:
-        raise ValueError(f"M must be <= {limit}, got {M}")
 
 
 @dataclass(frozen=True)
@@ -69,11 +50,8 @@ class OrderStatSpec:
 
     def __post_init__(self) -> None:
         _reject_bools(self)
-        _check_population(self.M)
-        if not isinstance(self.i, (int, np.integer)):
-            raise ValueError(f"rank i must be an integer, got {self.i!r}")
-        if not 1 <= self.i <= self.M:
-            raise ValueError(f"rank i must satisfy 1 <= i <= M={self.M}, got {self.i}")
+        check_int("M", self.M, 1, MAX_RANKED_USERS)
+        check_int("i", self.i, 1, self.M)
         if not (self.lam > 0):
             raise ValueError(f"mean gain lam must be > 0, got {self.lam}")
 
@@ -86,15 +64,9 @@ def phi_coefficient(k: int, i: int, M: int) -> float:
     (-1)^k * C(M, i-1-k) * C(M-i+k, k), which is an exact integer for
     every M <= MAX_USERS.  Valid for 0 <= k <= i-1.
     """
-    _check_population(M, MAX_USERS)
-    for name, v in (("k", k), ("i", i)):
-        _reject_bool(name, v)
-        if not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-    if not 1 <= i <= M:
-        raise ValueError(f"rank i must satisfy 1 <= i <= M={M}, got {i}")
-    if not 0 <= k <= i - 1:
-        raise ValueError(f"k must satisfy 0 <= k <= i-1={i - 1}, got {k}")
+    check_int("M", M, 1, MAX_USERS)
+    check_int("i", i, 1, M)
+    check_int("k", k, 0, i - 1)
     mag = math.comb(M, i - 1 - k) * math.comb(M - i + k, k)
     return float(-mag if k & 1 else mag)
 
@@ -216,13 +188,12 @@ def sample_ordered_gains(M: int, lam: float, rng: np.random.Generator, size: int
     ``rng`` state; callers that need reproducibility seed the generator
     themselves.
     """
-    _check_population(M)
-    for name, value in (("lam", lam), ("size", size)):
-        _reject_bool(name, value)
+    check_int("M", M, 1, MAX_RANKED_USERS)
+    _reject_bool("lam", lam)
     if not (lam > 0):
         raise ValueError(f"mean gain lam must be > 0, got {lam}")
-    if size is not None and not (isinstance(size, (int, np.integer)) and size >= 1):
-        raise ValueError(f"size must be a positive integer, got {size!r}")
+    if size is not None:
+        check_int("size", size, 1, sys.maxsize)
     g = rng.random((M, 1 if size is None else int(size)))
     log_uniform_chain(lambda j: g[j - 1], M, range(1, M + 1), g)
     for block in np.split(g.reshape(-1), range(65_536, g.size, 65_536)):  # views of g

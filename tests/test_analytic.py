@@ -15,8 +15,9 @@ from scipy import integrate
 from scipy.special import betainc, k1
 
 from coopnoma import analytic
-from coopnoma.analytic import OutagePoint, bessel_k1, evaluate, throughput, two_hop_outage
+from coopnoma.analytic import OutagePoint, bessel_k1, evaluate, two_hop_outage
 from coopnoma.linklevel import INPUT_BOX, Geometry, SystemConfig, stage_gains
+from coopnoma.mcsim import throughput
 from coopnoma.orderstat import OrderStatSpec, ordered_cdf, ordered_sf
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -380,24 +381,38 @@ class TestOutageWeak:
                 assert 0.0 <= p <= 1.0
 
 
-class TestThroughput:
-    def test_endpoints(self):
-        cfg = default_config()
-        assert throughput(cfg, 0.0, 0.0) == 2.0
-        assert throughput(cfg, 1.0, 1.0) == 0.0
-        assert throughput(cfg, 0.5, 0.25) == pytest.approx(1.25)
+class TestHighSnrAsymptotes:
+    """First-order asymptotes of both outages, an independent check of the high-SNR end.
 
-    def test_rates_weight_the_users(self):
-        cfg = default_config(R_m=2.0, R_n=0.5, gamma_thm=1.0, gamma_thn=1.0)
-        assert throughput(cfg, 0.0, 1.0) == 0.5
-        assert throughput(cfg, 1.0, 0.0) == 2.0
+    With levels x ~ 1/gamma0, p_out_n ~ C(M,n) (beta/lam)**n and
+    p_out_m ~ C(M,n) (x_n/lam)**n + C(M,m) (x_m/lam)**m u, where u ~ 1/gamma0
+    is the relay factor's leading term: diversity orders n and m + 1 (Ding,
+    Peng & Poor, IEEE Commun. Lett. 2015).  The exact-over-asymptote ratio
+    tends to 1 as O(ln gamma0 / gamma0): the ln comes from the t**2 ln t
+    term of 1 - t K1(t).  The ratio is held within c (1 + ln gamma0) / gamma0
+    plus a float allowance, with c and the allowance fixed before the first
+    run; from about 160 dB up only the allowance is left.
+    """
 
-    def test_rejects_bad_probabilities(self):
-        cfg = default_config()
-        with pytest.raises(ValueError):
-            throughput(cfg, -0.1, 0.5)
-        with pytest.raises(ValueError):
-            throughput(cfg, 0.5, 1.1)
+    C_RATE, FLOAT_ALLOWANCE = 50.0, 1e-13
+
+    @pytest.mark.parametrize("gamma0_db", range(80, 301, 20))
+    def test_both_outages_tend_to_their_asymptotes(self, gamma0_db):
+        cfg, geo = default_config(gamma0=10.0 ** (gamma0_db / 10.0)), default_geometry()
+        g, lam = cfg.gamma0, cfg.lambda_sd
+        spare = cfg.a_m - cfg.a_n * cfg.gamma_thm
+        x_n = cfg.gamma_thm * geo.d_sdn ** cfg.theta / (spare * g)
+        x_m = cfg.gamma_thm * geo.d_sdm ** cfg.theta / (spare * g)
+        beta = max(x_n, cfg.gamma_thn * geo.d_sdn ** cfg.theta / (cfg.a_n * g))
+        u = cfg.gamma_thm / g * (geo.d_rdm ** cfg.theta / cfg.lambda_rdm
+                                 + geo.d_dnr ** cfg.theta / cfg.lambda_dnr)
+        M, m, n = cfg.M, cfg.m, cfg.n
+        asymptote_n = math.comb(M, n) * (beta / lam) ** n
+        asymptote_m = math.comb(M, n) * (x_n / lam) ** n + math.comb(M, m) * (x_m / lam) ** m * u
+        pt = evaluate(cfg, geo)
+        bound = self.C_RATE * (1.0 + math.log(g)) / g + self.FLOAT_ALLOWANCE
+        assert abs(pt.p_out_n / asymptote_n - 1.0) <= bound
+        assert abs(pt.p_out_m / asymptote_m - 1.0) <= bound
 
 
 class TestEvaluate:

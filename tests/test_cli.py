@@ -189,7 +189,7 @@ class TestLoadConfig:
     def test_swapped_ranks_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[system]\nm = 6\nn = 3\n")
-        with pytest.raises(ValueError, match="m < n"):
+        with pytest.raises(ValueError, match=re.escape("m must be an integer in [1, 5], got 6")):
             load_config(path)
 
     def test_unknown_key_named_in_error(self, tmp_path):
@@ -818,6 +818,18 @@ class TestCsvAndPlots:
         with pytest.raises(ValueError, match="line 1"):
             emit_plot_script(bad)
 
+    def test_zero_byte_csv_rejected(self, tmp_path):
+        empty = tmp_path / "zero.csv"
+        empty.write_bytes(b"")
+        with pytest.raises(ValueError, match="empty CSV, no header line"):
+            emit_plot_script(empty)
+
+    def test_short_row_reported_with_number(self, tmp_path):
+        bad = tmp_path / "short.csv"
+        bad.write_text(",".join(CSV_COLUMNS) + "\n20,3,6,analytic,\n")
+        with pytest.raises(ValueError, match="line 2: expected 10 fields, got 5"):
+            emit_plot_script(bad)
+
 
 class TestMain:
     def test_sweep_flag_and_outputs(self, tmp_path, capsys):
@@ -983,6 +995,21 @@ class TestMain:
         config.write_text(f"[sweep]\nvalues = {bad},0\n")
         with pytest.raises(ValueError, match=rf"^sweep point gamma0_db={bad}: "):
             load_config(config)
+
+    @pytest.mark.parametrize("text, error", [
+        ("[sweep]\nvalues = ,\n", "error: config key [sweep] values: empty value list"),
+        ("M = 6\n", "error: config file "),  # no section header
+    ])
+    def test_bad_config_file_is_reported(self, tmp_path, capsys, text, error):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        assert main(["--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(error)
+
+    def test_range_without_a_step_is_reported(self, tmp_path, capsys):
+        assert main(["--sweep-gamma0-db", "0:40", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --sweep-gamma0-db expects START:STOP:STEP, got '0:40'")
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "ghost.ini"),

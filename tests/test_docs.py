@@ -6,6 +6,7 @@ import re
 import coopnoma
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = pathlib.Path(coopnoma.__file__).parent
 
 
 def test_quick_start_runs_as_written():
@@ -39,3 +40,14 @@ def test_config_key_listing_matches_the_key_table():
         section, keys = re.match(r"\[(\w+)\]\s+([^;]*)", line).groups()
         listed[section] = [key.strip() for key in keys.split(",")]
     assert listed == {section: list(keys) for section, keys in _DEFAULTS.items()}
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    # the layer list of the package docstring, bottom to top
+    layers = re.findall(r"^- ``(\w+)``:", coopnoma.__doc__, re.M)
+    assert sorted(layers) == sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    upward = [(module, imported) for below, module in enumerate(layers)
+              for imported in re.findall(r"^\s*from \.(\w+) import", (PACKAGE / f"{module}.py")
+                                         .read_text(), re.M)
+              if imported not in layers[:below]]
+    assert upward == []

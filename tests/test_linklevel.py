@@ -1,15 +1,18 @@
 import dataclasses
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, _law_of_cosines, check_box,
-                                path_loss, sinr_direct_weak, sinr_relayed,
-                                sinr_strong_decodes_weak, snr_strong_own, stage_gains)
-from coopnoma.orderstat import MAX_RANKED_USERS
+from coopnoma.linklevel import (INPUT_BOX, MAX_RANKED_USERS, Geometry, SystemConfig,
+                                _law_of_cosines, check_box, check_int, path_loss,
+                                sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
+                                snr_strong_own, stage_gains)
+from coopnoma.mcsim import McConfig, McEstimate, trial_stream
+from coopnoma.orderstat import MAX_USERS, OrderStatSpec, phi_coefficient, sample_ordered_gains
 
 
 def default_config(**overrides):
@@ -77,7 +80,8 @@ class TestSystemConfig:
 
     def test_population_bound_names_key(self):
         assert default_config(M=MAX_RANKED_USERS, n=MAX_RANKED_USERS).M == MAX_RANKED_USERS
-        with pytest.raises(ValueError, match=f"^M must be <= {MAX_RANKED_USERS}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"M must be an integer in [2, {MAX_RANKED_USERS}], got {MAX_RANKED_USERS + 1}")):
             default_config(M=MAX_RANKED_USERS + 1)
 
     @pytest.mark.parametrize("gamma0", [math.inf, math.nan])
@@ -94,6 +98,82 @@ class TestSystemConfig:
         message = f"{key}={rate!r} gives {th} = 2**{key} - 1, which must lie in [1e-30, 1e+30]"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}, got "):
             default_config(**{key: rate})
+
+
+class _Drawn(Exception):
+    """Raised by ``_NoDraw``: the sampler passed its checks and reached its draw."""
+
+
+class _NoDraw:
+    """A generator stand-in that stops the sampler at its draw, so no size is allocated."""
+
+    def random(self, shape):
+        raise _Drawn
+
+
+def _sample(M=2, size=1):
+    try:
+        sample_ordered_gains(M, 1.0, _NoDraw(), size=size)
+    except _Drawn:
+        pass
+
+
+_MC = McConfig(trials=10, seed=1)
+
+# Every integer input: (key, entry point given that key's value, lo, hi); hi None is unbounded.
+INTEGER_INPUTS = [
+    ("M", lambda v: default_config(M=v, m=1, n=2), 2, MAX_RANKED_USERS),
+    ("m", lambda v: default_config(m=v), 1, 5),
+    ("n", lambda v: default_config(n=v), 4, 6),
+    ("M", lambda v: OrderStatSpec(M=v, i=1, lam=1.0), 1, MAX_RANKED_USERS),
+    ("i", lambda v: OrderStatSpec(M=6, i=v, lam=1.0), 1, 6),
+    ("M", lambda v: phi_coefficient(0, 1, v), 1, MAX_USERS),
+    ("i", lambda v: phi_coefficient(0, v, 6), 1, 6),
+    ("k", lambda v: phi_coefficient(v, 4, 6), 0, 3),
+    ("M", lambda v: _sample(M=v), 1, MAX_RANKED_USERS),
+    ("size", lambda v: _sample(size=v), 1, sys.maxsize),
+    ("trials", lambda v: McConfig(trials=v, seed=1), 1, 2 ** 64 - 1),
+    ("seed", lambda v: McConfig(trials=10, seed=v), 0, 2 ** 64 - 1),
+    ("trials", lambda v: McEstimate(events=0, trials=v), 1, None),
+    ("events", lambda v: McEstimate(events=v, trials=10), 0, 10),
+    ("trial", lambda v: trial_stream(_MC, 6, v), 0, 2 ** 64 - 1),
+    ("column", lambda v: trial_stream(_MC, 6, 0, v), 0, 13),
+]
+_IDS = [f"{entry.__code__.co_names[0]}-{key}" for key, entry, _, _ in INTEGER_INPUTS]
+
+
+def _as_numpy(v):
+    """``v`` as the narrowest of np.int64 and np.uint64 that holds it, else ``v`` itself."""
+    for kind in (np.int64, np.uint64):
+        if np.iinfo(kind).min <= v <= np.iinfo(kind).max:
+            return kind(v)
+    return v  # 2**64 and up: no numpy integer holds it
+
+
+class TestCheckInt:
+    """The one integer rule, ``check_int``, at every integer input of every entry point."""
+
+    @pytest.mark.parametrize("key, entry, lo, hi", INTEGER_INPUTS, ids=_IDS)
+    def test_refusals_name_the_key(self, key, entry, lo, hi):
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
+                entry(flag)
+        past = [_as_numpy(lo - 1)] + ([] if hi is None else [_as_numpy(hi + 1)])
+        top = "inf" if hi is None else hi
+        for v in (2.0, "3", *past):
+            message = f"{key} must be an integer in [{lo}, {top}], got {v!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                entry(v)
+
+    @pytest.mark.parametrize("key, entry, lo, hi", INTEGER_INPUTS, ids=_IDS)
+    def test_both_ends_are_accepted(self, key, entry, lo, hi):
+        for end in (lo, 2 ** 100 if hi is None else hi):
+            entry(end)
+            entry(_as_numpy(end))
+
+    def test_returns_the_value(self):
+        assert check_int("M", np.int8(3), 1, 3) == 3
+        assert type(check_int("M", np.int8(3), 1, 3)) is np.int8
 
 
 class TestBoxRefusals:

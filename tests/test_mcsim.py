@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from coopnoma import mcsim
-from coopnoma.analytic import evaluate, throughput
+from coopnoma.analytic import evaluate
 from coopnoma.linklevel import INPUT_BOX, Geometry, SystemConfig, sinr_relayed, stage_gains
 from coopnoma.mcsim import (MODES, McConfig, McEstimate, McPoint, draws_per_trial, estimate,
-                            trial_stream)
+                            throughput, trial_stream)
 from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
 from sinr_reference import _direct_stages, draw_columns, event_arrays, gains_from_uniforms
 
@@ -134,6 +134,9 @@ class TestDrawBudget:
                             for t in range(start, start + count)]
                     assert u[k].tolist() == want
                     assert trial_stream(mc, 6, start, k).random(count).tolist() == want
+                    # numpy integers give the same position
+                    assert trial_stream(mc, 6, np.uint64(start), np.int64(k)).random(
+                        count).tolist() == want
 
     @pytest.mark.parametrize("M, m, n, mode, per_trial", [
         (20, 10, 20, "joint", 13),  # slots 20 down to 10 and the two hops
@@ -405,6 +408,26 @@ class TestEstimate:
             cfg = default_config(gamma0=10 ** (db / 10))
             point, = estimate(cfg, geo, McConfig(trials=50_000, seed=4))
             assert point.p_out_m.p_hat >= point.p_out_n.p_hat
+
+
+class TestThroughput:
+    def test_endpoints(self):
+        cfg = default_config()
+        assert throughput(cfg, 0.0, 0.0) == 2.0
+        assert throughput(cfg, 1.0, 1.0) == 0.0
+        assert throughput(cfg, 0.5, 0.25) == pytest.approx(1.25)
+
+    def test_rates_weight_the_users(self):
+        cfg = default_config(R_m=2.0, R_n=0.5, gamma_thm=1.0, gamma_thn=1.0)
+        assert throughput(cfg, 0.0, 1.0) == 0.5
+        assert throughput(cfg, 1.0, 0.0) == 2.0
+
+    def test_rejects_bad_probabilities(self):
+        cfg = default_config()
+        with pytest.raises(ValueError):
+            throughput(cfg, -0.1, 0.5)
+        with pytest.raises(ValueError):
+            throughput(cfg, 0.5, 1.1)
 
 
 class TestSharedDraw:

@@ -36,8 +36,12 @@ the checkout.
 every run at ``GATE_SEED``, ``single_point_m20`` at ``GATE_TRIALS``
 trials instead of its 16e6, the lines of ``tools/evaluate_digests.py``,
 and numpy's version and the SIMD dispatch targets this CPU runs, on
-which the bytes also rest.  A change that moves the bytes on purpose
-rewrites the fixture with it and says why.
+which the bytes also rest.  The dispatch is printed as a list of lists,
+those the digests are known to hold on: the fixture adds the list of
+each other CPU on which the same digests were seen, and the gate names
+a dispatch difference only when this CPU's list is in none of them.  A
+change that moves the bytes on purpose rewrites the fixture with it,
+which keeps only this CPU's list, and says why.
 """
 
 from __future__ import annotations
@@ -98,13 +102,13 @@ def digest(name: str, seed: int, tmp: pathlib.Path, trials: int | None = None) -
 
 
 def platform() -> dict:
-    """numpy's version and the SIMD dispatch targets it runs on this CPU."""
+    """numpy's version and, as a list of one list, the SIMD dispatch targets it runs here."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     return {"numpy": np.__version__,
-            "cpu_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
+            "cpu_dispatch": [[t for t in __cpu_dispatch__ if __cpu_features__.get(t)]]}
 
 
 def gate() -> dict:
