@@ -16,12 +16,12 @@ Layers, bottom to top; each imports only from those listed before it:
 from .analytic import OutagePoint, bessel_k1, evaluate, two_hop_outage
 from .linklevel import Geometry, SystemConfig
 from .mcsim import McConfig, McEstimate, estimate
-from .orderstat import OrderStatSpec, ordered_cdf, phi_coefficient, sample_ordered_gains
+from .orderstat import OrderStatSpec, ordered_cdf, sample_ordered_gains
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrderStatSpec", "phi_coefficient", "ordered_cdf", "sample_ordered_gains",
+    "OrderStatSpec", "ordered_cdf", "sample_ordered_gains",
     "SystemConfig", "Geometry", "bessel_k1", "two_hop_outage", "OutagePoint", "evaluate",
     "McConfig", "McEstimate", "estimate",
 ]

@@ -2,11 +2,11 @@
 
 Outage events reduce to threshold crossings on order-statistic gains at
 the least passing gain of each decoding stage (``linklevel.stage_gains``),
-which the coefficient expansion in ``orderstat`` turns into finite sums;
-the two-hop relay link adds a Bessel-K1 factor.  A purpose-built K1
-evaluator keeps the package dependency-light while holding ~1e-13
-relative accuracy at every argument the input box gives (``linklevel``:
-t lies in [1e-107, 1e131]).
+where ``orderstat`` sums the rank law as finite binomial tails with no
+cancelling terms; the two-hop relay link adds a Bessel-K1 factor.  A
+purpose-built K1 evaluator keeps the package dependency-light while
+holding ~1e-13 relative accuracy at every argument the input box gives
+(``linklevel``: t lies in [1e-107, 1e131]).
 
 ``evaluate`` is the one entry to the closed forms of a scenario;
 ``two_hop_outage`` is the relay link's own factor.  Both take an array

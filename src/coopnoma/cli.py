@@ -127,9 +127,9 @@ class SweepSpec:
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
                              f"got {self.variable!r}")
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("sweep values must be non-empty")
-        object.__setattr__(self, "values", tuple(self.values))
         want, number, width = _SWEEP_VARIABLES[self.variable]
         # An SNR grid of finite Python ints and floats passes in one pass; any
         # other grid (a bad value, or a numpy number) is tested value by value.

@@ -13,10 +13,10 @@ the rules every input passes (the input box ``INPUT_BOX`` for floats,
 ``check_int`` for integers and ``_reject_bools`` for bools);
 configuration validated by them; the node layout (``Geometry`` derives
 its two dependent sides from the free parameters); the path loss; the
-SINR seen by each decoding step for given arrays of channel gains; and,
-for each direct-link step, the least gain that gets through.  Outage
-statistics live in ``analytic`` (closed forms) and ``mcsim``
-(simulation).
+SINR seen by each decoding step, plain arithmetic on one channel gain
+or an array of them; and, for each direct-link step, the least gain
+that gets through.  Outage statistics live in ``analytic`` (closed
+forms) and ``mcsim`` (simulation).
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def path_loss(d: float, theta: float) -> float:
     return float(d) ** float(theta)
 
 
-def _weak_signal_sinr(cfg: SystemConfig, g: np.ndarray, pl: float) -> np.ndarray:
+def _weak_signal_sinr(cfg: SystemConfig, g, pl: float):
     """a_m g / (a_n g + pl/gamma0), the SINR of the weak user's signal."""
     return cfg.a_m * g / (cfg.a_n * g + pl / cfg.gamma0)
 
@@ -226,22 +226,17 @@ def sinr_direct_weak(cfg: SystemConfig, geo: Geometry, g):
     The strong user's superposed signal is treated as interference:
     a_m g / (a_n g + d_sdm**theta / gamma0).  Vectorized over g >= 0.
     """
-    g = np.asarray(g, dtype=float)
-    out = _weak_signal_sinr(cfg, g, path_loss(geo.d_sdm, cfg.theta))
-    return out if out.ndim else float(out)
+    return _weak_signal_sinr(cfg, g, path_loss(geo.d_sdm, cfg.theta))
 
 
 def sinr_strong_decodes_weak(cfg: SystemConfig, geo: Geometry, g):
     """SINR of the strong user decoding the weak user's signal (first SIC stage)."""
-    g = np.asarray(g, dtype=float)
-    out = _weak_signal_sinr(cfg, g, path_loss(geo.d_sdn, cfg.theta))
-    return out if out.ndim else float(out)
+    return _weak_signal_sinr(cfg, g, path_loss(geo.d_sdn, cfg.theta))
 
 
 def snr_strong_own(cfg: SystemConfig, geo: Geometry, g):
     """Post-cancellation SNR of the strong user decoding its own signal."""
-    out = cfg.gamma0 * cfg.a_n * np.asarray(g, dtype=float) / path_loss(geo.d_sdn, cfg.theta)
-    return out if out.ndim else float(out)
+    return cfg.gamma0 * cfg.a_n * g / path_loss(geo.d_sdn, cfg.theta)
 
 
 def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
@@ -252,10 +247,9 @@ def sinr_relayed(cfg: SystemConfig, geo: Geometry, g_dnr, g_rdm):
     g1 g2 / (g1 + g2 + 1), which never exceeds min(g1, g2) and is 0
     where a hop gain is 0.
     """
-    g1 = cfg.gamma0 * np.asarray(g_dnr, dtype=float) / path_loss(geo.d_dnr, cfg.theta)
-    g2 = cfg.gamma0 * np.asarray(g_rdm, dtype=float) / path_loss(geo.d_rdm, cfg.theta)
-    out = g1 * g2 / (g1 + g2 + 1.0)
-    return out if out.ndim else float(out)
+    g1 = cfg.gamma0 * g_dnr / path_loss(geo.d_dnr, cfg.theta)
+    g2 = cfg.gamma0 * g_rdm / path_loss(geo.d_rdm, cfg.theta)
+    return g1 * g2 / (g1 + g2 + 1.0)
 
 
 def stage_gains(cfg: SystemConfig, geo: Geometry, gamma0):

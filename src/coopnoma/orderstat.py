@@ -2,21 +2,21 @@
 
 When M Rayleigh-faded links are ranked by instantaneous power gain, the
 i-th weakest gain follows a classical order-statistic law built from the
-exponential parent.  This module provides the expansion coefficients of
-the rank distribution, numerically stable CDF and survival evaluators
-for the closed-form outage expressions, and the one sampler of ranked
-gains, in two steps: a chain that streams the uniforms one slot at a
-time into log U_(i) of the requested ranks, without sorting, and the
-transform of a chain value to its gain.  Because the transform is
-increasing, a threshold on a gain is a threshold on the chain
-(``chain_at_gain``).
+exponential parent.  This module provides numerically stable CDF and
+survival evaluators for the closed-form outage expressions, and the one
+sampler of ranked gains, in two steps: a chain that streams the uniforms
+one slot at a time into log U_(i) of the requested ranks, without
+sorting, and the transform of a chain value to its gain.  Because the
+transform is increasing, a threshold on a gain is a threshold on the
+chain (``chain_at_gain``).
 
-The signed expansion coefficients are exact in float64 only up to
-M = 20 (``MAX_USERS``); the CDF and survival sums have only nonnegative
-terms and are checked against mpmath up to M = 100 (``MAX_RANKED_USERS``),
-the largest population the other entry points accept.  That bound and
-the integer and bool rules every entry point applies come from
-``linklevel``, the one home of the input rules.
+The paper states the rank law as a signed expansion over coefficients
+phi(k, i, M); the CDF and survival here are the same law summed as
+binomial tails, whose terms are all nonnegative, and are checked against
+mpmath up to M = 100 (``MAX_RANKED_USERS``), the largest population any
+entry point accepts.  That bound and the integer and bool rules every
+entry point applies come from ``linklevel``, the one home of the input
+rules.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linklevel import MAX_RANKED_USERS, _reject_bool, _reject_bools, check_int
-
-MAX_USERS = 20
 
 _LN2 = math.log(2.0)
 # Cap on the chain's log U_(i) in gains_from_chain.  Only a draw whose slots
@@ -54,21 +52,6 @@ class OrderStatSpec:
         check_int("i", self.i, 1, self.M)
         if not (self.lam > 0):
             raise ValueError(f"mean gain lam must be > 0, got {self.lam}")
-
-
-def phi_coefficient(k: int, i: int, M: int) -> float:
-    """Signed binomial expansion coefficient for the rank-i distribution.
-
-    The CDF of the i-th smallest gain expands into a sum of shifted
-    exponentials; this returns the weight of the k-th term,
-    (-1)^k * C(M, i-1-k) * C(M-i+k, k), which is an exact integer for
-    every M <= MAX_USERS.  Valid for 0 <= k <= i-1.
-    """
-    check_int("M", M, 1, MAX_USERS)
-    check_int("i", i, 1, M)
-    check_int("k", k, 0, i - 1)
-    mag = math.comb(M, i - 1 - k) * math.comb(M - i + k, k)
-    return float(-mag if k & 1 else mag)
 
 
 def _binomial_sum(spec: OrderStatSpec, x, ranks: range):

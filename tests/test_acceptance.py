@@ -13,6 +13,7 @@ import pathlib
 import time
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -21,8 +22,7 @@ from coopnoma.analytic import bessel_k1, evaluate, two_hop_outage
 from coopnoma.cli import main
 from coopnoma.linklevel import Geometry, SystemConfig
 from coopnoma.mcsim import McConfig, estimate
-from coopnoma.orderstat import (OrderStatSpec, ordered_cdf, phi_coefficient,
-                                sample_ordered_gains)
+from coopnoma.orderstat import OrderStatSpec, ordered_cdf, ordered_sf, sample_ordered_gains
 
 HERE = pathlib.Path(__file__).parent
 REPORT_PATH = HERE.parent / "acceptance_report.txt"
@@ -168,8 +168,13 @@ def test_c4_bessel_k1_reference(capsys):
     assert ok
 
 
+def phi(k: int, i: int, M: int) -> int:
+    """The paper's expansion coefficient of the rank-i law: (-1)^k C(M, i-1-k) C(M-i+k, k)."""
+    return (-1) ** k * math.comb(M, i - 1 - k) * math.comb(M - i + k, k)
+
+
 def test_c5_order_statistic_identities(capsys):
-    """Extreme-rank closed forms, coefficient normalization, and sampler KS."""
+    """Extreme-rank closed forms, both tails against the paper's phi sum, and sampler KS."""
     # rank-1 and rank-M closed forms, every population size
     worst_cdf = 0.0
     x = np.logspace(-4, 1, 25)
@@ -179,9 +184,22 @@ def test_c5_order_statistic_identities(capsys):
         worst_cdf = max(worst_cdf,
                         float(np.max(np.abs(lo - (-np.expm1(-M * x))))),
                         float(np.max(np.abs(hi - (-np.expm1(-x)) ** M))))
-    # coefficient families sum to one
-    worst_phi = max(abs(math.fsum(phi_coefficient(k, i, M) for k in range(i)) - 1.0)
-                    for M in range(1, 21) for i in range(1, M + 1))
+    # every rank's survival against the paper's signed sum
+    # sf(x) = sum_{k<i} phi(k, i, M) exp(-(M - i + 1 + k) x), and its CDF
+    # against 1 minus that sum.  The CDF falls to about 1e-80 at x = 1e-4,
+    # i = M = 20, so the cancelling terms are summed at 130 digits.
+    worst_sf = worst_tail_cdf = 0.0
+    with mpmath.workdps(130):
+        decay = [[mpmath.exp(-j * mpmath.mpf(v)) for j in range(21)] for v in x.tolist()]
+        for M in range(1, 21):
+            for i in range(1, M + 1):
+                spec = OrderStatSpec(M=M, i=i, lam=1.0)
+                sf, cdf = ordered_sf(spec, x).tolist(), ordered_cdf(spec, x).tolist()
+                for e, got_sf, got_cdf in zip(decay, sf, cdf):
+                    ref = mpmath.fsum(phi(k, i, M) * e[M - i + 1 + k] for k in range(i))
+                    worst_sf = max(worst_sf, float(abs(got_sf - ref) / ref))
+                    worst_tail_cdf = max(worst_tail_cdf,
+                                         float(abs(got_cdf - (1 - ref)) / (1 - ref)))
     # empirical CDF of sampled ranks vs the analytic CDF (exact KS statistic),
     # taken over blocks of the sorted sample so that no temporary spans all of it
     worst_ks = 0.0
@@ -195,13 +213,16 @@ def test_c5_order_statistic_identities(capsys):
             grid_idx = np.arange(lo + 1, lo + block.size + 1) / MC_TRIALS
             ks = max(float(np.max(grid_idx - F)), float(np.max(F - grid_idx + 1.0 / MC_TRIALS)))
             worst_ks = max(worst_ks, ks)
-    ok = worst_cdf <= 1e-12 and worst_phi <= 1e-12 and worst_ks <= 0.002
+    ok = (worst_cdf <= 1e-12 and worst_sf <= 1e-13 and worst_tail_cdf <= 1e-13
+          and worst_ks <= 0.002)
     report(capsys, "criterion 5",
            ok, f"order statistics: extreme-rank CDF dev {worst_cdf:.2e} (tol 1e-12), "
-               f"coefficient-sum dev {worst_phi:.2e} (tol 1e-12), "
+               f"survival and CDF vs the paper's phi sum, M = 1..20, every rank: "
+               f"rel err {worst_sf:.2e} and {worst_tail_cdf:.2e} (tol 1e-13), "
                f"KS at 1e6 draws {worst_ks:.2e} (tol 2e-3)")
     assert worst_cdf <= 1e-12
-    assert worst_phi <= 1e-12
+    assert worst_sf <= 1e-13
+    assert worst_tail_cdf <= 1e-13
     assert worst_ks <= 0.002
 
 

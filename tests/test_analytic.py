@@ -556,13 +556,15 @@ class TestBoxCorners:
         for values in itertools.product(*box):
             kw = dict(zip(keys, values))
             cfg = default_config(**kw, a_m=1.0 - kw["a_n"])
-            for relay in (True, False):
+            ref = _mp_point(cfg, geo)
+            for relay, fields in ((True, ("p_out_m", "throughput")),
+                                  (False, ("p_out_m_norelay", "throughput_norelay"))):
                 pt = evaluate(cfg, geo, relay=relay)
                 got = pt.p_out_m, pt.throughput
                 if cfg.a_m <= cfg.a_n * cfg.gamma_thm:  # SIC infeasible: both users fail
                     assert got == (1.0, 0.0)
                 else:
-                    assert got == pytest.approx(_mp_point(cfg, geo, relay), rel=1e-12,
+                    assert got == pytest.approx([float(ref[k]) for k in fields], rel=1e-12,
                                                 abs=1e-300)
 
 
@@ -611,36 +613,41 @@ def _mp_relay_outage(gamma_th, gamma0, d_a, d_b, theta, lam_a, lam_b, digits=50)
         dps = need
 
 
-def _mp_point(cfg, geo, relay):
-    """Weak-user outage and sum throughput of the closed forms at 50 digits, from the
-    float inputs."""
+def _mp_point(cfg, geo, scale=1):
+    """Every ``OutagePoint`` field but gamma0, as the closed forms give it at 50 digits from
+    the float inputs with gamma0 scaled by ``scale``: a dict of mpf keyed by field name."""
     with mpmath.workdps(50):
         f = mpmath.mpf
-        g0, gm, gn = f(cfg.gamma0), f(cfg.gamma_thm), f(cfg.gamma_thn)
+        g0, gm, gn = f(cfg.gamma0) * scale, f(cfg.gamma_thm), f(cfg.gamma_thn)
+        spare = f(cfg.a_m) - f(cfg.a_n) * gm
+        if spare <= 0:  # SIC infeasible: every level is inf, both users always fail
+            return dict(p_out_n=f(1), p_out_m=f(1), throughput=f(0), p_out_m_norelay=f(1),
+                        throughput_norelay=f(0))
 
         def tails(i, x):  # P(rank-i gain <= x) and P(rank-i gain > x): the binomial tails
-            F = -mpmath.expm1(-x / f(cfg.lambda_sd))
-            terms = [mpmath.binomial(cfg.M, j) * F ** j * (1 - F) ** (cfg.M - j)
+            # 1 - F is taken as e^(-x/lam), not subtracted: past x/lam = 115 it is
+            # below 50 digits of F
+            F, Q = -mpmath.expm1(-x / f(cfg.lambda_sd)), mpmath.exp(-x / f(cfg.lambda_sd))
+            terms = [mpmath.binomial(cfg.M, j) * F ** j * Q ** (cfg.M - j)
                      for j in range(cfg.M + 1)]
             return mpmath.fsum(terms[i:]), mpmath.fsum(terms[:i])
 
-        alpha = gm / ((f(cfg.a_m) - f(cfg.a_n) * gm) * g0)
+        alpha = gm / (spare * g0)
         dn, dm = f(geo.d_sdn) ** cfg.theta, f(geo.d_sdm) ** cfg.theta
-        s_n = tails(cfg.n, max(alpha * dn, gn * dn / (f(cfg.a_n) * g0)))[1]
+        p_n, s_n = tails(cfg.n, max(alpha * dn, gn * dn / (f(cfg.a_n) * g0)))
         (a, s_a), (b, s_b) = tails(cfg.n, alpha * dn), tails(cfg.m, alpha * dm)
-        c = 1
-        if relay:
-            c = f(_mp_relay_outage(cfg.gamma_thm, cfg.gamma0, geo.d_dnr, geo.d_rdm, cfg.theta,
-                                   cfg.lambda_dnr, cfg.lambda_rdm))
-            da, db = f(geo.d_dnr) ** cfg.theta, f(geo.d_rdm) ** cfg.theta
-            t = 2 * mpmath.sqrt(da * db * gm * (gm + 1) / (g0 * g0 * f(cfg.lambda_dnr)
-                                                            * f(cfg.lambda_rdm)))
-            s_c = (mpmath.exp(-(gm / g0) * (db / f(cfg.lambda_rdm) + da / f(cfg.lambda_dnr)))
-                   * t * mpmath.besselk(1, t))
-        else:
-            s_c = 0
-        s_m = s_a * (s_b + (1 - s_b) * s_c)
-        return float(a + (1 - a) * b * c), float(s_n * f(cfg.R_n) + s_m * f(cfg.R_m))
+        c = f(_mp_relay_outage(cfg.gamma_thm, g0, geo.d_dnr, geo.d_rdm, cfg.theta,
+                               cfg.lambda_dnr, cfg.lambda_rdm))
+        da, db = f(geo.d_dnr) ** cfg.theta, f(geo.d_rdm) ** cfg.theta
+        t = 2 * mpmath.sqrt(da * db * gm * (gm + 1) / (g0 * g0 * f(cfg.lambda_dnr)
+                                                        * f(cfg.lambda_rdm)))
+        s_c = (mpmath.exp(-(gm / g0) * (db / f(cfg.lambda_rdm) + da / f(cfg.lambda_dnr)))
+               * t * mpmath.besselk(1, t))
+        r_n, r_m = f(cfg.R_n), f(cfg.R_m)
+        return dict(p_out_n=p_n, p_out_m=a + (1 - a) * b * c,
+                    throughput=s_n * r_n + s_a * (s_b + b * s_c) * r_m,
+                    p_out_m_norelay=a + (1 - a) * b,
+                    throughput_norelay=s_n * r_n + s_a * s_b * r_m)
 
 
 class TestThroughputNearCertainOutage:
@@ -652,7 +659,7 @@ class TestThroughputNearCertainOutage:
     def test_matches_mpmath(self, gamma0_db, want, relay):
         cfg = default_config(M=20, m=10, n=20, gamma0=10.0 ** (gamma0_db / 10.0))
         geo = default_geometry()
-        ref = _mp_point(cfg, geo, relay)[1]
+        ref = float(_mp_point(cfg, geo)["throughput" if relay else "throughput_norelay"])
         if relay:
             assert ref == pytest.approx(want, rel=1e-3, abs=0)
         pt = evaluate(cfg, geo, relay=relay)
@@ -661,8 +668,70 @@ class TestThroughputNearCertainOutage:
         assert grid.throughput[0] == pt.throughput
 
 
+class TestEveryFieldOverTheBox:
+    """Every ``OutagePoint`` field at seeded random in-box scenarios, against ``_mp_point``.
+
+    The scenarios: M in {2, 3, 6, 20, 50, 100} and any pair; a_n from 1e-15 to
+    0.45, rates from 0.01 to 8 bit/s/Hz, the three free distances and the three
+    fading means over the whole box, all log-uniform; theta, the angles and
+    gamma0 in dB (-300 to 300) uniform.  Every fourth scenario pins gamma_thm
+    just below the SIC ceiling a_m/a_n, at spare/a_m log-uniform from 1e-12 to
+    1e-3.
+
+    No float evaluation beats the problem's own conditioning.  Its gain levels
+    and relay variables each carry a few roundings, and the weak-signal levels
+    also carry spare's, a relative ulp a_m/spare.  Every field moves the same
+    way with all of them and with 1/gamma0, so kappa = |d ln(field)/d ln(gamma0)|,
+    read from the reference, bounds the summed sensitivity.  Each field is held
+    within |ref| (1e-13 + kappa 2**-53 (8 + a_m/spare)) + 1e-300.
+    """
+
+    SEED, COUNT, STEP = 30, 64, 2.0 ** -30
+
+    @staticmethod
+    def _scenario(rng, near_ceiling):
+        def log_uniform(lo, hi):
+            return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+        while True:  # until the derived sides lie in the box too
+            M = int(rng.choice((2, 3, 6, 20, 50, 100)))
+            m, n = sorted(int(r) for r in rng.choice(np.arange(1, M + 1), 2, replace=False))
+            a_n = log_uniform(1e-15, 0.45)
+            kw = dict(M=M, m=m, n=n, a_m=1.0 - a_n, a_n=a_n, theta=rng.uniform(0.0, 8.0),
+                      gamma0=10.0 ** (rng.uniform(-300.0, 300.0) / 10.0),
+                      R_m=log_uniform(0.01, 8.0), R_n=log_uniform(0.01, 8.0),
+                      **{key: log_uniform(*INPUT_BOX[key])
+                         for key in ("lambda_sd", "lambda_dnr", "lambda_rdm")})
+            if near_ceiling:
+                kw["gamma_thm"] = (1.0 - a_n) / a_n * (1.0 - log_uniform(1e-12, 1e-3))
+            sides = [log_uniform(*INPUT_BOX[key]) for key in ("d_sdn", "d_sdm", "d_dnr")]
+            try:
+                geo = Geometry(*sides, rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi))
+            except ValueError:
+                continue
+            return SystemConfig(**kw), geo
+
+    def test_every_field_matches_mpmath(self):
+        rng = np.random.default_rng(self.SEED)
+        nontrivial = 0
+        for k in range(self.COUNT):
+            cfg, geo = self._scenario(rng, near_ceiling=k % 4 == 3)
+            pt = evaluate(cfg, geo)
+            ref, moved = _mp_point(cfg, geo), _mp_point(cfg, geo, 1 + mpmath.mpf(self.STEP))
+            spare = cfg.a_m - cfg.a_n * cfg.gamma_thm
+            slack = 8.0 + (cfg.a_m / spare if spare > 0.0 else 0.0)
+            with mpmath.workdps(50):
+                for name, want in ref.items():
+                    kappa = abs(moved[name] / want - 1) / self.STEP if want else 0
+                    tol = abs(want) * (1e-13 + kappa * 2.0 ** -53 * slack) + 1e-300
+                    assert abs(getattr(pt, name) - want) <= tol, (k, name, cfg, geo)
+            nontrivial += 1e-300 < pt.p_out_m < 1.0
+        # the box is mostly certain outage or success; enough points must lie between
+        assert nontrivial >= self.COUNT // 4
+
+
 class TestPopulationsPastExactCoefficients:
-    """M above MAX_USERS = 20 is evaluated, not rejected partway through."""
+    """M past the M = 20 of the paper's signed expansion is evaluated, not rejected partway."""
 
     @pytest.mark.parametrize("M", [25, 100])
     @pytest.mark.parametrize("gamma0_db", [0.0, 20.0, 35.0])

@@ -328,6 +328,19 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(variable="gamma0_db", values=())
 
+    @pytest.mark.parametrize("values, listed", [(iter([]), None),
+                                                (np.array([10.0, 20.0]), [10.0, 20.0])],
+                             ids=["empty-iterator", "numpy-array"])
+    def test_reads_the_values_before_checking_them(self, values, listed):
+        if listed is None:  # refused, not run to an engine with no points
+            with pytest.raises(ValueError, match="^sweep values must be non-empty$"):
+                SweepSpec(variable="gamma0_db", values=values)
+            return
+        cfg, geo, mc, _ = small_bundle()
+        got, want = (run_sweep(cfg, geo, mc, SweepSpec(variable="gamma0_db", values=v))
+                     for v in (values, listed))
+        assert list(got) == list(want)
+
     def test_rejects_nonfinite_snr(self):
         with pytest.raises(ValueError):
             SweepSpec(variable="gamma0_db", values=(0.0, math.inf))

@@ -2,16 +2,21 @@ import contextlib
 import io
 import pathlib
 import re
+import typing
 
 import coopnoma
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+HERE = pathlib.Path(__file__).resolve().parent
+README = HERE.parent / "README.md"
 PACKAGE = pathlib.Path(coopnoma.__file__).parent
 
 
+def quick_start():
+    return re.search(r"## Quick start\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+
+
 def test_quick_start_runs_as_written():
-    text = README.read_text()
-    block = re.search(r"## Quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    block = quick_start()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
@@ -24,6 +29,21 @@ def test_every_exported_name_resolves():
     missing = [name for name in coopnoma.__all__ if not hasattr(coopnoma, name)]
     assert missing == []
     assert len(set(coopnoma.__all__)) == len(coopnoma.__all__)
+
+
+def test_every_exported_name_is_needed():
+    # a name is exported only if the CLI, an acceptance gate or the quick start
+    # names it, or if it is a type the engines' results come in
+    named = "\n".join(((PACKAGE / "cli.py").read_text(),
+                       (HERE / "test_acceptance.py").read_text(), quick_start()))
+    hints = typing.get_type_hints
+    result_types = {hints(coopnoma.evaluate)["return"]}
+    for point in typing.get_args(hints(coopnoma.estimate)["return"]):
+        result_types |= set(hints(point).values())
+    unneeded = [name for name in coopnoma.__all__
+                if not re.search(rf"\b{name}\b", named)
+                and getattr(coopnoma, name) not in result_types]
+    assert unneeded == []
 
 
 def test_readme_lists_the_exported_names():

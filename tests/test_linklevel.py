@@ -12,7 +12,7 @@ from coopnoma.linklevel import (INPUT_BOX, MAX_RANKED_USERS, Geometry, SystemCon
                                 sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak,
                                 snr_strong_own, stage_gains)
 from coopnoma.mcsim import McConfig, McEstimate, trial_stream
-from coopnoma.orderstat import MAX_USERS, OrderStatSpec, phi_coefficient, sample_ordered_gains
+from coopnoma.orderstat import OrderStatSpec, sample_ordered_gains
 
 
 def default_config(**overrides):
@@ -127,9 +127,6 @@ INTEGER_INPUTS = [
     ("n", lambda v: default_config(n=v), 4, 6),
     ("M", lambda v: OrderStatSpec(M=v, i=1, lam=1.0), 1, MAX_RANKED_USERS),
     ("i", lambda v: OrderStatSpec(M=6, i=v, lam=1.0), 1, 6),
-    ("M", lambda v: phi_coefficient(0, 1, v), 1, MAX_USERS),
-    ("i", lambda v: phi_coefficient(0, v, 6), 1, 6),
-    ("k", lambda v: phi_coefficient(v, 4, 6), 0, 3),
     ("M", lambda v: _sample(M=v), 1, MAX_RANKED_USERS),
     ("size", lambda v: _sample(size=v), 1, sys.maxsize),
     ("trials", lambda v: McConfig(trials=v, seed=1), 1, 2 ** 64 - 1),

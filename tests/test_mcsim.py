@@ -394,7 +394,8 @@ class TestEstimate:
         assert est_n.stderr == want
 
     def test_population_past_exact_coefficients_matches_closed_form(self):
-        # M = 25 > MAX_USERS: both engines evaluate it and agree
+        # M = 25, past the M = 20 of the paper's signed expansion: both engines
+        # evaluate it and agree
         cfg = default_config(M=25, m=12, n=25, gamma0=10.0 ** 1.5)
         geo = default_geometry()
         mc_point, = estimate(cfg, geo, McConfig(trials=100_000, seed=3))

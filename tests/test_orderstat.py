@@ -5,9 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from coopnoma.orderstat import (MAX_RANKED_USERS, MAX_USERS, OrderStatSpec, gains_from_chain,
-                                log_uniform_chain, ordered_cdf, ordered_sf, phi_coefficient,
-                                sample_ordered_gains)
+from coopnoma.orderstat import (MAX_RANKED_USERS, OrderStatSpec, gains_from_chain,
+                                log_uniform_chain, ordered_cdf, ordered_sf, sample_ordered_gains)
 
 
 def test_spec_validation():
@@ -34,65 +33,6 @@ def test_spec_rejects_bool_naming_key(key, kwargs):
         OrderStatSpec(**kwargs)
 
 
-class TestPhiCoefficient:
-    def test_first_term_is_count_of_upper_subsets(self):
-        # k = 0 term weight is C(M, i-1): the minimum-rank case collapses to 1.
-        assert phi_coefficient(0, 1, 6) == 1.0
-        assert phi_coefficient(0, 6, 6) == 6.0
-        assert phi_coefficient(1, 6, 6) == -15.0
-
-    def test_signs_alternate(self):
-        for k in range(6):
-            c = phi_coefficient(k, 6, 6)
-            assert math.copysign(1.0, c) == (1.0 if k % 2 == 0 else -1.0)
-
-    @pytest.mark.parametrize("M", [1, 2, 5, 12, 20])
-    def test_sum_is_exactly_one(self, M):
-        # The weights telescope: summed over k they give exactly 1, and the
-        # integer-valued terms make the float sum exact too.
-        for i in range(1, M + 1):
-            total = math.fsum(phi_coefficient(k, i, M) for k in range(i))
-            assert total == 1.0
-
-    def test_values_are_integers(self):
-        for M in range(1, MAX_USERS + 1):
-            for i in range(1, M + 1):
-                for k in range(i):
-                    c = phi_coefficient(k, i, M)
-                    assert c == int(c)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            phi_coefficient(-1, 3, 6)
-        with pytest.raises(ValueError):
-            phi_coefficient(3, 3, 6)  # k must be <= i-1
-        with pytest.raises(ValueError):
-            phi_coefficient(0, 0, 6)
-        with pytest.raises(ValueError):
-            phi_coefficient(0, 1, MAX_USERS + 1)
-
-    @pytest.mark.parametrize("key, args", [
-        ("k", (True, 2, 6)),
-        ("i", (0, True, 6)),
-        ("k", (np.False_, 2, 6)),
-    ])
-    def test_rejects_bool_naming_key(self, key, args):
-        with pytest.raises(ValueError, match=f"^{key} must be a number, not a bool"):
-            phi_coefficient(*args)
-
-    @pytest.mark.parametrize("key, args", [
-        ("k", (1.0, 3, 6)),
-        ("i", (0, 2.0, 6)),
-        ("k", ("1", 3, 6)),
-    ])
-    def test_rejects_non_integer_naming_key(self, key, args):
-        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
-            phi_coefficient(*args)
-
-    def test_numpy_integers_give_the_int_values(self):
-        assert phi_coefficient(np.int64(1), np.int32(6), 6) == phi_coefficient(1, 6, 6)
-
-
 class TestOrderedCdf:
     def test_boundaries(self):
         spec = OrderStatSpec(M=6, i=3, lam=1.0)
@@ -109,19 +49,6 @@ class TestOrderedCdf:
         hi = ordered_cdf(OrderStatSpec(M=M, i=M, lam=lam), x)
         assert np.max(np.abs(lo - (-np.expm1(-M * x / lam)))) < 1e-12
         assert np.max(np.abs(hi - (-np.expm1(-x / lam)) ** M)) < 1e-12
-
-    def test_matches_alternating_expansion(self):
-        # Cross-check the stable binomial-tail evaluation against the signed
-        # expansion that the closed-form outage expressions use directly.
-        lam = 1.3
-        for M, i in [(6, 3), (8, 4), (10, 7)]:
-            spec = OrderStatSpec(M=M, i=i, lam=lam)
-            for x in (0.05, 0.3, 1.0, 4.0):
-                expansion = math.fsum(
-                    phi_coefficient(k, i, M)
-                    * -math.expm1(-(M - i + k + 1) * x / lam)
-                    for k in range(i))
-                assert ordered_cdf(spec, x) == pytest.approx(expansion, abs=2e-11)
 
     def test_monotone_in_x_and_rank(self):
         x = np.linspace(0.0, 8.0, 200)
@@ -160,29 +87,9 @@ class TestOrderedSf:
         with pytest.raises(ValueError):
             ordered_sf(OrderStatSpec(M=6, i=3, lam=1.0), [0.5, -0.1])
 
-    @pytest.mark.parametrize("M", [2, 6, 13, 20])
-    def test_equals_the_papers_phi_expansion(self, M):
-        # The paper states the rank-i law as the signed sum
-        # sf(x) = sum_{k<i} phi(k, i, M) exp(-(M - i + 1 + k) x / lam), whose
-        # terms cancel; at 60 digits the cancellation costs nothing, so it is
-        # an exact reference for the engine's nonnegative binomial tail.  The
-        # least reference here is exp(-20 * 12), far above the subnormals.
-        lam = 1.0
-        xs = np.logspace(-3, math.log10(12.0), 25)
-        worst = 0.0
-        for i in range(1, M + 1):
-            got = ordered_sf(OrderStatSpec(M=M, i=i, lam=lam), xs)
-            with mpmath.workdps(60):
-                for x, sf in zip(xs.tolist(), got.tolist()):
-                    ref = mpmath.fsum(phi_coefficient(k, i, M)
-                                      * mpmath.exp(-(M - i + 1 + k) * mpmath.mpf(x) / lam)
-                                      for k in range(i))
-                    worst = max(worst, float(abs(sf - ref) / ref))
-        assert worst < 1e-13, worst
-
 
 class TestPopulationsPastExactCoefficients:
-    """Both binomial tails past MAX_USERS, up to MAX_RANKED_USERS, against mpmath."""
+    """Both binomial tails past criterion 5's M = 20, up to MAX_RANKED_USERS, against mpmath."""
 
     @pytest.mark.parametrize("M", [25, MAX_RANKED_USERS])
     def test_tails_match_mpmath(self, M):
@@ -212,10 +119,6 @@ class TestPopulationsPastExactCoefficients:
         with pytest.raises(ValueError,
                            match=re.escape(f"M must be an integer in [1, {MAX_RANKED_USERS}]")):
             sample_ordered_gains(MAX_RANKED_USERS + 1, 1.0, rng)
-        # the signed coefficients stay exact only up to MAX_USERS
-        with pytest.raises(ValueError,
-                           match=re.escape(f"M must be an integer in [1, {MAX_USERS}]")):
-            phi_coefficient(0, 1, MAX_USERS + 1)
 
 
 class TestSampler:
