@@ -7,6 +7,7 @@ import pytest
 
 from coopnoma.orderstat import (MAX_RANKED_USERS, OrderStatSpec, gains_from_chain,
                                 log_uniform_chain, ordered_cdf, ordered_sf, sample_ordered_gains)
+from test_acceptance import phi
 
 
 def test_spec_validation():
@@ -50,6 +51,18 @@ class TestOrderedCdf:
         assert np.max(np.abs(lo - (-np.expm1(-M * x / lam)))) < 1e-12
         assert np.max(np.abs(hi - (-np.expm1(-x / lam)) ** M)) < 1e-12
 
+    def test_matches_alternating_expansion(self):
+        # Cross-check the stable binomial-tail evaluation against the signed
+        # expansion that the closed-form outage expressions use directly.
+        lam = 1.3
+        for M, i in [(6, 3), (8, 4), (10, 7)]:
+            spec = OrderStatSpec(M=M, i=i, lam=lam)
+            for x in (0.05, 0.3, 1.0, 4.0):
+                expansion = math.fsum(
+                    phi(k, i, M) * -math.expm1(-(M - i + k + 1) * x / lam)
+                    for k in range(i))
+                assert ordered_cdf(spec, x) == pytest.approx(expansion, abs=2e-11)
+
     def test_monotone_in_x_and_rank(self):
         x = np.linspace(0.0, 8.0, 200)
         prev = None
@@ -86,6 +99,26 @@ class TestOrderedSf:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             ordered_sf(OrderStatSpec(M=6, i=3, lam=1.0), [0.5, -0.1])
+
+    @pytest.mark.parametrize("M", [2, 6, 13, 20])
+    def test_equals_the_papers_phi_expansion(self, M):
+        # The paper states the rank-i law as the signed sum
+        # sf(x) = sum_{k<i} phi(k, i, M) exp(-(M - i + 1 + k) x / lam), whose
+        # terms cancel; at 60 digits the cancellation costs nothing, so it is
+        # an exact reference for the engine's nonnegative binomial tail.  The
+        # least reference here is exp(-20 * 12), far above the subnormals.
+        lam = 1.0
+        xs = np.logspace(-3, math.log10(12.0), 25)
+        worst = 0.0
+        for i in range(1, M + 1):
+            got = ordered_sf(OrderStatSpec(M=M, i=i, lam=lam), xs)
+            with mpmath.workdps(60):
+                for x, sf in zip(xs.tolist(), got.tolist()):
+                    ref = mpmath.fsum(phi(k, i, M)
+                                      * mpmath.exp(-(M - i + 1 + k) * mpmath.mpf(x) / lam)
+                                      for k in range(i))
+                    worst = max(worst, float(abs(sf - ref) / ref))
+        assert worst < 1e-13, worst
 
 
 class TestPopulationsPastExactCoefficients:
