@@ -551,7 +551,8 @@ def main(argv: list[str] | None = None) -> int:
                     "NOMA pairing, with analytic and Monte-Carlo engines.")
     ap.add_argument("--config", metavar="PATH", help="INI scenario file (defaults used when omitted)")
     ap.add_argument("--sweep-gamma0-db", metavar="START:STOP:STEP",
-                    help="override the sweep with an SNR grid in dB")
+                    help="override the sweep with an SNR grid in dB; a negative START "
+                         "needs the = form, as in --sweep-gamma0-db=-10:20:2")
     ap.add_argument("--trials", type=int, metavar="N", help="Monte-Carlo trials per point")
     ap.add_argument("--seed", type=int, metavar="N", help="Monte-Carlo seed")
     ap.add_argument("--engine", choices=(*ENGINES, "both"), help="engine selection")

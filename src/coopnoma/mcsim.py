@@ -7,43 +7,34 @@ averages over trials.
 Threshold decisions: one rule decides all four stages (the strong
 user's SIC and own stages on rank n, the weak user's direct copy on
 rank m, and the relay).  A chunk holds a per-trial row that the stage's
-SINR increases with, and each scenario a guard band [lo, hi) on it
-(``_Stage``): values below lo fail, values at or above hi pass, each by
-one comparison, and only the trials in the band, or nan, go through the
-stage's own SINR expression.  Every decision thus equals the SINR
-path's bit for bit, and a chunk with no trial in a band calls no SINR.
+SINR increases with, and each scenario one level on it (``_Plan``): a
+trial fails the stage where its row lies below the level.  That one
+comparison is the only decision path.
 
 For a direct-link stage the row is the chain value log U_(i) that
-``orderstat`` builds, which the rank's gain increases with.  The stage
-fails exactly where the gain lies below the least gain that passes it,
-which ``linklevel`` gives by inverting its own SINR expressions, so
-``estimate`` maps each scenario's least gains to chain levels once.  The
-band spans a relative 1e-9 of the level, wider where the SINR is
-ill-conditioned.  A degenerate stage (SIC infeasible, or so nearly that
-the band would be wider than 1e-3) has a band spanning the whole chain,
-so all its trials are decided by the SINR.  Inside the input box of
-``linklevel`` every gain level, band edge and SINR is a normal float, so
-nothing else makes a stage degenerate.
+``orderstat`` builds, which the rank's gain increases with, and the
+level is ``orderstat.chain_at_gain`` of the least gain that passes the
+stage, which ``linklevel.stage_gains`` inverts from its own SINR
+expressions.  Where SIC is infeasible that gain and its level are inf,
+so every trial fails both weak-signal stages.
 
 For the relay the row is -gamma*.  With x = pl_dnr/g_dnr and
 y = pl_rdm/g_rdm, the AF SINR is gamma0**2 / (gamma0 s + x y) with
 s = x + y, which increases with gamma0, so a trial's relay fails exactly
 where gamma0 lies below its critical SNR
 gamma* = (th/2) s (1 + sqrt(1 + 4r/th)), r = h/s in [0, 1/4] with
-h = x y / s = pl_rdm / (g_dnr (pl_rdm/pl_dnr) + g_rdm), that is where
--gamma* lies below -gamma0.  Every term is positive, so nothing
-cancels, and inside the input box nothing leaves the normal floats, so
-gamma* is good to a few ulps.  One zero hop gain makes -gamma* -inf, a
-failure (the SINR is then 0); two make it nan, which the SINR decides.
-A chunk builds the -gamma* row of a relay group (the two hop path
-losses and gamma_thm) once, in a row that no chain row shares.
-d log SINR / d log gamma0 lies in [1, 2], so a band from
--gamma0 (1 + 1e-9) to -gamma0 (1 - 1e-9) is safe.  Only the trials left
-to the relay (SIC kept, direct copy lost) are decided on that row, and
-only those of them in the band or nan take the relayed SINR.  Each
-scenario's four stages are decided in one pass, so no per-scenario mask
-outlives its scenario and a chunk's memory does not grow with the
-scenario count.
+h = x y / s = pl_rdm / (g_dnr (pl_rdm/pl_dnr) + g_rdm), and the level is
+-gamma0.  Every term is positive, so nothing cancels, and inside the
+input box nothing leaves the normal floats, so gamma* is good to a few
+ulps.  One zero hop gain makes -gamma* -inf and two make it nan; both
+fail, as the SINR, then 0, does.  A chunk builds the -gamma* row of a
+relay group (the two hop path losses and gamma_thm) once, in a row that
+no chain row shares, and each scenario's stages are decided in one pass
+on two bool rows, so a chunk's memory does not grow with the scenario
+count.  A stage failure is thus a row below a level computed in floats,
+not the SINR expression in floats below the threshold; neither is exact,
+and they differ only for trials within a few ulps of a level, times the
+SINR's conditioning there.
 
 Draw once, evaluate many: the fading gains of a trial depend only on
 (seed, trial index, M, lambda_*, mode), not on the SNR, the pair ranks,
@@ -87,19 +78,16 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .linklevel import (Geometry, SystemConfig, _reject_bools, check_int, path_loss,
-                        sinr_direct_weak, sinr_relayed, sinr_strong_decodes_weak, snr_strong_own,
-                        stage_gains)
-from .orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
+from .linklevel import Geometry, SystemConfig, _reject_bools, check_int, path_loss, stage_gains
+# No stage is decided by these; perfbench/spans.py wraps them in this namespace.
+from .linklevel import (sinr_direct_weak, sinr_relayed,  # noqa: F401
+                        sinr_strong_decodes_weak, snr_strong_own)
+from .orderstat import chain_at_gain, log_uniform_chain
 
 MODES = ("joint", "independent")
 
 # Stream steps per column: column k of trial t is step k * _SEGMENT + t.
 _SEGMENT = 2 ** 64
-
-# Half-width of a stage's guard band, relative in gain, before the
-# widening for the SINR's conditioning (see _stage).
-_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -202,81 +190,26 @@ def trial_stream(mc: McConfig, M: int, trial: int, column: int = 0) -> np.random
     return np.random.Generator(bg)
 
 
-class _Stage(NamedTuple):
-    """A stage's guard band [lo, hi) on its per-trial row (see the module notes).
-
-    Values below lo fail, values at or above hi pass, and the stage's
-    SINR decides the rest, in the band or nan.  A degenerate stage's band
-    (-inf, inf) spans the whole row.
-    """
-
-    lo: float
-    hi: float
-
-
-_WHOLE_CHAIN = _Stage(-math.inf, math.inf)
-
-
 class _Plan(NamedTuple):
-    """The stages of one (cfg, geo): SIC and strong-own on rank n, direct on m, and the relay.
+    """The levels of one (cfg, geo): SIC and strong-own on rank n, direct on m, and the relay.
 
-    The three direct-link bands lie on chain rows.  ``hops`` names the
+    The three direct-link levels lie on chain rows.  ``hops`` names the
     relay group, (d_dnr**theta, d_rdm**theta, gamma_thm), and ``relay``
-    is the band around -cfg.gamma0 on that group's -gamma* row.
+    is -cfg.gamma0, the level on that group's -gamma* row.
     """
 
-    sic: _Stage
-    own: _Stage
-    direct: _Stage
+    sic: float
+    own: float
+    direct: float
     hops: tuple[float, float, float]
-    relay: _Stage
-
-
-def _stage(gain: float, lam: float, cond: float) -> _Stage:
-    """Chain band of a stage whose least passing gain is ``gain``.
-
-    ``cond`` is d log SINR / d log g at that gain.  The SINR expression,
-    the level and the gain transform each err by a few ulps relative,
-    and an error e in the SINR moves the crossing by e/cond in gain, so
-    the band spans a relative ``_BAND``/cond of the gain on each side.
-    The stage is degenerate (its band spans the chain, so every trial
-    goes through its SINR) where the band would be wider than about 1e-3.
-    """
-    if not cond > _BAND * 1e3:  # a band wider than 1e-3, or SIC infeasible
-        return _WHOLE_CHAIN
-    edges = (gain * (1.0 - _BAND / cond), gain * (1.0 + _BAND / cond))
-    return _Stage(*(chain_at_gain(e, lam) for e in edges))
+    relay: float
 
 
 def _plan(cfg: SystemConfig, geo: Geometry) -> _Plan:
-    """The chain bands of cfg's direct-link stages and the -gamma* band of its relay."""
-    lam = cfg.lambda_sd
-    cond = 1.0 - cfg.a_n * cfg.gamma_thm / cfg.a_m  # of a_m g / (a_n g + noise) at its level
-    sic, own, direct = stage_gains(cfg, geo, cfg.gamma0)
-    stages = (_stage(sic, lam, cond), _stage(own, lam, 1.0), _stage(direct, lam, cond))
+    """The chain levels of cfg's direct-link stages and the -gamma* level of its relay."""
+    levels = (chain_at_gain(g, cfg.lambda_sd) for g in stage_gains(cfg, geo, cfg.gamma0))
     hops = (path_loss(geo.d_dnr, cfg.theta), path_loss(geo.d_rdm, cfg.theta), cfg.gamma_thm)
-    return _Plan(*stages, hops, _Stage(-cfg.gamma0 * (1.0 + _BAND), -cfg.gamma0 * (1.0 - _BAND)))
-
-
-def _fails(y: np.ndarray, stage: _Stage, exact, within: np.ndarray | None = None) -> np.ndarray:
-    """Per-trial failures of one stage, decided on its row ``y`` (see the module notes).
-
-    Values below stage.lo fail and values at or above stage.hi pass; the
-    rest, in the band or nan, are decided by ``exact(band)``, the stage's
-    SINR test on the trials at indices ``band``.  With a mask ``within``
-    only its trials are decided, and the others read as passing.
-    """
-    fail = y < stage.lo
-    passes = y >= stage.hi
-    if np.count_nonzero(fail) + np.count_nonzero(passes) != y.size:  # some in the band, or nan
-        undecided = ~(fail | passes)
-        if within is not None:
-            undecided &= within
-        band = np.flatnonzero(undecided)
-        fail[band] = exact(band)
-    if within is not None:
-        fail &= within
-    return fail
+    return _Plan(*levels, hops, -cfg.gamma0)
 
 
 _Point = tuple[SystemConfig, Geometry]  # one scenario, (cfg, geo)
@@ -331,26 +264,24 @@ def _count(points: Sequence[_Point], plans: Sequence[_Plan], weak, strong,
     relay also loses.  ``weak`` and ``strong`` map the ranks each user
     reads to chain rows, ``rows`` is the two rows of ``_critical_snr``,
     which no chain row shares, and ``plans[k]`` is ``_plan`` of point k.
-    Each point's four stages are decided in one pass, each by ``_fails``,
-    and only its trials left to the relay are decided on the -gamma* row,
+    Each stage is one comparison with its level (see the module notes).
+    A point's trials left to the relay are decided on the -gamma* row,
     which stays in cache across its relay group's points.
     """
     counts = np.empty((len(points), 4), dtype=np.int64)
     star, star_hops = None, None  # the -gamma* row and the relay group it belongs to
-    for row, (cfg, geo), plan in zip(counts, points, plans):
-        y_m, y_n, lam = weak[cfg.m], strong[cfg.n], cfg.lambda_sd
-        fail_sic = _fails(y_n, plan.sic, lambda band: sinr_strong_decodes_weak(
-            cfg, geo, gains_from_chain(y_n[band], lam)) < cfg.gamma_thm)
-        out_n = fail_sic | _fails(y_n, plan.own, lambda band: snr_strong_own(
-            cfg, geo, gains_from_chain(y_n[band], lam)) < cfg.gamma_thn)
-        fail_direct = _fails(y_m, plan.direct, lambda band: sinr_direct_weak(
-            cfg, geo, gains_from_chain(y_m[band], lam)) < cfg.gamma_thm)
-        left = fail_direct & ~fail_sic
+    mask, left = np.empty((2, g_dnr.size), dtype=bool)  # every point's only bool rows
+    for row, (cfg, _), plan in zip(counts, points, plans):
+        y_n = strong[cfg.n]
+        out_n = np.count_nonzero(np.less(y_n, max(plan.sic, plan.own), out=mask))
+        kept = np.count_nonzero(np.greater_equal(y_n, plan.sic, out=mask))  # SIC kept
+        np.less(weak[cfg.m], plan.direct, out=left)
+        left &= mask
+        n_left = np.count_nonzero(left)
         if plan.hops != star_hops:
             star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, rows), plan.hops
-        lost = _fails(star, plan.relay, lambda band: sinr_relayed(
-            cfg, geo, g_dnr[band], g_rdm[band]) < cfg.gamma_thm, left)
-        row[:] = [np.count_nonzero(a) for a in (out_n, fail_sic, left, lost)]
+        left &= np.greater_equal(star, plan.relay, out=mask)  # rescued; nan, both hops 0, is not
+        row[:] = (out_n, y_n.size - kept, n_left, n_left - np.count_nonzero(left))
     return counts
 
 

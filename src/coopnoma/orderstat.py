@@ -153,7 +153,8 @@ def chain_at_gain(g: float, lam: float) -> float:
     (Maechler's two branches again), taken over the capped chain: where
     the level lies above ``_LOG_U_CAP`` every chain value maps below g,
     and the level is inf.  The float result is within a few ulps of the
-    exact level.  Needs 0 < g/lam < inf.
+    exact level.  Needs 0 < g/lam; g = inf, a stage no gain passes (SIC
+    infeasible), gives level inf, so every chain value lies below it.
     """
     a = g / lam
     level = math.log(-math.expm1(-a)) if a < _LN2 else math.log1p(-math.exp(-a))

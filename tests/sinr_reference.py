@@ -1,10 +1,11 @@
 """Per-trial SINR reference for the Monte-Carlo estimator's threshold decisions.
 
-``mcsim.estimate`` decides every stage by comparing a per-trial row
-with a per-scenario guard band, and runs only the trials in the band
-through that stage's SINR.  The tests hold those decisions to this
-path, which maps the same uniforms to gains and runs every stage through
-the ``linklevel`` SINR expressions, trial by trial.
+``mcsim.estimate`` decides every stage by one comparison of a per-trial
+row with a per-scenario level and calls no SINR expression.  The tests
+hold those decisions to this path, which maps the same uniforms to gains
+and runs every stage through the ``linklevel`` SINR expressions, trial
+by trial: bit for bit on the counts of random draws, and at every trial
+outside a relative 1e-9/cond of a level on trials placed at the levels.
 """
 
 from __future__ import annotations

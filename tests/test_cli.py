@@ -991,6 +991,21 @@ class TestMain:
         assert rc == 2
         assert "4000.0 dB overflows a float" in capsys.readouterr().err
 
+    def test_negative_start_is_read_in_the_equals_form_that_the_help_names(self, tmp_path,
+                                                                          capsys):
+        # argparse takes a separate "-10:20:2" for an option, so the help
+        # names the = form, and main reads it
+        out = tmp_path / "x.csv"
+        assert main(["--sweep-gamma0-db=-10:20:2", "--engine", "analytic", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [float(r["gamma0_db"]) for r in rows] == list(range(-10, 21, 2))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        # the help is wrapped to the terminal, possibly at a hyphen
+        assert "--sweep-gamma0-db=-10:20:2" in re.sub(r"\s+", "", capsys.readouterr().out)
+
     def test_snr_underflowing_a_float_is_reported(self, tmp_path, capsys):
         rc = main(["--sweep-gamma0-db=-4000:-4000:1", "--engine", "analytic",
                    "--out", str(tmp_path / "x.csv")])

@@ -11,7 +11,8 @@ import pytest
 
 from coopnoma import mcsim
 from coopnoma.analytic import evaluate
-from coopnoma.linklevel import INPUT_BOX, Geometry, SystemConfig, sinr_relayed, stage_gains
+from coopnoma.linklevel import (INPUT_BOX, Geometry, SystemConfig, sinr_direct_weak, sinr_relayed,
+                                sinr_strong_decodes_weak, snr_strong_own, stage_gains)
 from coopnoma.mcsim import (MODES, McConfig, McEstimate, McPoint, draws_per_trial, estimate,
                             throughput, trial_stream)
 from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chain
@@ -223,6 +224,26 @@ class TestDrawBudget:
         finally:
             tracemalloc.stop()
         assert peak < 8 * count * 8, peak / (count * 8)
+
+    def test_reference_chunk_holds_its_block_and_two_bool_rows(self):
+        # one full chunk over the reference sweep's 9 scenarios: past its
+        # (6, chunk) block of doubles, _count's two bool rows are all the
+        # stages take, so the peak stays under the block plus 0.25 MiB, four
+        # bool rows of the chunk; a mask per stage and their temporaries took
+        # 0.44 MiB.  The bound was fixed before the first run.
+        count = McConfig.chunk_size
+        geo = default_geometry()
+        points = [(default_config(gamma0=10.0 ** (db / 10)), geo) for db in range(0, 41, 5)]
+        plans = [mcsim._plan(c, g) for c, g in points]
+        mc = McConfig(trials=count, seed=20180415)
+        mcsim._run_chunk(points[0][0], points, plans, mc, 0, count)  # warm-up
+        tracemalloc.start()
+        try:
+            mcsim._run_chunk(points[0][0], points, plans, mc, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * count * 8 + 2 ** 18, (peak - 6 * count * 8) / 2 ** 20
 
 
 class TestDrawRealization:
@@ -515,11 +536,9 @@ class TestSharedDraw:
             points[0][0], mode, draw_columns(mc, 6, range(draws_per_trial(6, mode)), start,
                                              count), [1, 2, 3], [2, 5, 6])
         for (cfg, g), row in zip(points, counts):
-            fail_sic, out_n, fail_direct = _direct_stages(cfg, g, weak[cfg.m], strong[cfg.n])
-            left = fail_direct & ~fail_sic
-            lost = left & (sinr_relayed(cfg, g, g_dnr, g_rdm) < cfg.gamma_thm)
-            assert row.tolist() == [np.count_nonzero(a) for a in (out_n, fail_sic, left, lost)]
-            assert 0 < np.count_nonzero(lost) < np.count_nonzero(left)
+            want = stage_counts(*sinr_stages(cfg, g, weak[cfg.m], strong[cfg.n], g_dnr, g_rdm))
+            assert row.tolist() == want
+            assert 0 < want[3] < want[2]  # the relay loses some trials left to it, not all
 
     def test_bookkeeping_does_not_grow_with_trials(self, monkeypatch):
         # 1e9 trials are 15,259 chunks: the workers take them from one
@@ -628,36 +647,115 @@ def sinr_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
     return list(zip(out_n.tolist(), out_m.tolist()))
 
 
-def edge_points(cfg, geo):
-    """Chain values at and around each direct stage's level and band: (rank n's, rank m's)."""
+# Relative half-width of the window around each level in which the MC's
+# one-comparison decision and the SINR path's may differ: in gain around a
+# direct stage's least passing gain, before the widening by 1/cond, and in
+# gamma0 around the relay's critical SNR.  Fixed before the first run.
+EPS = 1e-9
+
+
+def weak_cond(cfg):
+    """d log SINR / d log g of the weak-signal stages at their least passing gain (1 for own)."""
+    return 1.0 - cfg.a_n * cfg.gamma_thm / cfg.a_m
+
+
+def near_levels(cfg, geo, y_m, y_n, star):
+    """Per trial, whether the levels and the SINR path may decide it apart.
+
+    True where a rank gain the trial reads lies within a relative EPS/cond
+    of a finite least passing gain of that rank's stage, cond being the
+    stage's d log SINR / d log g there, or where its gamma* = -star lies
+    within a relative EPS of gamma0, d log SINR / d log gamma0 lying in
+    [1, 2].  An SINR expression, a level and the gain transform each err
+    by a few ulps, a million times less than the window.
+    """
     lam = cfg.lambda_sd
+    sic, own, direct = stage_gains(cfg, geo, cfg.gamma0)
+    near = np.abs(np.asarray(star) / -cfg.gamma0 - 1.0) <= EPS  # false at -inf and nan
+    for y, gain, cond in ((y_n, sic, weak_cond(cfg)), (y_n, own, 1.0),
+                          (y_m, direct, weak_cond(cfg))):
+        if gain < math.inf:
+            near |= np.abs(gains_from_chain(np.asarray(y, dtype=float), lam) / gain - 1.0) <= (
+                EPS / cond)
+    return near
+
+
+def level_stages(plan, y_m, y_n, star):
+    """Per-trial (fail_sic, out_n, fail_direct, fail_relay): each row below its level.
+
+    The statement of the MC's rule that the tests hold ``_count`` to; a
+    nan -gamma* (both hop gains 0) is not at least -gamma0, so it fails.
+    """
+    fail_sic = y_n < plan.sic
+    return fail_sic, fail_sic | (y_n < plan.own), y_m < plan.direct, ~(star >= plan.relay)
+
+
+def sinr_stages(cfg, geo, g_m, g_n, g_dnr, g_rdm):
+    """The same four per-trial failures from the gains and every SINR."""
+    return (*_direct_stages(cfg, geo, g_m, g_n),
+            sinr_relayed(cfg, geo, g_dnr, g_rdm) < cfg.gamma_thm)
+
+
+def stage_counts(fail_sic, out_n, fail_direct, fail_relay):
+    """A ``_count`` row (out_n, sic, left, lost) from per-trial stage failures."""
+    left = fail_direct & ~fail_sic
+    return [np.count_nonzero(a) for a in (out_n, fail_sic, left, left & fail_relay)]
+
+
+def hold_to_the_sinr_path(cfg, geo, y_m, y_n, g_dnr, g_rdm):
+    """Check a chunk's stages against the SINR path on the given rows; the near-trial count.
+
+    ``_count`` on the rows must give ``level_stages``' counts, and every
+    stage decided on the levels must equal the SINR path's at every trial
+    outside ``near_levels``.
+    """
     plan = mcsim._plan(cfg, geo)
+    y_m, y_n = (np.asarray(y, dtype=float) for y in (y_m, y_n))
+    rows = np.empty((2, y_n.size))
+    row, = mcsim._count([(cfg, geo)], [plan], {cfg.m: y_m}, {cfg.n: y_n}, g_dnr, g_rdm, rows)
+    star = mcsim._critical_snr(plan.hops, g_dnr, g_rdm, rows).copy()
+    by_level = level_stages(plan, y_m, y_n, star)
+    assert row.tolist() == stage_counts(*by_level)
+    lam = cfg.lambda_sd
+    by_sinr = sinr_stages(cfg, geo, gains_from_chain(y_m, lam), gains_from_chain(y_n, lam),
+                          g_dnr, g_rdm)
+    far = ~near_levels(cfg, geo, y_m, y_n, star)
+    for k, (got, want) in enumerate(zip(by_level, by_sinr)):
+        assert np.array_equal(got[far], want[far]), (k, np.flatnonzero(far & (got != want)))
+    return int(np.count_nonzero(~far))
+
+
+def edge_points(cfg, geo):
+    """Chain values at and around each direct stage's level: (rank n's, rank m's).
+
+    For each finite least passing gain: its level and the level's
+    neighbours one ulp either side, inside the window, and the levels of
+    the gain a relative EPS/(2 cond) and 2 EPS/cond either side, inside
+    and just outside it.
+    """
+    lam = cfg.lambda_sd
     points = []
     sic, own, direct = stage_gains(cfg, geo, cfg.gamma0)
-    for gains, stages in zip(((sic, own), (direct,)), ([plan.sic, plan.own], [plan.direct])):
+    for gains in (((sic, weak_cond(cfg)), (own, 1.0)), ((direct, weak_cond(cfg)),)):
         pts = [0.0, -2.0 ** -60, -0.7, -3.0]  # all-zero slots, the cap, either transform branch
-        for g in gains:
+        for g, cond in gains:
             if 0.0 < g / lam < math.inf:
                 c = chain_at_gain(g, lam)
                 pts += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
-        for stage in stages:
-            for edge in stage:
-                # lo is the band's least value, hi the least value above it
-                pts += [edge, np.nextafter(edge, -np.inf)]
+                pts += [chain_at_gain(g * (1.0 + f * EPS / cond), lam) for f in (-2, -0.5, 0.5, 2)]
         points.append([p for p in pts if -200.0 <= p <= 0.0])
     return points
 
 
 def relay_edge_points(cfg, geo):
-    """Hop gains (g_dnr's, g_rdm's) whose gamma* sits at and around the relay's gamma0 and band.
+    """Hop gains (g_dnr's, g_rdm's) whose gamma* sits at and around gamma0 and outside its window.
 
-    For each target (gamma0 and the two edges of the relayed stage's band,
-    negated, since the band lies on the -gamma* row) and three g_dnr, the
-    last giving both hops one SNR whatever the path losses, g_rdm is
-    solved from SINR = gamma_thm at the target, moved to the float whose
-    computed gamma* lies nearest the target, and taken with its
-    neighbours one ulp and a relative 1e-6 either side.  Zero gains on
-    one hop and on both come first.
+    For each target (gamma0, inside the window, and gamma0 (1 -+ 2 EPS),
+    just outside it) and three g_dnr, the last giving both hops one SNR
+    whatever the path losses, g_rdm is solved from SINR = gamma_thm at the
+    target, moved to the float whose computed gamma* lies nearest the
+    target, and taken with its neighbours one ulp and a relative 1e-6
+    either side.  Zero gains on one hop and on both come first.
     """
     plan = mcsim._plan(cfg, geo)
     pairs = [(0.0, 0.8), (0.8, 0.0), (0.0, 0.0)]
@@ -667,7 +765,7 @@ def relay_edge_points(cfg, geo):
         return -mcsim._critical_snr(plan.hops, np.array([g_dnr]), np.array([g_rdm]),
                                     np.empty((2, 1)))[0]
 
-    for target in (cfg.gamma0, *(-edge for edge in plan.relay)):
+    for target in (cfg.gamma0 * (1.0 + f * EPS) for f in (0, -2, 2)):
         for g_dnr in (0.5, 2.0, pl_dnr * th * (math.sqrt(1.0 + 1.0 / th) + 1.0) / target):
             x = pl_dnr / g_dnr
             y = target * (target - th * x) / (th * (target + x))  # SINR(target) = th
@@ -721,54 +819,67 @@ class TestThresholdPath:
         yield default_config(gamma_thm=1e-30, gamma0=1e-30), geo
 
     def test_degenerate_levels_span_the_chain(self):
-        # only SIC infeasible (both weak-signal stages) leaves the threshold path
-        whole = mcsim._WHOLE_CHAIN
-        plans = [mcsim._plan(c, g) for c, g in self.cases()]
-        assert [[s == whole for s in p[:3]] for p in plans] == (
-            [[False] * 3] * 8 + [[True, False, True]] + [[False] * 3] * 6)
-        assert all(p.relay != whole for p in plans)
+        # a level is inf, above every chain value, exactly where its least
+        # passing gain is inf (SIC infeasible, one case) or lies above the
+        # capped gain of the all-zero draw, the greatest gain a trial can
+        # have; the relay's level is -gamma0
+        infinite = checked = 0
+        for cfg, geo in self.cases():
+            plan = mcsim._plan(cfg, geo)
+            cap = float(gains_from_chain(0.0, cfg.lambda_sd))
+            for level, gain in zip(plan[:3], stage_gains(cfg, geo, cfg.gamma0)):
+                infinite += gain == math.inf
+                if abs(gain / cap - 1.0) > EPS:  # the level and the cap a few ulps apart
+                    assert (level == math.inf) == (gain > cap), (cfg, gain, cap)
+                    checked += 1
+            assert plan.relay == -cfg.gamma0
+        assert (infinite, checked) == (2, 43)  # two cases put the SIC gain at the cap
 
     @pytest.mark.parametrize("relay", [True, False])
     def test_edges_give_the_sinr_path_events(self, relay):
+        # chain values at, around and just outside each level, with and
+        # without the relay: the events equal the SINR path's outside the
+        # window, and one chunk of them counts what they count one by one
         rng = np.random.default_rng(17)
+        near = far = 0
         for cfg, geo in self.cases():
             pts_n, pts_m = edge_points(cfg, geo)
             y_n, y_m = (a.ravel() for a in np.meshgrid(pts_n, pts_m))
             hops = rng.exponential(1.0, (2, y_n.size)) * rng.integers(0, 2, (2, y_n.size))
+            star = mcsim._critical_snr(mcsim._plan(cfg, geo).hops, *hops, np.empty((2, y_n.size)))
+            outside = ~near_levels(cfg, geo, y_m, y_n, star)
+            got = chain_events(cfg, geo, y_m, y_n, *hops, relay)
             want = sinr_events(cfg, geo, y_m, y_n, *hops, relay)
-            assert chain_events(cfg, geo, y_m, y_n, *hops, relay) == want
-            # all trials in one chunk: the band's trials are patched into the masks
+            assert [e for e, o in zip(got, outside) if o] == [e for e, o in zip(want, outside) if o]
+            near += np.count_nonzero(~outside)
+            far += np.count_nonzero(outside)
+            assert np.any(outside)
             row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
                                 {cfg.n: y_n}, *hops, np.empty((2, y_n.size)))
-            assert outages(row, relay) == tuple(map(sum, zip(*want)))
+            assert outages(row, relay) == tuple(map(sum, zip(*got)))
+            assert hold_to_the_sinr_path(cfg, geo, y_m, y_n, *hops) == np.count_nonzero(~outside)
+        assert near > 0 and far > 0
 
-    def test_relay_edges_give_the_sinr_path_events(self, monkeypatch):
-        seen = []
-        real_relayed = mcsim.sinr_relayed
-
-        def recording(cfg, geo, a, b):
-            seen.append(a.size)
-            return real_relayed(cfg, geo, a, b)
-
-        monkeypatch.setattr(mcsim, "sinr_relayed", recording)
+    def test_relay_edges_give_the_sinr_path_events(self):
+        # hop gains that put gamma* at, around and just outside gamma0: the
+        # relay's decisions equal the SINR path's outside the window, and
+        # in six cases the trials left to the relay there both fail and pass
+        # (in the two with the SIC gain at the cap, every trial left to the
+        # relay lies in the SIC window)
         straddled = 0
         for cfg, geo in self.cases():
             y_n, y_m, g_dnr, g_rdm = relay_trials(cfg, geo)
-            want = sinr_events(cfg, geo, y_m, y_n, g_dnr, g_rdm)
-            assert chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm) == want
-            seen.clear()
+            got = chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm)
             row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
                                 {cfg.n: y_n}, g_dnr, g_rdm, np.empty((2, y_n.size)))
-            assert outages(row, True) == tuple(map(sum, zip(*want)))
-            lam = cfg.lambda_sd
-            fail_sic, _, fail_direct = _direct_stages(cfg, geo, gains_from_chain(y_m, lam),
-                                                      gains_from_chain(y_n, lam))
-            n_left = np.count_nonzero(fail_direct & ~fail_sic)
-            if n_left:
-                # the edges straddle the band: the SINR decides some trials, gamma* the rest
-                assert 0 < sum(seen) < n_left
-                straddled += 1
-        assert straddled == 7
+            assert outages(row, True) == tuple(map(sum, zip(*got)))
+            hold_to_the_sinr_path(cfg, geo, y_m, y_n, g_dnr, g_rdm)
+            plan = mcsim._plan(cfg, geo)
+            star = mcsim._critical_snr(plan.hops, g_dnr, g_rdm, np.empty((2, y_n.size)))
+            fail_sic, _, fail_direct, fail_relay = level_stages(plan, y_m, y_n, star)
+            left = fail_direct & ~fail_sic & ~near_levels(cfg, geo, y_m, y_n, star)
+            straddled += 0 < np.count_nonzero(fail_relay[left]) < np.count_nonzero(left)
+        assert straddled == 6
 
     def test_all_zero_slots_meet_the_cap(self):
         # a draw whose slots from rank 3 up are all 0 has chain value 0 and
@@ -809,8 +920,8 @@ class TestCriticalSnr:
         assert worst <= 8 * 2.0 ** -53, worst / 2.0 ** -53
 
     def test_zero_hop_gains(self):
-        # one zero hop gain fails on the row alone (the SINR is 0); two give
-        # nan, which the relayed SINR decides
+        # one zero hop gain gives -inf and two give nan: neither is at least
+        # -gamma0, so the relay fails, as its SINR, 0, does
         star = mcsim._critical_snr((16.0, 40.0, 1.0), np.array([0.0, 0.5, 0.0]),
                                    np.array([0.5, 0.0, 0.0]), np.empty((2, 3)))
         assert star[:2].tolist() == [-math.inf, -math.inf]
@@ -819,9 +930,8 @@ class TestCriticalSnr:
 
 class TestThresholdMechanism:
     def test_reference_chunk_decides_by_threshold(self, monkeypatch):
-        # the reference sweep's 9 scenarios on one chunk: the gain transform
-        # and every SINR, the relayed one included, see only trials in a
-        # guard band (none here)
+        # the reference sweep's 9 scenarios on one chunk: no SINR expression
+        # is called, and every count equals the SINR path's
         geo = default_geometry()
         points = [(default_config(gamma0=10.0 ** (db / 10)), geo) for db in range(0, 41, 5)]
         plans = [mcsim._plan(c, g) for c, g in points]
@@ -829,53 +939,124 @@ class TestThresholdMechanism:
         weak, strong, g_dnr, g_rdm = gains_from_uniforms(
             points[0][0], mc.mode, draw_columns(mc, 6, range(draws_per_trial(6, mc.mode)), 0,
                                                   65_536), [3], [6])
-        seen = []
 
-        def counting(fn):
-            return lambda *a: seen.append(np.size(a[-1])) or fn(*a)
+        def called(*args):
+            raise AssertionError("a chunk called an SINR expression")
 
-        for name in ("gains_from_chain", "sinr_direct_weak", "sinr_strong_decodes_weak",
-                     "snr_strong_own", "sinr_relayed"):
-            monkeypatch.setattr(mcsim, name, counting(getattr(mcsim, name)))
+        for name in ("sinr_direct_weak", "sinr_strong_decodes_weak", "snr_strong_own",
+                     "sinr_relayed"):
+            monkeypatch.setattr(mcsim, name, called)
+        assert not hasattr(mcsim, "gains_from_chain")
         counts = mcsim._run_chunk(points[0][0], points, plans, mc, 0, 65_536)
-        assert sum(seen) == 0
         for (cfg, _), row in zip(points, counts):
             for relay in (True, False):
                 out_n, out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)
                 assert outages(row, relay) == (out_n.sum(), out_m.sum())
 
-    @pytest.mark.parametrize("cfg, want", [
-        # SIC infeasible: both weak-signal stages span the chain; no trial is in the own band
-        (default_config(gamma_thm=0.7 / 0.3),
-         {"sinr_strong_decodes_weak": 65_536, "sinr_direct_weak": 65_536}),
-        # gamma_thm a relative 2e-6 below the ceiling a_m/a_n = 7/3: a band about 5e-4 wide
-        (default_config(M=8, m=4, n=8, R_m=1.736963574, gamma0=10.0 ** 7.4),
-         {"sinr_strong_decodes_weak": 14}),
+    def test_sic_infeasible_chunk_fails_every_trial_at_sic(self):
+        # both weak-signal levels are inf: every trial is a SIC failure and
+        # a strong-user outage, and none is left to the relay
+        cfg = default_config(gamma_thm=0.7 / 0.3)
+        assert stage_gains(cfg, default_geometry(), cfg.gamma0)[0] == math.inf
+        row, = mcsim._run_chunk(cfg, [(cfg, default_geometry())],
+                                [mcsim._plan(cfg, default_geometry())],
+                                McConfig(trials=4_096, seed=11), 0, 4_096)
+        assert row.tolist() == [4_096, 4_096, 0, 0]
+
+    @pytest.mark.parametrize("cfg, near", [
+        # SIC infeasible: both weak-signal stages fail every trial, with no window
+        (default_config(gamma_thm=0.7 / 0.3), 0),
+        # gamma_thm a relative 2e-6 below the ceiling a_m/a_n = 7/3: a window
+        # about 5e-4 wide around the SIC level
+        (default_config(M=8, m=4, n=8, R_m=1.736963574, gamma0=10.0 ** 7.4), 14),
     ], ids=["sic-infeasible", "tight-split-74dB"])
-    def test_each_stage_sinr_sees_only_its_own_band(self, monkeypatch, cfg, want):
-        # one chunk at seed 11: each SINR is called on its own stage's band
-        # trials only, and the counts still equal the SINR path's
+    def test_hard_stages_hold_to_the_sinr_path(self, cfg, near):
+        # one chunk at seed 11: every stage equals the SINR path's outside
+        # the window, and at this seed the trials inside it do too, so the
+        # counts also equal the SINR path's
         geo = default_geometry()
         mc = McConfig(trials=65_536, seed=11)
-        seen = {}
-
-        def counting(name, fn):
-            def call(cfg, geo, *gains):
-                seen[name] = seen.get(name, 0) + gains[0].size
-                return fn(cfg, geo, *gains)
-            return call
-
-        for name in ("sinr_direct_weak", "sinr_strong_decodes_weak", "snr_strong_own",
-                     "sinr_relayed"):
-            monkeypatch.setattr(mcsim, name, counting(name, getattr(mcsim, name)))
+        u = draw_columns(mc, cfg.M, range(draws_per_trial(cfg.M, mc.mode)), 0, 65_536)
+        vectors = [(0, cfg.m), (cfg.M, cfg.n)]  # independent mode: (column of slot 1, rank)
+        y_m, y_n = (log_uniform_chain(lambda j, first=first: u[first + j - 1].copy(), cfg.M,
+                                      [rank], np.empty((1, 65_536)))[rank]
+                    for first, rank in vectors)
+        g_dnr, g_rdm = (-lam * np.log1p(-u[2 * cfg.M + k])
+                        for k, lam in enumerate((cfg.lambda_dnr, cfg.lambda_rdm)))
+        assert hold_to_the_sinr_path(cfg, geo, y_m, y_n, g_dnr, g_rdm) == near
         row, = mcsim._run_chunk(cfg, [(cfg, geo)], [mcsim._plan(cfg, geo)], mc, 0, 65_536)
-        assert seen == want
-        weak, strong, g_dnr, g_rdm = gains_from_uniforms(
-            cfg, mc.mode, draw_columns(mc, cfg.M, range(draws_per_trial(cfg.M, mc.mode)), 0,
-                                       65_536), [cfg.m], [cfg.n])
+        weak, strong, g_dnr, g_rdm = gains_from_uniforms(cfg, mc.mode, u, [cfg.m], [cfg.n])
         for relay in (True, False):
             out_n, out_m = event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n], g_dnr, g_rdm, relay)
             assert outages(row, relay) == (out_n.sum(), out_m.sum())
+
+
+class TestLevelsStraddleTheSinr:
+    """The SINR expressions straddle each level the MC decides on, at seeded in-box scenarios.
+
+    At a direct stage's least passing gain times 1 -+ EPS/cond its SINR
+    fails and passes.  For the relay, hop gains scaled by gamma*/gamma0
+    times 1 -+ EPS put the SNR of every hop at gamma* (1 -+ EPS), and the
+    relayed SINR fails and passes there.  EPS, the COUNT scenarios from
+    SEED and the HOPS hop-gain pairs of each were fixed before the first run.
+    """
+
+    SEED, COUNT, HOPS = 31, 200, 20
+
+    @staticmethod
+    def scenario(rng):
+        """M up to 100 and any pair; a_n from 1e-15 to 0.45 and rates from 0.01 to 8
+        bit/s/Hz, the free distances and the fading means over the whole box, all
+        log-uniform; theta, the angles and gamma0 in dB (-300 to 300) uniform.
+        Every fourth scenario pins gamma_thm below the SIC ceiling a_m/a_n, at
+        spare/a_m log-uniform from 1e-6 to 1e-3, so EPS/cond stays below 1e-3."""
+        def log_uniform(lo, hi):
+            return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+        while True:  # until the derived sides lie in the box too
+            M = int(rng.integers(2, 101))
+            m, n = sorted(int(r) for r in rng.choice(np.arange(1, M + 1), 2, replace=False))
+            a_n = log_uniform(1e-15, 0.45)
+            kw = dict(M=M, m=m, n=n, a_m=1.0 - a_n, a_n=a_n, theta=rng.uniform(0.0, 8.0),
+                      gamma0=10.0 ** (rng.uniform(-300.0, 300.0) / 10.0),
+                      R_m=log_uniform(0.01, 8.0), R_n=log_uniform(0.01, 8.0),
+                      **{key: log_uniform(*INPUT_BOX[key])
+                         for key in ("lambda_sd", "lambda_dnr", "lambda_rdm")})
+            if rng.random() < 0.25:
+                kw["gamma_thm"] = (1.0 - a_n) / a_n * (1.0 - log_uniform(1e-6, 1e-3))
+            sides = [log_uniform(*INPUT_BOX[key]) for key in ("d_sdn", "d_sdm", "d_dnr")]
+            try:
+                geo = Geometry(*sides, rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi))
+            except ValueError:
+                continue
+            return SystemConfig(**kw), geo
+
+    def test_each_sinr_fails_just_below_its_level_and_passes_just_above(self):
+        rng = np.random.default_rng(self.SEED)
+        checked = 0
+        for _ in range(self.COUNT):
+            cfg, geo = self.scenario(rng)
+            sic, own, direct = stage_gains(cfg, geo, cfg.gamma0)
+            for gain, sinr, th, cond in ((sic, sinr_strong_decodes_weak, cfg.gamma_thm,
+                                          weak_cond(cfg)),
+                                         (own, snr_strong_own, cfg.gamma_thn, 1.0),
+                                         (direct, sinr_direct_weak, cfg.gamma_thm,
+                                          weak_cond(cfg))):
+                if gain == math.inf:  # SIC infeasible: no gain passes, and no level straddles
+                    continue
+                below, above = sinr(cfg, geo, gain * np.array([1.0 - EPS / cond,
+                                                               1.0 + EPS / cond]))
+                assert below < th <= above, (cfg, geo, sinr.__name__)
+                checked += 1
+            g_dnr, g_rdm = (np.exp(rng.uniform(math.log(2.0 ** -53), math.log(36.7), self.HOPS))
+                            * lam for lam in (cfg.lambda_dnr, cfg.lambda_rdm))
+            star = -mcsim._critical_snr(mcsim._plan(cfg, geo).hops, g_dnr, g_rdm,
+                                        np.empty((2, self.HOPS)))
+            for f, fails in ((1.0 - EPS, True), (1.0 + EPS, False)):
+                c = star / cfg.gamma0 * f
+                fail = sinr_relayed(cfg, geo, c * g_dnr, c * g_rdm) < cfg.gamma_thm
+                assert np.all(fail == fails), (cfg, geo, f, np.flatnonzero(fail != fails))
+        assert checked == 3 * self.COUNT  # SIC is feasible in every scenario drawn
 
 
 def sinr_replay(cfg, geo, mc, relay):

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from coopnoma.orderstat import (MAX_RANKED_USERS, OrderStatSpec, gains_from_chain,
+from coopnoma.orderstat import (MAX_RANKED_USERS, OrderStatSpec, chain_at_gain, gains_from_chain,
                                 log_uniform_chain, ordered_cdf, ordered_sf, sample_ordered_gains)
 from test_acceptance import phi
 
@@ -152,6 +152,29 @@ class TestPopulationsPastExactCoefficients:
         with pytest.raises(ValueError,
                            match=re.escape(f"M must be an integer in [1, {MAX_RANKED_USERS}]")):
             sample_ordered_gains(MAX_RANKED_USERS + 1, 1.0, rng)
+
+
+class TestChainAtGain:
+    def test_infinite_gain_puts_every_chain_value_below_its_level(self):
+        # the least passing gain of an infeasible SIC stage is inf: its level
+        # is inf, above every chain value, the all-zero draw's 0 included
+        v = np.random.default_rng(3).random((6, 1_000))
+        v[:, 0] = 0.0
+        chain = log_uniform_chain(lambda j: v[j - 1], 6, range(1, 7), v)
+        for lam in (1e-30, 1.0, 1e30):
+            level = chain_at_gain(math.inf, lam)
+            assert level == math.inf
+            assert all(np.all(x < level) for x in chain.values())
+
+    def test_gain_below_passes_and_gain_above_fails(self):
+        # a chain value maps to a gain below g exactly where it lies below g's
+        # level, here at gains a relative 1e-9 either side of g
+        lam = 2.0
+        for g in (1e-80, 1e-3, 0.5, 1.3, 30.0):
+            level = chain_at_gain(g, lam)
+            below, above = (chain_at_gain(g * f, lam) for f in (1 - 1e-9, 1 + 1e-9))
+            assert below < level < above
+            assert gains_from_chain(below, lam) < g < gains_from_chain(above, lam)
 
 
 class TestSampler:

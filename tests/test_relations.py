@@ -16,8 +16,8 @@ draw, and asserts a relation that must hold exactly:
   d_a**theta d_b**theta and gamma0**2 lambda_a lambda_b and the sum of
   the two hop terms.
 
-They catch a mis-scaled level, a wrong guard-band side, an off-by-one in
-the count row, or a draw that depends on the SNR or on m: errors of a
+They catch a mis-scaled level, a stage compared on the wrong side of its
+level, an off-by-one in the count row, or a draw that depends on the SNR or on m: errors of a
 few events that the acceptance criteria, bounding p_hat to a few
 standard errors, cannot resolve.  They cannot catch an error that keeps
 the scaling or the ordering, such as two distances swapped in both

@@ -2,11 +2,13 @@
 """Interleaved A/B timing of one benchmark workload on two checkouts.
 
     python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --workload analytic_dense --pairs 10
+    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --workload snr_sweep_ref --seed 41
 
 Runs ``python3 perfbench/run.py --workload W --seed N --seconds S`` in
 each checkout in turn, ``--pairs`` times, pair k (from 0) at seed
-11 + k and S the ``run_seconds`` of this repository's
-``BENCHMARK.json``, so both trees run as the benchmark runs them.  The
+11 + k, or at every pair's ``--seed`` where one is given, and S the
+``run_seconds`` of this repository's ``BENCHMARK.json``, so both trees
+run as the benchmark runs them.  The
 tree that goes first alternates from pair to pair, so neither always
 runs on a warmer or a quieter host.  Then prints, for every end-to-end
 metric that ``BENCHMARK.json`` names: the median of each tree, the
@@ -97,8 +99,10 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=pathlib.Path, help="checkout of the change")
     ap.add_argument("--workload", default="analytic_dense", help="perfbench workload name")
     ap.add_argument("--pairs", type=int, default=10, help="runs per tree")
+    ap.add_argument("--seed", type=int, metavar="N", help="run every pair at this seed")
     ap.add_argument("--json", type=pathlib.Path, metavar="PATH", help="also write the raw runs")
     args = ap.parse_args(argv)
+    seeds = [FIRST_SEED + k if args.seed is None else args.seed for k in range(args.pairs)]
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = benchmark["end_to_end"]
@@ -108,15 +112,15 @@ def main(argv=None) -> int:
     for k in range(args.pairs):
         order = TREES if k % 2 == 0 else TREES[::-1]
         for tree in order:
-            got, digest = bench_once(getattr(args, tree), args.workload, FIRST_SEED + k, seconds)
+            got, digest = bench_once(getattr(args, tree), args.workload, seeds[k], seconds)
             digests[tree].append(digest)
             for m in metrics:
                 values[tree][m["name"]].append(got[m["name"]])
         print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
             f"{tree} wall_s {values[tree]['wall_s'][-1]:.4g}" for tree in TREES), flush=True)
 
-    print(f"\n{args.workload}, {args.pairs} interleaved pairs, seeds {FIRST_SEED}-"
-          f"{FIRST_SEED + args.pairs - 1}, --seconds {seconds:g}")
+    print(f"\n{args.workload}, {args.pairs} interleaved pairs, seeds {seeds[0]}-{seeds[-1]}, "
+          f"--seconds {seconds:g}")
     print(HEADER)
     for m in metrics:
         name = m["name"]
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
     print(f"CSV sha256: parent and change agree in {same}/{args.pairs} pairs")
     if args.json:
         args.json.write_text(json.dumps({
-            "workload": args.workload, "seeds": [FIRST_SEED, FIRST_SEED + args.pairs - 1],
+            "workload": args.workload, "seeds": [seeds[0], seeds[-1]],
             "seconds": seconds, "first": "parent on even pairs (from 0), change on odd",
             "runs": values, "csv_sha256": digests}, indent=1) + "\n")
     return 0

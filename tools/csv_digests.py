@@ -21,10 +21,11 @@ itself prints goes to standard error).  The runs are:
   - ``pair`` and ``distance-set`` each repeat one sweep point, so a
     scenario given twice in one ``estimate`` call is covered too.
   - ``tight-split`` puts gamma_thm a relative 2e-6 below the SINR
-    ceiling a_m/a_n = 7/3, so the weak-signal stages' guard bands are
-    about 5e-4 wide.  At seed 11 a few hundred trials per mode are
-    decided by the direct-stage SINRs, where every other run decides
-    none that way.
+    ceiling a_m/a_n = 7/3, so the weak-signal SINRs are ill-conditioned
+    at their levels: a relative 1e-9/cond of a level is about 5e-4 wide
+    in gain.  At seed 11 a few hundred trials per mode lie that close to
+    a weak-signal level, where the one-comparison decision and the SINR
+    expression are most likely to part; every other run has none there.
 
 Two trees write byte-identical CSVs exactly where their outputs match
 line for line, so the tool run on both sides of a change checks the CSV
