@@ -543,10 +543,20 @@ def _parse_sweep_range(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps option help at spaces only, so an example such as
+    --sweep-gamma0-db=-10:20:2 stays whole on one line."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        import textwrap  # as argparse's own formatter does, only once help is shown
+
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Console entry point; returns a process exit code."""
     ap = argparse.ArgumentParser(
-        prog="coopnoma",
+        prog="coopnoma", formatter_class=_HelpFormatter,
         description="Sweep outage probability and throughput for a relay-assisted "
                     "NOMA pairing, with analytic and Monte-Carlo engines.")
     ap.add_argument("--config", metavar="PATH", help="INI scenario file (defaults used when omitted)")

@@ -61,8 +61,12 @@ replays bit-identical chains.  One ``threading.Thread`` per usable CPU,
 never more than there are chunks, takes chunk starts in turn from one
 shared iterator and sums its chunks' integer counts; integer sums are
 exact in any order, so neither the worker count nor which worker ran a
-chunk moves a bit.  A worker's exception is raised in the caller once
-every worker has been joined.  Plain threads, not a
+chunk moves a bit.  ``estimate`` fixes the chunk layout, the ranks each
+vector reads, once per call (``_layout``), and each worker allocates one
+buffer set when it starts (``_buffers``: 2 + the ranks read + 2 rows of
+min(chunk_size, trials) doubles and two bool rows); every chunk works on
+views of it, so no chunk allocates a row.  A worker's exception is raised in
+the caller once every worker has been joined.  Plain threads, not a
 ``concurrent.futures`` pool, keep that package, ``logging`` and ``queue``
 out of every process that imports the simulator.
 """
@@ -100,12 +104,14 @@ class McConfig:
     the two ranks are statistically independent — the assumption baked
     into the weak-user closed form.  ``chunk_size``, the most trials one
     chunk holds, is a constant, not a field: no estimate depends on it.
+    It bounds a worker's buffers, allocated once per worker: 6 rows of
+    32,768 doubles and two bool rows, 1.6 MB, for one pair.
     """
 
     trials: int
     seed: int
     mode: str = "independent"
-    chunk_size: ClassVar[int] = 65536
+    chunk_size: ClassVar[int] = 32768
 
     def __post_init__(self) -> None:
         _reject_bools(self)
@@ -255,23 +261,56 @@ def _critical_snr(hops: tuple[float, float, float], g_dnr: np.ndarray,
     return star
 
 
+_Vectors = tuple[tuple[int, tuple[int, ...]], ...]  # (column of slot 1, ranks read) each
+
+
+def _layout(M: int, points: Sequence[_Point], mode: str) -> _Vectors:
+    """The ordered vectors a chunk of ``points`` streams: one in joint mode, two in independent."""
+    weak = {c.m for c, _ in points}
+    strong = {c.n for c, _ in points}
+    if mode == "joint":
+        return ((0, tuple(sorted(weak | strong))),)
+    return (0, tuple(sorted(weak))), (M, tuple(sorted(strong)))
+
+
+class _Buffers(NamedTuple):
+    """One worker's chunk memory, which every chunk it runs works on views of.
+
+    ``block`` holds 2 + the ranks read + 2 rows of doubles: the -gamma*
+    row, the slot row, one chain row per rank read, vector by vector, and
+    the two hops.  ``masks`` is two bool rows.
+    """
+
+    vectors: _Vectors
+    block: np.ndarray
+    masks: np.ndarray
+
+
+def _buffers(vectors: _Vectors, size: int) -> _Buffers:
+    """One worker's buffers for chunks of at most ``size`` trials, its only chunk rows."""
+    rows = 2 + sum(len(ranks) for _, ranks in vectors) + 2
+    return _Buffers(vectors, np.empty((rows, size)), np.empty((2, size), dtype=bool))
+
+
 def _count(points: Sequence[_Point], plans: Sequence[_Plan], weak, strong,
-           g_dnr: np.ndarray, g_rdm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+           g_dnr: np.ndarray, g_rdm: np.ndarray, rows: np.ndarray,
+           masks: np.ndarray) -> np.ndarray:
     """Stage counts of every point on a chunk's chain rows, one int64 row per point.
 
     A row is (out_n, sic, left, lost): strong-user outages, SIC failures,
     trials left to the relay (SIC kept, direct copy lost) and those the
     relay also loses.  ``weak`` and ``strong`` map the ranks each user
     reads to chain rows, ``rows`` is the two rows of ``_critical_snr``,
-    which no chain row shares, and ``plans[k]`` is ``_plan`` of point k.
-    Each stage is one comparison with its level (see the module notes).
-    A point's trials left to the relay are decided on the -gamma* row,
-    which stays in cache across its relay group's points.
+    which no chain row shares, ``masks`` is two bool rows, every point's
+    only ones, and ``plans[k]`` is ``_plan`` of point k.  Each stage is
+    one comparison with its level (see the module notes).  A point's
+    trials left to the relay are decided on the -gamma* row, which stays
+    in cache across its relay group's points.
     """
-    counts = np.empty((len(points), 4), dtype=np.int64)
+    counts = []
     star, star_hops = None, None  # the -gamma* row and the relay group it belongs to
-    mask, left = np.empty((2, g_dnr.size), dtype=bool)  # every point's only bool rows
-    for row, (cfg, _), plan in zip(counts, points, plans):
+    mask, left = masks
+    for (cfg, _), plan in zip(points, plans):
         y_n = strong[cfg.n]
         out_n = np.count_nonzero(np.less(y_n, max(plan.sic, plan.own), out=mask))
         kept = np.count_nonzero(np.greater_equal(y_n, plan.sic, out=mask))  # SIC kept
@@ -281,28 +320,26 @@ def _count(points: Sequence[_Point], plans: Sequence[_Plan], weak, strong,
         if plan.hops != star_hops:
             star, star_hops = _critical_snr(plan.hops, g_dnr, g_rdm, rows), plan.hops
         left &= np.greater_equal(star, plan.relay, out=mask)  # rescued; nan, both hops 0, is not
-        row[:] = (out_n, y_n.size - kept, n_left, n_left - np.count_nonzero(left))
-    return counts
+        counts.append((out_n, y_n.size - kept, n_left, n_left - np.count_nonzero(left)))
+    return np.array(counts, dtype=np.int64)
 
 
 def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Plan],
-               mc: McConfig, start: int, count: int) -> np.ndarray:
+               mc: McConfig, start: int, count: int, buffers: _Buffers) -> np.ndarray:
     """Stream one chunk of trials column by column and count every point's stages.
 
-    One (rows, count) block holds the -gamma* row, the slot row, the
-    chain row of every requested rank and the two hop rows, so a chunk's
-    memory grows neither with M nor with the number of points: 6 rows
-    for one pair.  Each vector's slots are drawn from M down and chained
-    at once by ``log_uniform_chain``; the hops come last and become gains
-    in place.  ``_count`` then builds each -gamma* row in the first row,
-    with the slot row, free once the chains are built, as its scratch.
+    The chunk works on the first ``count`` columns of its worker's
+    ``buffers``, so it allocates no row: the block holds the -gamma*
+    row, the slot row, the chain row of every requested rank and the two
+    hop rows, 6 rows for one pair whatever M and the number of points.
+    Each vector's slots are drawn from M down and chained at once by
+    ``log_uniform_chain``, slot M straight into the running-sum row; the
+    hops come last and become gains in place.  ``_count`` then builds
+    each -gamma* row in the first row, with the slot row, free once the
+    chains are built, as its scratch.
     """
     M = draw.M
-    weak_ranks = {c.m for c, _ in points}
-    strong_ranks = {c.n for c, _ in points}
-    vectors = ([(0, weak_ranks | strong_ranks)] if mc.mode == "joint"
-               else [(0, weak_ranks), (M, strong_ranks)])  # (column of slot 1, ranks read)
-    block = np.empty((2 + sum(len(r) for _, r in vectors) + 2, count))
+    block = buffers.block[:, :count]
     slot_row, hops = block[1], block[-2:]
     rng = trial_stream(mc, M, start, M - 1)
     here = (M - 1) * _SEGMENT  # stream step of the next draw, less start
@@ -314,17 +351,20 @@ def _run_chunk(draw: SystemConfig, points: Sequence[_Point], plans: Sequence[_Pl
         return rng.random(out=row)
 
     chains, top = [], 2
-    for first, ranks in vectors:
-        chains.append(log_uniform_chain(lambda j, first=first: column(first + j - 1, slot_row),
-                                        M, ranks, block[top:top + len(ranks)]))
+    for first, ranks in buffers.vectors:
+        out = block[top:top + len(ranks)]
         top += len(ranks)
+        # the running sum starts in the highest rank's row, the last of out
+        chains.append(log_uniform_chain(
+            lambda j, first=first, out=out: column(first + j - 1, out[-1] if j == M else slot_row),
+            M, ranks, out))
     weak, strong = chains[0], chains[-1]  # one map over the one vector in joint mode
     for k, (hop, lam) in enumerate(zip(hops, (draw.lambda_dnr, draw.lambda_rdm))):
         column(draws_per_trial(M, mc.mode) - 2 + k, hop)
         np.negative(hop, out=hop)  # the inverse CDF -lam*log1p(-u), in place
         np.log1p(hop, out=hop)
         hop *= -lam
-    return _count(points, plans, weak, strong, *hops, block[:2])
+    return _count(points, plans, weak, strong, *hops, block[:2], buffers.masks[:, :count])
 
 
 def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *,
@@ -351,14 +391,17 @@ def estimate(cfg: SystemConfig, geo: Geometry, mc: McConfig, *,
     # The workers share one iterator of chunk starts: a range iterator's
     # __next__ is atomic under the GIL, so each start goes to one worker.
     starts = iter(range(0, mc.trials, mc.chunk_size))
+    size = min(mc.chunk_size, mc.trials)
     workers = min(_usable_cpus(), -(-mc.trials // mc.chunk_size))
+    vectors = _layout(cfg.M, points, mc.mode)
     totals = [np.zeros((len(points), 4), dtype=np.int64) for _ in range(workers)]
     errors = []
 
     def work(total: np.ndarray) -> None:
         try:
+            buffers = _buffers(vectors, size)
             for s in starts:
-                total += _run_chunk(cfg, points, plans, mc, s, min(mc.chunk_size, mc.trials - s))
+                total += _run_chunk(cfg, points, plans, mc, s, min(size, mc.trials - s), buffers)
         except BaseException as exc:  # raised in the caller once every worker is joined
             errors.append(exc)
 

@@ -106,7 +106,8 @@ def log_uniform_chain(slot: Callable[[int], np.ndarray], M: int, ranks: Sequence
     next requested rank at or below j, so no row beyond ``out`` and the
     slot row is needed whatever M is.  ``out`` holds one (count,) row per
     requested rank in ascending rank order; ``slot(j)`` may return the
-    ``out`` row of rank j itself, or a row outside ``out``.  Each rank's
+    ``out`` row of rank j itself, or a row outside ``out``, and ``slot(M)``
+    the last ``out`` row, where the running sum starts.  Each rank's
     value depends only on its draw's slots from that rank up.  Returns
     {rank: its row of ``out``}.  The values lie at or below -2**-53/M, or
     are exactly 0 where every slot from the rank up is 0.

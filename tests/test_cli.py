@@ -1006,6 +1006,16 @@ class TestMain:
         # the help is wrapped to the terminal, possibly at a hyphen
         assert "--sweep-gamma0-db=-10:20:2" in re.sub(r"\s+", "", capsys.readouterr().out)
 
+    def test_help_at_80_columns_keeps_the_equals_form_on_one_line(self, monkeypatch, capsys):
+        # wrapped at spaces only, the example stays one token a user can copy
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert max(map(len, lines)) <= 80
+        assert any("--sweep-gamma0-db=-10:20:2" in line.split() for line in lines)
+
     def test_snr_underflowing_a_float_is_reported(self, tmp_path, capsys):
         rc = main(["--sweep-gamma0-db=-4000:-4000:1", "--engine", "analytic",
                    "--out", str(tmp_path / "x.csv")])

@@ -19,6 +19,20 @@ from coopnoma.orderstat import chain_at_gain, gains_from_chain, log_uniform_chai
 from sinr_reference import _direct_stages, draw_columns, event_arrays, gains_from_uniforms
 
 
+def run_chunk(draw, points, plans, mc, start, count):
+    """``mcsim._run_chunk`` on a fresh worker's buffers of ``count`` trials."""
+    buffers = mcsim._buffers(mcsim._layout(draw.M, points, mc.mode), count)
+    return mcsim._run_chunk(draw, points, plans, mc, start, count, buffers)
+
+
+def count_rows(cfg, geo, y_m, y_n, g_dnr, g_rdm):
+    """``mcsim._count``'s row of (cfg, geo) on hand-built rows, on a worker's scratch rows."""
+    buffers = mcsim._buffers(mcsim._layout(cfg.M, [(cfg, geo)], "independent"), np.size(y_n))
+    row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m}, {cfg.n: y_n},
+                        g_dnr, g_rdm, buffers.block[:2], buffers.masks)
+    return row
+
+
 def default_config(**overrides):
     base = dict(M=6, m=3, n=6, a_m=0.7, a_n=0.3, gamma0=100.0)
     base.update(overrides)
@@ -76,10 +90,10 @@ class TestConfigs:
             McConfig(**kwargs)
 
     def test_chunk_size_is_a_constant_not_a_field(self):
-        # a chunk holds a few rows of min(chunk_size, trials) doubles (6 for
-        # one pair), so the fixed chunk size bounds a worker's memory
-        assert McConfig.chunk_size == 65536
-        assert McConfig(trials=1, seed=1).chunk_size == 65536
+        # a worker's buffers are a few rows of min(chunk_size, trials) doubles
+        # (6 for one pair), so the fixed chunk size bounds a worker's memory
+        assert McConfig.chunk_size == 32768
+        assert McConfig(trials=1, seed=1).chunk_size == 32768
         with pytest.raises(TypeError):
             McConfig(trials=1, seed=1, chunk_size=64)
 
@@ -196,10 +210,10 @@ class TestDrawBudget:
             points = [(cfg, default_geometry())]
             plans = [mcsim._plan(cfg, default_geometry())]
             mc = McConfig(trials=count, seed=5, mode=mode)
-            mcsim._run_chunk(cfg, points, plans, mc, 0, count)  # warm-up
+            run_chunk(cfg, points, plans, mc, 0, count)  # warm-up
             tracemalloc.start()
             try:
-                mcsim._run_chunk(cfg, points, plans, mc, 0, count)
+                run_chunk(cfg, points, plans, mc, 0, count)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -216,34 +230,77 @@ class TestDrawBudget:
                   for db in np.linspace(0.0, 40.0, 1_000)]
         plans = [mcsim._plan(c, g) for c, g in points]
         mc = McConfig(trials=count, seed=5)
-        mcsim._run_chunk(points[0][0], points[:1], plans[:1], mc, 0, count)  # warm-up
+        run_chunk(points[0][0], points[:1], plans[:1], mc, 0, count)  # warm-up
         tracemalloc.start()
         try:
-            mcsim._run_chunk(points[0][0], points, plans, mc, 0, count)
+            run_chunk(points[0][0], points, plans, mc, 0, count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * count * 8, peak / (count * 8)
 
     def test_reference_chunk_holds_its_block_and_two_bool_rows(self):
-        # one full chunk over the reference sweep's 9 scenarios: past its
-        # (6, chunk) block of doubles, _count's two bool rows are all the
-        # stages take, so the peak stays under the block plus 0.25 MiB, four
-        # bool rows of the chunk; a mask per stage and their temporaries took
-        # 0.44 MiB.  The bound was fixed before the first run.
+        # one full chunk over the reference sweep's 9 scenarios on its
+        # worker's buffers: the block of doubles and _count's two bool rows
+        # hold every row the stages take, so the chunk itself allocates under
+        # 32 KiB, one bool row of the chunk, where allocating its own block
+        # took 1.57 MiB.  The bound was fixed before the first run.
         count = McConfig.chunk_size
         geo = default_geometry()
         points = [(default_config(gamma0=10.0 ** (db / 10)), geo) for db in range(0, 41, 5)]
         plans = [mcsim._plan(c, g) for c, g in points]
         mc = McConfig(trials=count, seed=20180415)
-        mcsim._run_chunk(points[0][0], points, plans, mc, 0, count)  # warm-up
+        buffers = mcsim._buffers(mcsim._layout(6, points, mc.mode), count)
+        want = mcsim._run_chunk(points[0][0], points, plans, mc, 0, count, buffers)  # warm-up
         tracemalloc.start()
         try:
-            mcsim._run_chunk(points[0][0], points, plans, mc, 0, count)
+            got = mcsim._run_chunk(points[0][0], points, plans, mc, 0, count, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * count * 8 + 2 ** 18, (peak - 6 * count * 8) / 2 ** 20
+        assert np.array_equal(got, want)
+        assert peak < 2 ** 15, peak
+
+    @pytest.mark.parametrize("snrs", [1, 9, 401])
+    def test_estimate_holds_one_buffer_set_whatever_the_chunks_and_scenarios(
+            self, monkeypatch, snrs):
+        # one worker, four full chunks, K scenarios of the reference layout:
+        # past what its result holds, the call's peak stays under one buffer
+        # set (6 rows of doubles and 2 bool rows of the chunk) plus 512 KiB
+        # for the K plans and count rows, so memory is flat in the chunk
+        # count and in K.  The bound was fixed before the first run.
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 1)
+        chunk = McConfig.chunk_size
+        geo = default_geometry()
+        points = [(default_config(gamma0=10.0 ** (db / 10)), geo)
+                  for db in np.linspace(0.0, 40.0, snrs)]
+        mc = McConfig(trials=4 * chunk, seed=20180415)
+        estimate(*points[0], mc, also=points[1:])  # warm-up
+        tracemalloc.start()
+        try:
+            got = estimate(*points[0], mc, also=points[1:])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == snrs
+        buffer_set = 6 * chunk * 8 + 2 * chunk
+        assert peak - held < buffer_set + 2 ** 19, (peak - held - buffer_set) / 2 ** 10
+
+    def test_each_worker_allocates_one_buffer_set(self, monkeypatch):
+        # 10 chunks over 3 workers: three buffer sets, one per worker, each
+        # of the layout's rows by a full chunk
+        made = []
+        real_buffers = mcsim._buffers
+
+        def recording(vectors, size):
+            made.append(real_buffers(vectors, size))
+            return made[-1]
+
+        monkeypatch.setattr(mcsim, "_buffers", recording)
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(McConfig, "chunk_size", 100)
+        estimate(default_config(), default_geometry(), McConfig(trials=950, seed=1))
+        assert [b.block.shape for b in made] == [(6, 100)] * 3
 
 
 class TestDrawRealization:
@@ -530,8 +587,8 @@ class TestSharedDraw:
                   (default_config(m=2, n=5, gamma0=100.0), far)]
         start, count = 3_000, 20_000
         mc = McConfig(trials=start + count, seed=29, mode=mode)
-        counts = mcsim._run_chunk(points[0][0], points, [mcsim._plan(c, g) for c, g in points],
-                                  mc, start, count)
+        counts = run_chunk(points[0][0], points, [mcsim._plan(c, g) for c, g in points], mc,
+                           start, count)
         weak, strong, g_dnr, g_rdm = gains_from_uniforms(
             points[0][0], mode, draw_columns(mc, 6, range(draws_per_trial(6, mode)), start,
                                              count), [1, 2, 3], [2, 5, 6])
@@ -541,11 +598,14 @@ class TestSharedDraw:
             assert 0 < want[3] < want[2]  # the relay loses some trials left to it, not all
 
     def test_bookkeeping_does_not_grow_with_trials(self, monkeypatch):
-        # 1e9 trials are 15,259 chunks: the workers take them from one
-        # iterator, so no thread, task or list entry is kept per chunk
+        # 1e9 trials are 30,518 chunks: the workers take them from one
+        # iterator, so no thread, task or list entry is kept per chunk; the
+        # chunks and their buffers are stubbed out
         started = counting_workers(monkeypatch)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(mcsim, "_run_chunk", lambda draw, points, plans, mc, start, count:
+        monkeypatch.setattr(mcsim, "_buffers", lambda vectors, size: None)
+        monkeypatch.setattr(mcsim, "_run_chunk",
+                            lambda draw, points, plans, mc, start, count, buffers:
                             np.zeros((len(points), 4), dtype=np.int64))
         tracemalloc.start()
         try:
@@ -562,10 +622,10 @@ class TestSharedDraw:
         boom = RuntimeError("chunk 3 failed")
         real_run_chunk = mcsim._run_chunk
 
-        def failing(draw, points, plans, mc, start, count):
+        def failing(draw, points, plans, mc, start, count, buffers):
             if start == 3 * mc.chunk_size:
                 raise boom
-            return real_run_chunk(draw, points, plans, mc, start, count)
+            return real_run_chunk(draw, points, plans, mc, start, count, buffers)
 
         started = counting_workers(monkeypatch)
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 4)
@@ -585,9 +645,9 @@ class TestSharedDraw:
         ran = []
         real_run_chunk = mcsim._run_chunk
 
-        def recording(draw, points, plans, mc, start, count):
+        def recording(draw, points, plans, mc, start, count, buffers):
             ran.append((start, count))
-            return real_run_chunk(draw, points, plans, mc, start, count)
+            return real_run_chunk(draw, points, plans, mc, start, count, buffers)
 
         cfg, geo = default_config(), default_geometry()
         monkeypatch.setattr(McConfig, "chunk_size", 7)
@@ -627,12 +687,10 @@ def outages(row, relay):
 
 def chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm, relay=True):
     """Outage indicators of hand-built chain values, one trial per _count call."""
-    plans = [mcsim._plan(cfg, geo)]
     out = []
     for ym, yn, dnr, rdm in zip(*(np.asarray(a, dtype=float)[:, None]
                                   for a in (y_m, y_n, g_dnr, g_rdm))):
-        row, = mcsim._count([(cfg, geo)], plans, {cfg.m: ym}, {cfg.n: yn}, dnr, rdm,
-                            np.empty((2, 1)))
+        row = count_rows(cfg, geo, ym, yn, dnr, rdm)
         out.append(tuple(map(bool, outages(row, relay))))
     return out
 
@@ -711,9 +769,8 @@ def hold_to_the_sinr_path(cfg, geo, y_m, y_n, g_dnr, g_rdm):
     """
     plan = mcsim._plan(cfg, geo)
     y_m, y_n = (np.asarray(y, dtype=float) for y in (y_m, y_n))
-    rows = np.empty((2, y_n.size))
-    row, = mcsim._count([(cfg, geo)], [plan], {cfg.m: y_m}, {cfg.n: y_n}, g_dnr, g_rdm, rows)
-    star = mcsim._critical_snr(plan.hops, g_dnr, g_rdm, rows).copy()
+    row = count_rows(cfg, geo, y_m, y_n, g_dnr, g_rdm)
+    star = mcsim._critical_snr(plan.hops, g_dnr, g_rdm, np.empty((2, y_n.size)))
     by_level = level_stages(plan, y_m, y_n, star)
     assert row.tolist() == stage_counts(*by_level)
     lam = cfg.lambda_sd
@@ -854,8 +911,7 @@ class TestThresholdPath:
             near += np.count_nonzero(~outside)
             far += np.count_nonzero(outside)
             assert np.any(outside)
-            row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                {cfg.n: y_n}, *hops, np.empty((2, y_n.size)))
+            row = count_rows(cfg, geo, y_m, y_n, *hops)
             assert outages(row, relay) == tuple(map(sum, zip(*got)))
             assert hold_to_the_sinr_path(cfg, geo, y_m, y_n, *hops) == np.count_nonzero(~outside)
         assert near > 0 and far > 0
@@ -870,8 +926,7 @@ class TestThresholdPath:
         for cfg, geo in self.cases():
             y_n, y_m, g_dnr, g_rdm = relay_trials(cfg, geo)
             got = chain_events(cfg, geo, y_m, y_n, g_dnr, g_rdm)
-            row, = mcsim._count([(cfg, geo)], [mcsim._plan(cfg, geo)], {cfg.m: y_m},
-                                {cfg.n: y_n}, g_dnr, g_rdm, np.empty((2, y_n.size)))
+            row = count_rows(cfg, geo, y_m, y_n, g_dnr, g_rdm)
             assert outages(row, True) == tuple(map(sum, zip(*got)))
             hold_to_the_sinr_path(cfg, geo, y_m, y_n, g_dnr, g_rdm)
             plan = mcsim._plan(cfg, geo)
@@ -947,7 +1002,7 @@ class TestThresholdMechanism:
                      "sinr_relayed"):
             monkeypatch.setattr(mcsim, name, called)
         assert not hasattr(mcsim, "gains_from_chain")
-        counts = mcsim._run_chunk(points[0][0], points, plans, mc, 0, 65_536)
+        counts = run_chunk(points[0][0], points, plans, mc, 0, 65_536)
         for (cfg, _), row in zip(points, counts):
             for relay in (True, False):
                 out_n, out_m = event_arrays(cfg, geo, weak[3], strong[6], g_dnr, g_rdm, relay)
@@ -958,9 +1013,8 @@ class TestThresholdMechanism:
         # a strong-user outage, and none is left to the relay
         cfg = default_config(gamma_thm=0.7 / 0.3)
         assert stage_gains(cfg, default_geometry(), cfg.gamma0)[0] == math.inf
-        row, = mcsim._run_chunk(cfg, [(cfg, default_geometry())],
-                                [mcsim._plan(cfg, default_geometry())],
-                                McConfig(trials=4_096, seed=11), 0, 4_096)
+        row, = run_chunk(cfg, [(cfg, default_geometry())], [mcsim._plan(cfg, default_geometry())],
+                         McConfig(trials=4_096, seed=11), 0, 4_096)
         assert row.tolist() == [4_096, 4_096, 0, 0]
 
     @pytest.mark.parametrize("cfg, near", [
@@ -984,7 +1038,7 @@ class TestThresholdMechanism:
         g_dnr, g_rdm = (-lam * np.log1p(-u[2 * cfg.M + k])
                         for k, lam in enumerate((cfg.lambda_dnr, cfg.lambda_rdm)))
         assert hold_to_the_sinr_path(cfg, geo, y_m, y_n, g_dnr, g_rdm) == near
-        row, = mcsim._run_chunk(cfg, [(cfg, geo)], [mcsim._plan(cfg, geo)], mc, 0, 65_536)
+        row, = run_chunk(cfg, [(cfg, geo)], [mcsim._plan(cfg, geo)], mc, 0, 65_536)
         weak, strong, g_dnr, g_rdm = gains_from_uniforms(cfg, mc.mode, u, [cfg.m], [cfg.n])
         for relay in (True, False):
             out_n, out_m = event_arrays(cfg, geo, weak[cfg.m], strong[cfg.n], g_dnr, g_rdm, relay)

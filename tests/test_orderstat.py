@@ -253,20 +253,30 @@ class TestSampler:
     def test_streamed_chain_equals_the_summed_terms(self):
         # each rank's row is its own terms log1p(-v_j)/j summed from slot M
         # down, whichever other ranks are requested, and slot rows are asked
-        # for once each, from M down to the lowest rank
+        # for once each, from M down to the lowest rank; slot M may also be
+        # drawn into the last out row, where the running sum starts, as the
+        # Monte-Carlo does
         v = np.random.Generator(np.random.PCG64DXSM(3)).random((8, 50))
         want = {i: np.zeros(50) for i in range(1, 9)}
         for i in range(1, 9):
             for j in range(8, i - 1, -1):
                 want[i] = np.log1p(-v[j - 1]) / j + want[i]
         for ranks in ([1], [8], [2, 5], [3, 4, 8], range(1, 9)):
-            asked = []
-            chain = log_uniform_chain(lambda j: asked.append(j) or v[j - 1].copy(), 8, ranks,
-                                      np.empty((len(ranks), 50)))
-            assert asked == [*range(8, min(ranks) - 1, -1)]
-            assert sorted(chain) == sorted(ranks)
-            for i, row in chain.items():
-                assert row.tolist() == want[i].tolist()
+            for in_out in (False, True):
+                asked, out = [], np.empty((len(ranks), 50))
+
+                def slot(j):
+                    asked.append(j)
+                    if in_out and j == 8:
+                        out[-1] = v[j - 1]
+                        return out[-1]
+                    return v[j - 1].copy()
+
+                chain = log_uniform_chain(slot, 8, ranks, out)
+                assert asked == [*range(8, min(ranks) - 1, -1)]
+                assert sorted(chain) == sorted(ranks)
+                for i, row in chain.items():
+                    assert row.tolist() == want[i].tolist()
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(0)

@@ -6,9 +6,12 @@ only in ``perfbench/run.py --trace 1``.
 """
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
+
+from coopnoma.mcsim import McConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
@@ -32,7 +35,7 @@ def test_traced_run_counts_one_estimate_and_one_evaluate(tmp_path):
                           "--out", str(tmp_path / "sweep.csv"))
     assert record["exit"] == 0
     assert record["metrics"]["mcsim.estimate_calls"] == 1
-    assert record["metrics"]["mcsim.chunks"] == 4  # 200,000 trials of 65,536
+    assert record["metrics"]["mcsim.chunks"] == math.ceil(200_000 / McConfig.chunk_size)
     assert record["metrics"]["analytic.evaluate_calls"] == 1
     assert record["metrics"]["orderstat.ordered_cdf_calls"] == 3
 

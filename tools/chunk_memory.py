@@ -16,7 +16,12 @@ other parameters (20 dB, seed 20180415) and prints one JSON object:
 - ``events``: the strong and the weak user's outage counts, summed over
   the call's scenarios;
 - ``peak_rss_mb``: the process's peak resident set (``ru_maxrss``), and
-  ``import_rss_mb``, the same read just before the call;
+  ``import_rss_mb``, the same read just before the call, with
+  ``numpy.random``, which the first chunk would otherwise import, already
+  loaded, so the difference is the call's own memory;
+- ``buffers_mb``: the chunk buffers the call's workers allocate, from its
+  chunk layout: per worker, rows x min(chunk_size, trials) doubles and
+  two bool rows;
 - ``minor_faults``, ``user_s`` and ``sys_s``: ``getrusage`` deltas over
   the call;
 - ``wall_s``: the call's wall time.
@@ -63,7 +68,7 @@ from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from coopnoma import cli  # noqa: E402
+from coopnoma import cli, mcsim  # noqa: E402
 from coopnoma.linklevel import Geometry, SystemConfig  # noqa: E402
 from coopnoma.mcsim import McConfig, estimate  # noqa: E402
 
@@ -131,6 +136,11 @@ def main(argv=None) -> None:
         mode = args.mode
         what = {"M": args.M, "pair": list(args.pair)}
     mc = McConfig(trials=args.trials, seed=20180415, mode=mode)
+    size = min(mc.chunk_size, mc.trials)
+    workers = min(args.workers, -(-mc.trials // mc.chunk_size))  # as estimate starts them
+    per_trial = mcsim._buffers(mcsim._layout(scenarios[0][0].M, scenarios, mode), 1)
+    buffers = workers * size * (per_trial.block.nbytes + per_trial.masks.nbytes)
+    import numpy.random  # noqa: F401  (the first chunk's import, kept out of the deltas)
     before = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
     points = estimate(*scenarios[0], mc, also=scenarios[1:])
@@ -141,6 +151,7 @@ def main(argv=None) -> None:
         "events": [sum(p.p_out_n.events for p in points), sum(p.p_out_m.events for p in points)],
         "peak_rss_mb": round(after.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
         "import_rss_mb": round(before.ru_maxrss / 1024, 1),
+        "buffers_mb": round(buffers / 2 ** 20, 2),
         "minor_faults": after.ru_minflt - before.ru_minflt,
         "user_s": round(after.ru_utime - before.ru_utime, 3),
         "sys_s": round(after.ru_stime - before.ru_stime, 3),

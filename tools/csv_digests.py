@@ -15,7 +15,7 @@ itself prints goes to standard error).  The runs are:
 - three fixed sweeps (``SWEEPS``) that no workload covers, each with
   ``--engine both --baseline`` at ``SWEEP_TRIALS`` trials in each MC
   mode, named ``pair-joint``, ``pair-independent`` and so on.
-  ``SWEEP_TRIALS`` is three chunks, so a fused sweep's relay groups are
+  ``SWEEP_TRIALS`` is five chunks, so a fused sweep's relay groups are
   split across chunks and workers.  Their INI files are written in the
   temporary directory.
   - ``pair`` and ``distance-set`` each repeat one sweep point, so a
@@ -74,7 +74,7 @@ SWEEPS = {
     "tight-split": "[system]\nM = 8\nm = 4\nn = 8\nR_m = 1.736963574\n[sweep]\n"
                    "values = 66,70,74,78,82\n",
 }
-SWEEP_TRIALS = 150_000  # three chunks of McConfig.chunk_size
+SWEEP_TRIALS = 150_000  # five chunks of McConfig.chunk_size, the last one short
 RUNS = [*WORKLOADS, *(f"{variable}-{mode}" for variable in SWEEPS for mode in MODES)]
 GATE_SEED = 11
 GATE_TRIALS = {"single_point_m20": 1_000_000}  # 16 chunks, about 0.1 s
